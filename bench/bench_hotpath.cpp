@@ -11,7 +11,7 @@
 // is the CI smoke preset (m = 2^20, P = 8).
 //
 // Phases (all host wall-clock, virtual-time network is free):
-//   select            one-shot topk_select  vs  workspace + sampled prefilter
+//   select            one-shot topk_select  vs  workspace + histogram cut
 //   kth_magnitude     fresh kth_largest_magnitude  vs  workspace overload
 //   wire_roundtrip    serialize+deserialize  vs  serialize_into + view
 //   merge             topk_merge (allocate-add-reselect)  vs  topk_merge_into
@@ -197,10 +197,9 @@ double run_e2e(const Config& cfg, const std::vector<std::vector<float>>& grads,
         core::GtopkOptions options;
         options.pooled = optimized;
         if (optimized) options.workspace = &agg_ws;
-        const sparse::TopkOptions select_opts{.sampled_prefilter = optimized};
         for (int i = 0; i < cfg.iters; ++i) {
             if (optimized) {
-                sparse::topk_select_into(dense, k, select_ws, local, select_opts);
+                sparse::topk_select_into(dense, k, select_ws, local);
             } else {
                 local = sparse::topk_select(dense, k);
             }

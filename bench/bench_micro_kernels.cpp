@@ -43,26 +43,22 @@ BENCHMARK_CAPTURE(BM_TopkSelect, full_sort, sparse::TopkStrategy::FullSort)
     ->Arg(100'000)
     ->Arg(1'000'000);
 
-void BM_TopkSelectWorkspace(benchmark::State& state, bool prefilter) {
-    // Workspace-reusing selection (identical results to BM_TopkSelect /
-    // nth_element), with and without the sampled-threshold pre-filter.
+void BM_TopkSelectWorkspace(benchmark::State& state) {
+    // Workspace-reusing histogram-cut selection (identical results to the
+    // one-shot BM_TopkSelect/nth_element).
     const auto m = static_cast<std::size_t>(state.range(0));
     const std::size_t k = std::max<std::size_t>(1, m / 1000);
     const auto dense = random_dense(m, 1);
     sparse::TopkWorkspace ws;
     sparse::SparseGradient out;
-    const sparse::TopkOptions options{.sampled_prefilter = prefilter};
     for (auto _ : state) {
-        sparse::topk_select_into(dense, k, ws, out, options);
+        sparse::topk_select_into(dense, k, ws, out);
         benchmark::DoNotOptimize(out.indices.data());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(m));
 }
-BENCHMARK_CAPTURE(BM_TopkSelectWorkspace, exact, false)
-    ->Arg(100'000)
-    ->Arg(1'000'000);
-BENCHMARK_CAPTURE(BM_TopkSelectWorkspace, prefilter, true)
+BENCHMARK(BM_TopkSelectWorkspace)
     ->Arg(100'000)
     ->Arg(1'000'000);
 

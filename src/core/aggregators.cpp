@@ -48,6 +48,31 @@ void recv_merge(Communicator& comm, int src, int tag, SparseGradient& acc,
 
 }  // namespace
 
+GtopkMetrics GtopkMetrics::resolve(obs::Tracer* tracer) {
+    if (!tracer) return {};
+    obs::MetricsRegistry& reg = tracer->metrics();
+    return {&reg.counter("gtopk.merge_rounds"), &reg.histogram("gtopk.round_nnz"),
+            &reg.counter("gtopk.invocations")};
+}
+
+void GtopkMetrics::merged(std::size_t nnz) const {
+    if (!merge_rounds) return;
+    merge_rounds->add(1);
+    round_nnz->record(nnz);
+}
+
+void GtopkMetrics::invoked() const {
+    if (invocations) invocations->add(1);
+}
+
+const GtopkMetrics& GtopkWorkspace::metrics_for(obs::Tracer* tracer) {
+    if (tracer != metrics_tracer) {
+        metrics = GtopkMetrics::resolve(tracer);
+        metrics_tracer = tracer;
+    }
+    return metrics;
+}
+
 GtopkResult gtopk_allreduce(Communicator& comm, const SparseGradient& local,
                             std::size_t k, const GtopkOptions& options) {
     const int world = comm.size();
@@ -58,6 +83,7 @@ GtopkResult gtopk_allreduce(Communicator& comm, const SparseGradient& local,
     GtopkWorkspace& ws = options.workspace ? *options.workspace : local_ws;
 
     obs::Tracer* tracer = comm.tracer();
+    const GtopkMetrics& metrics = ws.metrics_for(tracer);
     obs::ScopedSpan op_span(tracer, comm.clock(), rank, "gtopk.allreduce", "agg");
     op_span.attrs().nnz = static_cast<std::int64_t>(local.nnz());
 
@@ -84,10 +110,7 @@ GtopkResult gtopk_allreduce(Communicator& comm, const SparseGradient& local,
                 recv_merge(comm, op.peer, tag + op.tag_offset, acc, k, options.pooled,
                            ws);
                 op_round.attrs().nnz = static_cast<std::int64_t>(acc.nnz());
-                if (op.phase == 1 && tracer) {
-                    tracer->metrics().counter("gtopk.merge_rounds").add(1);
-                    tracer->metrics().histogram("gtopk.round_nnz").record(acc.nnz());
-                }
+                if (op.phase == 1) metrics.merged(acc.nnz());
             }
         }
 
@@ -116,7 +139,7 @@ GtopkResult gtopk_allreduce(Communicator& comm, const SparseGradient& local,
         acc = sparse::sparse_topk(acc, k);
     }
 
-    if (tracer) tracer->metrics().counter("gtopk.invocations").add(1);
+    metrics.invoked();
     return GtopkResult{std::move(acc)};
 }
 

@@ -24,6 +24,12 @@
 #include "sparse/sparse_gradient.hpp"
 #include "sparse/topk_merge.hpp"
 
+namespace gtopk::obs {
+class Counter;
+class Histogram;
+class Tracer;
+}  // namespace gtopk::obs
+
 namespace gtopk::core {
 
 using collectives::AllgatherAlgo;
@@ -32,13 +38,36 @@ using collectives::BcastAlgo;
 using comm::Communicator;
 using sparse::SparseGradient;
 
-/// Cross-invocation scratch for gtopk_allreduce: merge-round temporaries
-/// and the broadcast wire buffer. Optional — pass one per worker via
-/// GtopkOptions::workspace and the per-iteration aggregation stops
-/// allocating; without it a local instance amortizes within one call.
+/// Handles of the gTop-k hot-path metrics, resolved once rather than looked
+/// up by name under the registry mutex at every merge round
+/// (obs/metrics.hpp). All null without a tracer.
+struct GtopkMetrics {
+    obs::Counter* merge_rounds = nullptr;
+    obs::Histogram* round_nnz = nullptr;
+    obs::Counter* invocations = nullptr;
+
+    static GtopkMetrics resolve(obs::Tracer* tracer);
+    /// One tree-merge round (phase 1) left `nnz` entries in the accumulator.
+    void merged(std::size_t nnz) const;
+    /// One collective completed.
+    void invoked() const;
+};
+
+/// Cross-invocation scratch for gtopk_allreduce: merge-round temporaries,
+/// the broadcast wire buffer and the metric handles of the last tracer
+/// seen. Optional — pass one per worker via GtopkOptions::workspace and the
+/// per-iteration aggregation stops allocating and looking metrics up;
+/// without it a local instance amortizes within one call.
 struct GtopkWorkspace {
     sparse::MergeScratch merge;
     std::vector<std::byte> wire;
+    GtopkMetrics metrics;
+    const obs::Tracer* metrics_tracer = nullptr;
+
+    /// `metrics`, re-resolved when `tracer` is not the one they belong to.
+    /// The handles point into that tracer's registry, so a workspace must
+    /// not outlive the tracer it serves (one per worker per run does not).
+    const GtopkMetrics& metrics_for(obs::Tracer* tracer);
 };
 
 /// Knobs for gtopk_allreduce, exposed for the ablation benches.

@@ -32,6 +32,7 @@ AsyncGtopkAllreduce::AsyncGtopkAllreduce(comm::Communicator& comm,
       acc_(std::move(local)),
       k_(k),
       scratch_(scratch ? scratch : &own_scratch_),
+      metrics_(GtopkMetrics::resolve(comm.tracer())),
       merge_tag_count_(
           collectives::gtopk_merge_schedule(comm.size(),
                                             collectives::kVariableBytes)
@@ -70,10 +71,7 @@ void AsyncGtopkAllreduce::op_recv(const collectives::CommOp& op,
     const sparse::SparseGradientView v = sparse::deserialize_view(payload);
     sparse::topk_merge_into(acc_, v.dense_size, v.indices, v.values, k_,
                             *scratch_);
-    if (obs::Tracer* tracer = comm().tracer(); tracer && op.phase == 1) {
-        tracer->metrics().counter("gtopk.merge_rounds").add(1);
-        tracer->metrics().histogram("gtopk.round_nnz").record(acc_.nnz());
-    }
+    if (op.phase == 1) metrics_.merged(acc_.nnz());
 }
 
 void AsyncGtopkAllreduce::on_complete() {
@@ -87,9 +85,7 @@ void AsyncGtopkAllreduce::on_complete() {
         acc_.indices.assign(v.indices.begin(), v.indices.end());
         acc_.values.assign(v.values.begin(), v.values.end());
     }
-    if (obs::Tracer* tracer = comm().tracer()) {
-        tracer->metrics().counter("gtopk.invocations").add(1);
-    }
+    metrics_.invoked();
 }
 
 }  // namespace gtopk::core

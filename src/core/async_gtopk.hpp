@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "collectives/async.hpp"
+#include "core/aggregators.hpp"
 #include "sparse/sparse_gradient.hpp"
 #include "sparse/topk_merge.hpp"
 
@@ -49,6 +50,7 @@ private:
     std::size_t k_;
     sparse::MergeScratch own_scratch_;
     sparse::MergeScratch* scratch_;
+    GtopkMetrics metrics_;  // resolved once per handle
     int merge_tag_count_ = 0;      // broadcast-stage ops have offsets past it
     std::vector<std::byte> wire_;  // serialized broadcast payload
 };

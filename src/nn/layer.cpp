@@ -60,4 +60,31 @@ void apply_delta(const std::vector<ParamView>& params, std::span<const float> de
     }
 }
 
+void accumulate_grads(const std::vector<ParamView>& params, std::span<float> dst) {
+    if (dst.size() != param_count(params)) {
+        throw std::invalid_argument("accumulate_grads: size mismatch");
+    }
+    std::size_t off = 0;
+    for (const auto& p : params) {
+        const float* g = p.grad->data();
+        float* d = dst.data() + off;
+        for (std::size_t i = 0; i < p.grad->size(); ++i) d[i] += g[i];
+        off += p.grad->size();
+    }
+}
+
+void axpy_values(const std::vector<ParamView>& params, float a,
+                 std::span<const float> x) {
+    if (x.size() != param_count(params)) {
+        throw std::invalid_argument("axpy_values: size mismatch");
+    }
+    std::size_t off = 0;
+    for (const auto& p : params) {
+        float* w = p.value->data();
+        const float* xs = x.data() + off;
+        for (std::size_t i = 0; i < p.value->size(); ++i) w[i] += a * xs[i];
+        off += p.value->size();
+    }
+}
+
 }  // namespace gtopk::nn

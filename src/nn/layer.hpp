@@ -49,5 +49,10 @@ std::vector<float> flatten_grads(const std::vector<ParamView>& params);
 void set_values(const std::vector<ParamView>& params, std::span<const float> flat);
 /// params += delta (flat).
 void apply_delta(const std::vector<ParamView>& params, std::span<const float> delta);
+/// dst += grads (flat), straight from the gradient buffers.
+void accumulate_grads(const std::vector<ParamView>& params, std::span<float> dst);
+/// params += a * x (flat).
+void axpy_values(const std::vector<ParamView>& params, float a,
+                 std::span<const float> x);
 
 }  // namespace gtopk::nn

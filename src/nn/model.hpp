@@ -47,6 +47,12 @@ public:
     std::vector<float> flat_grads() const { return flatten_grads(params_); }
     void set_flat_params(std::span<const float> w) { set_values(params_, w); }
     void add_flat_delta(std::span<const float> d) { apply_delta(params_, d); }
+    /// dst += gradients, without materializing flat_grads().
+    void accumulate_grads_into(std::span<float> dst) const {
+        accumulate_grads(params_, dst);
+    }
+    /// params += a * x, without materializing a delta vector.
+    void axpy_params(float a, std::span<const float> x) { axpy_values(params_, a, x); }
 
 protected:
     /// Derived classes populate this once construction is complete.

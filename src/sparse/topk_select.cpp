@@ -1,10 +1,12 @@
 #include "sparse/topk_select.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <queue>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace gtopk::sparse {
@@ -90,28 +92,58 @@ void finalize_into(std::span<const float> dense, std::span<std::int32_t> picked,
     }
 }
 
-/// Deterministic strided-sample estimate of a magnitude cut that aims at
-/// ~2k survivors (conservative: undershooting the true kth magnitude only
-/// costs candidates, overshooting triggers the exact fallback). Returns a
-/// non-positive cut when the estimate cannot be trusted.
-float sampled_magnitude_cut(std::span<const float> dense, std::size_t k,
-                            std::vector<float>& mags) {
-    const std::size_t m = dense.size();
-    const std::size_t sample_size = std::min(m, std::max<std::size_t>(2048, m / 128));
-    const std::size_t step = m / sample_size;
-    mags.clear();
-    mags.reserve(sample_size);
-    for (std::size_t i = 0, j = 0; j < sample_size; i += step, ++j) {
-        mags.push_back(std::abs(dense[i]));
+/// First histogram bin of the Inf/NaN keys (0x7f800000 and up).
+constexpr std::size_t kNonFiniteBin = 0x7f800000u >> kHistogramShift;
+
+/// Sign-cleared bit pattern of `v`: for finite floats, a larger key means
+/// a larger |v|, and ±0 share key 0 just as they compare equal.
+inline std::uint32_t magnitude_key(float v) {
+    return std::bit_cast<std::uint32_t>(v) & 0x7fffffffu;
+}
+
+/// Exact histogram cut (0 < k < m). With b the highest bin whose suffix
+/// count reaches k, every entry in a bin above b outranks every entry in b
+/// or below, so an entry below b has at least k entries ahead of it and
+/// cannot be in the top-k: the candidates (bin >= b) hold the exact top-k,
+/// and selecting among them under magnitude_less gives the full path's
+/// result.
+void histogram_select_into(std::span<const float> dense, std::size_t k,
+                           TopkWorkspace& ws, SparseGradient& out) {
+    ws.hist.fill(0);
+    for (const float v : dense) ++ws.hist[magnitude_key(v) >> kHistogramShift];
+
+    std::size_t non_finite = 0;
+    for (std::size_t bin = kNonFiniteBin; bin < kHistogramBins; ++bin) {
+        non_finite += ws.hist[bin];
     }
-    const double density = static_cast<double>(k) / static_cast<double>(m);
-    auto rank = static_cast<std::size_t>(
-        std::llround(2.0 * density * static_cast<double>(mags.size())));
-    if (rank < 8) return -1.0f;  // too far into the tail of the sample
-    rank = std::min(rank, mags.size());
-    std::nth_element(mags.begin(), mags.begin() + static_cast<std::ptrdiff_t>(rank - 1),
-                     mags.end(), std::greater<float>());
-    return mags[rank - 1];
+    if (non_finite > 0) {
+        throw std::domain_error("topk_select: " + std::to_string(non_finite) +
+                                " non-finite entries in a dense vector of size " +
+                                std::to_string(dense.size()));
+    }
+
+    std::size_t cut_bin = kNonFiniteBin;
+    std::size_t candidates = 0;
+    while (candidates < k) candidates += ws.hist[--cut_bin];
+
+    // Branchless compaction: every index is written, only candidates
+    // advance the cursor, so the buffer needs one slot of slack.
+    const std::uint32_t cut_key = static_cast<std::uint32_t>(cut_bin) << kHistogramShift;
+    ws.perm.resize(candidates + 1);
+    std::int32_t* const cand = ws.perm.data();
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < dense.size(); ++i) {
+        cand[n] = static_cast<std::int32_t>(i);
+        n += magnitude_key(dense[i]) >= cut_key ? 1 : 0;
+    }
+
+    auto greater = [&](std::int32_t a, std::int32_t b) {
+        return magnitude_less(dense[static_cast<std::size_t>(b)], b,
+                              dense[static_cast<std::size_t>(a)], a);
+    };
+    std::nth_element(cand, cand + static_cast<std::ptrdiff_t>(k - 1), cand + candidates,
+                     greater);
+    finalize_into(dense, std::span<std::int32_t>(cand, k), out);
 }
 
 }  // namespace
@@ -162,41 +194,7 @@ void topk_select_into(std::span<const float> dense, std::size_t k, TopkWorkspace
         return;
     }
 
-    auto greater = [&](std::int32_t a, std::int32_t b) {
-        return magnitude_less(dense[static_cast<std::size_t>(b)], b,
-                              dense[static_cast<std::size_t>(a)], a);
-    };
-
-    if (options.sampled_prefilter && dense.size() >= kPrefilterMinDense &&
-        k * 8 <= dense.size()) {
-        const float cut = sampled_magnitude_cut(dense, k, ws.mags);
-        if (cut > 0.0f) {
-            ws.perm.clear();
-            for (std::size_t i = 0; i < dense.size(); ++i) {
-                const float v = dense[i];
-                if ((v < 0 ? -v : v) >= cut) {
-                    ws.perm.push_back(static_cast<std::int32_t>(i));
-                }
-            }
-            // >= k candidates proves cut <= kth-largest magnitude, hence the
-            // exact top-k set is contained in the candidates and selecting
-            // from them under the same total order is exact. Fewer: the
-            // estimate overshot; fall through to the full path.
-            if (ws.perm.size() >= k) {
-                std::nth_element(ws.perm.begin(),
-                                 ws.perm.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                                 ws.perm.end(), greater);
-                finalize_into(dense, std::span<std::int32_t>(ws.perm.data(), k), out);
-                return;
-            }
-        }
-    }
-
-    ws.perm.resize(dense.size());
-    std::iota(ws.perm.begin(), ws.perm.end(), 0);
-    std::nth_element(ws.perm.begin(), ws.perm.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                     ws.perm.end(), greater);
-    finalize_into(dense, std::span<std::int32_t>(ws.perm.data(), k), out);
+    histogram_select_into(dense, k, ws, out);
 }
 
 SparseGradient topk_select(std::span<const float> dense, std::size_t k,

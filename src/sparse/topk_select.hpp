@@ -12,6 +12,8 @@
 //   FullSort    O(m log m) reference
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -37,35 +39,35 @@ inline bool magnitude_less(float va, std::int32_t ia, float vb, std::int32_t ib)
 SparseGradient topk_select(std::span<const float> dense, std::size_t k,
                            TopkStrategy strategy = TopkStrategy::NthElement);
 
-/// Scratch reused across selection calls: the m-entry permutation /
-/// candidate buffer and the magnitude buffer that the one-shot API
-/// reallocates every iteration. One workspace per worker thread; the
-/// vectors grow to the largest m seen and stay there.
+/// Bins of the magnitude histogram behind the workspace path: the key is
+/// the float's bit pattern with the sign cleared, shifted right by
+/// kHistogramShift (8 exponent bits + 3 mantissa bits, ~9% wide bins). For
+/// finite values the key is monotone in |value|; keys of Inf and NaN land
+/// in the top 8 bins.
+inline constexpr int kHistogramShift = 20;
+inline constexpr std::size_t kHistogramBins = std::size_t{1} << (31 - kHistogramShift);
+
+/// Scratch reused across selection calls: the magnitude histogram, the
+/// candidate index buffer, and the magnitude buffer of
+/// kth_largest_magnitude. One workspace per worker thread; the vectors grow
+/// to the largest size seen and stay there.
 struct TopkWorkspace {
+    std::array<std::uint32_t, kHistogramBins> hist{};
     std::vector<std::int32_t> perm;
     std::vector<float> mags;
 };
 
 struct TopkOptions {
     TopkStrategy strategy = TopkStrategy::NthElement;
-    /// Sampled-threshold pre-filter (licensed by the magnitude-distribution
-    /// observations of Shi et al., arXiv:1911.08772): estimate a
-    /// conservative magnitude cut from a deterministic strided sample,
-    /// collect the candidates >= cut, and run the exact selection on that
-    /// (much smaller) set. Whenever the candidate set cannot be proven to
-    /// contain the exact top-k (fewer than k candidates), the code falls
-    /// back to the full exact path — so the selected set is ALWAYS
-    /// bit-identical to the exact deterministic selection (invariant 6),
-    /// on or off.
-    bool sampled_prefilter = true;
 };
 
-/// Dense vectors below this size skip the pre-filter (the exact pass is
-/// already cheap and the sample would be too small to trust).
-inline constexpr std::size_t kPrefilterMinDense = 1 << 14;
-
 /// Workspace-reusing selection; identical results to the one-shot overload
-/// for every strategy/option combination.
+/// for every strategy. NthElement runs the exact histogram cut: one pass
+/// counts the magnitude keys, a scan from the top bin finds the bin holding
+/// the k-th entry, every index in that bin or above becomes a candidate
+/// (a superset of the top-k), and the magnitude_less introselect runs on
+/// the candidates only. Throws std::domain_error when `dense` holds Inf or
+/// NaN, which have no place in the magnitude order.
 SparseGradient topk_select(std::span<const float> dense, std::size_t k,
                            TopkWorkspace& ws, const TopkOptions& options = {});
 

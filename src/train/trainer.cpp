@@ -30,16 +30,6 @@ double now_host_s() {
         .count();
 }
 
-/// Scatter a sparse update scaled by 1/P into a dense vector.
-std::vector<float> sparse_to_mean_dense(const SparseGradient& g, int world) {
-    std::vector<float> dense(static_cast<std::size_t>(g.dense_size), 0.0f);
-    const float inv = 1.0f / static_cast<float>(world);
-    for (std::size_t i = 0; i < g.nnz(); ++i) {
-        dense[static_cast<std::size_t>(g.indices[i])] = g.values[i] * inv;
-    }
-    return dense;
-}
-
 /// Line 10 of Algorithm 4: add back into `residual` every locally-selected
 /// entry whose index did not survive the global selection.
 void return_unselected(std::vector<float>& residual, const SparseGradient& local,
@@ -174,10 +164,21 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
         // buffers stop allocating after the first iteration.
         sparse::TopkWorkspace select_ws;
         core::GtopkWorkspace agg_ws;
-        const sparse::TopkOptions select_opts{
-            .strategy = sparse::TopkStrategy::NthElement,
-            .sampled_prefilter = config.topk_sampled_prefilter};
         const core::GtopkOptions agg_opts{.workspace = &agg_ws};
+        SparseGradient local;
+        std::vector<SparseGradient> seg_locals;  // layer-wise only
+        // The gTop-k family's dense mean update, reused across steps: the
+        // global selection is scattered into it (recording the support) and
+        // the support is re-zeroed before the next scatter, so a step pays
+        // O(k) here instead of an O(m) allocation and fill. Even a step cut
+        // short by a CommError leaves its support recorded for the re-zero.
+        const bool sparse_global =
+            config.algorithm != Algorithm::DenseSsgd &&
+            config.algorithm != Algorithm::TopkSsgd;
+        std::vector<float> mean_update(sparse_global ? m : 0, 0.0f);
+        std::vector<std::size_t> mean_support;
+        // check_invariants only: the accumulated gradient before selection.
+        std::vector<float> accumulated;
         util::Xoshiro256 sample_rng =
             util::Xoshiro256(config.model_seed).fork(0x5A00 + static_cast<std::uint64_t>(rank));
 
@@ -326,30 +327,35 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                 nn::Batch batch = train_batches(step, comm.rank());
                 const double loss = model->train_step_gradients(batch);
                 step_loss[static_cast<std::size_t>(step)] = loss;
-                std::vector<float> grad = model->flat_grads();
-                // DGC-style local gradient clipping (scale to the L2 ball).
+                // DGC-style local gradient clipping (scale to the L2 ball),
+                // in place on the model's gradient buffers.
                 if (config.gradient_clip_norm > 0.0f) {
                     double norm_sq = 0.0;
-                    for (float g : grad) norm_sq += static_cast<double>(g) * g;
+                    for (const nn::ParamView& p : model->params()) {
+                        for (float g : *p.grad) norm_sq += static_cast<double>(g) * g;
+                    }
                     const double norm = std::sqrt(norm_sq);
                     if (norm > config.gradient_clip_norm) {
                         const float scale =
                             config.gradient_clip_norm / static_cast<float>(norm);
-                        for (float& g : grad) g *= scale;
+                        for (const nn::ParamView& p : model->params()) {
+                            for (float& g : *p.grad) g *= scale;
+                        }
                     }
                 }
-                // DGC momentum correction: momentum is folded into the
-                // LOCAL stream before residual accumulation.
-                if (local_momentum) {
-                    for (std::size_t i = 0; i < m; ++i) {
-                        velocity[i] = config.momentum * velocity[i] + grad[i];
-                        grad[i] = velocity[i];
-                    }
-                }
-                // Accumulate the residual (Alg. 4 line 4).
-                std::vector<float> accumulated = std::move(grad);
-                if (config.algorithm != Algorithm::DenseSsgd) {
-                    for (std::size_t i = 0; i < m; ++i) accumulated[i] += residual[i];
+                std::vector<float> dense_grad;  // DenseSsgd only
+                if (config.algorithm == Algorithm::DenseSsgd) {
+                    dense_grad = model->flat_grads();
+                } else if (local_momentum) {
+                    // DGC momentum correction: momentum is folded into the
+                    // LOCAL stream before residual accumulation.
+                    for (float& v : velocity) v *= config.momentum;
+                    model->accumulate_grads_into(velocity);
+                    for (std::size_t i = 0; i < m; ++i) residual[i] += velocity[i];
+                } else {
+                    // Accumulate the residual in place (Alg. 4 line 4);
+                    // selection then reads G straight from `residual`.
+                    model->accumulate_grads_into(residual);
                 }
                 compute_span.finish();
                 const double t1 = now_host_s();
@@ -358,43 +364,36 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                 obs::ScopedSpan select_span(config.tracer, comm.clock(), rank,
                                             "select", "train");
                 select_span.attrs().round = static_cast<int>(step);
-                SparseGradient local;
-                std::vector<SparseGradient> seg_locals;  // layer-wise only
                 if (config.algorithm == Algorithm::LayerwiseGtopkSsgd) {
-                    residual = accumulated;
-                    seg_locals.reserve(buckets.size());
-                    for (const GradBucket& b : buckets) {
-                        const std::size_t off = b.begin;
-                        const std::size_t len = b.size();
+                    seg_locals.resize(buckets.size());
+                    for (std::size_t b = 0; b < buckets.size(); ++b) {
+                        const std::span<float> seg(residual.data() + buckets[b].begin,
+                                                   buckets[b].size());
                         const std::size_t k_seg = std::max<std::size_t>(
                             1, static_cast<std::size_t>(std::llround(
-                                   density * static_cast<double>(len))));
-                        const std::span<const float> seg(accumulated.data() + off, len);
-                        SparseGradient sel =
-                            sparse::topk_select(seg, k_seg, select_ws, select_opts);
-                        sparse::zero_selected(
-                            std::span<float>(residual.data() + off, len), sel);
-                        seg_locals.push_back(std::move(sel));
+                                   density * static_cast<double>(seg.size()))));
+                        sparse::topk_select_into(seg, k_seg, select_ws, seg_locals[b]);
+                        sparse::zero_selected(seg, seg_locals[b]);
                     }
                 } else if (config.algorithm != Algorithm::DenseSsgd) {
+                    if (config.check_invariants) {
+                        accumulated.assign(residual.begin(), residual.end());
+                    }
                     switch (config.selection) {
                         case sparse::SelectionPolicy::ExactTopk:
-                            sparse::topk_select_into(accumulated, k, select_ws, local,
-                                                     select_opts);
+                            sparse::topk_select_into(residual, k, select_ws, local);
                             break;
                         case sparse::SelectionPolicy::StaticThreshold:
-                            local = sparse::threshold_select(accumulated,
+                            local = sparse::threshold_select(residual,
                                                              config.static_threshold);
                             break;
                         case sparse::SelectionPolicy::AdaptiveThreshold:
-                            local = adaptive.select(accumulated);
+                            local = adaptive.select(residual);
                             break;
                         case sparse::SelectionPolicy::SampledTopk:
-                            local = sparse::sampled_topk_select(accumulated, k,
-                                                                sample_rng);
+                            local = sparse::sampled_topk_select(residual, k, sample_rng);
                             break;
                     }
-                    residual = accumulated;
                     sparse::zero_selected(residual, local);
                     if (config.check_invariants) {
                         check_error_feedback(accumulated, residual, local);
@@ -427,20 +426,27 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                                          "aggregate", "train");
                 agg_span.attrs().round = static_cast<int>(step);
                 agg_span.attrs().nnz = static_cast<std::int64_t>(local.nnz());
-                std::vector<float> update;  // mean over workers, dense
+                const float inv = 1.0f / static_cast<float>(comm.size());
+                for (const std::size_t i : mean_support) mean_update[i] = 0.0f;
+                mean_support.clear();
+                auto scatter_mean = [&](std::size_t off, const SparseGradient& global) {
+                    for (std::size_t j = 0; j < global.nnz(); ++j) {
+                        const std::size_t i =
+                            off + static_cast<std::size_t>(global.indices[j]);
+                        mean_update[i] = global.values[j] * inv;
+                        mean_support.push_back(i);
+                    }
+                };
+                std::vector<float> dense_update;  // DenseSsgd / TopkSsgd
                 switch (config.algorithm) {
-                    case Algorithm::DenseSsgd: {
-                        update = core::dense_allreduce(comm, accumulated);
-                        const float inv = 1.0f / static_cast<float>(comm.size());
-                        for (float& u : update) u *= inv;
+                    case Algorithm::DenseSsgd:
+                        dense_update = core::dense_allreduce(comm, dense_grad);
+                        for (float& u : dense_update) u *= inv;
                         break;
-                    }
-                    case Algorithm::TopkSsgd: {
-                        update = core::topk_allreduce(comm, local);
-                        const float inv = 1.0f / static_cast<float>(comm.size());
-                        for (float& u : update) u *= inv;
+                    case Algorithm::TopkSsgd:
+                        dense_update = core::topk_allreduce(comm, local);
+                        for (float& u : dense_update) u *= inv;
                         break;
-                    }
                     case Algorithm::LayerwiseGtopkSsgd: {
                         // One independent gTop-k per bucket; the put-back
                         // (line 10) works in bucket-local coordinates,
@@ -450,8 +456,6 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                         // order and drained front-first — only virtual
                         // scheduling changes, never the math, so params are
                         // bit-identical with overlap on or off.
-                        update.assign(m, 0.0f);
-                        const float inv = 1.0f / static_cast<float>(comm.size());
                         const double agg_v_start = comm.clock().now_s();
                         std::vector<std::unique_ptr<core::AsyncGtopkAllreduce>>
                             handles;
@@ -511,11 +515,7 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                                         seg_local.values[li];
                                 }
                             }
-                            for (std::size_t gj = 0; gj < global.nnz(); ++gj) {
-                                update[off + static_cast<std::size_t>(
-                                                 global.indices[gj])] =
-                                    global.values[gj] * inv;
-                            }
+                            scatter_mean(off, global);
                         }
                         break;
                     }
@@ -530,7 +530,7 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                             // Alg. 4 line 10.
                             return_unselected(residual, local, res.global);
                         }
-                        update = sparse_to_mean_dense(res.global, comm.size());
+                        scatter_mean(0, res.global);
                         break;
                     }
                 }
@@ -546,16 +546,16 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                 obs::ScopedSpan update_span(config.tracer, comm.clock(), rank,
                                             "update", "train");
                 update_span.attrs().round = static_cast<int>(step);
-                std::vector<float> delta(m);
+                const std::span<const float> update =
+                    sparse_global ? std::span<const float>(mean_update) : dense_update;
                 if (local_momentum) {
-                    for (std::size_t i = 0; i < m; ++i) delta[i] = -lr * update[i];
+                    model->axpy_params(-lr, update);
                 } else {
                     for (std::size_t i = 0; i < m; ++i) {
                         velocity[i] = config.momentum * velocity[i] + update[i];
-                        delta[i] = -lr * velocity[i];
                     }
+                    model->axpy_params(-lr, velocity);
                 }
-                model->add_flat_delta(delta);
                 update_span.finish();
                 const double u1 = now_host_s();
 

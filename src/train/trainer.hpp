@@ -69,11 +69,6 @@ struct TrainConfig {
     /// TopKAllReduce's wire format requires ExactTopk). Threshold policies
     /// produce variable nnz, which the tree aggregation tolerates.
     sparse::SelectionPolicy selection = sparse::SelectionPolicy::ExactTopk;
-    /// ExactTopk only: sampled-threshold pre-filter before the exact
-    /// selection (see sparse::TopkOptions). Guaranteed bit-identical
-    /// trajectories on or off (exact fallback); exposed so the determinism
-    /// test can assert exactly that.
-    bool topk_sampled_prefilter = true;
     /// Fixed |g| cutoff for SelectionPolicy::StaticThreshold.
     float static_threshold = 1e-3f;
 

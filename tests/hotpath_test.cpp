@@ -6,18 +6,17 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "comm/buffer_pool.hpp"
 #include "comm/cluster.hpp"
 #include "core/aggregators.hpp"
-#include "data/sampler.hpp"
-#include "data/synthetic_images.hpp"
-#include "nn/model_zoo.hpp"
 #include "sparse/topk_merge.hpp"
 #include "sparse/topk_select.hpp"
 #include "sparse/wire.hpp"
-#include "train/trainer.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -171,33 +170,51 @@ TEST(BufferPool, PooledBufferReleasesOnDestructionAndMove) {
 }
 
 // ---------------------------------------------------- selection equivalence
+//
+// The workspace path's candidate pre-filter is the exact histogram cut
+// (DESIGN.md §9): it must agree with the FullSort reference and the one-shot
+// introselect on every input, including ones built to stress the cut bin.
 
 sparse::SparseGradient exact_reference(std::span<const float> dense, std::size_t k) {
-    return sparse::topk_select(dense, k);  // one-shot, no prefilter
+    return sparse::topk_select(dense, k);  // one-shot m-entry introselect
 }
 
 void expect_prefilter_invariant(std::span<const float> dense, std::size_t k) {
     sparse::TopkWorkspace ws;
-    const SparseGradient ref = exact_reference(dense, k);
-    const SparseGradient off =
-        sparse::topk_select(dense, k, ws, {.sampled_prefilter = false});
-    const SparseGradient on =
-        sparse::topk_select(dense, k, ws, {.sampled_prefilter = true});
-    EXPECT_EQ(ref, off);
-    EXPECT_EQ(ref, on);
+    const SparseGradient sorted =
+        sparse::topk_select(dense, k, sparse::TopkStrategy::FullSort);
+    EXPECT_EQ(sparse::topk_select(dense, k, ws), sorted)
+        << "m=" << dense.size() << " k=" << k;
+    EXPECT_EQ(exact_reference(dense, k), sorted) << "m=" << dense.size() << " k=" << k;
+}
+
+/// Float with the given magnitude key bin (sign-cleared bits >> 20) and
+/// low mantissa bits `low` (< 2^20), so entries can be placed in a chosen
+/// histogram bin.
+float in_bin(std::uint32_t bin, std::uint32_t low, bool negative = false) {
+    const std::uint32_t bits = (bin << sparse::kHistogramShift) | low |
+                               (negative ? 0x80000000u : 0u);
+    float f = 0.0f;
+    std::memcpy(&f, &bits, sizeof(f));
+    return f;
 }
 
 TEST(TopkPrefilter, GaussianMatchesExact) {
-    // Large enough to engage the prefilter (m >= kPrefilterMinDense) with a
-    // density that keeps the sampled rank usable.
     const auto dense = random_dense(1 << 15, 21);
     expect_prefilter_invariant(dense, 128);
+    expect_prefilter_invariant(dense, 33);  // rho = 0.001
 }
 
 TEST(TopkPrefilter, HeavyTailMatchesExact) {
     auto dense = random_dense(1 << 15, 22);
     for (auto& v : dense) v = v * v * v;  // cube: heavy-tailed magnitudes
     expect_prefilter_invariant(dense, 128);
+    auto cauchy = random_dense(1 << 15, 122);
+    for (std::size_t i = 0; i + 1 < cauchy.size(); i += 2) {
+        // Ratio of Gaussians: Cauchy tails.
+        cauchy[i] = cauchy[i] / (std::abs(cauchy[i + 1]) + 1e-30f);
+    }
+    expect_prefilter_invariant(cauchy, 64);
 }
 
 TEST(TopkPrefilter, MassiveTiesMatchExact) {
@@ -213,26 +230,114 @@ TEST(TopkPrefilter, AllZeroMatchesExact) {
     expect_prefilter_invariant(dense, 128);
 }
 
-TEST(TopkPrefilter, OvershootingSampleFallsBackToExact) {
-    // Spikes exactly on the sampling stride: the strided sample sees only
-    // large magnitudes, the estimated cut overshoots, fewer than k
-    // candidates survive and the code must fall back to the full exact
-    // path. m = 2^15 -> sample_size = 2048, stride = 16.
+TEST(TopkPrefilter, StridedSpikesMatchExact) {
+    // Spikes on a regular stride with k above their count: the cut bin
+    // falls into the small background and its candidates must still hold
+    // the tie-broken top-k.
     const std::size_t m = 1 << 15;
     auto dense = random_dense(m, 24);
     for (auto& v : dense) v *= 0.01f;
     for (std::size_t i = 0; i < m; i += 16) dense[i] = 10.0f;
     expect_prefilter_invariant(dense, 4096);  // k > number of spikes (2048)
+    expect_prefilter_invariant(dense, 2048);  // k == number of spikes
+    expect_prefilter_invariant(dense, 2047);
 }
 
-TEST(TopkPrefilter, BelowMinSizeAndDegenerateCasesMatch) {
-    const auto small = random_dense(1000, 25);  // below kPrefilterMinDense
+TEST(TopkPrefilter, SmallAndDegenerateCasesMatch) {
+    const auto small = random_dense(1000, 25);
     expect_prefilter_invariant(small, 10);
     sparse::TopkWorkspace ws;
     // k == 0 and k >= m mirror the one-shot degenerate semantics.
     EXPECT_EQ(sparse::topk_select(small, 0, ws), exact_reference(small, 0));
     EXPECT_EQ(sparse::topk_select(small, 1000, ws), exact_reference(small, 1000));
     EXPECT_EQ(sparse::topk_select(small, 5000, ws), exact_reference(small, 5000));
+    // No size threshold: every k of every tiny vector, with ties.
+    for (std::size_t m = 1; m <= 40; ++m) {
+        std::vector<float> v = random_dense(m, 200 + m);
+        for (std::size_t i = 0; i < m; i += 3) v[i] = std::round(v[i]);
+        for (std::size_t k = 1; k < m; ++k) expect_prefilter_invariant(v, k);
+    }
+}
+
+TEST(TopkPrefilter, ExtremeKMatchesExact) {
+    for (const std::size_t m : {2u, 3u, 1000u, 1u << 15}) {
+        const auto dense = random_dense(m, 300 + m);
+        expect_prefilter_invariant(dense, 1);
+        expect_prefilter_invariant(dense, m - 1);
+    }
+}
+
+TEST(TopkPrefilter, SignedZerosAndDenormalsMatchExact) {
+    // ±0.0 share one key and compare equal: the index decides. Denormals
+    // span the bottom bins, below the smallest normal.
+    const std::size_t m = 4096;
+    std::vector<float> dense(m);
+    const float denorm_min = std::numeric_limits<float>::denorm_min();
+    const float normal_min = std::numeric_limits<float>::min();
+    for (std::size_t i = 0; i < m; ++i) {
+        const float sign = (i & 8) ? -1.0f : 1.0f;
+        switch (i % 4) {
+            case 0: dense[i] = 0.0f; break;
+            case 1: dense[i] = -0.0f; break;
+            case 2: dense[i] = sign * static_cast<float>(i % 97) * denorm_min; break;
+            default: dense[i] = sign * normal_min * ((i & 16) ? 0.5f : 1.0f);
+        }
+    }
+    for (const std::size_t k : {1u, 100u, 1024u, 1500u, 2000u, 3000u, 4095u}) {
+        expect_prefilter_invariant(dense, k);
+    }
+}
+
+TEST(TopkPrefilter, AllEqualMagnitudesMatchExact) {
+    std::vector<float> dense(1 << 12);
+    for (std::size_t i = 0; i < dense.size(); ++i) {
+        dense[i] = (i % 3 == 0) ? -0.75f : 0.75f;
+    }
+    for (const std::size_t k : {1u, 7u, 2048u, 4095u}) {
+        expect_prefilter_invariant(dense, k);
+    }
+}
+
+TEST(TopkPrefilter, CutBinHoldingAroundKEntriesMatchesExact) {
+    // The top bin holds exactly k-1, k or k+1 entries (with ties inside
+    // it), the next bin down the rest of the top; background below.
+    const std::size_t m = 1 << 13;
+    const std::size_t k = 64;
+    for (const std::size_t top : {k - 1, k, k + 1}) {
+        auto dense = random_dense(m, 400 + top);
+        for (auto& v : dense) v *= 1e-3f;
+        for (std::size_t j = 0; j < top; ++j) {
+            dense[(j * 97) % m] = in_bin(1100, static_cast<std::uint32_t>(j % 5), j & 1);
+        }
+        for (std::size_t j = 0; j < 8; ++j) {
+            dense[(j * 97 + 13) % m] = in_bin(1099, static_cast<std::uint32_t>(j), j & 1);
+        }
+        expect_prefilter_invariant(dense, k);
+        expect_prefilter_invariant(dense, k - 1);
+        expect_prefilter_invariant(dense, k + 1);
+    }
+}
+
+TEST(TopkPrefilter, NonFiniteEntriesThrowDomainError) {
+    auto dense = random_dense(1 << 12, 500);
+    sparse::TopkWorkspace ws;
+    sparse::SparseGradient out;
+    dense[17] = std::numeric_limits<float>::quiet_NaN();
+    dense[900] = -std::numeric_limits<float>::infinity();
+    try {
+        sparse::topk_select_into(dense, 16, ws, out);
+        FAIL() << "non-finite input was selected from";
+    } catch (const std::domain_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("2 non-finite"), std::string::npos) << what;
+        EXPECT_NE(what.find("4096"), std::string::npos) << what;
+    }
+    // One NaN alone is enough; the workspace stays usable afterwards.
+    dense[900] = 1.0f;
+    EXPECT_THROW(sparse::topk_select_into(dense, 16, ws, out), std::domain_error);
+    dense[17] = 0.5f;
+    sparse::topk_select_into(dense, 16, ws, out);
+    EXPECT_EQ(out, exact_reference(dense, 16));
 }
 
 TEST(TopkPrefilter, WorkspaceReuseAcrossDifferentSizes) {
@@ -376,46 +481,6 @@ TEST(PooledGtopk, TopkAllreduceViewPathMatchesDenseSum) {
                                comm, locals[static_cast<std::size_t>(comm.rank())]);
                            ASSERT_EQ(dense, expect);
                        });
-}
-
-// ------------------------------------------------- trainer determinism
-
-TEST(TrainerDeterminism, PrefilterOnAndOffAreBitIdentical) {
-    // A model big enough to engage the prefilter on the flat gradient
-    // (num_params >= kPrefilterMinDense); the trajectories with the sampled
-    // prefilter enabled and disabled must agree on every bit.
-    data::SyntheticImageDataset::Config dcfg;
-    dcfg.image_size = 8;
-    data::SyntheticImageDataset dataset(dcfg, 1234);
-    data::ShardedSampler sampler(4096, 1024, 4, 99);
-    nn::MlpConfig mcfg;
-    mcfg.input_dim = dataset.feature_dim();
-    mcfg.hidden_dims = {256};
-    mcfg.classes = 10;
-
-    train::TrainConfig config;
-    config.algorithm = train::Algorithm::GtopkSsgd;
-    config.epochs = 2;
-    config.iters_per_epoch = 10;
-    config.density = 0.01;
-
-    auto run_with = [&](bool prefilter) {
-        train::TrainConfig c = config;
-        c.topk_sampled_prefilter = prefilter;
-        return train::train_distributed(
-            4, comm::NetworkModel::free(), c,
-            [&](std::uint64_t seed) { return nn::make_mlp(mcfg, seed); },
-            [&](std::int64_t step, int rank) {
-                return dataset.batch_flat(sampler.batch_indices(step, rank, 16));
-            },
-            {});
-    };
-
-    const auto with = run_with(true);
-    const auto without = run_with(false);
-    ASSERT_GE(with.final_params.size(), sparse::kPrefilterMinDense);
-    EXPECT_EQ(with.final_params, without.final_params);
-    EXPECT_EQ(with.epochs.back().train_loss, without.epochs.back().train_loss);
 }
 
 }  // namespace
