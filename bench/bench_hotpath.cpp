@@ -15,8 +15,11 @@
 //   kth_magnitude     fresh kth_largest_magnitude  vs  workspace overload
 //   wire_roundtrip    serialize+deserialize  vs  serialize_into + view
 //   merge             topk_merge (allocate-add-reselect)  vs  topk_merge_into
-//   e2e_gtopk_iteration   select + gtopk_allreduce on a P-rank cluster,
-//                         GtopkOptions::pooled off vs on
+//   e2e_gtopk_iteration   select + gtopk_allreduce on a P-rank cluster:
+//                         one-shot select and no workspace vs workspace
+//                         select and a reused GtopkWorkspace. There is
+//                         one gTop-k collective, so both arms run the same
+//                         pooled wire path; the JSON schema is unchanged.
 //
 // Every optimized phase result is checked bit-identical against its legacy
 // counterpart before timings are reported.
@@ -184,7 +187,8 @@ Phase bench_merge(const Config& cfg, const sparse::SparseGradient& a,
 
 /// One full gTop-k iteration's host cost (select + gTopKAllReduce) on a
 /// P-rank in-process cluster, every rank selecting from its own m-sized
-/// dense gradient. `pooled` toggles legacy vs optimized end to end.
+/// dense gradient. `optimized` reuses the select and aggregation
+/// workspaces across iterations; legacy allocates them per call.
 double run_e2e(const Config& cfg, const std::vector<std::vector<float>>& grads,
                bool optimized, std::vector<float>* rank0_out) {
     const std::size_t k = cfg.k();
@@ -195,7 +199,6 @@ double run_e2e(const Config& cfg, const std::vector<std::vector<float>>& grads,
         sparse::SparseGradient local;
         core::GtopkWorkspace agg_ws;
         core::GtopkOptions options;
-        options.pooled = optimized;
         if (optimized) options.workspace = &agg_ws;
         for (int i = 0; i < cfg.iters; ++i) {
             if (optimized) {

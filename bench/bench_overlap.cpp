@@ -152,7 +152,7 @@ PointResult run_point(int workers, const perfmodel::ModelProfile& profile) {
         static_cast<std::size_t>(workers));
     comm::Cluster::run(workers, net, [&](comm::Communicator& comm) {
         const auto locals = locals_for(comm.rank());
-        sparse::MergeScratch scratch;
+        core::GtopkWorkspace ws;
         const double it0 = comm.clock().now_s();
         comm.clock().advance(t_f);
         const double bw0 = comm.clock().now_s();
@@ -160,7 +160,7 @@ PointResult run_point(int workers, const perfmodel::ModelProfile& profile) {
         for (std::size_t b = nb; b-- > 0;) {  // backward (gradient-ready) order
             comm.clock().advance_to(bw0 + ready[b] * t_b);
             handles[b] = std::make_unique<core::AsyncGtopkAllreduce>(
-                comm, locals[b], locals[b].nnz(), &scratch);
+                comm, locals[b], locals[b].nnz(), &ws);
             handles[b]->set_priority(buckets[b].priority);
             handles[b]->start();
         }

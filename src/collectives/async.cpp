@@ -53,6 +53,7 @@ bool AsyncCollective::pump_some() {
     bool progressed = false;
     while (pc_ < program.size()) {
         const CommOp& op = program[pc_];
+        op_begin_s_ = last_event_s_;
         if (op.kind == CommOp::Kind::Send) {
             // Buffered send: always runnable.
             op_send(op, tag_base_ + op.tag_offset);
@@ -60,15 +61,30 @@ bool AsyncCollective::pump_some() {
             std::optional<comm::Communicator::AsyncMsg> msg =
                 comm_.try_recv_async(op.peer, tag_base_ + op.tag_offset);
             if (!msg) break;  // suspended until the message arrives
-            dep_time_s_ = std::max(dep_time_s_, msg->arrival_s);
-            last_event_s_ = std::max(last_event_s_, msg->arrival_s);
-            op_recv(op, std::move(msg->payload));
+            consume_(op, std::move(*msg));
         }
         ++pc_;
         progressed = true;
     }
     if (pc_ == program.size()) complete_();
     return progressed;
+}
+
+void AsyncCollective::consume_(const CommOp& op, comm::Communicator::AsyncMsg msg) {
+    // A virtual deadline applies Mailbox::pop_for_virtual's rule on the
+    // handle's timeline: the receive gave up at last_event_s_ + timeout of
+    // modeled time, so a later arrival is consumed (already popped) and the
+    // op times out — an outcome of modeled arrivals only, never host speed.
+    const double timeout_s = comm_.recv_timeout_s();
+    if (comm_.recv_deadline_clock() == comm::DeadlineClock::Virtual &&
+        timeout_s > 0.0 && msg.arrival_s > last_event_s_ + timeout_s) {
+        throw comm::CommError(comm::CommErrorKind::RecvTimeout,
+                              comm_.physical_rank(), comm_.to_physical(op.peer),
+                              tag_base_ + op.tag_offset, timeout_s);
+    }
+    dep_time_s_ = std::max(dep_time_s_, msg.arrival_s);
+    last_event_s_ = std::max(last_event_s_, msg.arrival_s);
+    op_recv(op, std::move(msg.payload));
 }
 
 void AsyncCollective::send_async(const CommOp& op, int tag,
@@ -95,21 +111,14 @@ void AsyncCollective::complete_() {
     }
     on_complete();
     if (obs::Tracer* tracer = comm_.tracer()) {
-        // The handle's span overlaps its siblings', so it is recorded
-        // manually: begin stamps from start(), end stamps now.
-        obs::Span span;
-        span.name = span_name_;
-        span.category = "agg";
-        span.rank = comm_.physical_rank();
-        span.depth = tracer->enter(comm_.physical_rank());
-        tracer->exit(comm_.physical_rank());
-        span.v_begin_s = span_v_begin_s_;
-        span.v_end_s = last_event_s_;
-        span.h_begin_s = span_h_begin_s_;
-        span.h_end_s = obs::host_now_s();
-        span.attrs.tag = tag_base_;
-        span.attrs.round = priority_;
-        tracer->record(span);
+        // The handle's span overlaps its siblings': begin stamps from
+        // start(), end stamps now.
+        tracer->record_detached({.name = span_name_, .category = "agg",
+                                 .rank = comm_.physical_rank(),
+                                 .v_begin_s = span_v_begin_s_,
+                                 .v_end_s = last_event_s_,
+                                 .h_begin_s = span_h_begin_s_,
+                                 .attrs = {.tag = tag_base_, .round = priority_}});
     }
 }
 
@@ -129,7 +138,14 @@ void AsyncCollective::wait() {
     if (waited_) throw std::logic_error("AsyncCollective: wait() called twice");
     waited_ = true;
 
+    // Host bound on a wait with no global progress: the deadline itself, or
+    // under a virtual deadline the grace for a message that never arrives
+    // (consume_ catches late ones).
     const double timeout_s = comm_.recv_timeout_s();
+    const double idle_limit_s =
+        comm_.recv_deadline_clock() == comm::DeadlineClock::Virtual
+            ? comm_.recv_host_grace_s()
+            : timeout_s;
     double idle_since = obs::host_now_s();
     int idle_polls = 0;
     while (state_ != State::Done) {
@@ -142,23 +158,33 @@ void AsyncCollective::wait() {
             idle_polls = 0;
             continue;
         }
+        // Back off gently: yield first, so a message about to land is taken
+        // at once, then block or sleep, so an idle wait does not saturate a
+        // host core while peers compute.
+        if (++idle_polls < 64) {
+            std::this_thread::yield();
+            continue;
+        }
+        const CommOp& blocked = sched_.rank_ops(comm_.rank())[pc_];
+        if (comm_.progress_source_count() == 1) {
+            // Nothing else on this rank can progress: block in the transport
+            // for the awaited message under the deadline, like a recv.
+            consume_(blocked, comm_.recv_async(blocked.peer,
+                                               tag_base_ + blocked.tag_offset,
+                                               last_event_s_));
+            ++pc_;
+            continue;
+        }
         // No handle made progress anywhere: honor the receive deadline so
         // a dropped message or dead peer surfaces as a typed CommError
         // (chaos/elastic runs route this into the regroup path).
-        if (timeout_s > 0.0 && obs::host_now_s() - idle_since > timeout_s) {
-            const std::vector<CommOp>& program = sched_.rank_ops(comm_.rank());
-            const CommOp& blocked = program[pc_];
+        if (timeout_s > 0.0 && obs::host_now_s() - idle_since > idle_limit_s) {
             throw comm::CommError(comm::CommErrorKind::RecvTimeout,
-                                  comm_.physical_rank(), blocked.peer,
+                                  comm_.physical_rank(),
+                                  comm_.to_physical(blocked.peer),
                                   tag_base_ + blocked.tag_offset, timeout_s);
         }
-        // Back off gently: yield first, then sleep, so an idle wait does
-        // not saturate a host core while peers compute.
-        if (++idle_polls < 64) {
-            std::this_thread::yield();
-        } else {
-            std::this_thread::sleep_for(std::chrono::microseconds(50));
-        }
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
 
     // The single compute/comm synchronization point: the rank resumes at

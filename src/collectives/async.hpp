@@ -9,7 +9,7 @@
 // unmatched receive; test()/wait() resume from that point. Sends are
 // buffered (never block), so a pump always drains every runnable op; a
 // receive op suspends the program until its message is polled in via
-// Communicator::try_recv.
+// Communicator::try_recv_async.
 //
 // Cross-handle progress: a handle registers itself as a ProgressSource on
 // start(), and wait() pumps EVERY registered source (not just itself)
@@ -18,7 +18,9 @@
 // that composition deadlock-free (tools/commcheck --concurrent certifies
 // the same executor model statically). The pump order is ascending
 // priority(), which is how the P3-style scheduler lets front-layer buckets
-// preempt back-layer traffic.
+// preempt back-layer traffic. An idle wait() yields for a few polls, then
+// sleeps between polls — or, with no sibling in flight (the blocking
+// gtopk_allreduce), blocks in the transport like a recv.
 //
 // Virtual-time model: async transfers ride a per-rank NIC timeline
 // (Communicator::send_async / try_recv_async) that runs CONCURRENTLY with
@@ -26,15 +28,19 @@
 // so modeled communication hides under modeled compute. Within a handle,
 // sends start no earlier than the arrivals they depend on; wait() is the
 // one synchronization point, advancing the clock to the handle's last
-// modeled event.
+// modeled event, and CommStats::comm_time_s grows by exactly that advance.
 //
 // Composition: the engine talks only to the Communicator's message
 // surface, so ReliableTransport, chaos injection, conformance recording and
-// telemetry all compose unchanged. wait() honors the communicator's
-// receive deadline: if no registered source makes progress for
-// recv_timeout_s host seconds, it throws CommError(RecvTimeout) naming the
-// blocked edge — which is what routes overlapped elastic runs into the
-// regroup path.
+// telemetry all compose unchanged. The handle honors the communicator's
+// receive deadline with a CommError(RecvTimeout) naming rank, physical
+// peer and tag — which is what routes overlapped elastic runs into the
+// regroup path:
+//   * DeadlineClock::Host: recv_timeout_s host seconds without progress.
+//   * DeadlineClock::Virtual: a matched message whose modeled arrival is
+//     later than last_event_s() + recv_timeout_s is consumed and times out
+//     (Mailbox::pop_for_virtual's rule); one that never arrives times out
+//     after recv_host_grace_s.
 #pragma once
 
 #include <cstdint>
@@ -75,7 +81,7 @@ public:
     /// Drive to completion, pumping all registered sources. Throws
     /// std::logic_error before start() or on a second wait();
     /// comm::CommError(RecvTimeout) when the communicator's receive
-    /// deadline expires with no global progress.
+    /// deadline expires (see the header comment for both clocks).
     void wait();
 
     State state() const { return state_; }
@@ -102,6 +108,11 @@ public:
 protected:
     comm::Communicator& comm() { return comm_; }
 
+    /// last_event_s() as it stood when the op now executing began — with
+    /// last_event_s() after it, the op's extent on the handle's timeline
+    /// (a recv's includes the wait for its arrival).
+    double op_begin_s() const { return op_begin_s_; }
+
     /// Timed sends for op_send implementations: the payload rides the
     /// rank's NIC timeline (Communicator::send_async) starting no earlier
     /// than every arrival this handle has consumed (data dependency) or its
@@ -126,6 +137,10 @@ protected:
 
 private:
     void complete_();
+    /// Execute the matched Recv `op`: apply a virtual receive deadline,
+    /// advance the timeline to the arrival and hand the payload to op_recv
+    /// (the caller advances pc_).
+    void consume_(const CommOp& op, comm::Communicator::AsyncMsg msg);
 
     comm::Communicator& comm_;
     Schedule sched_;
@@ -141,6 +156,7 @@ private:
     double dep_time_s_ = 0.0;
     /// Latest modeled event (see last_event_s()).
     double last_event_s_ = 0.0;
+    double op_begin_s_ = 0.0;  // see op_begin_s()
     // Manual span stamps: the handle's span overlaps other handles' spans,
     // so it cannot be a ScopedSpan on the stack.
     double span_v_begin_s_ = 0.0;

@@ -450,8 +450,7 @@ Schedule gtopk_merge_schedule(int world, std::int64_t wire_bytes) {
     const int excess = world - base;
     const int rounds = tree_merge_rounds(base);
     // Tag block: offset 0 is the fold tag, offsets 1..rounds the tree
-    // rounds — contiguous, exactly like the implementation's consecutive
-    // fresh_tags(1) + fresh_tags(rounds) reservations.
+    // rounds — one contiguous block of the handle's tag band.
     Schedule s = make_schedule("gtopk.merge", world, 1 + rounds);
     // Phase 0 — fold ranks beyond the power-of-two base into the base.
     for (int rank = base; rank < world; ++rank) {

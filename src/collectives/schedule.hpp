@@ -10,7 +10,7 @@
 //  2. The Schedule IR: each protocol emits its COMPLETE communication
 //     schedule as per-rank programs of ordered send/recv ops
 //     (round, peer, tag offset, payload bytes, element range). The live
-//     templated implementations in collectives.hpp, core/aggregators.cpp
+//     templated implementations in collectives.hpp, core/async_gtopk.cpp
 //     and ps/ps_trainer.cpp execute exactly these programs, and the static
 //     model checker in src/analysis/ verifies the same programs — so the
 //     analyzed spec cannot drift from the running code by construction.
@@ -187,7 +187,7 @@ Schedule telemetry_allgather_schedule(int world, std::int64_t stats_bytes);
 /// source order (a = contributing rank's block index).
 Schedule gather_schedule(int world, int root, std::int64_t bytes);
 
-/// gTop-k merge phase of Algorithm 3 (core/aggregators.cpp): fold ranks
+/// gTop-k merge phase of Algorithm 3 (core/async_gtopk.cpp): fold ranks
 /// beyond the largest power-of-two base into the base (phase 0, tag 0),
 /// then the distance-doubling tree merge to rank 0 (phase 1, tags
 /// 1..rounds). `wire_bytes` is the sparse wire payload size (16 + 8k for an

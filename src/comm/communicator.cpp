@@ -157,9 +157,12 @@ void Communicator::remove_progress_source(ProgressSource* source) {
 
 bool Communicator::pump_progress() {
     if (progress_sources_.empty()) return false;
-    // Snapshot + priority sort per round: a pump may complete a handle (but
-    // never unregisters one — that happens in its destructor), and the
-    // P3 drain order wants front-layer buckets served first.
+    // A lone source (every blocking gtopk_allreduce) needs no order and no
+    // snapshot, and so no allocation.
+    if (progress_sources_.size() == 1) return progress_sources_.front()->pump_some();
+    // Snapshot + priority sort per round: a pump may complete (and so
+    // unregister) a handle, and the P3 drain order wants front-layer
+    // buckets served first.
     std::vector<ProgressSource*> round = progress_sources_;
     std::stable_sort(round.begin(), round.end(),
                      [](const ProgressSource* a, const ProgressSource* b) {
@@ -221,6 +224,21 @@ void Communicator::send_buffer(int dst, int tag, std::vector<std::byte>&& payloa
     transport_.deliver(phys_dst, std::move(msg));
 }
 
+Message Communicator::receive_matched(int phys_src, int tag, double virtual_now_s) {
+    if (recv_timeout_s_ <= 0.0) return transport_.receive(rank_, phys_src, tag);
+    std::optional<Message> m =
+        deadline_clock_ == DeadlineClock::Virtual
+            ? transport_.receive_for_virtual(rank_, phys_src, tag,
+                                             virtual_now_s + recv_timeout_s_,
+                                             recv_host_grace_s_)
+            : transport_.receive_for(rank_, phys_src, tag, recv_timeout_s_);
+    if (!m) {
+        throw CommError(CommErrorKind::RecvTimeout, rank_, phys_src, tag,
+                        recv_timeout_s_);
+    }
+    return std::move(*m);
+}
+
 std::vector<std::byte> Communicator::recv(int src, int tag) {
     int ignored = 0;
     return recv(src, tag, ignored);
@@ -232,21 +250,7 @@ std::vector<std::byte> Communicator::recv(int src, int tag, int& actual_src) {
     obs::ScopedSpan span(tracer_, clock_, rank_, "recv_wait", "comm");
     span.attrs().tag = tag;
 
-    const int phys_src = to_physical(src);
-    Message msg = [&] {
-        if (recv_timeout_s_ <= 0.0) return transport_.receive(rank_, phys_src, tag);
-        std::optional<Message> m =
-            deadline_clock_ == DeadlineClock::Virtual
-                ? transport_.receive_for_virtual(rank_, phys_src, tag,
-                                                 clock_.now_s() + recv_timeout_s_,
-                                                 recv_host_grace_s_)
-                : transport_.receive_for(rank_, phys_src, tag, recv_timeout_s_);
-        if (!m) {
-            throw CommError(CommErrorKind::RecvTimeout, rank_, phys_src, tag,
-                            recv_timeout_s_);
-        }
-        return std::move(*m);
-    }();
+    Message msg = receive_matched(to_physical(src), tag, clock_.now_s());
     const double before = clock_.now_s();
     clock_.advance_to(msg.arrival_time_s);
     stats_.comm_time_s += clock_.now_s() - before;
@@ -259,25 +263,6 @@ std::vector<std::byte> Communicator::recv(int src, int tag, int& actual_src) {
     return std::move(msg.payload);
 }
 
-std::optional<std::vector<std::byte>> Communicator::try_recv(int src, int tag) {
-    const int phys_src = to_physical(src);
-    std::optional<Message> m = transport_.try_receive(rank_, phys_src, tag);
-    if (!m) return std::nullopt;
-    // Same accounting as recv(); the span is only opened on a match so
-    // unmatched polls cost nothing in the trace.
-    obs::ScopedSpan span(tracer_, clock_, rank_, "recv_wait", "comm");
-    span.attrs().tag = tag;
-    const double before = clock_.now_s();
-    clock_.advance_to(m->arrival_time_s);
-    stats_.comm_time_s += clock_.now_s() - before;
-    stats_.messages_received += 1;
-    stats_.bytes_received += m->payload.size();
-    span.attrs().bytes = static_cast<std::int64_t>(m->payload.size());
-    span.attrs().peer = m->source;
-    if (tracer_) m_bytes_received_->add(m->payload.size());
-    return std::move(m->payload);
-}
-
 double Communicator::send_async(int dst, int tag, std::vector<std::byte>&& payload,
                                 double earliest_start_s) {
     if (dst == logical_rank_) throw std::invalid_argument("send to self is not allowed");
@@ -286,27 +271,18 @@ double Communicator::send_async(int dst, int tag, std::vector<std::byte>&& paylo
     const double cost = model_.transfer_time_s(payload.size());
     const double start = reserve_nic(earliest_start_s, cost);
     const double end = start + cost;
-    stats_.comm_time_s += cost;
     stats_.messages_sent += 1;
     stats_.bytes_sent += payload.size();
     if (tracer_) {
         m_bytes_sent_->add(payload.size());
         m_message_bytes_->record(payload.size());
-        // Manual span on the NIC timeline — a ScopedSpan would stamp the
-        // (untouched) rank clock and render as zero-width.
-        obs::Span span;
-        span.name = "send_async";
-        span.category = "comm";
-        span.rank = rank_;
-        span.depth = tracer_->enter(rank_);
-        tracer_->exit(rank_);
-        span.v_begin_s = start;
-        span.v_end_s = end;
-        span.h_begin_s = span.h_end_s = obs::host_now_s();
-        span.attrs.bytes = static_cast<std::int64_t>(payload.size());
-        span.attrs.peer = phys_dst;
-        span.attrs.tag = tag;
-        tracer_->record(span);
+        // On the NIC timeline — a ScopedSpan would stamp the (untouched)
+        // rank clock and render as zero-width.
+        tracer_->record_detached(
+            {.name = "send_async", .category = "comm", .rank = rank_,
+             .v_begin_s = start, .v_end_s = end,
+             .attrs = {.bytes = static_cast<std::int64_t>(payload.size()),
+                       .peer = phys_dst, .tag = tag}});
     }
 
     Message msg;
@@ -334,36 +310,31 @@ double Communicator::reserve_nic(double earliest_s, double duration_s) {
 }
 
 std::optional<Communicator::AsyncMsg> Communicator::try_recv_async(int src, int tag) {
-    const int phys_src = to_physical(src);
-    std::optional<Message> m = transport_.try_receive(rank_, phys_src, tag);
+    std::optional<Message> m = transport_.try_receive(rank_, to_physical(src), tag);
     if (!m) return std::nullopt;
+    return accept_async(std::move(*m), tag);
+}
+
+Communicator::AsyncMsg Communicator::recv_async(int src, int tag, double timeline_s) {
+    return accept_async(receive_matched(to_physical(src), tag, timeline_s), tag);
+}
+
+Communicator::AsyncMsg Communicator::accept_async(Message&& m, int tag) {
     stats_.messages_received += 1;
-    stats_.bytes_received += m->payload.size();
+    stats_.bytes_received += m.payload.size();
     if (tracer_) {
-        m_bytes_received_->add(m->payload.size());
-        obs::Span span;
-        span.name = "recv_async";
-        span.category = "comm";
-        span.rank = rank_;
-        span.depth = tracer_->enter(rank_);
-        tracer_->exit(rank_);
-        span.v_begin_s = span.v_end_s = m->arrival_time_s;
-        span.h_begin_s = span.h_end_s = obs::host_now_s();
-        span.attrs.bytes = static_cast<std::int64_t>(m->payload.size());
-        span.attrs.peer = m->source;
-        span.attrs.tag = tag;
-        tracer_->record(span);
+        m_bytes_received_->add(m.payload.size());
+        tracer_->record_detached(
+            {.name = "recv_async", .category = "comm", .rank = rank_,
+             .v_begin_s = m.arrival_time_s, .v_end_s = m.arrival_time_s,
+             .attrs = {.bytes = static_cast<std::int64_t>(m.payload.size()),
+                       .peer = m.source, .tag = tag}});
     }
-    return AsyncMsg{std::move(m->payload), m->arrival_time_s};
+    return AsyncMsg{std::move(m.payload), m.arrival_time_s};
 }
 
 PooledBuffer Communicator::recv_buffer(int src, int tag) {
-    int ignored = 0;
-    return recv_buffer(src, tag, ignored);
-}
-
-PooledBuffer Communicator::recv_buffer(int src, int tag, int& actual_src) {
-    return PooledBuffer(recv(src, tag, actual_src), &pool_);
+    return PooledBuffer(recv(src, tag), &pool_);
 }
 
 }  // namespace gtopk::comm

@@ -42,7 +42,8 @@ struct CommStats {
     std::uint64_t bytes_sent = 0;
     std::uint64_t bytes_received = 0;
     /// Virtual seconds this rank's clock advanced inside send/recv calls
-    /// (includes waiting for a peer's message to arrive).
+    /// and AsyncCollective::wait (includes waiting for a peer's message to
+    /// arrive). send_async does not move the clock and adds nothing.
     double comm_time_s = 0.0;
 
     void reset() { *this = CommStats{}; }
@@ -70,6 +71,10 @@ public:
 
     /// Physical rank in the original world (mailbox address, trace id).
     int physical_rank() const { return rank_; }
+
+    /// Logical -> physical peer translation under the current view (what
+    /// a CommError names as the peer).
+    int to_physical(int logical_peer) const;
 
     /// Install a membership view (comm/membership.hpp): `members` are the
     /// sorted physical ranks of the survivor world and must contain this
@@ -161,13 +166,6 @@ public:
     /// Like recv, but the payload's storage returns to this rank's pool
     /// when the returned handle dies — the allocation-free receive path.
     PooledBuffer recv_buffer(int src, int tag);
-    PooledBuffer recv_buffer(int src, int tag, int& actual_src);
-
-    /// Non-blocking matched receive: nullopt when nothing matches right
-    /// now; on a match, identical clock/stats/trace accounting to recv().
-    /// This is the async engine's polling primitive — it never honors the
-    /// receive deadline (the engine applies its own across pump rounds).
-    std::optional<std::vector<std::byte>> try_recv(int src, int tag);
 
     /// NIC-timeline send for async collectives: the transfer occupies this
     /// rank's modeled NIC for alpha + n*beta starting at the first free
@@ -192,6 +190,13 @@ public:
     /// virtual clock; the caller gets the modeled arrival alongside the
     /// payload and decides when to synchronize (AsyncCollective::wait).
     std::optional<AsyncMsg> try_recv_async(int src, int tag);
+
+    /// Blocking form of try_recv_async, for a wait with nothing else to
+    /// pump: blocks in the transport like recv() and applies the same
+    /// receive deadline, except that a virtual deadline counts from
+    /// `timeline_s` (the caller's NIC timeline) instead of the clock.
+    /// Throws CommError(RecvTimeout) on expiry.
+    AsyncMsg recv_async(int src, int tag, double timeline_s);
 
     /// Latest modeled time this rank's NIC is occupied through by async
     /// sends (the busy timeline may have free gaps before it).
@@ -281,9 +286,6 @@ public:
     /// Current fresh-tag cursor (next block base).
     int fresh_tag_cursor() const { return tag_counter_; }
 
-    /// Current async-band cursor (next handle's band base).
-    int async_tag_cursor() const { return async_tag_counter_; }
-
     /// Test hook: reposition the fresh-tag cursor (e.g. just below the wrap
     /// limit to exercise the overflow path without 2^30 collectives). Must
     /// be called in SPMD lockstep with no fresh-tag traffic in flight.
@@ -307,10 +309,13 @@ public:
     std::size_t progress_source_count() const { return progress_sources_.size(); }
 
 private:
-    /// Logical -> physical peer translation under the current view.
-    int to_physical(int logical_peer) const;
     /// Physical -> logical source translation (kAnySource receives).
     int to_logical(int physical_src) const;
+    /// Blocking matched receive under the receive deadline; a virtual
+    /// deadline counts from `virtual_now_s`.
+    Message receive_matched(int phys_src, int tag, double virtual_now_s);
+    /// Count and trace a matched NIC-timeline receive.
+    AsyncMsg accept_async(Message&& m, int tag);
 
     int tag_counter_;        // initialized to kFreshTagBase, clear of user tags
     int async_tag_counter_;  // initialized to kAsyncTagBase

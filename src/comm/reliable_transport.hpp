@@ -82,9 +82,6 @@ struct ReliableConfig {
     double shutdown_drain_s = 3.0;
 };
 
-/// Historical name, kept for call sites predating the config struct.
-using ReliableOptions = ReliableConfig;
-
 /// Aggregate event counters (monotonic since construction).
 struct ReliableCounts {
     std::uint64_t sent = 0;             // envelopes sent (first transmission)

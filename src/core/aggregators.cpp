@@ -2,58 +2,12 @@
 
 #include <stdexcept>
 
-#include "collectives/schedule.hpp"
+#include "core/async_gtopk.hpp"
 #include "obs/trace.hpp"
 #include "sparse/topk_merge.hpp"
 #include "sparse/wire.hpp"
 
 namespace gtopk::core {
-
-namespace {
-
-void send_sparse(Communicator& comm, int dst, int tag, const SparseGradient& g,
-                 bool pooled) {
-    if (pooled) {
-        // Serialize straight into a pooled buffer and move it into the
-        // message — no owning temporary, no copy into the payload.
-        std::vector<std::byte> buf =
-            comm.buffer_pool().acquire(sparse::wire_size_bytes(g.nnz()));
-        sparse::serialize_into(g, buf);
-        comm.send_buffer(dst, tag, std::move(buf));
-    } else {
-        const std::vector<std::byte> bytes = sparse::serialize(g);
-        comm.send(dst, tag, bytes);
-    }
-}
-
-SparseGradient recv_sparse(Communicator& comm, int src, int tag) {
-    return sparse::deserialize(comm.recv(src, tag));
-}
-
-/// Receive a sparse gradient and fold it into `acc` with ⊤. The pooled
-/// path validates the wire bytes once and merges directly off them (the
-/// payload recycles into this rank's pool when `raw` dies); the owning
-/// path reproduces the PR-1 materialize-add-reselect sequence.
-void recv_merge(Communicator& comm, int src, int tag, SparseGradient& acc,
-                std::size_t k, bool pooled, GtopkWorkspace& ws) {
-    if (pooled) {
-        const comm::PooledBuffer raw = comm.recv_buffer(src, tag);
-        const sparse::SparseGradientView v = sparse::deserialize_view(raw.bytes());
-        sparse::topk_merge_into(acc, v.dense_size, v.indices, v.values, k, ws.merge);
-    } else {
-        const SparseGradient incoming = recv_sparse(comm, src, tag);
-        acc = sparse::topk_merge(acc, incoming, k);
-    }
-}
-
-}  // namespace
-
-GtopkMetrics GtopkMetrics::resolve(obs::Tracer* tracer) {
-    if (!tracer) return {};
-    obs::MetricsRegistry& reg = tracer->metrics();
-    return {&reg.counter("gtopk.merge_rounds"), &reg.histogram("gtopk.round_nnz"),
-            &reg.counter("gtopk.invocations")};
-}
 
 void GtopkMetrics::merged(std::size_t nnz) const {
     if (!merge_rounds) return;
@@ -67,7 +21,13 @@ void GtopkMetrics::invoked() const {
 
 const GtopkMetrics& GtopkWorkspace::metrics_for(obs::Tracer* tracer) {
     if (tracer != metrics_tracer) {
-        metrics = GtopkMetrics::resolve(tracer);
+        metrics = {};
+        if (tracer) {
+            obs::MetricsRegistry& reg = tracer->metrics();
+            metrics = {&reg.counter("gtopk.merge_rounds"),
+                       &reg.histogram("gtopk.round_nnz"),
+                       &reg.counter("gtopk.invocations")};
+        }
         metrics_tracer = tracer;
     }
     return metrics;
@@ -75,72 +35,10 @@ const GtopkMetrics& GtopkWorkspace::metrics_for(obs::Tracer* tracer) {
 
 GtopkResult gtopk_allreduce(Communicator& comm, const SparseGradient& local,
                             std::size_t k, const GtopkOptions& options) {
-    const int world = comm.size();
-    const int rank = comm.rank();
-    SparseGradient acc = local;
-
-    GtopkWorkspace local_ws;
-    GtopkWorkspace& ws = options.workspace ? *options.workspace : local_ws;
-
-    obs::Tracer* tracer = comm.tracer();
-    const GtopkMetrics& metrics = ws.metrics_for(tracer);
-    obs::ScopedSpan op_span(tracer, comm.clock(), rank, "gtopk.allreduce", "agg");
-    op_span.attrs().nnz = static_cast<std::int64_t>(local.nnz());
-
-    if (world > 1) {
-        // The merge schedule is the generator's op program: phase 0 folds
-        // ranks beyond the largest power-of-two base into the base so the
-        // tree sees a power-of-two world; phase 1 is the distance-doubling
-        // tree of Fig. 4 — at round r, ranks at stride 2^r pair up, the
-        // odd-position one ships its [V, I] to its even peer, which merges
-        // with ⊤ and carries the result into the next round. After
-        // log2(base) rounds rank 0 holds the global top-k.
-        const collectives::Schedule sched =
-            collectives::gtopk_merge_schedule(world, collectives::kVariableBytes);
-        const int tag = comm.fresh_tags(sched.tag_count);
-        for (const collectives::CommOp& op : sched.rank_ops(rank)) {
-            const char* span_name = op.phase == 0 ? "gtopk.fold" : "gtopk.merge_round";
-            obs::ScopedSpan op_round(tracer, comm.clock(), rank, span_name, "agg");
-            op_round.attrs().peer = op.peer;
-            if (op.phase == 1) op_round.attrs().round = op.round;
-            if (op.kind == collectives::CommOp::Kind::Send) {
-                op_round.attrs().nnz = static_cast<std::int64_t>(acc.nnz());
-                send_sparse(comm, op.peer, tag + op.tag_offset, acc, options.pooled);
-            } else {
-                recv_merge(comm, op.peer, tag + op.tag_offset, acc, k, options.pooled,
-                           ws);
-                op_round.attrs().nnz = static_cast<std::int64_t>(acc.nnz());
-                if (op.phase == 1) metrics.merged(acc.nnz());
-            }
-        }
-
-        // Line 19 of Algorithm 3: broadcast rank 0's result to everyone.
-        // ws.wire is the reused broadcast buffer: the root serializes into
-        // it, receivers land in it, and the final copy into `acc` reuses
-        // acc's (already k-sized) storage.
-        obs::ScopedSpan bcast_span(tracer, comm.clock(), rank, "gtopk.broadcast",
-                                   "agg");
-        if (rank == 0) {
-            sparse::serialize_into(acc, ws.wire);
-        } else {
-            ws.wire.clear();
-        }
-        collectives::broadcast(comm, ws.wire, /*root=*/0, options.bcast);
-        bcast_span.attrs().bytes = static_cast<std::int64_t>(ws.wire.size());
-        if (options.pooled) {
-            const sparse::SparseGradientView v = sparse::deserialize_view(ws.wire);
-            acc.dense_size = v.dense_size;
-            acc.indices.assign(v.indices.begin(), v.indices.end());
-            acc.values.assign(v.values.begin(), v.values.end());
-        } else {
-            acc = sparse::deserialize(ws.wire);
-        }
-    } else {
-        acc = sparse::sparse_topk(acc, k);
-    }
-
-    metrics.invoked();
-    return GtopkResult{std::move(acc)};
+    AsyncGtopkAllreduce handle(comm, local, k, options.workspace, options.bcast);
+    handle.start();
+    handle.wait();
+    return GtopkResult{handle.take_result()};
 }
 
 GtopkResult naive_gtopk_allreduce(Communicator& comm, const SparseGradient& local,

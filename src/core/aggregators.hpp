@@ -46,18 +46,18 @@ struct GtopkMetrics {
     obs::Histogram* round_nnz = nullptr;
     obs::Counter* invocations = nullptr;
 
-    static GtopkMetrics resolve(obs::Tracer* tracer);
     /// One tree-merge round (phase 1) left `nnz` entries in the accumulator.
     void merged(std::size_t nnz) const;
     /// One collective completed.
     void invoked() const;
 };
 
-/// Cross-invocation scratch for gtopk_allreduce: merge-round temporaries,
-/// the broadcast wire buffer and the metric handles of the last tracer
-/// seen. Optional — pass one per worker via GtopkOptions::workspace and the
+/// Cross-invocation scratch for gTop-k (gtopk_allreduce and
+/// AsyncGtopkAllreduce): merge-round temporaries, the broadcast wire buffer
+/// and the metric handles of the last tracer seen. Optional — pass one per
+/// worker via GtopkOptions::workspace (or the handle's constructor) and the
 /// per-iteration aggregation stops allocating and looking metrics up;
-/// without it a local instance amortizes within one call.
+/// without it each call or handle uses its own.
 struct GtopkWorkspace {
     sparse::MergeScratch merge;
     std::vector<std::byte> wire;
@@ -73,11 +73,6 @@ struct GtopkWorkspace {
 /// Knobs for gtopk_allreduce, exposed for the ablation benches.
 struct GtopkOptions {
     BcastAlgo bcast = BcastAlgo::BinomialTree;
-    /// Allocation-free wire path: serialize into pooled buffers, receive
-    /// via zero-copy views, merge in place. Off = the owning
-    /// serialize/deserialize/topk_merge path, kept as the A/B baseline for
-    /// bench_hotpath. Results are bit-identical either way.
-    bool pooled = true;
     GtopkWorkspace* workspace = nullptr;
 };
 
@@ -92,7 +87,9 @@ struct GtopkResult {
 /// Algorithm 3 (gTopKAllReduce). `local` is this worker's k-sparse
 /// gradient; `k` the output sparsity. Works for any world size (non-power-
 /// of-two worlds fold the excess ranks into the tree base first, an
-/// extension the paper leaves out by assuming P = 2^j).
+/// extension the paper leaves out by assuming P = 2^j). The blocking form
+/// of AsyncGtopkAllreduce (core/async_gtopk.hpp): one handle, start(),
+/// wait(), result() — the handle is the only gTop-k program.
 GtopkResult gtopk_allreduce(Communicator& comm, const SparseGradient& local,
                             std::size_t k, const GtopkOptions& options = {});
 

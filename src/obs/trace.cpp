@@ -39,6 +39,13 @@ void Tracer::record(const Span& span) {
     buf.pushed += 1;
 }
 
+void Tracer::record_detached(Span span) {
+    span.depth = ranks_.at(static_cast<std::size_t>(span.rank))->open_depth;
+    span.h_end_s = host_now_s();
+    if (span.h_begin_s == 0.0) span.h_begin_s = span.h_end_s;
+    record(span);
+}
+
 int Tracer::enter(int rank) {
     return ranks_.at(static_cast<std::size_t>(rank))->open_depth++;
 }

@@ -68,6 +68,12 @@ public:
     /// from that rank's own thread (see the threading contract above).
     void record(const Span& span);
 
+    /// Record a span stamped on a timeline other than the rank clock (a
+    /// NIC transfer, an async handle's op), which overlaps its siblings and
+    /// so cannot be a ScopedSpan: it nests at the rank's current depth, its
+    /// host end is now, and an unset (zero) host begin is now too.
+    void record_detached(Span span);
+
     /// Nesting bookkeeping used by ScopedSpan: returns the depth for a span
     /// opening now on `rank` and increments the rank's open-span count.
     int enter(int rank);

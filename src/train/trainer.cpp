@@ -63,6 +63,17 @@ void check_error_feedback(const std::vector<float>& accumulated,
     }
 }
 
+/// Start one bucket's gTop-k handle (layer-wise variant).
+std::unique_ptr<core::AsyncGtopkAllreduce> start_bucket(
+    Communicator& comm, const SparseGradient& local, int priority,
+    core::GtopkWorkspace& ws) {
+    auto handle =
+        std::make_unique<core::AsyncGtopkAllreduce>(comm, local, local.nnz(), &ws);
+    handle->set_priority(priority);
+    handle->start();
+    return handle;
+}
+
 struct RankOutput {
     std::vector<EpochMetrics> epochs;
     double mean_compute_s = 0;
@@ -413,8 +424,10 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                     }
                 }
                 select_span.attrs().nnz = static_cast<std::int64_t>(local.nnz());
-                select_span.finish();
+                // Stamp t2 first: the span's record (which may fault in a
+                // fresh page of the span ring) is tracing, not compression.
                 const double t2 = now_host_s();
+                select_span.finish();
 
                 // --- communication phase (virtual-timed) ---
                 // CommStats snapped tightly around the aggregation so the
@@ -448,19 +461,20 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                         for (float& u : dense_update) u *= inv;
                         break;
                     case Algorithm::LayerwiseGtopkSsgd: {
-                        // One independent gTop-k per bucket; the put-back
-                        // (line 10) works in bucket-local coordinates,
-                        // shifted into the flat residual. The overlap path
-                        // runs the SAME per-bucket collectives as async
-                        // handles, issued in backward (gradient-ready)
-                        // order and drained front-first — only virtual
-                        // scheduling changes, never the math, so params are
+                        // One independent gTop-k handle per bucket; the
+                        // put-back (line 10) works in bucket-local
+                        // coordinates, shifted into the flat residual.
+                        // Overlap decides only the issue order: every handle
+                        // starts in backward (gradient-ready) order, the
+                        // clock advancing to each bucket's ready time, and
+                        // drains front-first; without it each handle starts
+                        // right before its own wait. Only virtual scheduling
+                        // changes, never the math, so params are
                         // bit-identical with overlap on or off.
                         const double agg_v_start = comm.clock().now_s();
                         std::vector<std::unique_ptr<core::AsyncGtopkAllreduce>>
-                            handles;
+                            handles(seg_locals.size());
                         if (config.overlap) {
-                            handles.resize(seg_locals.size());
                             for (std::size_t i = seg_locals.size(); i-- > 0;) {
                                 // Gradient-ready injection: the bucket's
                                 // collective may not start before backward
@@ -471,12 +485,8 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                                         bucket_ready[i] *
                                             config.overlap_backward_s);
                                 }
-                                handles[i] =
-                                    std::make_unique<core::AsyncGtopkAllreduce>(
-                                        comm, seg_locals[i], seg_locals[i].nnz(),
-                                        &agg_ws.merge);
-                                handles[i]->set_priority(buckets[i].priority);
-                                handles[i]->start();
+                                handles[i] = start_bucket(comm, seg_locals[i],
+                                                          buckets[i].priority, agg_ws);
                             }
                             if (config.overlap_backward_s > 0.0) {
                                 comm.clock().advance_to(
@@ -491,16 +501,12 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                         for (std::size_t s = 0; s < seg_locals.size(); ++s) {
                             const std::size_t off = buckets[s].begin;
                             const SparseGradient& seg_local = seg_locals[s];
-                            core::GtopkResult res;
-                            if (config.overlap) {
-                                handles[s]->wait();
-                            } else {
-                                res = core::gtopk_allreduce(
-                                    comm, seg_local, seg_local.nnz(), agg_opts);
+                            if (!config.overlap) {
+                                handles[s] = start_bucket(comm, seg_local,
+                                                          buckets[s].priority, agg_ws);
                             }
-                            const SparseGradient& global = config.overlap
-                                                               ? handles[s]->result()
-                                                               : res.global;
+                            handles[s]->wait();
+                            const SparseGradient& global = handles[s]->result();
                             std::size_t gi = 0;
                             for (std::size_t li = 0; li < seg_local.nnz(); ++li) {
                                 const std::int32_t idx = seg_local.indices[li];

@@ -56,6 +56,29 @@ SparseGradient make_local(int rank, int salt, std::int64_t dense, std::size_t k)
 // Handle state machine
 // ---------------------------------------------------------------------------
 
+TEST(AsyncCollective, CommTimeEqualsClockAdvanceForOneHandle) {
+    // CommStats::comm_time_s counts the virtual seconds the clock advanced,
+    // and a handle moves the clock only in wait(): its NIC-timeline sends
+    // must not be charged a second time. Skewed issue times make some ranks
+    // wait on late peers and others not.
+    for (const comm::NetworkModel net : {NetworkModel::one_gbps_ethernet(),
+                                         NetworkModel::ten_gbps_ethernet()}) {
+        for (const int world : {2, 5, 8}) {
+            comm::Cluster::run(world, net, [&](comm::Communicator& c) {
+                c.clock().advance(1e-4 * ((c.rank() * 7) % world));
+                const double t0 = c.clock().now_s();
+                const double s0 = c.stats().comm_time_s;
+                AsyncGtopkAllreduce h(c, make_local(c.rank(), 0, 4000, 64), 64);
+                h.start();
+                h.wait();
+                EXPECT_GT(c.clock().now_s(), t0) << "rank " << c.rank();
+                EXPECT_DOUBLE_EQ(c.stats().comm_time_s - s0, c.clock().now_s() - t0)
+                    << "world " << world << " rank " << c.rank();
+            });
+        }
+    }
+}
+
 TEST(AsyncCollective, LifecycleMisuseThrows) {
     comm::Cluster::run(2, NetworkModel::free(), [](comm::Communicator& c) {
         {

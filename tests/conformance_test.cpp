@@ -195,11 +195,16 @@ TEST_P(TrainerConformance, LiveRunMatchesStaticScheduleExactly) {
                     pred.add(collectives::allgather_schedule(
                         world, wire, 1, AllgatherAlgo::RecursiveDoubling));
                     break;
-                case Algorithm::GtopkSsgd:
-                    pred.add(collectives::gtopk_merge_schedule(world, wire));
-                    pred.add(collectives::broadcast_schedule(
-                        world, 0, wire, BcastAlgo::BinomialTree));
+                case Algorithm::GtopkSsgd: {
+                    // One gTop-k handle per step, on the async tag band.
+                    const collectives::Schedule parts[] = {
+                        collectives::gtopk_merge_schedule(world, wire),
+                        collectives::broadcast_schedule(world, 0, wire,
+                                                        BcastAlgo::BinomialTree)};
+                    pred.add_async(
+                        collectives::concat_schedules("gtopk.allreduce.async", parts));
                     break;
+                }
                 case Algorithm::NaiveGtopkSsgd:
                     pred.add(collectives::allgatherv_schedule(world, wire_per_rank));
                     break;

@@ -84,24 +84,24 @@ TEST(FaultTest, GtopkSurvivesCrossTagReordering) {
 }
 
 TEST(FaultTest, PooledGtopkMatchesOwningUnderReordering) {
-    // The pooled/zero-copy wire path must agree bit-for-bit with the owning
-    // baseline even when the transport reorders messages across tags, and
-    // the per-rank buffer pools must actually recycle payloads (pool hits)
-    // rather than silently allocating fresh ones.
+    // The pooled/zero-copy wire path must agree bit-for-bit with the
+    // in-order fabric's result (which PooledGtopk.BitIdenticalToOwningPath
+    // pins to the owning tree fold) even when the transport reorders
+    // messages across tags, and the per-rank buffer pools must actually
+    // recycle payloads (pool hits) rather than silently allocating fresh
+    // ones.
     std::array<std::vector<sparse::SparseGradient>, 2> results;
-    for (const bool pooled : {false, true}) {
-        FaultInjectingTransport transport(8, reorder_plan());
-        auto& out = results[pooled ? 1 : 0];
+    for (const bool reorder : {false, true}) {
+        FaultInjectingTransport transport(8, reorder ? reorder_plan() : FaultPlan{});
+        auto& out = results[reorder ? 1 : 0];
         out.resize(8);
         run_on(transport, 8, [&](Communicator& comm) {
             util::Xoshiro256 rng(static_cast<std::uint64_t>(comm.rank()) + 1);
             std::vector<float> dense(512);
             for (auto& v : dense) v = static_cast<float>(rng.next_gaussian());
             const auto local = sparse::topk_select(dense, 16);
-            core::GtopkOptions options;
-            options.pooled = pooled;
             core::GtopkWorkspace ws;
-            if (pooled) options.workspace = &ws;
+            const core::GtopkOptions options{.workspace = &ws};
             sparse::SparseGradient first;
             for (int round = 0; round < 6; ++round) {
                 const auto r = core::gtopk_allreduce(comm, local, 16, options);
@@ -109,7 +109,7 @@ TEST(FaultTest, PooledGtopkMatchesOwningUnderReordering) {
                 ASSERT_EQ(r.global, first);
             }
             out[static_cast<std::size_t>(comm.rank())] = first;
-            if (pooled && comm.rank() == 0) {
+            if (comm.rank() == 0) {
                 // Rounds 2+ must serve sends from recycled receive buffers.
                 EXPECT_GT(comm.buffer_pool().stats().pool_hits, 0u);
             }

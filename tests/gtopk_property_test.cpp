@@ -201,7 +201,7 @@ TEST(GtopkEdge, KLargerThanUnionKeepsEverything) {
 // ---------------------------------------------------------------------------
 // Chaos property: under duplicate + reorder + delay plans the gTop-k result
 // AND the residuals (error feedback, Alg. 4 lines 8 and 10) are bit-identical
-// to the clean run, for both the pooled and owning wire paths.
+// to the clean run.
 
 struct RankState {
     SparseGradient global;
@@ -216,8 +216,7 @@ struct RankState {
 /// residual = accumulated - selected (line 8), then the locally-selected
 /// entries that did NOT survive the global selection go back (line 10).
 std::vector<RankState> run_gtopk_with_residuals(comm::Transport& transport, int world,
-                                                std::size_t k, std::uint64_t seed,
-                                                bool pooled) {
+                                                std::size_t k, std::uint64_t seed) {
     std::vector<RankState> states(static_cast<std::size_t>(world));
     comm::Cluster::run_on(transport, NetworkModel::free(), [&](Communicator& comm) {
         util::Xoshiro256 rng =
@@ -232,10 +231,8 @@ std::vector<RankState> run_gtopk_with_residuals(comm::Transport& transport, int 
             st.residual[static_cast<std::size_t>(local.indices[i])] = 0.0f;
         }
 
-        core::GtopkOptions options;
-        options.pooled = pooled;
         core::GtopkWorkspace ws;
-        if (pooled) options.workspace = &ws;
+        const core::GtopkOptions options{.workspace = &ws};
         // Several rounds so small worlds still exchange enough messages for
         // a probabilistic plan to fire; same input => same result each
         // round, which doubles as a stability check under the chaos.
@@ -272,25 +269,22 @@ INSTANTIATE_TEST_SUITE_P(Sweep, GtopkChaosProperty,
 TEST_P(GtopkChaosProperty, ResultAndResidualsBitIdenticalUnderMaskableChaos) {
     const auto [world, seed] = GetParam();
     const std::size_t k = 16;
-    for (const bool pooled : {false, true}) {
-        comm::InProcTransport clean_transport(world);
-        const auto clean =
-            run_gtopk_with_residuals(clean_transport, world, k, seed, pooled);
+    comm::InProcTransport clean_transport(world);
+    const auto clean = run_gtopk_with_residuals(clean_transport, world, k, seed);
 
-        comm::FaultInjectingTransport chaotic(world, chaos::maskable_plan(seed));
-        const auto chaos = run_gtopk_with_residuals(chaotic, world, k, seed, pooled);
+    comm::FaultInjectingTransport chaotic(world, chaos::maskable_plan(seed));
+    const auto chaos = run_gtopk_with_residuals(chaotic, world, k, seed);
 
-        for (int r = 0; r < world; ++r) {
-            ASSERT_EQ(chaos[static_cast<std::size_t>(r)].global,
-                      clean[static_cast<std::size_t>(r)].global)
-                << "rank " << r << " pooled=" << pooled;
-            ASSERT_EQ(chaos[static_cast<std::size_t>(r)].residual,
-                      clean[static_cast<std::size_t>(r)].residual)
-                << "rank " << r << " pooled=" << pooled;
-        }
-        // A run where the plan never fired proves nothing.
-        EXPECT_GT(chaotic.counts().injected(), 0u) << "pooled=" << pooled;
+    for (int r = 0; r < world; ++r) {
+        ASSERT_EQ(chaos[static_cast<std::size_t>(r)].global,
+                  clean[static_cast<std::size_t>(r)].global)
+            << "rank " << r;
+        ASSERT_EQ(chaos[static_cast<std::size_t>(r)].residual,
+                  clean[static_cast<std::size_t>(r)].residual)
+            << "rank " << r;
     }
+    // A run where the plan never fired proves nothing.
+    EXPECT_GT(chaotic.counts().injected(), 0u);
 }
 
 TEST_P(GtopkChaosProperty, ChaosScheduleItselfIsSeedDeterministic) {
@@ -300,7 +294,7 @@ TEST_P(GtopkChaosProperty, ChaosScheduleItselfIsSeedDeterministic) {
     comm::FaultCounts first;
     for (int run = 0; run < 2; ++run) {
         comm::FaultInjectingTransport t(world, chaos::maskable_plan(seed));
-        (void)run_gtopk_with_residuals(t, world, 16, seed, /*pooled=*/true);
+        (void)run_gtopk_with_residuals(t, world, 16, seed);
         if (run == 0) {
             first = t.counts();
         } else {

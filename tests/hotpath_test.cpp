@@ -426,35 +426,52 @@ TEST(TopkMergeInto, DenseSizeMismatchThrows) {
 
 // -------------------------------------------- pooled aggregation end-to-end
 
-TEST(PooledGtopk, BitIdenticalToOwningPath) {
-    for (const int world : {5, 8}) {  // 5 exercises the non-power-of-two fold
-        std::vector<SparseGradient> pooled_out(static_cast<std::size_t>(world));
-        std::vector<SparseGradient> owning_out(static_cast<std::size_t>(world));
-        for (const bool pooled : {false, true}) {
-            auto& out = pooled ? pooled_out : owning_out;
-            comm::Cluster::run(
-                world, comm::NetworkModel::free(), [&](comm::Communicator& comm) {
-                    const SparseGradient local = sample_gradient(
-                        4096, 128, 40 + static_cast<std::uint64_t>(comm.rank()));
-                    core::GtopkWorkspace ws;
-                    core::GtopkOptions options;
-                    options.pooled = pooled;
-                    if (pooled) options.workspace = &ws;
-                    for (int round = 0; round < 3; ++round) {
-                        const auto r =
-                            core::gtopk_allreduce(comm, local, 128, options);
-                        if (round == 0) {
-                            out[static_cast<std::size_t>(comm.rank())] = r.global;
-                        } else {
-                            ASSERT_EQ(r.global,
-                                      out[static_cast<std::size_t>(comm.rank())]);
-                        }
-                    }
-                });
+/// The owning path, run sequentially: the tree schedule gtopk_allreduce
+/// executes (fold the excess ranks into the power-of-two base, then
+/// distance-doubling pairwise merges), with the allocating sparse::topk_merge.
+SparseGradient owning_tree_fold(std::vector<SparseGradient> locals, std::size_t k) {
+    const std::size_t world = locals.size();
+    std::size_t base = 1;
+    while (base * 2 <= world) base *= 2;
+    for (std::size_t r = base; r < world; ++r) {
+        locals[r - base] = sparse::topk_merge(locals[r - base], locals[r], k);
+    }
+    for (std::size_t stride = 1; stride < base; stride *= 2) {
+        for (std::size_t r = 0; r + stride < base; r += 2 * stride) {
+            locals[r] = sparse::topk_merge(locals[r], locals[r + stride], k);
         }
-        EXPECT_EQ(pooled_out, owning_out) << "world=" << world;
-        for (int r = 1; r < world; ++r) {
-            EXPECT_EQ(pooled_out[static_cast<std::size_t>(r)], pooled_out[0]);
+    }
+    return locals[0];
+}
+
+TEST(PooledGtopk, BitIdenticalToOwningPath) {
+    // The pooled wire, zero-copy views and in-place merges of the gTop-k
+    // handle must reproduce the owning serialize/topk_merge fold bit for bit.
+    for (const int world : {5, 8}) {  // 5 exercises the non-power-of-two fold
+        std::vector<SparseGradient> locals;
+        for (int r = 0; r < world; ++r) {
+            locals.push_back(
+                sample_gradient(4096, 128, 40 + static_cast<std::uint64_t>(r)));
+        }
+        const SparseGradient expect = owning_tree_fold(locals, 128);
+        std::vector<SparseGradient> out(static_cast<std::size_t>(world));
+        comm::Cluster::run(
+            world, comm::NetworkModel::free(), [&](comm::Communicator& comm) {
+                const auto rank = static_cast<std::size_t>(comm.rank());
+                core::GtopkWorkspace ws;
+                const core::GtopkOptions options{.workspace = &ws};
+                for (int round = 0; round < 3; ++round) {
+                    const auto r = core::gtopk_allreduce(comm, locals[rank], 128, options);
+                    if (round == 0) {
+                        out[rank] = r.global;
+                    } else {
+                        ASSERT_EQ(r.global, out[rank]);
+                    }
+                }
+            });
+        for (int r = 0; r < world; ++r) {
+            EXPECT_EQ(out[static_cast<std::size_t>(r)], expect)
+                << "world=" << world << " rank=" << r;
         }
     }
 }

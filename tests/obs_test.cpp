@@ -342,12 +342,13 @@ TEST(TracerTest, ChromeTraceJsonIsWellFormed) {
     const std::string json = oss.str();
 
     EXPECT_TRUE(JsonValidator(json).valid()) << json.substr(0, 400);
-    // Required span inventory (ISSUE acceptance): merge rounds, broadcast,
-    // point-to-point phases, per-rank process metadata.
+    // Required span inventory: merge rounds, broadcast, point-to-point
+    // phases (the gTop-k handle's NIC-timeline sends and receives),
+    // per-rank process metadata.
     EXPECT_NE(json.find("\"gtopk.merge_round\""), std::string::npos);
-    EXPECT_NE(json.find("\"broadcast\""), std::string::npos);
-    EXPECT_NE(json.find("\"send\""), std::string::npos);
-    EXPECT_NE(json.find("\"recv_wait\""), std::string::npos);
+    EXPECT_NE(json.find("\"gtopk.broadcast\""), std::string::npos);
+    EXPECT_NE(json.find("\"send_async\""), std::string::npos);
+    EXPECT_NE(json.find("\"recv_async\""), std::string::npos);
     EXPECT_NE(json.find("\"rank 3\""), std::string::npos);
     EXPECT_NE(json.find("\"virtual time\""), std::string::npos);
     EXPECT_NE(json.find("\"metrics\""), std::string::npos);

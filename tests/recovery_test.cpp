@@ -13,7 +13,10 @@
 #include "comm/membership.hpp"
 #include "comm/reliable_transport.hpp"
 #include "comm/tags.hpp"
+#include "core/aggregators.hpp"
+#include "sparse/topk_select.hpp"
 #include "train/checkpoint.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -577,6 +580,95 @@ TEST(RecoveryTest, VirtualDeadlineDiscardsLateArrivalDeterministically) {
                                           /*max_arrival_s=*/10.0,
                                           /*host_grace_s=*/0.05)
                      .has_value());
+}
+
+// The async gTop-k engine under a virtual deadline: rank 1's first
+// tree-merge message to rank 0 (tag offset 1 of the first handle's band)
+// lands 100 modeled seconds late, far past the 1 s deadline. Rank 0 times
+// out the moment it matches it — the same edge every run; the other ranks
+// would only give up after the host grace, so rank 0's error is the one
+// the cluster rethrows.
+constexpr int kFirstMergeTag = comm::kAsyncTagBase + 1;
+
+FaultPlan late_first_merge_plan() {
+    FaultRule late;
+    late.src = 1;
+    late.dst = 0;
+    late.tag = kFirstMergeTag;
+    late.delay_prob = 1.0;
+    late.extra_delay_s = 100.0;
+    return chaos::seeded_plan(1).add(late);
+}
+
+void expect_first_merge_timeout(const std::function<void()>& run) {
+    try {
+        run();
+        ADD_FAILURE() << "expected CommError(RecvTimeout)";
+    } catch (const comm::CommError& e) {
+        EXPECT_EQ(e.kind(), comm::CommErrorKind::RecvTimeout) << e.what();
+        EXPECT_EQ(e.rank(), 0) << e.what();
+        EXPECT_EQ(e.peer(), 1) << e.what();
+        EXPECT_EQ(e.tag(), kFirstMergeTag) << e.what();
+    }
+}
+
+sparse::SparseGradient random_local(int rank, std::size_t k) {
+    util::Xoshiro256 rng(7 + static_cast<std::uint64_t>(rank));
+    std::vector<float> dense(256);
+    for (auto& v : dense) v = static_cast<float>(rng.next_gaussian());
+    return sparse::topk_select(dense, k);
+}
+
+TEST(RecoveryTest, VirtualDeadlineTimesOutLateGtopkArrivalDeterministically) {
+    for (int run = 0; run < 3; ++run) {
+        FaultInjectingTransport transport(4, late_first_merge_plan());
+        expect_first_merge_timeout([&] {
+            comm::Cluster::run_on(transport, comm::NetworkModel::one_gbps_ethernet(),
+                                  [](comm::Communicator& c) {
+                                      c.set_recv_deadline(comm::DeadlineClock::Virtual,
+                                                          1.0);
+                                      (void)core::gtopk_allreduce(
+                                          c, random_local(c.rank(), 8), 8);
+                                  });
+        });
+        EXPECT_EQ(transport.counts().delayed, 1u) << "run " << run;
+    }
+}
+
+TEST(RecoveryTest, VirtualDeadlineTimesOutLateArrivalInOverlappedLayerwiseRun) {
+    TinyTrainScenario scenario(4);
+    for (int run = 0; run < 3; ++run) {
+        FaultInjectingTransport transport(4, late_first_merge_plan());
+        train::TrainConfig cfg = scenario.config(Algorithm::LayerwiseGtopkSsgd);
+        cfg.overlap = true;
+        cfg.bucket_bytes = 2048;  // several buckets in flight at once
+        cfg.transport = &transport;
+        cfg.recv_timeout_s = 1.0;
+        cfg.recv_deadline_clock = comm::DeadlineClock::Virtual;
+        expect_first_merge_timeout([&] { (void)scenario.run(cfg); });
+    }
+}
+
+TEST(RecoveryTest, VirtualDeadlineUnmatchedGtopkReceiveThrowsAfterHostGrace) {
+    // The message never arrives: no modeled arrival can decide the outcome,
+    // so the host grace bounds the wait. Only rank 0 gets a short grace,
+    // which makes its error the first one.
+    FaultRule drop;
+    drop.src = 1;
+    drop.dst = 0;
+    drop.tag = kFirstMergeTag;
+    drop.drop_prob = 1.0;
+    FaultInjectingTransport transport(4, chaos::seeded_plan(1).add(drop));
+    expect_first_merge_timeout([&] {
+        comm::Cluster::run_on(transport, comm::NetworkModel::one_gbps_ethernet(),
+                              [](comm::Communicator& c) {
+                                  c.set_recv_deadline(comm::DeadlineClock::Virtual, 1.0);
+                                  c.set_recv_host_grace_s(c.rank() == 0 ? 0.05 : 60.0);
+                                  (void)core::gtopk_allreduce(
+                                      c, random_local(c.rank(), 8), 8);
+                              });
+    });
+    EXPECT_EQ(transport.counts().dropped, 1u);
 }
 
 }  // namespace

@@ -314,11 +314,16 @@ TEST_P(TcpConformance, OutboundEdgesMatchStaticScheduleExactly) {
                     pred.add(collectives::allgather_schedule(
                         world, wire, 1, AllgatherAlgo::RecursiveDoubling));
                     break;
-                case train::Algorithm::GtopkSsgd:
-                    pred.add(collectives::gtopk_merge_schedule(world, wire));
-                    pred.add(collectives::broadcast_schedule(
-                        world, 0, wire, BcastAlgo::BinomialTree));
+                case train::Algorithm::GtopkSsgd: {
+                    // One gTop-k handle per step, on the async tag band.
+                    const collectives::Schedule parts[] = {
+                        collectives::gtopk_merge_schedule(world, wire),
+                        collectives::broadcast_schedule(world, 0, wire,
+                                                        BcastAlgo::BinomialTree)};
+                    pred.add_async(
+                        collectives::concat_schedules("gtopk.allreduce.async", parts));
                     break;
+                }
                 case train::Algorithm::NaiveGtopkSsgd:
                     pred.add(collectives::allgatherv_schedule(world, wire_per_rank));
                     break;
