@@ -158,33 +158,23 @@ void AsyncCollective::wait() {
             idle_polls = 0;
             continue;
         }
-        // Back off gently: yield first, so a message about to land is taken
-        // at once, then block or sleep, so an idle wait does not saturate a
-        // host core while peers compute.
-        if (++idle_polls < 64) {
-            std::this_thread::yield();
-            continue;
-        }
-        const CommOp& blocked = sched_.rank_ops(comm_.rank())[pc_];
-        if (comm_.progress_source_count() == 1) {
-            // Nothing else on this rank can progress: block in the transport
-            // for the awaited message under the deadline, like a recv.
-            consume_(blocked, comm_.recv_async(blocked.peer,
-                                               tag_base_ + blocked.tag_offset,
-                                               last_event_s_));
-            ++pc_;
-            continue;
-        }
         // No handle made progress anywhere: honor the receive deadline so
         // a dropped message or dead peer surfaces as a typed CommError
         // (chaos/elastic runs route this into the regroup path).
         if (timeout_s > 0.0 && obs::host_now_s() - idle_since > idle_limit_s) {
+            const CommOp& blocked = sched_.rank_ops(comm_.rank())[pc_];
             throw comm::CommError(comm::CommErrorKind::RecvTimeout,
                                   comm_.physical_rank(),
                                   comm_.to_physical(blocked.peer),
                                   tag_base_ + blocked.tag_offset, timeout_s);
         }
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        // Back off gently: yield first, then sleep, so an idle wait does
+        // not saturate a host core while peers compute.
+        if (++idle_polls < 64) {
+            std::this_thread::yield();
+        } else {
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
     }
 
     // The single compute/comm synchronization point: the rank resumes at

@@ -19,8 +19,7 @@
 // the same executor model statically). The pump order is ascending
 // priority(), which is how the P3-style scheduler lets front-layer buckets
 // preempt back-layer traffic. An idle wait() yields for a few polls, then
-// sleeps between polls — or, with no sibling in flight (the blocking
-// gtopk_allreduce), blocks in the transport like a recv.
+// sleeps between polls.
 //
 // Virtual-time model: async transfers ride a per-rank NIC timeline
 // (Communicator::send_async / try_recv_async) that runs CONCURRENTLY with

@@ -444,14 +444,17 @@ Schedule gather_schedule(int world, int root, std::int64_t bytes) {
     return s;
 }
 
+int gtopk_merge_tag_count(int world) {
+    return world == 1 ? 0 : 1 + tree_merge_rounds(1 << ilog2_floor(world));
+}
+
 Schedule gtopk_merge_schedule(int world, std::int64_t wire_bytes) {
     if (world == 1) return make_schedule("gtopk.merge", world, 0);
     const int base = 1 << ilog2_floor(world);
-    const int excess = world - base;
     const int rounds = tree_merge_rounds(base);
     // Tag block: offset 0 is the fold tag, offsets 1..rounds the tree
     // rounds — one contiguous block of the handle's tag band.
-    Schedule s = make_schedule("gtopk.merge", world, 1 + rounds);
+    Schedule s = make_schedule("gtopk.merge", world, gtopk_merge_tag_count(world));
     // Phase 0 — fold ranks beyond the power-of-two base into the base.
     for (int rank = base; rank < world; ++rank) {
         push_op(s, rank, Kind::Send, rank - base, 0, 0, 0, wire_bytes);

@@ -196,6 +196,10 @@ Schedule gather_schedule(int world, int root, std::int64_t bytes);
 /// collective.
 Schedule gtopk_merge_schedule(int world, std::int64_t wire_bytes);
 
+/// gtopk_merge_schedule(world, ...).tag_count without building it: the
+/// fold tag plus one per tree round (0 for world 1).
+int gtopk_merge_tag_count(int world);
+
 /// Concatenate schedules executed back-to-back by the same SPMD ranks into
 /// one: per-rank programs append in order and tag offsets shift by the
 /// running tag_count, exactly like consecutive fresh_tags blocks. All parts

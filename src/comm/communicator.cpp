@@ -224,21 +224,6 @@ void Communicator::send_buffer(int dst, int tag, std::vector<std::byte>&& payloa
     transport_.deliver(phys_dst, std::move(msg));
 }
 
-Message Communicator::receive_matched(int phys_src, int tag, double virtual_now_s) {
-    if (recv_timeout_s_ <= 0.0) return transport_.receive(rank_, phys_src, tag);
-    std::optional<Message> m =
-        deadline_clock_ == DeadlineClock::Virtual
-            ? transport_.receive_for_virtual(rank_, phys_src, tag,
-                                             virtual_now_s + recv_timeout_s_,
-                                             recv_host_grace_s_)
-            : transport_.receive_for(rank_, phys_src, tag, recv_timeout_s_);
-    if (!m) {
-        throw CommError(CommErrorKind::RecvTimeout, rank_, phys_src, tag,
-                        recv_timeout_s_);
-    }
-    return std::move(*m);
-}
-
 std::vector<std::byte> Communicator::recv(int src, int tag) {
     int ignored = 0;
     return recv(src, tag, ignored);
@@ -250,7 +235,21 @@ std::vector<std::byte> Communicator::recv(int src, int tag, int& actual_src) {
     obs::ScopedSpan span(tracer_, clock_, rank_, "recv_wait", "comm");
     span.attrs().tag = tag;
 
-    Message msg = receive_matched(to_physical(src), tag, clock_.now_s());
+    const int phys_src = to_physical(src);
+    Message msg = [&] {
+        if (recv_timeout_s_ <= 0.0) return transport_.receive(rank_, phys_src, tag);
+        std::optional<Message> m =
+            deadline_clock_ == DeadlineClock::Virtual
+                ? transport_.receive_for_virtual(rank_, phys_src, tag,
+                                                 clock_.now_s() + recv_timeout_s_,
+                                                 recv_host_grace_s_)
+                : transport_.receive_for(rank_, phys_src, tag, recv_timeout_s_);
+        if (!m) {
+            throw CommError(CommErrorKind::RecvTimeout, rank_, phys_src, tag,
+                            recv_timeout_s_);
+        }
+        return std::move(*m);
+    }();
     const double before = clock_.now_s();
     clock_.advance_to(msg.arrival_time_s);
     stats_.comm_time_s += clock_.now_s() - before;
@@ -312,25 +311,17 @@ double Communicator::reserve_nic(double earliest_s, double duration_s) {
 std::optional<Communicator::AsyncMsg> Communicator::try_recv_async(int src, int tag) {
     std::optional<Message> m = transport_.try_receive(rank_, to_physical(src), tag);
     if (!m) return std::nullopt;
-    return accept_async(std::move(*m), tag);
-}
-
-Communicator::AsyncMsg Communicator::recv_async(int src, int tag, double timeline_s) {
-    return accept_async(receive_matched(to_physical(src), tag, timeline_s), tag);
-}
-
-Communicator::AsyncMsg Communicator::accept_async(Message&& m, int tag) {
     stats_.messages_received += 1;
-    stats_.bytes_received += m.payload.size();
+    stats_.bytes_received += m->payload.size();
     if (tracer_) {
-        m_bytes_received_->add(m.payload.size());
+        m_bytes_received_->add(m->payload.size());
         tracer_->record_detached(
             {.name = "recv_async", .category = "comm", .rank = rank_,
-             .v_begin_s = m.arrival_time_s, .v_end_s = m.arrival_time_s,
-             .attrs = {.bytes = static_cast<std::int64_t>(m.payload.size()),
-                       .peer = m.source, .tag = tag}});
+             .v_begin_s = m->arrival_time_s, .v_end_s = m->arrival_time_s,
+             .attrs = {.bytes = static_cast<std::int64_t>(m->payload.size()),
+                       .peer = m->source, .tag = tag}});
     }
-    return AsyncMsg{std::move(m.payload), m.arrival_time_s};
+    return AsyncMsg{std::move(m->payload), m->arrival_time_s};
 }
 
 PooledBuffer Communicator::recv_buffer(int src, int tag) {

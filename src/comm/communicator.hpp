@@ -191,13 +191,6 @@ public:
     /// payload and decides when to synchronize (AsyncCollective::wait).
     std::optional<AsyncMsg> try_recv_async(int src, int tag);
 
-    /// Blocking form of try_recv_async, for a wait with nothing else to
-    /// pump: blocks in the transport like recv() and applies the same
-    /// receive deadline, except that a virtual deadline counts from
-    /// `timeline_s` (the caller's NIC timeline) instead of the clock.
-    /// Throws CommError(RecvTimeout) on expiry.
-    AsyncMsg recv_async(int src, int tag, double timeline_s);
-
     /// Latest modeled time this rank's NIC is occupied through by async
     /// sends (the busy timeline may have free gaps before it).
     double nic_busy_until_s() const { return nic_busy_until_s_; }
@@ -311,11 +304,6 @@ public:
 private:
     /// Physical -> logical source translation (kAnySource receives).
     int to_logical(int physical_src) const;
-    /// Blocking matched receive under the receive deadline; a virtual
-    /// deadline counts from `virtual_now_s`.
-    Message receive_matched(int phys_src, int tag, double virtual_now_s);
-    /// Count and trace a matched NIC-timeline receive.
-    AsyncMsg accept_async(Message&& m, int tag);
 
     int tag_counter_;        // initialized to kFreshTagBase, clear of user tags
     int async_tag_counter_;  // initialized to kAsyncTagBase

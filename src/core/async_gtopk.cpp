@@ -27,21 +27,20 @@ AsyncGtopkAllreduce::AsyncGtopkAllreduce(comm::Communicator& comm,
                                          sparse::SparseGradient local,
                                          std::size_t k, GtopkWorkspace* ws,
                                          BcastAlgo bcast)
-    : AsyncGtopkAllreduce(
-          comm, std::move(local), k, ws,
-          {collectives::gtopk_merge_schedule(comm.size(), collectives::kVariableBytes),
-           collectives::broadcast_schedule(comm.size(), /*root=*/0,
-                                           collectives::kVariableBytes, bcast)}) {}
-
-AsyncGtopkAllreduce::AsyncGtopkAllreduce(
-    comm::Communicator& comm, sparse::SparseGradient local, std::size_t k,
-    GtopkWorkspace* ws, const std::array<collectives::Schedule, 2>& merge_then_bcast)
-    : AsyncCollective(comm, collectives::concat_schedules(kProto, merge_then_bcast),
-                      kProto),
+    : AsyncCollective(
+          comm,
+          collectives::concat_schedules(
+              kProto,
+              std::array{collectives::gtopk_merge_schedule(
+                             comm.size(), collectives::kVariableBytes),
+                         collectives::broadcast_schedule(
+                             comm.size(), /*root=*/0, collectives::kVariableBytes,
+                             bcast)}),
+          kProto),
       acc_(std::move(local)),
       k_(k),
       ws_(ws ? ws : &own_ws_),
-      merge_tag_count_(merge_then_bcast[0].tag_count) {}
+      merge_tag_count_(collectives::gtopk_merge_tag_count(comm.size())) {}
 
 const sparse::SparseGradient& AsyncGtopkAllreduce::result() const {
     if (!done()) {

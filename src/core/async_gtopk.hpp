@@ -18,7 +18,6 @@
 // rank's clock.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -49,12 +48,6 @@ public:
     sparse::SparseGradient take_result();
 
 private:
-    /// The merge schedule, generated once, is both the fused program's
-    /// prefix and where the broadcast stage's tag offsets start.
-    AsyncGtopkAllreduce(comm::Communicator& comm, sparse::SparseGradient local,
-                        std::size_t k, GtopkWorkspace* ws,
-                        const std::array<collectives::Schedule, 2>& merge_then_bcast);
-
     void op_send(const collectives::CommOp& op, int tag) override;
     void op_recv(const collectives::CommOp& op,
                  std::vector<std::byte> payload) override;
