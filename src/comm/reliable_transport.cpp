@@ -448,44 +448,6 @@ Message ReliableTransport::receive(int rank, int source, int tag) {
     }
 }
 
-std::optional<Message> ReliableTransport::receive_for(int rank, int source, int tag,
-                                                      double timeout_s) {
-    if (timeout_s <= 0.0) return receive(rank, source, tag);
-    const auto deadline = std::chrono::steady_clock::now() + host_dur(timeout_s);
-    for (;;) {
-        if (auto msg = try_receive(rank, source, tag)) return msg;
-        if (std::chrono::steady_clock::now() >= deadline) return std::nullopt;
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-}
-
-std::optional<Message> ReliableTransport::receive_for_virtual(int rank, int source,
-                                                              int tag,
-                                                              double max_arrival_s,
-                                                              double host_grace_s) {
-    if (tag == kTagHeartbeat) {
-        return inner_->receive_for_virtual(rank, source, tag, max_arrival_s,
-                                           host_grace_s);
-    }
-    const auto grace_deadline =
-        std::chrono::steady_clock::now() + host_dur(host_grace_s);
-    for (;;) {
-        if (rank < 0 || rank >= world_size()) {
-            throw std::out_of_range("receive_for_virtual: bad rank");
-        }
-        pump(rank);
-        if (auto msg = delivered_[static_cast<std::size_t>(rank)]->try_pop(source,
-                                                                           tag)) {
-            // Same semantics as Mailbox::pop_for_virtual: a match past the
-            // virtual deadline is consumed and discarded — deterministic.
-            if (msg->arrival_time_s <= max_arrival_s) return msg;
-            return std::nullopt;
-        }
-        if (std::chrono::steady_clock::now() >= grace_deadline) return std::nullopt;
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-}
-
 void ReliableTransport::shutdown() {
     if (shut_.exchange(true)) return;
     if (wire_) {

@@ -192,16 +192,19 @@ train::TrainResult train_parameter_server(int workers, comm::NetworkModel net,
                 nn::Batch batch = batches(step, wid);
                 const double loss = model->train_step_gradients(batch);
                 epoch_loss += loss;
-                std::vector<float> accumulated = model->flat_grads();
-                if (config.aggregation == PsAggregation::Gtopk) {
-                    for (std::size_t i = 0; i < m; ++i) accumulated[i] += residual[i];
+                // Dense pushes the raw gradient; gTop-k accumulates it into
+                // the residual in place (Alg. 4 line 4) and selects from it.
+                std::vector<float> dense_grad;
+                if (dense_agg) {
+                    dense_grad = model->flat_grads();
+                } else {
+                    model->accumulate_grads_into(residual);
                 }
                 const double t1 = now_host_s();
 
                 SparseGradient local;
-                if (config.aggregation == PsAggregation::Gtopk) {
-                    sparse::topk_select_into(accumulated, plan.k, select_ws, local);
-                    residual = accumulated;
+                if (!dense_agg) {
+                    sparse::topk_select_into(residual, plan.k, select_ws, local);
                     sparse::zero_selected(residual, local);
                 }
                 const double t2 = now_host_s();
@@ -209,9 +212,9 @@ train::TrainResult train_parameter_server(int workers, comm::NetworkModel net,
                 const comm::CommStats worker_pre = comm.stats();
                 const double v0 = comm.clock().now_s();
                 for (const CommOp& op : my_ops) {
-                    if (config.aggregation == PsAggregation::Dense) {
+                    if (dense_agg) {
                         if (op.kind == CommOp::Kind::Send) {
-                            comm.send_vec<float>(op.peer, op.tag_offset, accumulated);
+                            comm.send_vec<float>(op.peer, op.tag_offset, dense_grad);
                         } else {
                             const auto sum = comm.recv_vec<float>(op.peer, op.tag_offset);
                             const float inv = 1.0f / static_cast<float>(workers);
@@ -231,28 +234,17 @@ train::TrainResult train_parameter_server(int workers, comm::NetworkModel net,
                             sparse::deserialize_view(raw.bytes());
                         // Alg. 4 line 10: return locally-sent entries that did
                         // not survive the global selection.
-                        std::size_t gi = 0;
-                        for (std::size_t li = 0; li < local.nnz(); ++li) {
-                            const std::int32_t idx = local.indices[li];
-                            while (gi < global.nnz() && global.indices[gi] < idx) ++gi;
-                            const bool kept =
-                                gi < global.nnz() && global.indices[gi] == idx;
-                            if (!kept) {
-                                residual[static_cast<std::size_t>(idx)] += local.values[li];
-                            }
-                        }
+                        sparse::return_unselected(residual, local, global.indices);
                         scatter_mean(global, workers, update);
                     }
                 }
                 const double v1 = comm.clock().now_s();
 
                 const double u0 = now_host_s();
-                std::vector<float> delta(m);
                 for (std::size_t i = 0; i < m; ++i) {
                     velocity[i] = config.momentum * velocity[i] + update[i];
-                    delta[i] = -plan.lr * velocity[i];
                 }
-                model->add_flat_delta(delta);
+                model->axpy_params(-plan.lr, velocity);
                 const double u1 = now_host_s();
                 exchange_telemetry(
                     t1 - t0, t2 - t1, v1 - v0, u1 - u0,

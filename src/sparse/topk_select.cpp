@@ -232,4 +232,16 @@ void zero_selected(std::span<float> dense, const SparseGradient& selected) {
     }
 }
 
+void return_unselected(std::span<float> residual, const SparseGradient& local,
+                       std::span<const std::int32_t> global_indices) {
+    std::size_t gi = 0;
+    for (std::size_t li = 0; li < local.nnz(); ++li) {
+        const std::int32_t idx = local.indices[li];
+        while (gi < global_indices.size() && global_indices[gi] < idx) ++gi;
+        if (gi == global_indices.size() || global_indices[gi] != idx) {
+            residual[static_cast<std::size_t>(idx)] += local.values[li];
+        }
+    }
+}
+
 }  // namespace gtopk::sparse

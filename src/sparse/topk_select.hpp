@@ -88,4 +88,11 @@ float kth_largest_magnitude(std::span<const float> dense, std::size_t k,
 /// `G ⊙ ¬Mask` (Line 8 of Algorithm 1).
 void zero_selected(std::span<float> dense, const SparseGradient& selected);
 
+/// Put back every locally selected entry whose index did not survive the
+/// global selection — `residual += local ⊙ ¬gMask` (Line 10 of Algorithm
+/// 4). `global_indices` is strictly increasing and, like `local`, indexes
+/// `residual`.
+void return_unselected(std::span<float> residual, const SparseGradient& local,
+                       std::span<const std::int32_t> global_indices);
+
 }  // namespace gtopk::sparse

@@ -11,7 +11,6 @@
 #include "core/async_gtopk.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/telemetry.hpp"
-#include "sparse/topk_merge.hpp"
 #include "sparse/topk_select.hpp"
 #include "train/bucketer.hpp"
 #include "train/checkpoint.hpp"
@@ -30,23 +29,8 @@ double now_host_s() {
         .count();
 }
 
-/// Line 10 of Algorithm 4: add back into `residual` every locally-selected
-/// entry whose index did not survive the global selection.
-void return_unselected(std::vector<float>& residual, const SparseGradient& local,
-                       const SparseGradient& global) {
-    std::size_t gi = 0;
-    for (std::size_t li = 0; li < local.nnz(); ++li) {
-        const std::int32_t idx = local.indices[li];
-        while (gi < global.nnz() && global.indices[gi] < idx) ++gi;
-        const bool selected = gi < global.nnz() && global.indices[gi] == idx;
-        if (!selected) {
-            residual[static_cast<std::size_t>(idx)] += local.values[li];
-        }
-    }
-}
-
-void check_error_feedback(const std::vector<float>& accumulated,
-                          const std::vector<float>& residual,
+void check_error_feedback(std::span<const float> accumulated,
+                          std::span<const float> residual,
                           const SparseGradient& sent) {
     // residual + sent must reconstruct the accumulated gradient exactly in
     // the pre-aggregation state (before the line-10 put-back).
@@ -61,17 +45,6 @@ void check_error_feedback(const std::vector<float>& accumulated,
             throw std::logic_error("error-feedback invariant violated");
         }
     }
-}
-
-/// Start one bucket's gTop-k handle (layer-wise variant).
-std::unique_ptr<core::AsyncGtopkAllreduce> start_bucket(
-    Communicator& comm, const SparseGradient& local, int priority,
-    core::GtopkWorkspace& ws) {
-    auto handle =
-        std::make_unique<core::AsyncGtopkAllreduce>(comm, local, local.nnz(), &ws);
-    handle->set_priority(priority);
-    handle->start();
-    return handle;
 }
 
 struct RankOutput {
@@ -108,9 +81,13 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
 
     if (config.selection != sparse::SelectionPolicy::ExactTopk &&
         (config.algorithm == Algorithm::TopkSsgd ||
-         config.algorithm == Algorithm::DenseSsgd)) {
+         config.algorithm == Algorithm::DenseSsgd ||
+         config.algorithm == Algorithm::LayerwiseGtopkSsgd)) {
+        // Layer-wise: the buckets would share the adaptive selector's state
+        // and the sampling RNG, so no bucket would select like the policy.
         throw std::invalid_argument(
-            "threshold selection policies require a gTop-k family algorithm");
+            "threshold selection policies require a whole-model gTop-k "
+            "algorithm");
     }
     if (config.overlap && config.algorithm != Algorithm::LayerwiseGtopkSsgd) {
         throw std::invalid_argument(
@@ -175,9 +152,6 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
         // buffers stop allocating after the first iteration.
         sparse::TopkWorkspace select_ws;
         core::GtopkWorkspace agg_ws;
-        const core::GtopkOptions agg_opts{.workspace = &agg_ws};
-        SparseGradient local;
-        std::vector<SparseGradient> seg_locals;  // layer-wise only
         // The gTop-k family's dense mean update, reused across steps: the
         // global selection is scattered into it (recording the support) and
         // the support is re-zeroed before the next scatter, so a step pays
@@ -193,18 +167,33 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
         util::Xoshiro256 sample_rng =
             util::Xoshiro256(config.model_seed).fork(0x5A00 + static_cast<std::uint64_t>(rank));
 
-        // Parameter-tensor segmentation for the layer-wise variant, fused
-        // into communication buckets (identity per-tensor buckets unless
-        // config.bucket_bytes asks for fusion) with their backward-ready
-        // fractions — the shared "ready time" definition the overlap model
-        // also consumes (train/bucketer.hpp).
+        // Every sparse algorithm runs one loop over gradient buckets:
+        // select, aggregate and put back per bucket. The layer-wise variant
+        // buckets its parameter tensors (identity per-tensor buckets unless
+        // config.bucket_bytes asks for fusion), with backward-ready fractions
+        // — the shared "ready time" definition the overlap model also
+        // consumes (train/bucketer.hpp). Algorithms 1, 2, 4 and the Fig. 1
+        // variant are the one bucket covering the whole model; DenseSsgd
+        // has no bucket.
         std::vector<std::size_t> seg_offsets{0};
         for (const auto& p : model->params()) {
             seg_offsets.push_back(seg_offsets.back() + p.value->size());
         }
-        const std::vector<GradBucket> buckets =
-            fuse_buckets(seg_offsets, config.bucket_bytes);
+        const bool layerwise = config.algorithm == Algorithm::LayerwiseGtopkSsgd;
+        std::vector<GradBucket> buckets;
+        if (layerwise) {
+            buckets = fuse_buckets(seg_offsets, config.bucket_bytes);
+        } else if (config.algorithm != Algorithm::DenseSsgd) {
+            buckets.push_back({.begin = 0,
+                               .end = m,
+                               .last_segment = static_cast<int>(seg_offsets.size()) - 2});
+        }
         const std::vector<double> bucket_ready = bucket_ready_fractions(buckets, m);
+        // The modeled backward time is charged during layer-wise
+        // aggregation only (TrainConfig::overlap_backward_s).
+        const double backward_s = layerwise ? config.overlap_backward_s : 0.0;
+        std::vector<SparseGradient> locals(buckets.size());
+        const bool exact = config.selection == sparse::SelectionPolicy::ExactTopk;
 
         double total_compute = 0, total_compress = 0, total_comm = 0;
         std::int64_t total_iters = 0;
@@ -315,14 +304,12 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                          : config.density;
                 const float lr =
                     warm ? config.lr * config.warmup_lr_scale : config.lr;
-                const std::size_t k = std::max<std::size_t>(
-                    1, static_cast<std::size_t>(
-                           std::llround(density * static_cast<double>(m))));
-                // Threshold policies have no well-defined global k; the tree
-                // then runs untruncated (a pure sparse sum-allreduce) and the
-                // thresholding alone provides the sparsity.
-                const std::size_t agg_k =
-                    config.selection == sparse::SelectionPolicy::ExactTopk ? k : m;
+                // A bucket's k; for the whole-model bucket, Alg. 4's k.
+                const auto k_of = [density](std::size_t size) {
+                    return std::max<std::size_t>(
+                        1, static_cast<std::size_t>(
+                               std::llround(density * static_cast<double>(size))));
+                };
 
                 obs::ScopedSpan iter_span(config.tracer, comm.clock(), rank,
                                           "iteration", "train");
@@ -371,43 +358,35 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                 compute_span.finish();
                 const double t1 = now_host_s();
 
-                // --- compress phase (host-timed) ---
+                // --- compress phase (host-timed): Alg. 4 lines 5-8 per
+                // bucket, reading G in place from the bucket's residual.
                 obs::ScopedSpan select_span(config.tracer, comm.clock(), rank,
                                             "select", "train");
                 select_span.attrs().round = static_cast<int>(step);
-                if (config.algorithm == Algorithm::LayerwiseGtopkSsgd) {
-                    seg_locals.resize(buckets.size());
-                    for (std::size_t b = 0; b < buckets.size(); ++b) {
-                        const std::span<float> seg(residual.data() + buckets[b].begin,
-                                                   buckets[b].size());
-                        const std::size_t k_seg = std::max<std::size_t>(
-                            1, static_cast<std::size_t>(std::llround(
-                                   density * static_cast<double>(seg.size()))));
-                        sparse::topk_select_into(seg, k_seg, select_ws, seg_locals[b]);
-                        sparse::zero_selected(seg, seg_locals[b]);
-                    }
-                } else if (config.algorithm != Algorithm::DenseSsgd) {
-                    if (config.check_invariants) {
-                        accumulated.assign(residual.begin(), residual.end());
-                    }
+                std::int64_t nnz = 0;
+                for (std::size_t b = 0; b < buckets.size(); ++b) {
+                    const std::span<float> g(residual.data() + buckets[b].begin,
+                                             buckets[b].size());
+                    SparseGradient& local = locals[b];
+                    if (config.check_invariants) accumulated.assign(g.begin(), g.end());
                     switch (config.selection) {
                         case sparse::SelectionPolicy::ExactTopk:
-                            sparse::topk_select_into(residual, k, select_ws, local);
+                            sparse::topk_select_into(g, k_of(g.size()), select_ws, local);
                             break;
                         case sparse::SelectionPolicy::StaticThreshold:
-                            local = sparse::threshold_select(residual,
-                                                             config.static_threshold);
+                            local = sparse::threshold_select(g, config.static_threshold);
                             break;
                         case sparse::SelectionPolicy::AdaptiveThreshold:
-                            local = adaptive.select(residual);
+                            local = adaptive.select(g);
                             break;
                         case sparse::SelectionPolicy::SampledTopk:
-                            local = sparse::sampled_topk_select(residual, k, sample_rng);
+                            local = sparse::sampled_topk_select(g, k_of(g.size()),
+                                                                sample_rng);
                             break;
                     }
-                    sparse::zero_selected(residual, local);
+                    sparse::zero_selected(g, local);
                     if (config.check_invariants) {
-                        check_error_feedback(accumulated, residual, local);
+                        check_error_feedback(accumulated, g, local);
                     }
                     // Combined sparsification + quantization: ship lossy
                     // values, feed the quantization error back into the
@@ -417,13 +396,14 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                             quant::quantize_dequantize(local.values,
                                                        config.value_quantizer);
                         for (std::size_t i = 0; i < local.nnz(); ++i) {
-                            residual[static_cast<std::size_t>(local.indices[i])] +=
+                            g[static_cast<std::size_t>(local.indices[i])] +=
                                 local.values[i] - lossy[i];
                         }
                         local.values = lossy;
                     }
+                    nnz += static_cast<std::int64_t>(local.nnz());
                 }
-                select_span.attrs().nnz = static_cast<std::int64_t>(local.nnz());
+                select_span.attrs().nnz = nnz;
                 // Stamp t2 first: the span's record (which may fault in a
                 // fresh page of the span ring) is tracing, not compression.
                 const double t2 = now_host_s();
@@ -438,11 +418,26 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                 obs::ScopedSpan agg_span(config.tracer, comm.clock(), rank,
                                          "aggregate", "train");
                 agg_span.attrs().round = static_cast<int>(step);
-                agg_span.attrs().nnz = static_cast<std::int64_t>(local.nnz());
+                agg_span.attrs().nnz = nnz;
                 const float inv = 1.0f / static_cast<float>(comm.size());
                 for (const std::size_t i : mean_support) mean_update[i] = 0.0f;
                 mean_support.clear();
-                auto scatter_mean = [&](std::size_t off, const SparseGradient& global) {
+                // Threshold policies have no well-defined k; their bucket
+                // then aggregates untruncated (a pure sparse sum-allreduce)
+                // and the thresholding alone provides the sparsity.
+                const auto global_k = [&](const GradBucket& b) {
+                    return exact ? k_of(b.size()) : b.size();
+                };
+                // Alg. 4 line 10 (the Fig. 1 variant skips it), then the
+                // bucket's share of the mean update.
+                const auto finish_bucket = [&](std::size_t b,
+                                               const SparseGradient& global) {
+                    const std::size_t off = buckets[b].begin;
+                    if (config.algorithm != Algorithm::SelectKFromKP) {
+                        sparse::return_unselected(
+                            std::span<float>(residual.data() + off, buckets[b].size()),
+                            locals[b], global.indices);
+                    }
                     for (std::size_t j = 0; j < global.nnz(); ++j) {
                         const std::size_t i =
                             off + static_cast<std::size_t>(global.indices[j]);
@@ -457,14 +452,19 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                         for (float& u : dense_update) u *= inv;
                         break;
                     case Algorithm::TopkSsgd:
-                        dense_update = core::topk_allreduce(comm, local);
+                        dense_update = core::topk_allreduce(comm, locals[0]);
                         for (float& u : dense_update) u *= inv;
                         break;
+                    case Algorithm::NaiveGtopkSsgd:
+                        finish_bucket(0, core::naive_gtopk_allreduce(
+                                             comm, locals[0], global_k(buckets[0]))
+                                             .global);
+                        break;
+                    case Algorithm::GtopkSsgd:
+                    case Algorithm::SelectKFromKP:
                     case Algorithm::LayerwiseGtopkSsgd: {
-                        // One independent gTop-k handle per bucket; the
-                        // put-back (line 10) works in bucket-local
-                        // coordinates, shifted into the flat residual.
-                        // Overlap decides only the issue order: every handle
+                        // One gTop-k handle per bucket. Overlap (layer-wise
+                        // only) decides only the issue order: every handle
                         // starts in backward (gradient-ready) order, the
                         // clock advancing to each bucket's ready time, and
                         // drains front-first; without it each handle starts
@@ -473,70 +473,38 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                         // bit-identical with overlap on or off.
                         const double agg_v_start = comm.clock().now_s();
                         std::vector<std::unique_ptr<core::AsyncGtopkAllreduce>>
-                            handles(seg_locals.size());
+                            handles(buckets.size());
+                        auto start = [&](std::size_t b) {
+                            handles[b] = std::make_unique<core::AsyncGtopkAllreduce>(
+                                comm, locals[b], global_k(buckets[b]), &agg_ws);
+                            handles[b]->set_priority(buckets[b].priority);
+                            handles[b]->start();
+                        };
                         if (config.overlap) {
-                            for (std::size_t i = seg_locals.size(); i-- > 0;) {
+                            for (std::size_t b = buckets.size(); b-- > 0;) {
                                 // Gradient-ready injection: the bucket's
                                 // collective may not start before backward
                                 // has produced its gradients.
-                                if (config.overlap_backward_s > 0.0) {
+                                if (backward_s > 0.0) {
                                     comm.clock().advance_to(
-                                        agg_v_start +
-                                        bucket_ready[i] *
-                                            config.overlap_backward_s);
+                                        agg_v_start + bucket_ready[b] * backward_s);
                                 }
-                                handles[i] = start_bucket(comm, seg_locals[i],
-                                                          buckets[i].priority, agg_ws);
+                                start(b);
                             }
-                            if (config.overlap_backward_s > 0.0) {
-                                comm.clock().advance_to(
-                                    agg_v_start + config.overlap_backward_s);
+                            if (backward_s > 0.0) {
+                                comm.clock().advance_to(agg_v_start + backward_s);
                             }
-                        } else if (config.overlap_backward_s > 0.0) {
+                        } else if (backward_s > 0.0) {
                             // Same modeled backward charge, fully serialized
                             // ahead of the communication — the overlap-off
                             // baseline the benches compare against.
-                            comm.clock().advance(config.overlap_backward_s);
+                            comm.clock().advance(backward_s);
                         }
-                        for (std::size_t s = 0; s < seg_locals.size(); ++s) {
-                            const std::size_t off = buckets[s].begin;
-                            const SparseGradient& seg_local = seg_locals[s];
-                            if (!config.overlap) {
-                                handles[s] = start_bucket(comm, seg_local,
-                                                          buckets[s].priority, agg_ws);
-                            }
-                            handles[s]->wait();
-                            const SparseGradient& global = handles[s]->result();
-                            std::size_t gi = 0;
-                            for (std::size_t li = 0; li < seg_local.nnz(); ++li) {
-                                const std::int32_t idx = seg_local.indices[li];
-                                while (gi < global.nnz() &&
-                                       global.indices[gi] < idx) {
-                                    ++gi;
-                                }
-                                const bool kept = gi < global.nnz() &&
-                                                  global.indices[gi] == idx;
-                                if (!kept) {
-                                    residual[off + static_cast<std::size_t>(idx)] +=
-                                        seg_local.values[li];
-                                }
-                            }
-                            scatter_mean(off, global);
+                        for (std::size_t b = 0; b < buckets.size(); ++b) {
+                            if (!config.overlap) start(b);
+                            handles[b]->wait();
+                            finish_bucket(b, handles[b]->result());
                         }
-                        break;
-                    }
-                    case Algorithm::GtopkSsgd:
-                    case Algorithm::NaiveGtopkSsgd:
-                    case Algorithm::SelectKFromKP: {
-                        core::GtopkResult res =
-                            config.algorithm == Algorithm::NaiveGtopkSsgd
-                                ? core::naive_gtopk_allreduce(comm, local, agg_k)
-                                : core::gtopk_allreduce(comm, local, agg_k, agg_opts);
-                        if (config.algorithm != Algorithm::SelectKFromKP) {
-                            // Alg. 4 line 10.
-                            return_unselected(residual, local, res.global);
-                        }
-                        scatter_mean(0, res.global);
                         break;
                     }
                 }
@@ -588,14 +556,7 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                         agg_post.messages_sent - agg_pre.messages_sent);
                     st.messages_received = static_cast<std::int64_t>(
                         agg_post.messages_received - agg_pre.messages_received);
-                    if (config.algorithm == Algorithm::LayerwiseGtopkSsgd) {
-                        st.nnz = 0;
-                        for (const SparseGradient& sl : seg_locals) {
-                            st.nnz += static_cast<std::int64_t>(sl.nnz());
-                        }
-                    } else if (config.algorithm != Algorithm::DenseSsgd) {
-                        st.nnz = static_cast<std::int64_t>(local.nnz());
-                    }
+                    if (config.algorithm != Algorithm::DenseSsgd) st.nnz = nnz;
                     st.mailbox_depth =
                         static_cast<std::int64_t>(comm.mailbox_depth());
                     if (config.tracer) {
@@ -608,9 +569,7 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                     obs::CollectiveSpec spec;
                     const obs::CollectiveSpec* specp = nullptr;
                     const std::int64_t mi = static_cast<std::int64_t>(m);
-                    const std::int64_t ki = static_cast<std::int64_t>(k);
-                    const bool exact =
-                        config.selection == sparse::SelectionPolicy::ExactTopk;
+                    const std::int64_t ki = static_cast<std::int64_t>(k_of(m));
                     switch (config.algorithm) {
                         case Algorithm::DenseSsgd:
                             spec = {"allreduce.ring", mi, 4, mi, 0};

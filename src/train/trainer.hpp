@@ -3,7 +3,10 @@
 // Fig. 1 "select k from k*P without residual return" variant.
 //
 // All variants share one worker loop that differs only in the aggregation
-// step; every worker runs the loop on the virtual-time cluster. Replica
+// step; every worker runs the loop on the virtual-time cluster. The sparse
+// variants select, aggregate and put back per gradient bucket: one bucket
+// per (fused) parameter tensor for the layer-wise variant, one bucket
+// covering the whole model for every other sparse algorithm. Replica
 // consistency (identical parameters on every rank after every iteration) is
 // an invariant tested by the integration suite.
 //
@@ -62,11 +65,15 @@ struct TrainConfig {
     float warmup_lr_scale = 0.25f;
     std::uint64_t model_seed = 42;
     /// When true, every iteration asserts the error-feedback invariant
-    /// (residual + sent == accumulated gradient) and replica consistency.
+    /// (residual + sent == accumulated gradient, per bucket — one bucket per
+    /// fused tensor for the layer-wise variant) and every epoch replica
+    /// consistency.
     bool check_invariants = false;
 
-    /// How the local sparse contribution is selected (gTop-k family only;
-    /// TopKAllReduce's wire format requires ExactTopk). Threshold policies
+    /// How the local sparse contribution is selected (whole-model gTop-k
+    /// family only; TopKAllReduce's wire format requires ExactTopk, and the
+    /// layer-wise variant requires it because its buckets would share the
+    /// adaptive selector's state and the sampling RNG). Threshold policies
     /// produce variable nnz, which the tree aggregation tolerates.
     sparse::SelectionPolicy selection = sparse::SelectionPolicy::ExactTopk;
     /// Fixed |g| cutoff for SelectionPolicy::StaticThreshold.
@@ -88,7 +95,8 @@ struct TrainConfig {
     /// Combined sparsification + quantization (paper Sec. VI): the selected
     /// values are quantized before leaving the worker and the quantization
     /// error is returned to the residual (error feedback), so convergence
-    /// is preserved. Indices stay exact. None = fp32 values.
+    /// is preserved. Indices stay exact. Layer-wise quantizes each bucket's
+    /// values as one message (per-bucket scale). None = fp32 values.
     quant::Scheme value_quantizer = quant::Scheme::None;
 
     /// Observability: non-null enables per-phase span tracing on every rank

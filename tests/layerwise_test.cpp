@@ -2,6 +2,10 @@
 // and the WFBP-style overlap model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+
 #include "collectives/cost_model.hpp"
 #include "data/sampler.hpp"
 #include "data/synthetic_images.hpp"
@@ -104,6 +108,67 @@ TEST(LayerwiseTrainer, WorksOnNonPowerOfTwoWorld) {
     config.density = 0.02;
     const auto r = run(3, config, h);
     EXPECT_LT(r.epochs.back().train_loss, r.epochs.front().train_loss);
+}
+
+TEST(LayerwiseTrainer, RejectsThresholdSelection) {
+    // Per-bucket selection would share the adaptive selector's state and the
+    // sampling RNG between buckets, so only exact top-k is accepted.
+    Harness h(2);
+    TrainConfig config;
+    config.algorithm = Algorithm::LayerwiseGtopkSsgd;
+    config.epochs = 1;
+    config.iters_per_epoch = 2;
+    config.selection = sparse::SelectionPolicy::StaticThreshold;
+    EXPECT_THROW(run(2, config, h), std::invalid_argument);
+}
+
+TEST(LayerwiseTrainer, QuantizesValuesPerBucketWithErrorFeedback) {
+    // value_quantizer and check_invariants apply to every bucket: the run
+    // trains with the error-feedback check on, and the lossy values move the
+    // trajectory away from the fp32 one.
+    Harness h(4);
+    TrainConfig plain;
+    plain.algorithm = Algorithm::LayerwiseGtopkSsgd;
+    plain.epochs = 3;
+    plain.iters_per_epoch = 15;
+    plain.density = 0.02;
+    TrainConfig quantized = plain;
+    quantized.value_quantizer = quant::Scheme::Uint8MinMax;
+    quantized.check_invariants = true;
+    const auto rp = run(4, plain, h);
+    const auto rq = run(4, quantized, h);
+    EXPECT_LT(rq.epochs.back().train_loss, rq.epochs.front().train_loss);
+    EXPECT_NE(rq.final_params, rp.final_params);
+}
+
+TEST(LayerwiseTrainer, SelectSpanCountsEveryBucket) {
+    // One traced step: the select and aggregate spans carry the summed nnz
+    // of all per-tensor buckets, k_l = max(1, round(rho * m_l)) each.
+    Harness h(2);
+    TrainConfig config;
+    config.algorithm = Algorithm::LayerwiseGtopkSsgd;
+    config.epochs = 1;
+    config.iters_per_epoch = 1;
+    config.density = 0.02;
+    obs::Tracer tracer(2);
+    config.tracer = &tracer;
+    run(2, config, h);
+
+    std::int64_t expected = 0;
+    const auto model = nn::make_mlp(h.mlp, config.model_seed);
+    for (const nn::ParamView& p : model->params()) {
+        expected += std::max<std::int64_t>(
+            1, std::llround(config.density * static_cast<double>(p.value->size())));
+    }
+    ASSERT_GT(model->params().size(), 1u);
+    int seen = 0;
+    for (const obs::Span& s : tracer.rank_spans(0)) {
+        if (std::strcmp(s.name, "select") == 0 || std::strcmp(s.name, "aggregate") == 0) {
+            EXPECT_EQ(s.attrs.nnz, expected) << s.name;
+            ++seen;
+        }
+    }
+    EXPECT_EQ(seen, 2);
 }
 
 // ---- overlap model ----

@@ -3,6 +3,12 @@
 // PS-vs-AllReduce communication cost ordering.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <ostream>
+
 #include "collectives/cost_model.hpp"
 #include "data/sampler.hpp"
 #include "data/synthetic_images.hpp"
@@ -107,6 +113,59 @@ TEST(PsTrainer, DeterministicAcrossRuns) {
             .final_params;
     };
     EXPECT_EQ(once(), once());
+}
+
+// Pinned parameter-server trajectories: FNV-1a over the final parameters
+// and every epoch's train loss, recorded before the worker step moved onto
+// the in-place residual accumulation and the shared put-back. A mismatch
+// means the worker's arithmetic moved. Set GTOPK_PRINT_TRAJECTORY_HASHES=1
+// to print the hashes a build computes (x86-64 default build, like
+// trajectory_pin_test).
+struct PsPinCase {
+    const char* name;
+    ps::PsAggregation aggregation;
+    std::uint64_t hash;
+};
+
+void PrintTo(const PsPinCase& pc, std::ostream* os) { *os << pc.name; }
+
+class PsPinnedTrajectory : public ::testing::TestWithParam<PsPinCase> {};
+INSTANTIATE_TEST_SUITE_P(
+    Both, PsPinnedTrajectory,
+    ::testing::Values(PsPinCase{"Dense", ps::PsAggregation::Dense, 0x497c3f29bec65c6dull},
+                      PsPinCase{"Gtopk", ps::PsAggregation::Gtopk, 0xb0a8231cb2fff03dull}),
+    [](const ::testing::TestParamInfo<PsPinCase>& info) { return info.param.name; });
+
+TEST_P(PsPinnedTrajectory, FinalParamsAndLossesMatchRecordedHash) {
+#if !defined(__x86_64__)
+    GTEST_SKIP() << "hashes were recorded for x86-64 float arithmetic";
+#endif
+    const PsPinCase& pc = GetParam();
+    PsHarness h(4);
+    ps::PsTrainConfig config;
+    config.aggregation = pc.aggregation;
+    config.epochs = 2;
+    config.iters_per_epoch = 6;
+    config.density = 0.02;
+    const auto r = ps::train_parameter_server(4, NetworkModel::free(), config,
+                                              h.factory(), h.batches(), nullptr);
+    ASSERT_EQ(r.epochs.size(), 2u);
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    auto mix = [&hash](const void* data, std::size_t n) {
+        const auto* p = static_cast<const unsigned char*>(data);
+        for (std::size_t i = 0; i < n; ++i) {
+            hash ^= p[i];
+            hash *= 0x100000001b3ull;
+        }
+    };
+    mix(r.final_params.data(), r.final_params.size() * sizeof(float));
+    for (const train::EpochMetrics& e : r.epochs) mix(&e.train_loss, sizeof(double));
+    if (const char* env = std::getenv("GTOPK_PRINT_TRAJECTORY_HASHES");
+        env && std::strcmp(env, "1") == 0) {
+        std::printf("%s 0x%016llxull\n", pc.name,
+                    static_cast<unsigned long long>(hash));
+    }
+    EXPECT_EQ(hash, pc.hash) << pc.name;
 }
 
 TEST(PsTrainer, WarmupScheduleApplied) {

@@ -123,6 +123,17 @@ TEST(SparseTopk, TieBreaksBySmallerIndex) {
     EXPECT_EQ(t.indices, (std::vector<std::int32_t>{2, 4}));
 }
 
+TEST(ReturnUnselected, AddsBackOnlyEntriesMissingFromTheGlobalSelection) {
+    // Alg. 4 line 10: locally sent entries 1 and 6 lost the global
+    // selection and return to the residual; 3 survived and stays sent.
+    const SparseGradient local = make(8, {1, 3, 6}, {0.5f, -2.0f, 1.5f});
+    const std::vector<std::int32_t> global{0, 3, 7};
+    std::vector<float> residual(8, 1.0f);
+    gtopk::sparse::return_unselected(residual, local, global);
+    EXPECT_EQ(residual,
+              (std::vector<float>{1.0f, 1.5f, 1.0f, 1.0f, 1.0f, 1.0f, 2.5f, 1.0f}));
+}
+
 TEST(TopkMergeOp, MatchesDefinition1) {
     // G_a + G_b, then top-k of the sum.
     const auto a = make(8, {0, 2}, {3.0f, 1.0f});

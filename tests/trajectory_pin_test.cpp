@@ -3,9 +3,11 @@
 // a recorded 64-bit hash of its final parameters and per-epoch losses.
 //
 // The hashes were recorded from the trainer before the histogram top-k
-// cut and the in-place residual / reused-update rewrite of the worker loop.
-// Both changes claim to leave every bit of every trajectory unchanged; a
-// mismatch here means some arithmetic moved (an operand order, a sign of
+// cut and the in-place residual / reused-update rewrite of the worker loop;
+// LayerwiseFusedBuckets was recorded before every sparse algorithm moved
+// onto the one per-bucket select/aggregate/put-back loop. These changes
+// claim to leave every bit of every trajectory unchanged; a mismatch here
+// means some arithmetic moved (an operand order, a sign of
 // zero, a selection tie-break). Set GTOPK_PRINT_TRAJECTORY_HASHES=1 to
 // print the hashes a build computes. The values assume the default x86-64
 // build (SSE floats, no FMA contraction, glibc libm); a toolchain that
@@ -62,6 +64,11 @@ std::vector<PinCase> pin_cases() {
         add("LayerwiseOverlapOff", c, 0xa67b2ad80622a976ull);
         c.overlap = true;
         add("LayerwiseOverlapOn", c, 0xa67b2ad80622a976ull);
+        // 4 KiB buckets fuse the output bias into its weight tensor and the
+        // hidden bias into the input weights: two buckets of two tensors.
+        c.overlap = false;
+        c.bucket_bytes = 4096;
+        add("LayerwiseFusedBuckets", c, 0x6f29b33893414b78ull);
     }
     add("Topk", base_config(Algorithm::TopkSsgd), 0x2af6d7821e2e6233ull);
     add("Dense", base_config(Algorithm::DenseSsgd), 0x2a69614ab2875354ull);
