@@ -4,6 +4,11 @@
 // wire-format overhead, which is accounted exactly.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+
 #include "collectives/collectives.hpp"
 #include "collectives/cost_model.hpp"
 #include "comm/cluster.hpp"
@@ -219,6 +224,127 @@ TEST(TimingCrossover, DenseIsSlowestForLargeModels) {
     });
     EXPECT_GT(max_time(dense_time.final_time_s),
               10.0 * max_time(gtopk_time.final_time_s));
+}
+
+// --- clock pin: every collectives.hpp entry point, bit for bit ---
+
+/// FNV-1a accumulator over raw bytes.
+struct Fnv1a {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    void mix(const void* data, std::size_t n) {
+        const auto* p = static_cast<const unsigned char*>(data);
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= p[i];
+            h *= 0x100000001b3ull;
+        }
+    }
+    template <typename T>
+    void mix_vec(const std::vector<T>& v) {
+        mix(v.data(), v.size() * sizeof(T));
+    }
+};
+
+std::vector<float> pattern(std::size_t n, int rank, int salt) {
+    std::vector<float> v(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        v[i] = 0.25f * static_cast<float>((rank + 1) * (salt + 3)) +
+               0.125f * static_cast<float>(i % 29);
+    }
+    return v;
+}
+
+/// Runs every entry point once on rank-skewed clocks (plus rank-dependent
+/// "compute" between calls) and hashes, per rank, the result bytes and
+/// clock bits after each call, then the final messages_sent/bytes_sent.
+std::uint64_t collective_clock_hash(int world) {
+    const NetworkModel net = NetworkModel::one_gbps_ethernet();
+    std::vector<std::uint64_t> per_rank(static_cast<std::size_t>(world));
+    Cluster::run(world, net, [&](Communicator& comm) {
+        const int r = comm.rank();
+        Fnv1a h;
+        const auto step = [&] {
+            const double now = comm.clock().now_s();
+            h.mix(&now, sizeof(now));
+            comm.clock().advance(1e-5 * static_cast<double>(r % 3));
+        };
+        comm.clock().advance(3.7e-5 * static_cast<double>(r));
+
+        barrier(comm);
+        step();
+        for (BcastAlgo algo : {BcastAlgo::BinomialTree, BcastAlgo::FlatTree}) {
+            std::vector<float> b;
+            if (r == 1) b = pattern(300, r, 1);
+            broadcast(comm, b, 1, algo);
+            h.mix_vec(b);
+            step();
+        }
+        h.mix_vec(reduce_sum<float>(comm, pattern(257, r, 2), world - 1));
+        step();
+        // m < P leaves empty ring blocks; 1000 does not divide by 3 or 8.
+        for (std::size_t m : {std::size_t{2}, std::size_t{1000}}) {
+            std::vector<float> d = pattern(m, r, 3);
+            allreduce_sum_ring(comm, d);
+            h.mix_vec(d);
+            step();
+        }
+        if (is_power_of_two(world)) {
+            std::vector<float> d = pattern(1000, r, 4);
+            allreduce_sum_recursive_doubling(comm, d);
+            h.mix_vec(d);
+            step();
+            std::vector<float> e = pattern(1024, r, 5);
+            allreduce_sum_rabenseifner(comm, e);
+            h.mix_vec(e);
+            step();
+        }
+        for (AllgatherAlgo algo :
+             {AllgatherAlgo::RecursiveDoubling, AllgatherAlgo::Ring}) {
+            h.mix_vec(allgather<float>(comm, pattern(64, r, 6), algo));
+            step();
+        }
+        // Rank-dependent sizes, including an empty contribution.
+        const std::vector<float> mine = pattern(static_cast<std::size_t>(r * 37), r, 7);
+        for (const std::vector<float>& block : allgatherv<float>(comm, mine)) {
+            h.mix_vec(block);
+        }
+        step();
+        h.mix_vec(gather<float>(comm, pattern(50, r, 8), world / 2));
+        step();
+
+        const double end = comm.clock().now_s();
+        h.mix(&end, sizeof(end));
+        h.mix(&comm.stats().messages_sent, sizeof(std::uint64_t));
+        h.mix(&comm.stats().bytes_sent, sizeof(std::uint64_t));
+        per_rank[static_cast<std::size_t>(r)] = h.h;
+    });
+    Fnv1a all;
+    all.mix_vec(per_rank);
+    return all.h;
+}
+
+// Recorded before the collectives moved onto the AsyncCollective executor;
+// the move claims every rank's clock, message and byte counts and results
+// are unchanged. Set GTOPK_PRINT_CLOCK_PIN=1 to print what a build
+// computes. x86-64 only, like the trajectory pins (the alpha-beta sums are
+// double arithmetic a contracting toolchain may round differently).
+TEST(CollectiveClockPin, EveryEntryPointOnSkewedClocksAt1GbE) {
+#if !defined(__x86_64__)
+    GTEST_SKIP() << "hashes were recorded for x86-64 double arithmetic";
+#endif
+    const std::pair<int, std::uint64_t> pins[] = {
+        {3, 0x7c3eeb2777814c96ull},
+        {4, 0x212bdeb54bf96f7eull},
+        {5, 0x1de0ce7fc009abb0ull},
+        {8, 0xc9453432de5fbaceull}};
+    const char* env = std::getenv("GTOPK_PRINT_CLOCK_PIN");
+    for (const auto& [world, want] : pins) {
+        const std::uint64_t got = collective_clock_hash(world);
+        if (env && std::strcmp(env, "1") == 0) {
+            std::printf("P=%d 0x%016llxull\n", world,
+                        static_cast<unsigned long long>(got));
+        }
+        EXPECT_EQ(got, want) << "P=" << world;
+    }
 }
 
 }  // namespace

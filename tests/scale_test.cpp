@@ -21,6 +21,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -30,6 +31,7 @@
 #include "comm/membership.hpp"
 #include "comm/tags.hpp"
 #include "core/aggregators.hpp"
+#include "core/async_gtopk.hpp"
 #include "sparse/sparse_gradient.hpp"
 
 namespace gtopk {
@@ -222,6 +224,67 @@ TEST(TagWrapScale, WrapWithFreshTrafficInFlightRefusesToAlias) {
     (void)transport.receive(0, 0, comm::kFreshTagBase + 5);
     const int base = c.fresh_tags(4);
     EXPECT_EQ(base, comm::kFreshTagBase);
+}
+
+TEST(TagWrapScale, AsyncCursorWrapsMidRunAtP256) {
+    const int world = 256;
+    constexpr std::size_t k = 16;
+    InProcTransport transport(world);
+    std::vector<sparse::SparseGradient> before(static_cast<std::size_t>(world));
+    std::vector<sparse::SparseGradient> after(static_cast<std::size_t>(world));
+    std::vector<int> bases(static_cast<std::size_t>(2 * world), -1);
+
+    comm::Cluster::run_on(
+        transport, NetworkModel::free(), [&](comm::Communicator& c) {
+            const int rank = c.rank();
+            const sparse::SparseGradient local = rank_gradient(rank, 4096, k);
+            core::AsyncGtopkAllreduce first(c, local, k);
+            core::AsyncGtopkAllreduce second(c, local, k);
+            // Park the cursor so the first handle takes the band's last
+            // block and the second must wrap every rank onto kAsyncTagBase
+            // simultaneously (SPMD lockstep); traffic tagged on either side
+            // of the wrap must not alias.
+            c.set_async_tag_cursor_for_test(std::numeric_limits<int>::max() -
+                                            first.schedule().tag_count);
+            first.start();
+            first.wait();
+            second.start();
+            second.wait();
+            before[static_cast<std::size_t>(rank)] = first.take_result();
+            after[static_cast<std::size_t>(rank)] = second.take_result();
+            bases[static_cast<std::size_t>(2 * rank)] = first.tag_base();
+            bases[static_cast<std::size_t>(2 * rank + 1)] = second.tag_base();
+        });
+
+    for (int r = 0; r < world; ++r) {
+        const auto i = static_cast<std::size_t>(r);
+        EXPECT_EQ(bases[2 * i], bases[0]) << "rank " << r;
+        EXPECT_EQ(bases[2 * i + 1], comm::kAsyncTagBase) << "rank " << r;
+        EXPECT_EQ(before[i].indices, before[0].indices) << "rank " << r;
+        EXPECT_EQ(before[i].values, before[0].values) << "rank " << r;
+        EXPECT_EQ(after[i].indices, before[0].indices) << "rank " << r;
+        EXPECT_EQ(after[i].values, before[0].values) << "rank " << r;
+    }
+    EXPECT_GT(bases[0], comm::kAsyncTagBase);
+    EXPECT_EQ(before[0].nnz(), k);
+}
+
+TEST(TagWrapScale, WrapWithAsyncTrafficInFlightRefusesToAlias) {
+    InProcTransport transport(1);
+    comm::Communicator c(transport, 0, NetworkModel::free());
+
+    Message stale;
+    stale.source = 0;
+    stale.tag = comm::kAsyncTagBase + 5;  // an async-band message in flight
+    transport.deliver(0, std::move(stale));
+
+    c.set_async_tag_cursor_for_test(std::numeric_limits<int>::max() - 1);
+    EXPECT_THROW(c.fresh_async_tags(4), std::logic_error);
+
+    // Drain it and the wrap is legal again.
+    (void)transport.receive(0, 0, comm::kAsyncTagBase + 5);
+    const int base = c.fresh_async_tags(4);
+    EXPECT_EQ(base, comm::kAsyncTagBase);
 }
 
 // ---------------------------------------------------------------------------
