@@ -12,25 +12,24 @@ using collectives::Schedule;
 using collectives::kVariableBytes;
 
 SchedulePredictor::SchedulePredictor(int world)
-    : world_(world),
-      fresh_cursor_(comm::kFreshTagBase),
-      async_cursor_(comm::kAsyncTagBase) {
+    : world_(world), async_cursor_(comm::kAsyncTagBase) {
     if (world < 1) throw std::invalid_argument("SchedulePredictor: world < 1");
     edges_.resize(static_cast<std::size_t>(world) * static_cast<std::size_t>(world));
 }
 
-void SchedulePredictor::add_with_base(const Schedule& sched, int base) {
+void SchedulePredictor::add(const Schedule& sched) {
     if (sched.world != world_) {
         throw std::invalid_argument("SchedulePredictor: world mismatch for " +
                                     sched.proto);
     }
+    const int base = sched.absolute_tags ? 0 : async_cursor_;
     for (int rank = 0; rank < world_; ++rank) {
         for (const CommOp& op : sched.rank_ops(rank)) {
             if (op.kind != CommOp::Kind::Send) continue;
             ExpectedMsg m;
             m.src = rank;
             m.dst = op.peer;
-            m.tag = sched.absolute_tags ? op.tag_offset : base + op.tag_offset;
+            m.tag = base + op.tag_offset;
             m.bytes = op.bytes;
             m.proto = sched.proto;
             m.round = op.round;
@@ -40,21 +39,7 @@ void SchedulePredictor::add_with_base(const Schedule& sched, int base) {
             ++total_;
         }
     }
-}
-
-void SchedulePredictor::add(const Schedule& sched) {
-    add_with_base(sched, fresh_cursor_);
-    if (!sched.absolute_tags) fresh_cursor_ += sched.tag_count;
-}
-
-void SchedulePredictor::add_async(const Schedule& sched) {
-    if (sched.absolute_tags) {
-        throw std::invalid_argument(
-            "SchedulePredictor::add_async: absolute-tag schedule " + sched.proto +
-            " cannot ride the async band");
-    }
-    add_with_base(sched, async_cursor_);
-    async_cursor_ += sched.tag_count;
+    if (!sched.absolute_tags) async_cursor_ += sched.tag_count;
 }
 
 void SchedulePredictor::add_n(const Schedule& sched, int times) {

@@ -4,7 +4,7 @@
 // The global interleaving of a threaded run is nondeterministic, but each
 // (src, dst) edge's stream is exactly the sender's program order — so the
 // predictor lays out expected per-edge streams (replaying the SPMD
-// fresh-tag accounting to turn tag offsets into absolute tags), and the
+// async-band tag accounting to turn tag offsets into absolute tags), and the
 // diff compares every edge element-wise: tags strictly, bytes when the
 // schedule knows them exactly. The first divergence is reported with the
 // protocol, round and edge position that produced the expectation.
@@ -30,35 +30,28 @@ struct ExpectedMsg {
 };
 
 /// Accumulates the schedules a run executes, in order, replaying the
-/// Communicator's fresh-tag cursor so offsets become absolute tags.
+/// Communicator's async-band tag cursor so offsets become absolute tags.
 class SchedulePredictor {
 public:
     explicit SchedulePredictor(int world);
 
-    /// Append one collective invocation (all SPMD ranks execute it).
+    /// Append one collective invocation (all SPMD ranks execute it). An
+    /// absolute-tag schedule (the PS protocol) lands at its own tags; any
+    /// other is one AsyncCollective handle whose tag block comes from the
+    /// async-band cursor (fresh_async_tags replay) — so call in handle
+    /// START order, the order every rank calls AsyncCollective::start() in.
     void add(const collectives::Schedule& sched);
     /// Append the same schedule `times` times (e.g. per-iteration loops).
     void add_n(const collectives::Schedule& sched, int times);
 
-    /// Append one ASYNC collective handle (collectives/async.hpp): its tag
-    /// block comes from the async-band cursor (fresh_async_tags replay)
-    /// instead of the blocking fresh-tag cursor. Call in handle START
-    /// order — the order every rank calls AsyncCollective::start() in.
-    void add_async(const collectives::Schedule& sched);
-
     int world() const { return world_; }
     std::int64_t total_messages() const { return total_; }
-    /// Value the ranks' fresh-tag cursor should hold after the run.
-    int fresh_cursor() const { return fresh_cursor_; }
     /// Value the ranks' async-band cursor should hold after the run.
     int async_cursor() const { return async_cursor_; }
     const std::vector<ExpectedMsg>& edge(int src, int dst) const;
 
 private:
-    void add_with_base(const collectives::Schedule& sched, int base);
-
     int world_;
-    int fresh_cursor_;
     int async_cursor_;
     std::int64_t total_ = 0;
     std::vector<std::vector<ExpectedMsg>> edges_;  // [src * world + dst]

@@ -64,15 +64,15 @@ void static_checks(const Schedule& sched, VerifyResult& out) {
             }
             if (sched.absolute_tags) {
                 // User-tag discipline: absolute tags must stay strictly
-                // below the fresh-tag base (comm/tags.hpp) or they would
-                // collide with fresh-block collectives.
-                if (op.tag_offset < 0 || op.tag_offset >= comm::kFreshTagBase) {
+                // below the async band (comm/tags.hpp) or they would collide
+                // with the collectives' tag blocks.
+                if (op.tag_offset < 0 || op.tag_offset >= comm::kAsyncTagBase) {
                     out.violations.push_back(
                         {"tag-range", rank,
                          op_str(op, rank) + ": absolute tag " +
                              std::to_string(op.tag_offset) +
-                             " outside [0, fresh base " +
-                             std::to_string(comm::kFreshTagBase) + ")"});
+                             " outside [0, async base " +
+                             std::to_string(comm::kAsyncTagBase) + ")"});
                 }
             } else if (op.tag_offset < 0 || op.tag_offset >= sched.tag_count) {
                 out.violations.push_back(
@@ -296,13 +296,13 @@ VerifyResult verify_concurrent_schedules(std::span<const Schedule> parts,
         if (s.absolute_tags) {
             out.violations.push_back(
                 {"band-overlap", -1,
-                 part_name + " uses absolute tags; it cannot ride a fresh band"});
+                 part_name + " uses absolute tags; it cannot ride an async band"});
         }
-        if (tag_bases[p] < comm::kFreshTagBase) {
+        if (tag_bases[p] < comm::kAsyncTagBase) {
             out.violations.push_back(
                 {"band-overlap", -1,
                  part_name + ": band base " + std::to_string(tag_bases[p]) +
-                     " below the fresh-tag base — collides with user tags"});
+                     " below the async band — collides with user tags"});
         }
         VerifyResult part = verify_schedule(s, nullptr);
         for (Violation& v : part.violations) {

@@ -4,8 +4,8 @@
 // collectives execute (schedule.hpp) — and proves, without threads:
 //
 //   * well-formedness     peers in range, no self-messaging, sane ranges
-//   * tag discipline      fresh-block offsets inside [0, tag_count);
-//                         absolute (user) tags inside [0, kFreshTagBase)
+//   * tag discipline      tag-block offsets inside [0, tag_count);
+//                         absolute (user) tags inside [0, kAsyncTagBase)
 //   * FIFO-unambiguity    no (src, dst, tag) is sent twice within one
 //                         schedule instance, so wildcard-free matching
 //                         never depends on arrival interleavings
@@ -73,7 +73,7 @@ VerifyResult verify_schedule(const collectives::Schedule& sched,
 /// fresh_async_tags returned for that handle). Proves, on top of the
 /// per-part verify_schedule checks:
 ///
-///   * band layout       every base at or above the fresh-tag base, every
+///   * band layout       every base at or above kAsyncTagBase, every
 ///                       [base_i, base_i + tag_count_i) band pairwise
 ///                       disjoint ("band-overlap" violations) — the property
 ///                       that makes overlapped runs tag-unambiguous

@@ -110,7 +110,8 @@ void AsyncCollective::complete_() {
         registered_ = false;
     }
     on_complete();
-    if (obs::Tracer* tracer = comm_.tracer()) {
+    obs::Tracer* tracer = comm_.tracer();
+    if (tracer && span_name_) {
         // The handle's span overlaps its siblings': begin stamps from
         // start(), end stamps now.
         tracer->record_detached({.name = span_name_, .category = "agg",

@@ -61,7 +61,8 @@ public:
     };
 
     /// `sched` must target comm.size() ranks; `span_name` (static storage)
-    /// names the per-handle trace span covering start() → completion.
+    /// names the per-handle trace span covering start() → completion, or is
+    /// nullptr for none (the blocking collectives record their own).
     AsyncCollective(comm::Communicator& comm, Schedule sched,
                     const char* span_name);
     ~AsyncCollective() override;

@@ -14,19 +14,27 @@
 //   gather              flat gather to a root
 //
 // Every collective EXECUTES the op program its schedule generator emits
-// (schedule.hpp): the generator decides peers, tags, ordering and element
-// ranges; the code here only moves bytes and combines received data. The
-// static model checker in src/analysis/ verifies the same programs, so the
-// analyzed spec cannot drift from the running code by construction.
+// (schedule.hpp) as one AsyncCollective handle (async.hpp) — start() then
+// wait() — so blocking and overlapped collectives share one executor, one
+// async tag band and one NIC timeline. The generator decides peers, tags,
+// ordering and element ranges; the code here only says what each Send op
+// ships and how each Recv op's payload lands. The static model checker in
+// src/analysis/ verifies the same programs, so the analyzed spec cannot
+// drift from the running code by construction.
 //
 // All of them are value-semantic templates over trivially copyable T.
 #pragma once
 
+#include <algorithm>
 #include <cstring>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
+#include "collectives/async.hpp"
 #include "collectives/schedule.hpp"
 #include "comm/communicator.hpp"
 #include "obs/trace.hpp"
@@ -37,42 +45,89 @@ using comm::Communicator;
 
 namespace detail {
 
-/// Execute a dense-element schedule over `data`: a Send op ships
-/// data[op.a, op.b); a Recv op lands in data[op.a, op.b) through `combine`,
-/// which sees the op (for its phase) plus destination and incoming spans.
-template <typename T, typename Combine>
-void run_dense_program(Communicator& comm, const Schedule& sched, std::span<T> data,
-                       Combine&& combine) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const int tag = comm.fresh_tags(sched.tag_count);
-    std::vector<T> incoming;  // hoisted: capacity reused across ops
-    for (const CommOp& op : sched.rank_ops(comm.rank())) {
-        if (op.kind == CommOp::Kind::Send) {
-            comm.send_vec<T>(op.peer, tag + op.tag_offset,
-                             std::span<const T>(data.data() + op.a,
-                                                static_cast<std::size_t>(op.b - op.a)));
-        } else {
-            comm.recv_vec_into<T>(op.peer, tag + op.tag_offset, incoming);
-            std::span<T> dst(data.data() + op.a,
-                             static_cast<std::size_t>(op.b - op.a));
-            if (incoming.size() != dst.size()) {
-                throw std::runtime_error(sched.proto + ": size mismatch");
-            }
-            combine(op, dst, std::span<const T>(incoming));
-        }
+/// A blocking collective's handle: `payload(op)` names the bytes a Send op
+/// ships (copied into a pooled buffer), `land(op, bytes)` consumes a Recv
+/// op's payload. The caller's ScopedSpan is the call's only span.
+template <typename Payload, typename Land>
+class CallbackCollective final : public AsyncCollective {
+public:
+    CallbackCollective(Communicator& comm, Schedule sched, Payload payload, Land land)
+        : AsyncCollective(comm, std::move(sched), /*span_name=*/nullptr),
+          payload_(std::move(payload)),
+          land_(std::move(land)) {}
+
+private:
+    void op_send(const CommOp& op, int tag) override {
+        send_async_copy(op, tag, payload_(op));
+    }
+    void op_recv(const CommOp& op, std::vector<std::byte> bytes) override {
+        land_(op, std::span<const std::byte>(bytes));
+        comm().buffer_pool().release(std::move(bytes));
+    }
+
+    Payload payload_;
+    Land land_;
+};
+
+/// Run `sched` to completion as one handle: start(); wait().
+template <typename Payload, typename Land>
+void run(Communicator& comm, Schedule sched, Payload payload, Land land) {
+    CallbackCollective<Payload, Land> handle(comm, std::move(sched), std::move(payload),
+                                             std::move(land));
+    handle.start();
+    handle.wait();
+}
+
+/// data[op.a, op.b).
+template <typename T>
+std::span<T> op_range(std::span<T> data, const CommOp& op) {
+    return data.subspan(static_cast<std::size_t>(op.a),
+                        static_cast<std::size_t>(op.b - op.a));
+}
+
+/// Overwrite `dst` with `bytes` (never through a null pointer: an empty
+/// ring block has none).
+template <typename T>
+void copy_into(std::span<T> dst, std::span<const std::byte> bytes) {
+    if (!dst.empty()) std::memcpy(dst.data(), bytes.data(), dst.size_bytes());
+}
+
+/// Elementwise dst[i] += bytes-as-T[i].
+template <typename T>
+void add_into(std::span<T> dst, std::span<const std::byte> bytes) {
+    for (std::size_t i = 0; i < dst.size(); ++i) {
+        T v;
+        std::memcpy(&v, bytes.data() + i * sizeof(T), sizeof(T));
+        dst[i] += v;
     }
 }
 
-/// Recv combiner: elementwise sum into the destination range.
 template <typename T>
-void combine_add(std::span<T> dst, std::span<const T> incoming) {
-    for (std::size_t i = 0; i < dst.size(); ++i) dst[i] += incoming[i];
+void check_size(std::span<T> dst, std::span<const std::byte> bytes,
+                std::string_view proto) {
+    if (bytes.size() != dst.size_bytes()) {
+        throw std::runtime_error(std::string(proto) + ": size mismatch");
+    }
 }
 
-/// Recv combiner: overwrite the destination range.
-template <typename T>
-void combine_copy(std::span<T> dst, std::span<const T> incoming) {
-    std::memcpy(dst.data(), incoming.data(), incoming.size() * sizeof(T));
+/// Execute a dense-element schedule over `data`: a Send op ships
+/// data[op.a, op.b); a Recv op lands in data[op.a, op.b), summed in phase 0
+/// when `Reduce` (the allreduces' reduce-scatter) and copied otherwise.
+template <bool Reduce, typename T>
+void run_dense(Communicator& comm, Schedule sched, std::span<T> data) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    std::string proto = sched.proto;
+    run(comm, std::move(sched),
+        [data](const CommOp& op) { return std::as_bytes(op_range(data, op)); },
+        [data, proto = std::move(proto)](const CommOp& op,
+                                         std::span<const std::byte> bytes) {
+            const std::span<T> dst = op_range(data, op);
+            check_size(dst, bytes, proto);
+            if constexpr (Reduce) {
+                if (op.phase == 0) return add_into(dst, bytes);
+            }
+            copy_into(dst, bytes);
+        });
 }
 
 }  // namespace detail
@@ -83,17 +138,11 @@ inline void barrier(Communicator& comm) {
     if (comm.size() == 1) return;
     obs::ScopedSpan span(comm.tracer(), comm.clock(), comm.rank(), "barrier",
                          "collective");
-    const Schedule sched = barrier_schedule(comm.size());
-    const int tag = comm.fresh_tags(sched.tag_count);
     const std::byte token{0};
-    for (const CommOp& op : sched.rank_ops(comm.rank())) {
-        if (op.kind == CommOp::Kind::Send) {
-            comm.send(op.peer, tag + op.tag_offset,
-                      std::span<const std::byte>(&token, 1));
-        } else {
-            (void)comm.recv(op.peer, tag + op.tag_offset);
-        }
-    }
+    detail::run(
+        comm, barrier_schedule(comm.size()),
+        [&token](const CommOp&) { return std::span<const std::byte>(&token, 1); },
+        [](const CommOp&, std::span<const std::byte>) {});
 }
 
 template <typename T>
@@ -106,18 +155,17 @@ void broadcast(Communicator& comm, std::vector<T>& data, int root,
     span.attrs().bytes = static_cast<std::int64_t>(data.size() * sizeof(T));
     // Non-root ranks don't know the payload size yet, so the ops carry the
     // whole (resizable) vector rather than element ranges.
-    const Schedule sched = broadcast_schedule(
-        comm.size(), root, static_cast<std::int64_t>(data.size() * sizeof(T)), algo);
-    const int tag = comm.fresh_tags(sched.tag_count);
-    for (const CommOp& op : sched.rank_ops(comm.rank())) {
-        if (op.kind == CommOp::Kind::Send) {
-            comm.send_vec<T>(op.peer, tag + op.tag_offset, data);
-        } else {
-            comm.recv_vec_into<T>(op.peer, tag + op.tag_offset, data);
+    detail::run(
+        comm,
+        broadcast_schedule(comm.size(), root,
+                           static_cast<std::int64_t>(data.size() * sizeof(T)), algo),
+        [&data](const CommOp&) { return std::as_bytes(std::span<const T>(data)); },
+        [&data, &span](const CommOp& op, std::span<const std::byte> bytes) {
+            data.resize(bytes.size() / sizeof(T));
+            detail::copy_into(std::span<T>(data), bytes);
             span.attrs().bytes = static_cast<std::int64_t>(data.size() * sizeof(T));
             span.attrs().round = op.round;
-        }
-    }
+        });
 }
 
 /// Binomial-tree sum-reduction; the full result lands on `root` (other
@@ -131,21 +179,16 @@ std::vector<T> reduce_sum(Communicator& comm, std::span<const T> local, int root
     obs::ScopedSpan span(comm.tracer(), comm.clock(), comm.rank(), "reduce",
                          "collective");
     span.attrs().bytes = static_cast<std::int64_t>(acc.size() * sizeof(T));
-    const Schedule sched = reduce_schedule(
-        comm.size(), root, static_cast<std::int64_t>(acc.size() * sizeof(T)));
-    const int tag = comm.fresh_tags(sched.tag_count);
-    std::vector<T> incoming;
-    for (const CommOp& op : sched.rank_ops(comm.rank())) {
-        if (op.kind == CommOp::Kind::Send) {
-            comm.send_vec<T>(op.peer, tag + op.tag_offset, acc);
-        } else {
-            comm.recv_vec_into<T>(op.peer, tag + op.tag_offset, incoming);
-            if (incoming.size() != acc.size()) {
-                throw std::runtime_error("reduce_sum: size mismatch");
-            }
-            detail::combine_add<T>(acc, incoming);
-        }
-    }
+    const std::span<T> dst(acc);
+    detail::run(
+        comm,
+        reduce_schedule(comm.size(), root,
+                        static_cast<std::int64_t>(acc.size() * sizeof(T))),
+        [dst](const CommOp&) { return std::as_bytes(dst); },
+        [dst](const CommOp&, std::span<const std::byte> bytes) {
+            detail::check_size(dst, bytes, "reduce_sum");
+            detail::add_into(dst, bytes);
+        });
     return acc;
 }
 
@@ -158,19 +201,12 @@ void allreduce_sum_ring(Communicator& comm, std::vector<T>& data) {
     obs::ScopedSpan span(comm.tracer(), comm.clock(), comm.rank(),
                          "allreduce.ring", "collective");
     span.attrs().bytes = static_cast<std::int64_t>(data.size() * sizeof(T));
-    const Schedule sched = allreduce_ring_schedule(
-        comm.size(), static_cast<std::int64_t>(data.size()),
-        static_cast<std::int64_t>(sizeof(T)));
-    detail::run_dense_program<T>(
-        comm, sched, std::span<T>(data),
-        [](const CommOp& op, std::span<T> dst, std::span<const T> incoming) {
-            // Phase 0 = reduce-scatter (accumulate), phase 1 = allgather.
-            if (op.phase == 0) {
-                detail::combine_add<T>(dst, incoming);
-            } else {
-                detail::combine_copy<T>(dst, incoming);
-            }
-        });
+    // Phase 0 = reduce-scatter (accumulate), phase 1 = allgather.
+    detail::run_dense</*Reduce=*/true>(
+        comm,
+        allreduce_ring_schedule(comm.size(), static_cast<std::int64_t>(data.size()),
+                                static_cast<std::int64_t>(sizeof(T))),
+        std::span<T>(data));
 }
 
 /// Recursive-doubling allreduce (sum), in place. Requires power-of-two P;
@@ -185,14 +221,12 @@ void allreduce_sum_recursive_doubling(Communicator& comm, std::vector<T>& data) 
     obs::ScopedSpan span(comm.tracer(), comm.clock(), comm.rank(),
                          "allreduce.recursive_doubling", "collective");
     span.attrs().bytes = static_cast<std::int64_t>(data.size() * sizeof(T));
-    const Schedule sched = allreduce_recursive_doubling_schedule(
-        comm.size(), static_cast<std::int64_t>(data.size()),
-        static_cast<std::int64_t>(sizeof(T)));
-    detail::run_dense_program<T>(
-        comm, sched, std::span<T>(data),
-        [](const CommOp&, std::span<T> dst, std::span<const T> incoming) {
-            detail::combine_add<T>(dst, incoming);
-        });
+    // Every exchange is phase 0: each round sums the partner's full vector.
+    detail::run_dense</*Reduce=*/true>(
+        comm,
+        allreduce_recursive_doubling_schedule(comm.size(),
+              static_cast<std::int64_t>(data.size()), static_cast<std::int64_t>(sizeof(T))),
+        std::span<T>(data));
 }
 
 /// Rabenseifner allreduce (sum), in place: recursive-halving
@@ -213,18 +247,11 @@ void allreduce_sum_rabenseifner(Communicator& comm, std::vector<T>& data) {
     obs::ScopedSpan span(comm.tracer(), comm.clock(), comm.rank(),
                          "allreduce.rabenseifner", "collective");
     span.attrs().bytes = static_cast<std::int64_t>(data.size() * sizeof(T));
-    const Schedule sched = allreduce_rabenseifner_schedule(
-        comm.size(), static_cast<std::int64_t>(data.size()),
-        static_cast<std::int64_t>(sizeof(T)));
-    detail::run_dense_program<T>(
-        comm, sched, std::span<T>(data),
-        [](const CommOp& op, std::span<T> dst, std::span<const T> incoming) {
-            if (op.phase == 0) {
-                detail::combine_add<T>(dst, incoming);
-            } else {
-                detail::combine_copy<T>(dst, incoming);
-            }
-        });
+    detail::run_dense</*Reduce=*/true>(
+        comm,
+        allreduce_rabenseifner_schedule(comm.size(),
+              static_cast<std::int64_t>(data.size()), static_cast<std::int64_t>(sizeof(T))),
+        std::span<T>(data));
 }
 
 template <typename T>
@@ -248,20 +275,17 @@ std::vector<T> allgather(Communicator& comm, std::span<const T> mine,
     const int world = comm.size();
     const std::size_t n = mine.size();
     std::vector<T> out(n * static_cast<std::size_t>(world));
-    std::memcpy(out.data() + n * static_cast<std::size_t>(comm.rank()), mine.data(),
-                n * sizeof(T));
+    std::copy(mine.begin(), mine.end(),
+              out.begin() + static_cast<std::ptrdiff_t>(n) * comm.rank());
     if (world == 1) return out;
     obs::ScopedSpan span(comm.tracer(), comm.clock(), comm.rank(), "allgather",
                          "collective");
     span.attrs().bytes = static_cast<std::int64_t>(n * sizeof(T));
-    const Schedule sched =
+    detail::run_dense</*Reduce=*/false>(
+        comm,
         allgather_schedule(world, static_cast<std::int64_t>(n),
-                           static_cast<std::int64_t>(sizeof(T)), algo);
-    detail::run_dense_program<T>(
-        comm, sched, std::span<T>(out),
-        [](const CommOp&, std::span<T> dst, std::span<const T> incoming) {
-            detail::combine_copy<T>(dst, incoming);
-        });
+                           static_cast<std::int64_t>(sizeof(T)), algo),
+        std::span<T>(out));
     return out;
 }
 
@@ -279,16 +303,16 @@ std::vector<std::vector<T>> allgatherv(Communicator& comm, std::span<const T> mi
 
     // Ring of whole per-rank blocks; op operands are BLOCK indices because
     // element offsets depend on sizes only the owners know.
-    const Schedule sched = allgatherv_schedule(world, {});
-    const int tag = comm.fresh_tags(sched.tag_count);
-    for (const CommOp& op : sched.rank_ops(comm.rank())) {
-        auto& block = out[static_cast<std::size_t>(op.a)];
-        if (op.kind == CommOp::Kind::Send) {
-            comm.send_vec<T>(op.peer, tag + op.tag_offset, block);
-        } else {
-            comm.recv_vec_into<T>(op.peer, tag + op.tag_offset, block);
-        }
-    }
+    detail::run(
+        comm, allgatherv_schedule(world, {}),
+        [&out](const CommOp& op) {
+            return std::as_bytes(std::span<const T>(out[static_cast<std::size_t>(op.a)]));
+        },
+        [&out](const CommOp& op, std::span<const std::byte> bytes) {
+            std::vector<T>& block = out[static_cast<std::size_t>(op.a)];
+            block.resize(bytes.size() / sizeof(T));
+            detail::copy_into(std::span<T>(block), bytes);
+        });
     return out;
 }
 
@@ -301,25 +325,24 @@ std::vector<T> gather(Communicator& comm, std::span<const T> mine, int root) {
     obs::ScopedSpan span(comm.tracer(), comm.clock(), comm.rank(), "gather",
                          "collective");
     span.attrs().bytes = static_cast<std::int64_t>(mine.size() * sizeof(T));
-    const Schedule sched = gather_schedule(
-        world, root, static_cast<std::int64_t>(mine.size() * sizeof(T)));
-    const int tag = comm.fresh_tags(sched.tag_count);
-    if (comm.rank() != root) {
-        for (const CommOp& op : sched.rank_ops(comm.rank())) {
-            comm.send_vec<T>(op.peer, tag + op.tag_offset, mine);
-        }
-        return {};
+    const std::size_t n = mine.size();
+    std::vector<T> out;
+    if (comm.rank() == root) {
+        out.resize(n * static_cast<std::size_t>(world));
+        std::copy(mine.begin(), mine.end(),
+                  out.begin() + static_cast<std::ptrdiff_t>(n) * root);
     }
-    std::vector<T> out(mine.size() * static_cast<std::size_t>(world));
-    std::memcpy(out.data() + mine.size() * static_cast<std::size_t>(root), mine.data(),
-                mine.size() * sizeof(T));
-    std::vector<T> part;
-    for (const CommOp& op : sched.rank_ops(root)) {
-        comm.recv_vec_into<T>(op.peer, tag + op.tag_offset, part);
-        if (part.size() != mine.size()) throw std::runtime_error("gather: size mismatch");
-        std::memcpy(out.data() + part.size() * static_cast<std::size_t>(op.a),
-                    part.data(), part.size() * sizeof(T));
-    }
+    // Non-root programs are one Send; root's are the Recvs (a = source block).
+    const std::span<T> dst(out);
+    detail::run(
+        comm,
+        gather_schedule(world, root, static_cast<std::int64_t>(n * sizeof(T))),
+        [mine](const CommOp&) { return std::as_bytes(mine); },
+        [dst, n](const CommOp& op, std::span<const std::byte> bytes) {
+            const std::span<T> block = dst.subspan(static_cast<std::size_t>(op.a) * n, n);
+            detail::check_size(block, bytes, "gather");
+            detail::copy_into(block, bytes);
+        });
     return out;
 }
 

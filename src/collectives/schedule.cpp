@@ -476,6 +476,13 @@ Schedule gtopk_merge_schedule(int world, std::int64_t wire_bytes) {
     return s;
 }
 
+Schedule gtopk_allreduce_schedule(int world, std::int64_t wire_bytes,
+                                  BcastAlgo bcast) {
+    const Schedule parts[] = {gtopk_merge_schedule(world, wire_bytes),
+                              broadcast_schedule(world, /*root=*/0, wire_bytes, bcast)};
+    return concat_schedules("gtopk.allreduce", parts);
+}
+
 Schedule concat_schedules(std::string proto, std::span<const Schedule> parts) {
     if (parts.empty()) throw std::invalid_argument("concat_schedules: no parts");
     Schedule out = make_schedule(std::move(proto), parts[0].world, 0);

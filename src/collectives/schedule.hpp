@@ -96,8 +96,9 @@ struct CommOp {
     Kind kind = Kind::Send;
     /// Destination (Send) or source (Recv) rank.
     int peer = -1;
-    /// Tag relative to the collective's fresh_tags block base (absolute tag
-    /// when Schedule::absolute_tags is set, e.g. the PS user tags).
+    /// Tag relative to the collective's fresh_async_tags block base
+    /// (absolute tag when Schedule::absolute_tags is set, e.g. the PS user
+    /// tags).
     int tag_offset = 0;
     /// Schedule round, for reporting and trace attribution.
     int round = 0;
@@ -116,15 +117,16 @@ struct CommOp {
 };
 
 /// A full collective schedule: one ordered op program per rank plus the
-/// size of the fresh-tag block the collective consumes.
+/// size of the async-band tag block the collective consumes.
 struct Schedule {
     std::string proto;
     int world = 1;
-    /// Number of fresh tags the collective reserves (0 for world == 1,
-    /// where implementations return before touching the communicator).
+    /// Number of tags the collective reserves (0 for world == 1, where
+    /// implementations return before touching the communicator).
     int tag_count = 0;
-    /// When set, CommOp::tag_offset holds absolute user tags (< the fresh
-    /// base) instead of offsets into a fresh block — the PS protocol.
+    /// When set, CommOp::tag_offset holds absolute user tags (below
+    /// kAsyncTagBase) instead of offsets into a tag block — the PS
+    /// protocol.
     bool absolute_tags = false;
     std::vector<std::vector<CommOp>> ranks;  // index == rank
 
@@ -176,8 +178,8 @@ Schedule allgatherv_schedule(int world, std::span<const std::int64_t> bytes_per_
 
 /// Telemetry-plane stats allgather (obs/telemetry.hpp): a ring allgather of
 /// one fixed-size `stats_bytes` block per rank, tagged on the reserved
-/// absolute band comm::kTagTelemetryBase + round instead of a fresh-tag
-/// block. Keeping the exchange off the SPMD fresh-tag cursor means enabling
+/// absolute band comm::kTagTelemetryBase + round instead of an async-band
+/// block. Keeping the exchange off the SPMD tag cursor means enabling
 /// telemetry cannot shift any other collective's tag block — telemetry
 /// on/off is bit-identical by construction. Op operands are BLOCK indices
 /// (a = contributing logical rank, b = a + 1), like allgatherv.
@@ -192,18 +194,25 @@ Schedule gather_schedule(int world, int root, std::int64_t bytes);
 /// then the distance-doubling tree merge to rank 0 (phase 1, tags
 /// 1..rounds). `wire_bytes` is the sparse wire payload size (16 + 8k for an
 /// exactly-k-sparse gradient), or kVariableBytes. The subsequent broadcast
-/// of rank 0's result is broadcast_schedule — compose them for the full
-/// collective.
+/// of rank 0's result is broadcast_schedule; gtopk_allreduce_schedule is
+/// the two composed.
 Schedule gtopk_merge_schedule(int world, std::int64_t wire_bytes);
 
 /// gtopk_merge_schedule(world, ...).tag_count without building it: the
 /// fold tag plus one per tree round (0 for world 1).
 int gtopk_merge_tag_count(int world);
 
+/// The full gTop-k collective of Algorithm 3 — the one op program
+/// core::AsyncGtopkAllreduce executes: gtopk_merge_schedule followed by the
+/// `bcast` broadcast of rank 0's result, in one tag block (broadcast ops'
+/// offsets start at gtopk_merge_tag_count(world)).
+Schedule gtopk_allreduce_schedule(int world, std::int64_t wire_bytes,
+                                  BcastAlgo bcast = BcastAlgo::BinomialTree);
+
 /// Concatenate schedules executed back-to-back by the same SPMD ranks into
 /// one: per-rank programs append in order and tag offsets shift by the
-/// running tag_count, exactly like consecutive fresh_tags blocks. All parts
-/// must share `world` and must not use absolute tags.
+/// running tag_count, exactly like consecutive fresh_async_tags blocks. All
+/// parts must share `world` and must not use absolute tags.
 Schedule concat_schedules(std::string proto, std::span<const Schedule> parts);
 
 /// Map a LOGICAL-world schedule onto the surviving PHYSICAL ranks of a

@@ -11,8 +11,7 @@
 namespace gtopk::comm {
 
 Communicator::Communicator(Transport& transport, int rank, NetworkModel model)
-    : tag_counter_(kFreshTagBase),
-      async_tag_counter_(kAsyncTagBase),
+    : async_tag_counter_(kAsyncTagBase),
       transport_(transport),
       rank_(rank),
       logical_rank_(rank),
@@ -45,10 +44,9 @@ void Communicator::set_view(std::vector<int> members, int epoch) {
     }
     epoch_ = epoch;
     // Ranks reach a regroup from wherever the failure found them, so their
-    // fresh-tag cursors may disagree. Restarting at the base resynchronizes
-    // the SPMD lockstep; reuse of pre-regroup tags is safe because the
-    // epoch floor below rejects every stale message before it can match.
-    tag_counter_ = kFreshTagBase;
+    // tag cursors may disagree. Restarting at the base resynchronizes the
+    // SPMD lockstep; reuse of pre-regroup tags is safe because the epoch
+    // floor below rejects every stale message before it can match.
     async_tag_counter_ = kAsyncTagBase;
     transport_.begin_epoch(rank_, epoch_);
 }
@@ -68,44 +66,6 @@ int Communicator::to_logical(int physical_src) const {
     return logical >= 0 ? logical : physical_src;
 }
 
-int Communicator::fresh_tags(int count) {
-    if (count < 0) throw std::invalid_argument("fresh_tags: negative count");
-    if (count > kAsyncTagBase - kFreshTagBase) {
-        throw std::invalid_argument("fresh_tags: count exceeds tag space");
-    }
-    if (tag_counter_ > kAsyncTagBase - count) {
-        // Out of band: wrap back to the base (the blocking band ends where
-        // the async band begins — the cursor must never spill into it).
-        // Because every rank's counter advances in SPMD lockstep, all ranks
-        // wrap at the same collective boundary, so matching calls still
-        // agree on the block. Reuse is only safe if no message carrying an
-        // old fresh tag is still queued for this rank — a stale tag could
-        // steal a future match. The check starts ABOVE the block being
-        // allocated: peers that already wrapped may have legitimately sent
-        // this collective's messages with tags from the new block
-        // [kFreshTagBase, kFreshTagBase + count), and at P in the hundreds
-        // some always have (the fast ranks enter the collective while the
-        // slow ones are still allocating). Anything at or past the block
-        // end is genuinely stale. The threshold also counts async-band
-        // traffic, which is conservative: wrapping under an in-flight async
-        // collective throws rather than risking it. (Transports that cannot
-        // inspect their queues report 0 pending, degrading this to an
-        // unchecked wrap.)
-        const std::size_t in_flight =
-            transport_.pending_with_tag_at_least(rank_, kFreshTagBase + count);
-        if (in_flight != 0) {
-            throw std::logic_error(
-                "fresh_tags: tag space exhausted on rank " + std::to_string(rank_) +
-                " with " + std::to_string(in_flight) +
-                " fresh-tag message(s) still pending; cannot wrap safely");
-        }
-        tag_counter_ = kFreshTagBase;
-    }
-    const int base = tag_counter_;
-    tag_counter_ += count;
-    return base;
-}
-
 int Communicator::fresh_async_tags(int count) {
     if (count < 0) throw std::invalid_argument("fresh_async_tags: negative count");
     if (progress_sources_.empty()) {
@@ -123,12 +83,19 @@ int Communicator::fresh_async_tags(int count) {
         throw std::invalid_argument("fresh_async_tags: count exceeds tag space");
     }
     if (async_tag_counter_ > std::numeric_limits<int>::max() - count) {
-        // Same pending-gated wrap as fresh_tags, confined to the async
-        // band: every rank starts the same handles in the same order (SPMD
-        // lockstep), so all ranks wrap at the same handle boundary. As
-        // above, tags inside the block being allocated may already be in
-        // flight from wrapped-ahead peers; only tags past the block end are
-        // stale.
+        // Out of band: wrap back to the base. Every rank starts the same
+        // handles in the same order (SPMD lockstep), so all ranks wrap at
+        // the same handle boundary and matching handles still agree on the
+        // block. Reuse is only safe if no message carrying an old async tag
+        // is still queued for this rank — a stale tag could steal a future
+        // match. The check starts ABOVE the block being allocated: peers
+        // that already wrapped may have legitimately sent this handle's
+        // messages with tags from the new block [kAsyncTagBase,
+        // kAsyncTagBase + count), and at P in the hundreds some always have
+        // (the fast ranks enter the collective while the slow ones are
+        // still allocating). Anything at or past the block end is genuinely
+        // stale. (Transports that cannot inspect their queues report 0
+        // pending, degrading this to an unchecked wrap.)
         const std::size_t in_flight =
             transport_.pending_with_tag_at_least(rank_, kAsyncTagBase + count);
         if (in_flight != 0) {
@@ -157,7 +124,7 @@ void Communicator::remove_progress_source(ProgressSource* source) {
 
 bool Communicator::pump_progress() {
     if (progress_sources_.empty()) return false;
-    // A lone source (every blocking gtopk_allreduce) needs no order and no
+    // A lone source (every blocking collective) needs no order and no
     // snapshot, and so no allocation.
     if (progress_sources_.size() == 1) return progress_sources_.front()->pump_some();
     // Snapshot + priority sort per round: a pump may complete (and so

@@ -10,6 +10,9 @@
 // alpha + n*beta per rank (send-then-recv overlap collapses to one term),
 // a tree round costs alpha + n*beta on its critical path, and a flat-tree
 // root serializes (P-1) sends — exactly the behaviors Eqs. 5-7 assume.
+// The collectives themselves run as AsyncCollective handles on the NIC
+// timeline (send_async / try_recv_async), where a lone handle's sends start
+// at max(previous send end, last arrival): the same clock, bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -82,7 +85,7 @@ public:
     /// send/recv are logical and translated at the wire, every outgoing
     /// message is stamped with `epoch`, and the transport's inbound epoch
     /// floor is raised so stale pre-regroup traffic is rejected. The
-    /// fresh-tag cursor restarts at kFreshTagBase — safe precisely because
+    /// async tag cursor restarts at kAsyncTagBase — safe precisely because
     /// the epoch floor guarantees no old-epoch message can steal a match.
     void set_view(std::vector<int> members, int epoch);
 
@@ -253,38 +256,26 @@ public:
         return transport_.pending_with_tag_at_least(rank_, kTagFloor);
     }
 
-    /// Reserve `count` fresh tags for one collective invocation and return
-    /// the first. All ranks execute the same SPMD sequence of collectives,
-    /// so per-rank counters stay in lockstep and matching calls agree on the
-    /// tag block without any coordination traffic.
-    ///
-    /// Long runs exhaust the band (~2^30 - 10^6 tags); instead of silently
-    /// overflowing into the async band, the counter wraps back to
-    /// kFreshTagBase. Wrapping is sound only when no fresh-tag message is
-    /// still in flight — since the counters advance in SPMD lockstep, every
-    /// rank wraps at the same collective boundary and checks its own inbound
-    /// queue, which together covers all fresh-tag traffic. A pending
-    /// fresh-tag message at wrap time throws (tag reuse would mis-match).
-    int fresh_tags(int count);
-
     /// Reserve `count` tags in the async band [kAsyncTagBase, INT_MAX) for
-    /// one AsyncCollective handle and return the band base. A second SPMD
-    /// cursor, separate from fresh_tags: every rank starts the same handles
-    /// in the same order, so matching handles agree on the band, and the
-    /// cursor's monotonic advance (between pending-gated wraps, as above)
-    /// guarantees two overlapping collectives can NEVER alias tags — the
-    /// multi-collective tag discipline of DESIGN.md §14.
+    /// one AsyncCollective handle — every collective, blocking or
+    /// overlapped, runs as one — and return the band base. All ranks start
+    /// the same handles in the same SPMD order, so per-rank cursors stay in
+    /// lockstep and matching handles agree on the band without any
+    /// coordination traffic; the cursor's monotonic advance guarantees two
+    /// overlapping collectives can NEVER alias tags — the multi-collective
+    /// tag discipline of DESIGN.md §14.
+    ///
+    /// Long runs exhaust the band (~2^30 tags); the cursor then wraps back
+    /// to kAsyncTagBase. Wrapping is sound only when no async-band message
+    /// is still in flight — since the cursors advance in SPMD lockstep,
+    /// every rank wraps at the same handle boundary and checks its own
+    /// inbound queue, which together covers all async-band traffic. A
+    /// pending message at wrap time throws (tag reuse would mis-match).
     int fresh_async_tags(int count);
 
-    /// Current fresh-tag cursor (next block base).
-    int fresh_tag_cursor() const { return tag_counter_; }
-
-    /// Test hook: reposition the fresh-tag cursor (e.g. just below the wrap
+    /// Test hook: reposition the async cursor (e.g. just below the wrap
     /// limit to exercise the overflow path without 2^30 collectives). Must
-    /// be called in SPMD lockstep with no fresh-tag traffic in flight.
-    void set_fresh_tag_cursor_for_test(int cursor) { tag_counter_ = cursor; }
-
-    /// Test hook, same contract as above, for the async cursor.
+    /// be called in SPMD lockstep with no async-band traffic in flight.
     void set_async_tag_cursor_for_test(int cursor) { async_tag_counter_ = cursor; }
 
     /// Register/unregister an in-flight progress source (async handles do
@@ -305,8 +296,7 @@ private:
     /// Physical -> logical source translation (kAnySource receives).
     int to_logical(int physical_src) const;
 
-    int tag_counter_;        // initialized to kFreshTagBase, clear of user tags
-    int async_tag_counter_;  // initialized to kAsyncTagBase
+    int async_tag_counter_;  // initialized to kAsyncTagBase, clear of user tags
     std::vector<ProgressSource*> progress_sources_;
     Transport& transport_;
     int rank_;          // physical, fixed for the communicator's lifetime

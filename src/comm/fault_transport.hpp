@@ -6,7 +6,7 @@
 // matched message it can drop, duplicate, delay (extra virtual-time
 // latency), cross-stream reorder, or bit-corrupt the payload; it can also
 // kill a rank outright after its Nth send. Faults that the mailbox's
-// matching semantics mask (duplicates under fresh tags, cross-stream
+// matching semantics mask (duplicates under per-collective tags, cross-stream
 // reorder, delay) must leave training bit-identical to the fault-free run;
 // unmaskable faults (drop, kill) must surface as a typed CommError through
 // the Communicator's receive deadline — never a hang, never silent

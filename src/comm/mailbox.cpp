@@ -5,12 +5,10 @@
 namespace gtopk::comm {
 
 void Mailbox::note_insert(const Message& m) {
-    if (m.tag >= kFreshTagBase) ++fresh_pending_;
     if (m.tag >= kAsyncTagBase) ++async_pending_;
 }
 
 void Mailbox::note_erase(const Message& m) {
-    if (m.tag >= kFreshTagBase) --fresh_pending_;
     if (m.tag >= kAsyncTagBase) --async_pending_;
 }
 
@@ -175,11 +173,9 @@ std::size_t Mailbox::stale_rejected() const {
 std::size_t Mailbox::count_tag_at_least(int min_tag) const {
     std::lock_guard<std::mutex> lock(mutex_);
     // O(1) fast paths for the thresholds the hot loops use: total depth
-    // (telemetry's per-iteration mailbox_depth) and the two band bases
-    // (the fresh/async tag-wrap soundness checks). At P=256 these were an
-    // O(queue) scan per iteration per rank.
+    // (telemetry's per-iteration mailbox_depth) and the async band base.
+    // At P=256 these were an O(queue) scan per iteration per rank.
     if (min_tag <= 0) return queue_.size();
-    if (min_tag == kFreshTagBase) return fresh_pending_;
     if (min_tag == kAsyncTagBase) return async_pending_;
     std::size_t n = 0;
     for (const Message& m : queue_) {

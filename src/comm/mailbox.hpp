@@ -67,13 +67,13 @@ public:
     std::size_t size() const;
 
     /// Number of queued messages whose tag is >= `min_tag`. Used by the
-    /// fresh-tag wrap check in Communicator::fresh_tags: wrapping the tag
-    /// counter is only sound when no fresh-tag message is still in flight.
+    /// tag-wrap check in Communicator::fresh_async_tags: wrapping the tag
+    /// cursor is only sound when no async-band message is still in flight.
     ///
-    /// O(1) at the three thresholds the hot paths ask about — 0 (total
-    /// depth, polled every iteration by the telemetry plane), kFreshTagBase
-    /// and kAsyncTagBase (the wrap checks) — via counters maintained on
-    /// every enqueue/dequeue; any other threshold falls back to a scan.
+    /// O(1) at the two thresholds the hot paths ask about — 0 (total depth,
+    /// polled every iteration by the telemetry plane) and kAsyncTagBase
+    /// (the band base) — via a counter maintained on every
+    /// enqueue/dequeue; any other threshold falls back to a scan.
     /// Message tags are non-negative by construction (tags.hpp bands; the
     /// TCP frame decoder rejects negative tags at the wire).
     std::size_t count_tag_at_least(int min_tag) const;
@@ -85,7 +85,7 @@ private:
     }
 
     // Band-counter bookkeeping; call with mutex_ held around every queue_
-    // mutation so the O(1) count_tag_at_least fast paths stay exact.
+    // mutation so the O(1) count_tag_at_least fast path stays exact.
     void note_insert(const Message& m);
     void note_erase(const Message& m);
 
@@ -95,7 +95,6 @@ private:
     bool closed_ = false;
     int min_epoch_ = 0;
     std::size_t stale_rejected_ = 0;
-    std::size_t fresh_pending_ = 0;  // queued with tag >= kFreshTagBase
     std::size_t async_pending_ = 0;  // queued with tag >= kAsyncTagBase
 };
 

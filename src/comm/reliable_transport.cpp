@@ -502,7 +502,7 @@ void ReliableTransport::begin_epoch(int rank, int epoch) {
     delivered_[static_cast<std::size_t>(rank)]->set_min_epoch(epoch);
     // Stale parked envelopes would be rejected by the mailbox floor anyway
     // when their gap resolves; dropping them now keeps the pending count
-    // (fresh-tag wrap check) honest. Their seq slots become gaps that
+    // (tag-wrap check) honest. Their seq slots become gaps that
     // recover() skips via the stale-epoch path.
     for (int src = 0; src < world_size(); ++src) {
         EdgeRx& r = rx(src, rank);

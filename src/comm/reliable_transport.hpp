@@ -119,7 +119,7 @@ public:
     }
     /// Delivered (unwrapped) pending messages plus reassembly-parked ones.
     /// Envelopes still inside the inner fabric travel on kTagReliableData
-    /// (< kFreshTagBase) and are invisible here; the retransmit protocol
+    /// (< kAsyncTagBase) and are invisible here; the retransmit protocol
     /// guarantees they re-materialize, so the count is a lower bound.
     std::size_t pending_with_tag_at_least(int rank, int min_tag) const override;
 

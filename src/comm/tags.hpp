@@ -1,39 +1,31 @@
 // Central registry of user-facing point-to-point tags.
 //
 // Tag space discipline (machine-checked by tools/commcheck and the
-// static_asserts below) — three disjoint bands:
+// static_asserts below) — two disjoint bands:
 //
-//   [0, kFreshTagBase)             user protocols: every hand-assigned tag
-//                                  in the tree must be listed here.
-//   [kFreshTagBase, kAsyncTagBase) Communicator::fresh_tags blocks, drawn
-//                                  by BLOCKING collectives in SPMD lockstep
-//                                  (one collective at a time).
-//   [kAsyncTagBase, INT_MAX)       Communicator::fresh_async_tags bands,
-//                                  one per in-flight AsyncCollective handle
-//                                  (collectives/async.hpp). A second SPMD
-//                                  cursor lives here so any number of
-//                                  concurrent handles get pairwise-disjoint
-//                                  tag bands without coordination traffic —
-//                                  two overlapping collectives can never
-//                                  alias tags.
+//   [0, kAsyncTagBase)        user protocols: every hand-assigned tag in
+//                             the tree must be listed here.
+//   [kAsyncTagBase, INT_MAX)  Communicator::fresh_async_tags bands, one per
+//                             AsyncCollective handle (collectives/async.hpp)
+//                             — every collective, blocking or overlapped,
+//                             runs as one. An SPMD cursor lives here so any
+//                             number of concurrent handles get
+//                             pairwise-disjoint tag bands without
+//                             coordination traffic — two overlapping
+//                             collectives can never alias tags.
 //
 // Keeping the bands disjoint is what lets a PS push (user tag) stay pending
-// across a collective (fresh tags), and an overlapped per-bucket gTop-k
-// (async band) stay in flight across a blocking collective, without any
-// matching ambiguity.
+// across a collective, and an overlapped per-bucket gTop-k stay in flight
+// across a blocking collective, without any matching ambiguity.
 #pragma once
 
 #include <limits>
 
 namespace gtopk::comm {
 
-/// First tag of the fresh-tag space reserved for collectives; every user
-/// tag must stay strictly below it.
-inline constexpr int kFreshTagBase = 1'000'000;
-
-/// First tag of the async band reserved for AsyncCollective handles. The
-/// blocking fresh-tag cursor wraps strictly below it; the async cursor
-/// starts here and wraps back here.
+/// First tag of the band reserved for AsyncCollective handles; every user
+/// tag must stay strictly below it. The cursor starts here and wraps back
+/// here.
 inline constexpr int kAsyncTagBase = 1 << 30;
 
 /// Threshold meaning "every tag" for the at-least counters
@@ -67,9 +59,9 @@ enum UserTag : int {
     /// allgather uses one absolute tag per ring round, so the band
     /// [kTagTelemetryBase, kTagTelemetryBase + kTagTelemetryCount) is
     /// reserved — no other user tag may land inside it. A dedicated band
-    /// (rather than fresh tags) keeps the telemetry exchange OFF the SPMD
-    /// fresh-tag cursor, so enabling it cannot shift any collective's tag
-    /// block — telemetry on/off stays bit-identical by construction.
+    /// (rather than a handle's async band) keeps the telemetry exchange OFF
+    /// the SPMD tag cursor, so enabling it cannot shift any collective's
+    /// tag block — telemetry on/off stays bit-identical by construction.
     kTagTelemetryBase = 10'000,
 };
 
@@ -77,26 +69,24 @@ enum UserTag : int {
 /// up to kTagTelemetryCount + 1 ranks.
 inline constexpr int kTagTelemetryCount = 1024;
 
-static_assert(kTagTelemetryBase + kTagTelemetryCount < kFreshTagBase,
-              "telemetry band must stay below the fresh-tag base");
+static_assert(kTagTelemetryBase + kTagTelemetryCount < kAsyncTagBase,
+              "telemetry band must stay below the async band");
 static_assert(kTagHeartbeat < kTagTelemetryBase &&
                   kTagReliableAck < kTagTelemetryBase &&
                   kTagReliablePull < kTagTelemetryBase &&
                   kTagMembershipJoin < kTagTelemetryBase &&
                   kTagMembershipView < kTagTelemetryBase,
               "point-to-point user tags must stay below the telemetry band");
-static_assert(kTagPsPush < kFreshTagBase && kTagPsPull < kFreshTagBase &&
-                  kTagTestData < kFreshTagBase && kTagTestAux < kFreshTagBase &&
-                  kTagTestValue < kFreshTagBase && kTagBenchP2p < kFreshTagBase &&
-                  kTagReliableData < kFreshTagBase && kTagHeartbeat < kFreshTagBase &&
-                  kTagReliableAck < kFreshTagBase && kTagReliablePull < kFreshTagBase &&
-                  kTagMembershipJoin < kFreshTagBase &&
-                  kTagMembershipView < kFreshTagBase,
-              "user tags must stay below the fresh-tag base");
+static_assert(kTagPsPush < kAsyncTagBase && kTagPsPull < kAsyncTagBase &&
+                  kTagTestData < kAsyncTagBase && kTagTestAux < kAsyncTagBase &&
+                  kTagTestValue < kAsyncTagBase && kTagBenchP2p < kAsyncTagBase &&
+                  kTagReliableData < kAsyncTagBase && kTagHeartbeat < kAsyncTagBase &&
+                  kTagReliableAck < kAsyncTagBase && kTagReliablePull < kAsyncTagBase &&
+                  kTagMembershipJoin < kAsyncTagBase &&
+                  kTagMembershipView < kAsyncTagBase,
+              "user tags must stay below the async band");
 static_assert(kTagPsPush >= 0, "user tags are non-negative");
 
-static_assert(kFreshTagBase < kAsyncTagBase,
-              "the blocking fresh-tag band must precede the async band");
 static_assert(kAsyncTagBase < std::numeric_limits<int>::max(),
               "the async band must be non-empty");
 static_assert(std::numeric_limits<int>::max() - kAsyncTagBase >= (1 << 30) - 1,

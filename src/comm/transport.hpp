@@ -96,8 +96,8 @@ public:
     }
 
     /// Number of messages pending for `rank` whose tag is >= `min_tag`.
-    /// Feeds the fresh-tag wrap soundness check in Communicator::fresh_tags
-    /// (wrapping is only legal when no fresh-tag message is in flight).
+    /// Feeds the tag-wrap soundness check in Communicator::fresh_async_tags
+    /// (wrapping is only legal when no async-band message is in flight).
     /// Decorators forward to their inner transport; the base returns 0,
     /// which degrades the wrap check to a no-op for transports that cannot
     /// inspect their queues.

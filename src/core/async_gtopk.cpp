@@ -1,6 +1,5 @@
 #include "core/async_gtopk.hpp"
 
-#include <array>
 #include <stdexcept>
 #include <utility>
 
@@ -11,32 +10,20 @@
 
 namespace gtopk::core {
 
-namespace {
-
-constexpr const char* kProto = "gtopk.allreduce.async";
-
-}  // namespace
-
-// The fused op program: the tree merge to rank 0 (phase 0 folds ranks
-// beyond the largest power-of-two base into it; phase 1 is the
-// distance-doubling tree of Fig. 4 — at round r, ranks at stride 2^r pair
-// up, the odd-position one ships its [V, I] to its even peer, which merges
-// with ⊤) followed by line 19's broadcast of rank 0's result, in one tag
-// block.
+// The fused op program (collectives::gtopk_allreduce_schedule): the tree
+// merge to rank 0 (phase 0 folds ranks beyond the largest power-of-two base
+// into it; phase 1 is the distance-doubling tree of Fig. 4 — at round r,
+// ranks at stride 2^r pair up, the odd-position one ships its [V, I] to its
+// even peer, which merges with ⊤) followed by line 19's broadcast of rank
+// 0's result, in one tag block.
 AsyncGtopkAllreduce::AsyncGtopkAllreduce(comm::Communicator& comm,
                                          sparse::SparseGradient local,
                                          std::size_t k, GtopkWorkspace* ws,
                                          BcastAlgo bcast)
-    : AsyncCollective(
-          comm,
-          collectives::concat_schedules(
-              kProto,
-              std::array{collectives::gtopk_merge_schedule(
-                             comm.size(), collectives::kVariableBytes),
-                         collectives::broadcast_schedule(
-                             comm.size(), /*root=*/0, collectives::kVariableBytes,
-                             bcast)}),
-          kProto),
+    : AsyncCollective(comm,
+                      collectives::gtopk_allreduce_schedule(
+                          comm.size(), collectives::kVariableBytes, bcast),
+                      "gtopk.allreduce.async"),
       acc_(std::move(local)),
       k_(k),
       ws_(ws ? ws : &own_ws_),

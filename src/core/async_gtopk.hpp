@@ -4,9 +4,9 @@
 // bucket is what lets layer-wise gTop-k overlap communication with backward
 // compute (DESIGN.md §14).
 //
-// The op program is gtopk_merge_schedule (fold + distance-doubling tree to
-// rank 0) composed with broadcast_schedule via concat_schedules, generated
-// once per handle and run over a private async tag band; each received
+// The op program is collectives::gtopk_allreduce_schedule (fold +
+// distance-doubling tree to rank 0, then the broadcast), generated once per
+// handle and run over a private async tag band; each received
 // contribution is ⊤-merged into the handle's accumulator straight off the
 // wire bytes. Because each handle's merges are independent of every
 // sibling's (disjoint tags, deterministic per-handle merge order), the

@@ -25,11 +25,7 @@ std::optional<Schedule> schedule_for(const std::string& proto, int world,
         return allreduce_ring_schedule(world, elems, elem_bytes);
     }
     if (proto == "gtopk.allreduce") {
-        const std::int64_t wire = elems * elem_bytes;
-        const Schedule parts[] = {
-            gtopk_merge_schedule(world, wire),
-            broadcast_schedule(world, 0, wire, BcastAlgo::BinomialTree)};
-        return concat_schedules("gtopk.allreduce", parts);
+        return gtopk_allreduce_schedule(world, elems * elem_bytes);
     }
     if (proto == "allgather.recursive_doubling" || proto == "allgather.ring") {
         // The generator itself degrades RecursiveDoubling to the ring on

@@ -173,7 +173,7 @@ SparseGradient topk_select(std::span<const float> dense, std::size_t k,
 }
 
 void topk_select_into(std::span<const float> dense, std::size_t k, TopkWorkspace& ws,
-                      SparseGradient& out, const TopkOptions& options) {
+                      SparseGradient& out) {
     if (k >= dense.size()) {
         // Degenerate: keep everything.
         out.dense_size = static_cast<std::int64_t>(dense.size());
@@ -187,20 +187,13 @@ void topk_select_into(std::span<const float> dense, std::size_t k, TopkWorkspace
         out.dense_size = static_cast<std::int64_t>(dense.size());
         return;
     }
-    if (options.strategy != TopkStrategy::NthElement) {
-        // Heap / FullSort exist for the ablation benches; they keep their
-        // one-shot implementations.
-        out = topk_select(dense, k, options.strategy);
-        return;
-    }
-
     histogram_select_into(dense, k, ws, out);
 }
 
 SparseGradient topk_select(std::span<const float> dense, std::size_t k,
-                           TopkWorkspace& ws, const TopkOptions& options) {
+                           TopkWorkspace& ws) {
     SparseGradient out;
-    topk_select_into(dense, k, ws, out, options);
+    topk_select_into(dense, k, ws, out);
     return out;
 }
 

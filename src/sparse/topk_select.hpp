@@ -57,23 +57,20 @@ struct TopkWorkspace {
     std::vector<float> mags;
 };
 
-struct TopkOptions {
-    TopkStrategy strategy = TopkStrategy::NthElement;
-};
-
-/// Workspace-reusing selection; identical results to the one-shot overload
-/// for every strategy. NthElement runs the exact histogram cut: one pass
-/// counts the magnitude keys, a scan from the top bin finds the bin holding
-/// the k-th entry, every index in that bin or above becomes a candidate
-/// (a superset of the top-k), and the magnitude_less introselect runs on
-/// the candidates only. Throws std::domain_error when `dense` holds Inf or
-/// NaN, which have no place in the magnitude order.
+/// Workspace-reusing selection, identical results to the one-shot overload:
+/// the exact histogram cut. One pass counts the magnitude keys, a scan from
+/// the top bin finds the bin holding the k-th entry, every index in that
+/// bin or above becomes a candidate (a superset of the top-k), and the
+/// magnitude_less introselect runs on the candidates only. Throws
+/// std::domain_error when `dense` holds Inf or NaN, which have no place in
+/// the magnitude order. (Heap and FullSort live only in the one-shot
+/// overload, as references for the benches and property tests.)
 SparseGradient topk_select(std::span<const float> dense, std::size_t k,
-                           TopkWorkspace& ws, const TopkOptions& options = {});
+                           TopkWorkspace& ws);
 
 /// Same, writing into `out` (indices/values capacity reused across calls).
 void topk_select_into(std::span<const float> dense, std::size_t k, TopkWorkspace& ws,
-                      SparseGradient& out, const TopkOptions& options = {});
+                      SparseGradient& out);
 
 /// The paper's threshold formulation (Line 5-6 of Algorithm 1): returns the
 /// kth largest |value| of `dense` (0 when k == 0 or the vector is empty).

@@ -229,8 +229,8 @@ TEST(AnalysisViolations, TagOutsideReservedBlock) {
 TEST(AnalysisViolations, AbsoluteTagAboveFreshBase) {
     Schedule s = empty_schedule(2, 0);
     s.absolute_tags = true;
-    s.ranks[0] = {send(1, comm::kFreshTagBase)};  // collides with fresh blocks
-    s.ranks[1] = {recv(0, comm::kFreshTagBase)};
+    s.ranks[0] = {send(1, comm::kAsyncTagBase)};  // collides with handle bands
+    s.ranks[1] = {recv(0, comm::kAsyncTagBase)};
     const auto r = verify_schedule(s);
     ASSERT_FALSE(r.ok());
     EXPECT_TRUE(has_violation(r, "tag-range"));
@@ -277,8 +277,8 @@ TEST(AnalysisViolations, RemapRejectsOpPeerOutsideScheduleWorld) {
 }
 
 // ---------------------------------------------------------------------------
-// concat_schedules: consecutive fresh-tag blocks shift offsets exactly like
-// consecutive fresh_tags() calls would.
+// concat_schedules: consecutive tag blocks shift offsets exactly like
+// consecutive fresh_async_tags() calls would.
 // ---------------------------------------------------------------------------
 
 TEST(AnalysisConcat, ShiftsTagOffsetsByRunningTagCount) {
@@ -301,6 +301,21 @@ TEST(AnalysisConcat, ShiftsTagOffsetsByRunningTagCount) {
         for (std::size_t i = first.size(); i < merged.size(); ++i) {
             EXPECT_GE(merged[i].tag_offset, merge.tag_count);
             EXPECT_LT(merged[i].tag_offset, full.tag_count);
+        }
+    }
+
+    // gtopk_allreduce_schedule is exactly this composition.
+    const Schedule fused = collectives::gtopk_allreduce_schedule(world, 272);
+    EXPECT_EQ(fused.tag_count, full.tag_count);
+    for (int rank = 0; rank < world; ++rank) {
+        const auto& want = full.rank_ops(rank);
+        const auto& got = fused.rank_ops(rank);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].kind, want[i].kind);
+            EXPECT_EQ(got[i].peer, want[i].peer);
+            EXPECT_EQ(got[i].tag_offset, want[i].tag_offset);
+            EXPECT_EQ(got[i].bytes, want[i].bytes);
         }
     }
 }
@@ -346,12 +361,8 @@ TEST(AnalysisCriticalPath, GtopkAllreduceMatchesEq7WithWireHeader) {
     const int world = 8;
     const std::int64_t k = 32;
     const std::int64_t wire = 16 + 8 * k;
-    const std::vector<Schedule> parts = {
-        collectives::gtopk_merge_schedule(world, wire),
-        collectives::broadcast_schedule(world, 0, wire),
-    };
-    const auto r = verify_schedule(
-        collectives::concat_schedules("gtopk.allreduce", parts), &net);
+    const auto r = verify_schedule(collectives::gtopk_allreduce_schedule(world, wire),
+                                   &net);
     ASSERT_TRUE(r.ok());
     ASSERT_TRUE(r.critical_path_s.has_value());
     EXPECT_NEAR(*r.critical_path_s,

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <limits>
 #include <memory>
@@ -176,15 +175,15 @@ TEST(AsyncTags, HandleBandsAreDisjointAndAboveFreshBand) {
         AsyncGtopkAllreduce a(c, make_local(c.rank(), 0, 1000, 8), 8);
         AsyncGtopkAllreduce b(c, make_local(c.rank(), 1, 1000, 8), 8);
         a.start();
+        // A blocking collective issued BETWEEN async handles is a handle
+        // too: it draws the next block from the same cursor, so it cannot
+        // alias either neighbour's band.
+        collectives::barrier(c);
         b.start();
         const int n = a.schedule().tag_count;
-        EXPECT_GE(a.tag_base(), comm::kAsyncTagBase);
-        EXPECT_GE(b.tag_base(), a.tag_base() + n);  // disjoint bands
-        // Blocking traffic issued BETWEEN async handles stays in the fresh
-        // band, strictly below every async band.
-        const int fresh = c.fresh_tags(4);
-        EXPECT_GE(fresh, comm::kFreshTagBase);
-        EXPECT_LT(fresh + 4, comm::kAsyncTagBase);
+        EXPECT_EQ(a.tag_base(), comm::kAsyncTagBase);
+        EXPECT_EQ(b.tag_base(),
+                  a.tag_base() + n + collectives::barrier_schedule(2).tag_count);
         a.wait();
         b.wait();
     });
@@ -199,19 +198,12 @@ TEST(AsyncTags, AsyncBandWrapsWithoutTouchingFreshBand) {
         h.start();
         EXPECT_EQ(h.tag_base(), comm::kAsyncTagBase);
         h.wait();
-        // The fresh cursor is untouched by async traffic.
-        EXPECT_LT(c.fresh_tag_cursor(), comm::kAsyncTagBase);
-        EXPECT_GE(c.fresh_tag_cursor(), comm::kFreshTagBase);
-    });
-}
-
-TEST(AsyncTags, FreshBandWrapStaysBelowAsyncBase) {
-    comm::Cluster::run(2, NetworkModel::free(), [](comm::Communicator& c) {
-        c.set_fresh_tag_cursor_for_test(comm::kAsyncTagBase - 2);
+        // A blocking collective continues from the wrapped cursor.
         std::vector<float> v(5, 1.0f);
-        collectives::broadcast(c, v, 0);  // needs > 2 tags -> must wrap
-        EXPECT_GE(c.fresh_tag_cursor(), comm::kFreshTagBase);
-        EXPECT_LT(c.fresh_tag_cursor(), comm::kAsyncTagBase);
+        collectives::broadcast(c, v, 0);
+        EXPECT_EQ(c.fresh_async_tags(1),
+                  comm::kAsyncTagBase + h.schedule().tag_count +
+                      collectives::broadcast_schedule(2, 0, 20).tag_count);
     });
 }
 
@@ -299,18 +291,12 @@ TEST(Bucketer, ReadyFractionsFollowBackwardSweep) {
 // Concurrent schedule checker
 // ---------------------------------------------------------------------------
 
-collectives::Schedule gtopk_parts(int world) {
-    const std::array<collectives::Schedule, 2> parts = {
-        collectives::gtopk_merge_schedule(world, 256),
-        collectives::broadcast_schedule(world, 0, 256)};
-    return collectives::concat_schedules("gtopk.allreduce.async", parts);
-}
-
 TEST(VerifyConcurrent, DisjointBandsPassAndOverlapIsCaught) {
     const int world = 4;
     const auto net = NetworkModel::one_gbps_ethernet();
-    std::vector<collectives::Schedule> parts{gtopk_parts(world),
-                                             gtopk_parts(world)};
+    std::vector<collectives::Schedule> parts{
+        collectives::gtopk_allreduce_schedule(world, 256),
+        collectives::gtopk_allreduce_schedule(world, 256)};
 
     std::vector<int> bases{comm::kAsyncTagBase,
                            comm::kAsyncTagBase + parts[0].tag_count};
@@ -329,7 +315,7 @@ TEST(VerifyConcurrent, DisjointBandsPassAndOverlapIsCaught) {
     }
     EXPECT_TRUE(named);
 
-    // A base inside the user/fresh space is rejected outright.
+    // A base inside the user tag space is rejected outright.
     std::vector<int> low{0, parts[0].tag_count};
     EXPECT_FALSE(analysis::verify_concurrent_schedules(parts, low, &net).ok());
 }

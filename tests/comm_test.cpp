@@ -18,7 +18,7 @@ using gtopk::comm::Cluster;
 using gtopk::comm::Communicator;
 using gtopk::comm::InProcTransport;
 using gtopk::comm::kAnySource;
-using gtopk::comm::kFreshTagBase;
+using gtopk::comm::kAsyncTagBase;
 using gtopk::comm::kTagTestAux;
 using gtopk::comm::kTagTestData;
 using gtopk::comm::kTagTestValue;
@@ -281,29 +281,32 @@ TEST(CommunicatorTest, TracedSpansAgreeWithCommStats) {
     EXPECT_EQ(depth_hist->count(), stats_msgs);  // one sample per delivery
 }
 
+// fresh_async_tags: the SPMD tag cursor every collective's handle draws
+// its block from.
+
 TEST(FreshTagsTest, BlocksAreDisjointAndAscending) {
     Cluster::run(2, NetworkModel::free(), [](Communicator& comm) {
-        const int a = comm.fresh_tags(3);
-        const int b = comm.fresh_tags(1);
-        EXPECT_EQ(a, kFreshTagBase);
+        const int a = comm.fresh_async_tags(3);
+        const int b = comm.fresh_async_tags(1);
+        EXPECT_EQ(a, kAsyncTagBase);
         EXPECT_EQ(b, a + 3);
-        EXPECT_THROW(comm.fresh_tags(-1), std::invalid_argument);
+        EXPECT_THROW(comm.fresh_async_tags(-1), std::invalid_argument);
     });
 }
 
 TEST(FreshTagsTest, WrapsSafelyNearIntMaxWhenNothingIsInFlight) {
     // Regression: the counter used to overflow silently into negative tags
-    // (UB) after ~2^31 fresh tags. It must now wrap back to the base —
-    // sound because no fresh-tag message is pending.
+    // (UB) after ~2^31 tags. It must now wrap back to the base — sound
+    // because no async-band message is pending.
     Cluster::run(2, NetworkModel::free(), [](Communicator& comm) {
-        comm.set_fresh_tag_cursor_for_test(std::numeric_limits<int>::max() - 5);
-        const int base = comm.fresh_tags(10);
-        EXPECT_EQ(base, kFreshTagBase);
-        EXPECT_EQ(comm.fresh_tag_cursor(), kFreshTagBase + 10);
+        comm.set_async_tag_cursor_for_test(std::numeric_limits<int>::max() - 5);
+        const int base = comm.fresh_async_tags(10);
+        EXPECT_EQ(base, kAsyncTagBase);
+        EXPECT_EQ(comm.fresh_async_tags(1), kAsyncTagBase + 10);
         // The recycled block is immediately usable. Rank 0 waits for the
         // ready token so rank 1 has provably wrapped before the recycled
         // tag hits its mailbox (the wrap would otherwise refuse, seeing a
-        // pending fresh-tag message).
+        // pending async-band message).
         std::vector<float> v{1.0f};
         if (comm.rank() == 0) {
             (void)comm.recv(1, kTagTestAux);
@@ -316,7 +319,7 @@ TEST(FreshTagsTest, WrapsSafelyNearIntMaxWhenNothingIsInFlight) {
 }
 
 TEST(FreshTagsTest, WrapRefusedWhileFreshTagMessageIsInFlight) {
-    // Recycling tags while an old fresh-tag message is still undelivered
+    // Recycling tags while an old async-band message is still undelivered
     // could mis-match it against the new block, so the wrap must throw.
     // The stale message carries a tag at or past the end of the block being
     // allocated — tags INSIDE the new block are exempt, because at large P
@@ -325,15 +328,15 @@ TEST(FreshTagsTest, WrapRefusedWhileFreshTagMessageIsInFlight) {
     Cluster::run(2, NetworkModel::free(), [](Communicator& comm) {
         std::vector<float> v{1.0f};
         if (comm.rank() == 0) {
-            comm.send_vec<float>(1, kFreshTagBase + 50, v);  // stays pending
+            comm.send_vec<float>(1, kAsyncTagBase + 50, v);  // stays pending
             comm.send_vec<float>(1, kTagTestAux, v);         // "sent" signal
         } else {
-            (void)comm.recv(0, kTagTestAux);  // fresh-tag msg arrived first
-            comm.set_fresh_tag_cursor_for_test(std::numeric_limits<int>::max() - 5);
-            EXPECT_THROW(comm.fresh_tags(10), std::logic_error);
-            (void)comm.recv(0, kFreshTagBase + 50);  // drain; wrap legal again
-            comm.set_fresh_tag_cursor_for_test(std::numeric_limits<int>::max() - 5);
-            EXPECT_EQ(comm.fresh_tags(10), kFreshTagBase);
+            (void)comm.recv(0, kTagTestAux);  // async-band msg arrived first
+            comm.set_async_tag_cursor_for_test(std::numeric_limits<int>::max() - 5);
+            EXPECT_THROW(comm.fresh_async_tags(10), std::logic_error);
+            (void)comm.recv(0, kAsyncTagBase + 50);  // drain; wrap legal again
+            comm.set_async_tag_cursor_for_test(std::numeric_limits<int>::max() - 5);
+            EXPECT_EQ(comm.fresh_async_tags(10), kAsyncTagBase);
         }
     });
 }
@@ -345,13 +348,13 @@ TEST(FreshTagsTest, WrapToleratesInFlightTrafficInsideTheNewBlock) {
     Cluster::run(2, NetworkModel::free(), [](Communicator& comm) {
         std::vector<float> v{1.0f};
         if (comm.rank() == 0) {
-            comm.send_vec<float>(1, kFreshTagBase + 3, v);  // inside new block
+            comm.send_vec<float>(1, kAsyncTagBase + 3, v);  // inside new block
             comm.send_vec<float>(1, kTagTestAux, v);
         } else {
             (void)comm.recv(0, kTagTestAux);
-            comm.set_fresh_tag_cursor_for_test(std::numeric_limits<int>::max() - 5);
-            EXPECT_EQ(comm.fresh_tags(10), kFreshTagBase);
-            EXPECT_EQ(comm.recv_vec<float>(0, kFreshTagBase + 3).size(), 1u);
+            comm.set_async_tag_cursor_for_test(std::numeric_limits<int>::max() - 5);
+            EXPECT_EQ(comm.fresh_async_tags(10), kAsyncTagBase);
+            EXPECT_EQ(comm.recv_vec<float>(0, kAsyncTagBase + 3).size(), 1u);
         }
     });
 }

@@ -27,7 +27,6 @@ namespace {
 using analysis::SchedulePredictor;
 using analysis::diff_conformance;
 using collectives::AllgatherAlgo;
-using collectives::BcastAlgo;
 using comm::NetworkModel;
 using train::Algorithm;
 using train::TrainConfig;
@@ -69,11 +68,12 @@ TEST_P(CollectivesConformance, MixedSequenceDiffsClean) {
         std::vector<float> g3(3, static_cast<float>(rank));
         (void)collectives::gather<float>(c, g3, /*root=*/world - 1);
         (void)collectives::reduce_sum<float>(c, v, /*root=*/0);
-        end_cursor[static_cast<std::size_t>(rank)] = c.fresh_tag_cursor();
+        // A zero-tag reservation reads the cursor without moving it.
+        end_cursor[static_cast<std::size_t>(rank)] = c.fresh_async_tags(0);
     });
 
     // The predictor mirrors the worker's calls one-for-one, turning tag
-    // offsets into absolute tags by replaying the SPMD fresh-tag cursor.
+    // offsets into absolute tags by replaying the SPMD async-band cursor.
     SchedulePredictor pred(world);
     pred.add(collectives::barrier_schedule(world));
     pred.add(collectives::broadcast_schedule(world, 1, 6 * 4));
@@ -86,10 +86,10 @@ TEST_P(CollectivesConformance, MixedSequenceDiffsClean) {
     pred.add(collectives::reduce_schedule(world, 0, 17 * 4));
     expect_zero_diff(pred, rec);
 
-    // SPMD lockstep: every rank's fresh-tag cursor ends exactly where the
+    // SPMD lockstep: every rank's tag cursor ends exactly where the
     // predictor's replay says it must.
     for (int r = 0; r < world; ++r) {
-        EXPECT_EQ(end_cursor[static_cast<std::size_t>(r)], pred.fresh_cursor());
+        EXPECT_EQ(end_cursor[static_cast<std::size_t>(r)], pred.async_cursor());
     }
 }
 
@@ -195,16 +195,9 @@ TEST_P(TrainerConformance, LiveRunMatchesStaticScheduleExactly) {
                     pred.add(collectives::allgather_schedule(
                         world, wire, 1, AllgatherAlgo::RecursiveDoubling));
                     break;
-                case Algorithm::GtopkSsgd: {
-                    // One gTop-k handle per step, on the async tag band.
-                    const collectives::Schedule parts[] = {
-                        collectives::gtopk_merge_schedule(world, wire),
-                        collectives::broadcast_schedule(world, 0, wire,
-                                                        BcastAlgo::BinomialTree)};
-                    pred.add_async(
-                        collectives::concat_schedules("gtopk.allreduce.async", parts));
+                case Algorithm::GtopkSsgd:
+                    pred.add(collectives::gtopk_allreduce_schedule(world, wire));
                     break;
-                }
                 case Algorithm::NaiveGtopkSsgd:
                     pred.add(collectives::allgatherv_schedule(world, wire_per_rank));
                     break;

@@ -241,7 +241,7 @@ TEST(TcpFrameFuzz, BitFlippedHeadersEitherThrowOrStayWellFormed) {
     Xoshiro256 rng(0x7C92);
     for (int trial = 0; trial < 1000; ++trial) {
         std::vector<std::byte> wire =
-            encode_test_frame(3, comm::kFreshTagBase + 9, 32, rng);
+            encode_test_frame(3, comm::kAsyncTagBase + 9, 32, rng);
         const std::size_t pos = rng.next_below(comm::tcp::kFrameHeaderBytes);
         wire[pos] ^= static_cast<std::byte>(1 + rng.next_below(255));
         comm::tcp::FrameDecoder dec;

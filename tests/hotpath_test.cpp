@@ -350,16 +350,6 @@ TEST(TopkPrefilter, WorkspaceReuseAcrossDifferentSizes) {
     }
 }
 
-TEST(TopkSelect, HeapAndFullSortDelegateUnchanged) {
-    sparse::TopkWorkspace ws;
-    const auto dense = random_dense(5000, 27);
-    for (const auto strategy :
-         {sparse::TopkStrategy::Heap, sparse::TopkStrategy::FullSort}) {
-        EXPECT_EQ(sparse::topk_select(dense, 50, ws, {.strategy = strategy}),
-                  sparse::topk_select(dense, 50, strategy));
-    }
-}
-
 TEST(KthMagnitude, WorkspaceOverloadMatchesFresh) {
     sparse::TopkWorkspace ws;
     const auto dense = random_dense(10'000, 28);

@@ -5,7 +5,6 @@
 // mid-run rank kill with buckets in flight (DESIGN.md §14).
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -148,7 +147,7 @@ TEST(OverlapConformance, OverlappedRunDiffsCleanInTagStreamMode) {
 
     // Reconstruct the plan: per iteration, one async gTop-k per bucket,
     // issued in backward bucket order (the trainer's handle START order);
-    // per epoch, the loss allgather on the fresh band.
+    // per epoch, the loss allgather, next on the same async-band cursor.
     const auto probe = nn::make_mlp(h.mlp, cfg.model_seed);
     std::vector<std::size_t> seg_offsets{0};
     for (const auto& p : probe->params()) {
@@ -161,13 +160,8 @@ TEST(OverlapConformance, OverlappedRunDiffsCleanInTagStreamMode) {
     for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
         for (int it = 0; it < cfg.iters_per_epoch; ++it) {
             for (std::size_t i = buckets.size(); i-- > 0;) {
-                const std::array<collectives::Schedule, 2> parts = {
-                    collectives::gtopk_merge_schedule(world,
-                                                      collectives::kVariableBytes),
-                    collectives::broadcast_schedule(world, 0,
-                                                    collectives::kVariableBytes)};
-                pred.add_async(
-                    collectives::concat_schedules("gtopk.allreduce.async", parts));
+                pred.add(collectives::gtopk_allreduce_schedule(
+                    world, collectives::kVariableBytes));
             }
         }
         pred.add(collectives::allgather_schedule(world, 1, 8,

@@ -352,7 +352,7 @@ TEST(RecoveryTest, StaleEpochMessagesAreRejectedAtTheMailbox) {
     comm::InProcTransport transport(2);
     comm::Message stale;
     stale.source = 1;
-    stale.tag = comm::kFreshTagBase + 5;
+    stale.tag = comm::kAsyncTagBase + 5;
     stale.epoch = 0;
     stale.payload = {std::byte{1}, std::byte{2}, std::byte{3}};
     transport.deliver(0, stale);  // queued before the regroup
@@ -380,7 +380,7 @@ TEST(RecoveryTest, ReliableLayerSkipsStaleEpochsOnRecovery) {
     ReliableTransport reliable(std::make_unique<comm::InProcTransport>(2));
     comm::Message msg;
     msg.source = 1;
-    msg.tag = comm::kFreshTagBase + 9;
+    msg.tag = comm::kAsyncTagBase + 9;
     msg.epoch = 0;
     msg.payload = {std::byte{42}};
     reliable.deliver(0, msg);
@@ -563,7 +563,7 @@ TEST(RecoveryTest, VirtualDeadlineDiscardsLateArrivalDeterministically) {
     comm::InProcTransport transport(2);
     comm::Message late;
     late.source = 1;
-    late.tag = comm::kFreshTagBase + 1;
+    late.tag = comm::kAsyncTagBase + 1;
     late.arrival_time_s = 3.0;  // modeled arrival past the deadline
     late.payload = {std::byte{9}};
     transport.deliver(0, late);

@@ -1,20 +1,20 @@
 // Large-P virtual-time scale suite: the threaded cluster at P = 64/128/256.
 //
 // What melts at scale is not the math, it's the plumbing — O(P) heartbeat
-// fan-out per rank per interval, O(queue) mailbox scans under the fresh-tag
-// wrap check, tag-band aliasing once hundreds of ranks burn tag blocks.
+// fan-out per rank per interval, O(queue) mailbox scans under the tag-wrap
+// check, tag-band aliasing once hundreds of ranks burn tag blocks.
 // These tests pin the three fixes:
 //
 //   * gTop-k aggregation smoke at P = 64/128 (every rank bit-identical,
 //     naive oracle agrees) and membership regroup at P = 64 with bounded
 //     heartbeat fan-out;
-//   * fresh-tag wrap under collective pressure at P = 256: the cursor wraps
-//     onto the band base mid-run on every rank simultaneously and the
-//     collectives keep working — plus the wrap refusal when a fresh-band
+//   * async-band tag wrap under collective pressure at P = 256: the cursor
+//     wraps onto the band base mid-run on every rank simultaneously and the
+//     collectives keep working — plus the wrap refusal when an async-band
 //     message is still in flight;
-//   * mailbox band counters: count_tag_at_least at the three band bases is
-//     O(1) and must agree exactly with a linear scan through pushes, pops
-//     and epoch purges — and Mailbox::pop_for's host-clock deadline is
+//   * mailbox band counters: count_tag_at_least at the band bases is O(1)
+//     and must agree exactly with a linear scan through pushes, pops and
+//     epoch purges — and Mailbox::pop_for's host-clock deadline is
 //     computed once, so a notification storm cannot extend it.
 #include <gtest/gtest.h>
 
@@ -172,59 +172,7 @@ TEST(MembershipScale, HeartbeatFanoutRotationCoversEveryPeer) {
 }
 
 // ---------------------------------------------------------------------------
-// Fresh-tag band wrap under large-P pressure
-
-TEST(TagWrapScale, FreshCursorWrapsMidRunAtP256) {
-    const int world = 256;
-    InProcTransport transport(world);
-    std::vector<double> sum(static_cast<std::size_t>(world), 0.0);
-    std::vector<int> cursor(static_cast<std::size_t>(world), -1);
-
-    comm::Cluster::run_on(
-        transport, NetworkModel::free(), [&](comm::Communicator& c) {
-            const int rank = c.rank();
-            // Park the cursor two tags below the band edge: the next
-            // collective's fresh_tags(count) must wrap every rank onto
-            // kFreshTagBase simultaneously (SPMD lockstep), and traffic
-            // tagged across the wrap must not alias.
-            c.set_fresh_tag_cursor_for_test(comm::kAsyncTagBase - 2);
-            collectives::barrier(c);
-            const double mine = static_cast<double>(rank);
-            const std::vector<double> all =
-                collectives::allgather<double>(c, std::span<const double>(&mine, 1));
-            double s = 0.0;
-            for (double v : all) s += v;
-            sum[static_cast<std::size_t>(rank)] = s;
-            cursor[static_cast<std::size_t>(rank)] = c.fresh_tag_cursor();
-        });
-
-    const double expect = 255.0 * 256.0 / 2.0;
-    for (int r = 0; r < world; ++r) {
-        EXPECT_EQ(sum[static_cast<std::size_t>(r)], expect) << "rank " << r;
-        // Every rank wrapped onto the band base and stayed inside the band.
-        EXPECT_GE(cursor[static_cast<std::size_t>(r)], comm::kFreshTagBase);
-        EXPECT_LT(cursor[static_cast<std::size_t>(r)], comm::kAsyncTagBase);
-        EXPECT_EQ(cursor[static_cast<std::size_t>(r)], cursor[0]);
-    }
-}
-
-TEST(TagWrapScale, WrapWithFreshTrafficInFlightRefusesToAlias) {
-    InProcTransport transport(1);
-    comm::Communicator c(transport, 0, NetworkModel::free());
-
-    Message stale;
-    stale.source = 0;
-    stale.tag = comm::kFreshTagBase + 5;  // a fresh-band message in flight
-    transport.deliver(0, std::move(stale));
-
-    c.set_fresh_tag_cursor_for_test(comm::kAsyncTagBase - 1);
-    EXPECT_THROW(c.fresh_tags(4), std::logic_error);
-
-    // Drain it and the wrap is legal again.
-    (void)transport.receive(0, 0, comm::kFreshTagBase + 5);
-    const int base = c.fresh_tags(4);
-    EXPECT_EQ(base, comm::kFreshTagBase);
-}
+// Async tag band wrap under large-P pressure
 
 TEST(TagWrapScale, AsyncCursorWrapsMidRunAtP256) {
     const int world = 256;
@@ -303,43 +251,40 @@ TEST(MailboxScale, BandCountersMatchLinearScanThroughMutation) {
     Mailbox mb;
     for (int i = 0; i < per_band; ++i) {
         mb.push(make_msg(0, i));                          // user band
-        mb.push(make_msg(0, comm::kFreshTagBase + i));    // fresh band
         mb.push(make_msg(0, comm::kAsyncTagBase + i));    // async band
     }
     // O(1) band-base fast paths...
     EXPECT_EQ(mb.count_tag_at_least(comm::kTagFloor),
-              static_cast<std::size_t>(3 * per_band));
-    EXPECT_EQ(mb.count_tag_at_least(comm::kFreshTagBase),
               static_cast<std::size_t>(2 * per_band));
     EXPECT_EQ(mb.count_tag_at_least(comm::kAsyncTagBase),
               static_cast<std::size_t>(per_band));
-    // ...and the generic scan threshold agrees (128 fresh tags above the
-    // cut plus the whole async band).
-    EXPECT_EQ(mb.count_tag_at_least(comm::kFreshTagBase + per_band / 2),
+    // ...and the generic scan threshold agrees (128 user tags above the
+    // cut plus the whole async band, then half the async band).
+    EXPECT_EQ(mb.count_tag_at_least(per_band / 2),
               static_cast<std::size_t>(per_band / 2 + per_band));
+    EXPECT_EQ(mb.count_tag_at_least(comm::kAsyncTagBase + per_band / 2),
+              static_cast<std::size_t>(per_band / 2));
 
     // Pops on each band must decrement exactly the right counter.
     constexpr int kUserBandProbe = 3;  // one of the user-band tags pushed above
     (void)mb.pop(0, kUserBandProbe);
-    (void)mb.pop(0, comm::kFreshTagBase + 7);
-    (void)mb.pop(0, comm::kAsyncTagBase + 9);
-    ASSERT_TRUE(mb.try_pop(0, comm::kFreshTagBase + 8).has_value());
+    (void)mb.pop(0, comm::kAsyncTagBase + 7);
+    ASSERT_TRUE(mb.try_pop(0, comm::kAsyncTagBase + 8).has_value());
     EXPECT_EQ(mb.count_tag_at_least(comm::kTagFloor),
-              static_cast<std::size_t>(3 * per_band - 4));
-    EXPECT_EQ(mb.count_tag_at_least(comm::kFreshTagBase),
               static_cast<std::size_t>(2 * per_band - 3));
     EXPECT_EQ(mb.count_tag_at_least(comm::kAsyncTagBase),
-              static_cast<std::size_t>(per_band - 1));
+              static_cast<std::size_t>(per_band - 2));
 
     // Epoch purges go through the same accounting: stale messages in every
     // band vanish from their counters at once.
     Mailbox purged;
     for (int i = 0; i < 8; ++i) {
-        purged.push(make_msg(0, comm::kFreshTagBase + i, /*epoch=*/0));
-        purged.push(make_msg(0, comm::kAsyncTagBase + i, /*epoch=*/1));
+        purged.push(make_msg(0, i, /*epoch=*/0));
+        purged.push(make_msg(0, comm::kAsyncTagBase + i, /*epoch=*/0));
+        purged.push(make_msg(0, comm::kAsyncTagBase + 8 + i, /*epoch=*/1));
     }
     purged.set_min_epoch(1);
-    EXPECT_EQ(purged.count_tag_at_least(comm::kFreshTagBase),
+    EXPECT_EQ(purged.count_tag_at_least(comm::kTagFloor),
               static_cast<std::size_t>(8));
     EXPECT_EQ(purged.count_tag_at_least(comm::kAsyncTagBase),
               static_cast<std::size_t>(8));

@@ -127,7 +127,7 @@ WorldRun run_world(const std::string& dir, const std::string& algo, int world,
 TEST(TcpFrame, RoundTripsMessageExactly) {
     comm::Message msg;
     msg.source = 3;
-    msg.tag = comm::kFreshTagBase + 17;
+    msg.tag = comm::kAsyncTagBase + 17;
     msg.epoch = 2;
     msg.arrival_time_s = 0.125;
     msg.payload = {std::byte{0xde}, std::byte{0xad}, std::byte{0xbe}};
@@ -142,7 +142,7 @@ TEST(TcpFrame, RoundTripsMessageExactly) {
     ASSERT_TRUE(frame.has_value());
     EXPECT_EQ(frame->dst, 1);
     EXPECT_EQ(frame->msg.source, 3);
-    EXPECT_EQ(frame->msg.tag, comm::kFreshTagBase + 17);
+    EXPECT_EQ(frame->msg.tag, comm::kAsyncTagBase + 17);
     EXPECT_EQ(frame->msg.epoch, 2);
     EXPECT_EQ(frame->msg.arrival_time_s, 0.125);
     EXPECT_EQ(frame->msg.payload, msg.payload);
@@ -277,7 +277,6 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, TcpConformance,
 
 TEST_P(TcpConformance, OutboundEdgesMatchStaticScheduleExactly) {
     using collectives::AllgatherAlgo;
-    using collectives::BcastAlgo;
     const train::Algorithm algo = GetParam();
     const int world = 4;
 
@@ -314,16 +313,9 @@ TEST_P(TcpConformance, OutboundEdgesMatchStaticScheduleExactly) {
                     pred.add(collectives::allgather_schedule(
                         world, wire, 1, AllgatherAlgo::RecursiveDoubling));
                     break;
-                case train::Algorithm::GtopkSsgd: {
-                    // One gTop-k handle per step, on the async tag band.
-                    const collectives::Schedule parts[] = {
-                        collectives::gtopk_merge_schedule(world, wire),
-                        collectives::broadcast_schedule(world, 0, wire,
-                                                        BcastAlgo::BinomialTree)};
-                    pred.add_async(
-                        collectives::concat_schedules("gtopk.allreduce.async", parts));
+                case train::Algorithm::GtopkSsgd:
+                    pred.add(collectives::gtopk_allreduce_schedule(world, wire));
                     break;
-                }
                 case train::Algorithm::NaiveGtopkSsgd:
                     pred.add(collectives::allgatherv_schedule(world, wire_per_rank));
                     break;

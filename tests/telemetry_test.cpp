@@ -1,7 +1,7 @@
 // Cluster telemetry plane tests (DESIGN.md §13): the stats allgather must
 // verify statically and price exactly like any other schedule, deliver the
 // same IterSnapshot to every rank, stay bit-invisible to training (absolute
-// tag band, no fresh-tag cursor motion), attribute measured virtual time to
+// tag band, no tag-cursor motion), attribute measured virtual time to
 // the alpha-beta model with zero delta on fault-free runs, and keep
 // reporting through chaos and an elastic regroup — including the flight
 // recorder's forensic bundle on an injected kill.
@@ -98,10 +98,15 @@ TEST(Telemetry, ExchangeDeliversIdenticalSnapshotToEveryRank) {
     std::vector<std::vector<obs::IterSnapshot>> seen(kWorld);
     comm::Cluster::run(kWorld, comm::NetworkModel::free(),
                        [&](comm::Communicator& comm) {
+                           // A zero-tag reservation reads the SPMD tag
+                           // cursor without moving it.
+                           const int cursor = comm.fresh_async_tags(0);
                            for (std::int64_t s = 0; s < kSteps; ++s) {
                                seen[comm.rank()].push_back(telem.exchange(
                                    comm, synthetic_stats(comm.rank(), s)));
                            }
+                           // The absolute telemetry band never advances it.
+                           EXPECT_EQ(comm.fresh_async_tags(0), cursor);
                        });
 
     EXPECT_EQ(telem.exchanges(), kSteps);
@@ -186,8 +191,8 @@ TEST(Telemetry, JsonlLineRoundTripsThroughTheJsonParser) {
 
 // ---------------------------------------------------------------------------
 // Training invariance: the exchange lives on the reserved absolute tag band
-// and never advances the fresh-tag cursor, so telemetry ON is bit-identical
-// to telemetry OFF for every algorithm.
+// and never advances the async-band tag cursor, so telemetry ON is
+// bit-identical to telemetry OFF for every algorithm.
 
 class TelemetryOnOffSweep : public ::testing::TestWithParam<Algorithm> {};
 INSTANTIATE_TEST_SUITE_P(Algorithms, TelemetryOnOffSweep,

@@ -196,11 +196,7 @@ std::vector<ProtoCase> make_cases() {
                      [](int w) -> std::optional<Schedule> {
                          // The full collective: merge to rank 0, then the
                          // binomial broadcast of the result (Algorithm 3).
-                         const Schedule parts[] = {
-                             gtopk_merge_schedule(w, kWireBytes),
-                             broadcast_schedule(w, 0, kWireBytes,
-                                                BcastAlgo::BinomialTree)};
-                         return concat_schedules("gtopk.allreduce", parts);
+                         return gtopk_allreduce_schedule(w, kWireBytes);
                      },
                      [](const NetworkModel& net, int w) -> std::optional<double> {
                          // Eq. 7 with k' = k + 2: the 16-byte wire header
@@ -286,13 +282,8 @@ struct RegroupProto {
 
 std::vector<RegroupProto> make_regroup_protos() {
     std::vector<RegroupProto> protos;
-    protos.push_back({"gtopk", [](int w) {
-                          const Schedule parts[] = {
-                              gtopk_merge_schedule(w, kWireBytes),
-                              broadcast_schedule(w, 0, kWireBytes,
-                                                 BcastAlgo::BinomialTree)};
-                          return concat_schedules("gtopk.allreduce", parts);
-                      }});
+    protos.push_back(
+        {"gtopk", [](int w) { return gtopk_allreduce_schedule(w, kWireBytes); }});
     protos.push_back({"barrier", [](int w) { return barrier_schedule(w); }});
     protos.push_back({"broadcast", [](int w) {
                           return broadcast_schedule(w, 0, kElems * kElemBytes,
@@ -396,16 +387,6 @@ int run_survivor_sweep(int world_lo, int world_hi, std::uint64_t seed,
 // --concurrent mode: overlapped schedule-set verification
 // ---------------------------------------------------------------------------
 
-/// One in-flight bucketed gTop-k handle's schedule — exactly what
-/// core::AsyncGtopkAllreduce executes (merge to rank 0 + binomial
-/// broadcast, concatenated).
-Schedule bucket_gtopk_schedule(int world) {
-    const Schedule parts[] = {
-        gtopk_merge_schedule(world, kWireBytes),
-        broadcast_schedule(world, 0, kWireBytes, BcastAlgo::BinomialTree)};
-    return concat_schedules("gtopk.allreduce.async", parts);
-}
-
 int run_concurrent_sweep(int world_lo, int world_hi, bool verbose) {
     const gtopk::comm::NetworkModel net =
         gtopk::comm::NetworkModel::one_gbps_ethernet();
@@ -419,7 +400,9 @@ int run_concurrent_sweep(int world_lo, int world_hi, bool verbose) {
             std::vector<int> bases;
             int cursor = gtopk::comm::kAsyncTagBase;
             for (int b = 0; b < buckets; ++b) {
-                parts.push_back(bucket_gtopk_schedule(world));
+                // One in-flight bucketed gTop-k handle's schedule — exactly
+                // what core::AsyncGtopkAllreduce executes.
+                parts.push_back(gtopk_allreduce_schedule(world, kWireBytes));
                 bases.push_back(cursor);
                 cursor += parts.back().tag_count;
             }
