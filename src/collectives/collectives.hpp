@@ -225,7 +225,8 @@ void allreduce_sum_recursive_doubling(Communicator& comm, std::vector<T>& data) 
     detail::run_dense</*Reduce=*/true>(
         comm,
         allreduce_recursive_doubling_schedule(comm.size(),
-              static_cast<std::int64_t>(data.size()), static_cast<std::int64_t>(sizeof(T))),
+                                              static_cast<std::int64_t>(data.size()),
+                                              static_cast<std::int64_t>(sizeof(T))),
         std::span<T>(data));
 }
 
@@ -250,7 +251,8 @@ void allreduce_sum_rabenseifner(Communicator& comm, std::vector<T>& data) {
     detail::run_dense</*Reduce=*/true>(
         comm,
         allreduce_rabenseifner_schedule(comm.size(),
-              static_cast<std::int64_t>(data.size()), static_cast<std::int64_t>(sizeof(T))),
+                                        static_cast<std::int64_t>(data.size()),
+                                        static_cast<std::int64_t>(sizeof(T))),
         std::span<T>(data));
 }
 
