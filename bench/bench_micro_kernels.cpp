@@ -1,11 +1,16 @@
 // google-benchmark microbenches for the hot kernels: top-k selection
-// strategies, the ⊤ merge, wire (de)serialization, and host-side costs of
-// the aggregation algorithms on a small cluster.
+// strategies, the ⊤ merge, wire (de)serialization, host-side costs of
+// the aggregation algorithms on a small cluster, and the Conv2d / Linear
+// layers at the perfbench workloads' shapes.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "comm/cluster.hpp"
 #include "comm/fault_transport.hpp"
 #include "core/aggregators.hpp"
+#include "nn/conv2d.hpp"
+#include "nn/linear.hpp"
 #include "sparse/selection_policy.hpp"
 #include "sparse/topk_merge.hpp"
 #include "sparse/topk_select.hpp"
@@ -184,5 +189,64 @@ void BM_RingAllreduceHostCost(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_RingAllreduceHostCost)->Arg(2)->Arg(4)->Arg(8);
+
+nn::Tensor random_tensor(std::vector<std::int64_t> shape, std::uint64_t seed) {
+    nn::Tensor t(std::move(shape));
+    const auto v = random_dense(static_cast<std::size_t>(t.numel()), seed);
+    std::copy(v.begin(), v.end(), t.raw());
+    return t;
+}
+
+// Conv2d args: in_channels, out_channels, batch; 3x3, stride 1, padding 1 on
+// 16x16 images, as in resnet_gtopk's MiniResNet (3->16 stem, 16->16 blocks).
+void BM_Conv2dForward(benchmark::State& state) {
+    util::Xoshiro256 rng(1);
+    nn::Conv2d layer(state.range(0), state.range(1), 3, 1, 1, rng);
+    const nn::Tensor x = random_tensor({state.range(2), state.range(0), 16, 16}, 2);
+    for (auto _ : state) benchmark::DoNotOptimize(layer.forward(x, true).raw());
+}
+BENCHMARK(BM_Conv2dForward)->Args({3, 16, 4})->Args({16, 16, 4})->Unit(benchmark::kMicrosecond);
+
+void BM_Conv2dBackward(benchmark::State& state) {
+    util::Xoshiro256 rng(1);
+    nn::Conv2d layer(state.range(0), state.range(1), 3, 1, 1, rng);
+    const nn::Tensor x = random_tensor({state.range(2), state.range(0), 16, 16}, 2);
+    const nn::Tensor dy = random_tensor({state.range(2), state.range(1), 16, 16}, 3);
+    layer.forward(x, true);
+    for (auto _ : state) benchmark::DoNotOptimize(layer.backward(dy).raw());
+}
+BENCHMARK(BM_Conv2dBackward)->Args({3, 16, 4})->Args({16, 16, 4})->Unit(benchmark::kMicrosecond);
+
+// Linear args: in, out, batch; mlp_wide_gtopk's 768->2048->512->10 at batch
+// 4, resnet_gtopk's 1024->10 head, layerwise_tcp's 64->64 at batch 2.
+void BM_LinearForward(benchmark::State& state) {
+    util::Xoshiro256 rng(1);
+    nn::Linear layer(state.range(0), state.range(1), rng);
+    const nn::Tensor x = random_tensor({state.range(2), state.range(0)}, 2);
+    for (auto _ : state) benchmark::DoNotOptimize(layer.forward(x, true).raw());
+}
+BENCHMARK(BM_LinearForward)
+    ->Args({768, 2048, 4})
+    ->Args({2048, 512, 4})
+    ->Args({512, 10, 4})
+    ->Args({1024, 10, 4})
+    ->Args({64, 64, 2})
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_LinearBackward(benchmark::State& state) {
+    util::Xoshiro256 rng(1);
+    nn::Linear layer(state.range(0), state.range(1), rng);
+    const nn::Tensor x = random_tensor({state.range(2), state.range(0)}, 2);
+    const nn::Tensor dy = random_tensor({state.range(2), state.range(1)}, 3);
+    layer.forward(x, true);
+    for (auto _ : state) benchmark::DoNotOptimize(layer.backward(dy).raw());
+}
+BENCHMARK(BM_LinearBackward)
+    ->Args({768, 2048, 4})
+    ->Args({2048, 512, 4})
+    ->Args({512, 10, 4})
+    ->Args({1024, 10, 4})
+    ->Args({64, 64, 2})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -5,7 +5,9 @@
 // The hashes were recorded from the trainer before the histogram top-k
 // cut and the in-place residual / reused-update rewrite of the worker loop;
 // LayerwiseFusedBuckets was recorded before every sparse algorithm moved
-// onto the one per-bucket select/aggregate/put-back loop. These changes
+// onto the one per-bucket select/aggregate/put-back loop; the CNN cases
+// (MiniResNet with BatchNorm, MiniVgg) were recorded from the direct-loop
+// Conv2d and Linear kernels, before their loops were reordered. These changes
 // claim to leave every bit of every trajectory unchanged; a mismatch here
 // means some arithmetic moved (an operand order, a sign of
 // zero, a selection tie-break). Set GTOPK_PRINT_TRAJECTORY_HASHES=1 to
@@ -33,10 +35,13 @@ using namespace gtopk;
 using train::Algorithm;
 using train::TrainConfig;
 
+enum class PinModel { Mlp, MiniResNet, MiniVgg };
+
 struct PinCase {
     std::string name;
     TrainConfig config;
     std::uint64_t hash;
+    PinModel model = PinModel::Mlp;
 };
 
 void PrintTo(const PinCase& pc, std::ostream* os) { *os << pc.name; }
@@ -98,6 +103,12 @@ std::vector<PinCase> pin_cases() {
         c.gradient_clip_norm = 0.5f;
         add("DenseClipped", c, 0x1461bcda780af4e8ull);
     }
+    // The convolutional models: every Conv2d, BatchNorm2d, MaxPool2d and
+    // ResidualBlock kernel on the trajectory.
+    cases.push_back({"GtopkMiniResNet", base_config(Algorithm::GtopkSsgd), 0x426450e3ee403bfbull,
+                     PinModel::MiniResNet});
+    cases.push_back({"GtopkMiniVgg", base_config(Algorithm::GtopkSsgd), 0x6ce4087aae897dc4ull,
+                     PinModel::MiniVgg});
     return cases;
 }
 
@@ -117,7 +128,7 @@ std::uint64_t trajectory_hash(const train::TrainResult& r) {
     return h;
 }
 
-train::TrainResult run_case(const TrainConfig& config) {
+train::TrainResult run_case(const PinCase& pc) {
     data::SyntheticImageDataset::Config dcfg;
     dcfg.image_size = 8;
     dcfg.noise_std = 0.6f;
@@ -127,11 +138,25 @@ train::TrainResult run_case(const TrainConfig& config) {
     mcfg.input_dim = dataset.feature_dim();
     mcfg.hidden_dims = {256};  // m ~ 52k: the histogram cut does real work
     mcfg.classes = 10;
+    nn::MiniResNetConfig rcfg;
+    rcfg.image_size = dcfg.image_size;
+    rcfg.batch_norm = true;
+    nn::MiniVggConfig vcfg;
+    vcfg.image_size = dcfg.image_size;
+    const bool images = pc.model != PinModel::Mlp;
     return train::train_distributed(
-        4, comm::NetworkModel::free(), config,
-        [&](std::uint64_t seed) { return nn::make_mlp(mcfg, seed); },
+        4, comm::NetworkModel::free(), pc.config,
+        [&](std::uint64_t seed) -> std::unique_ptr<nn::TrainableModel> {
+            switch (pc.model) {
+                case PinModel::MiniResNet: return nn::make_mini_resnet(rcfg, seed);
+                case PinModel::MiniVgg: return nn::make_mini_vgg(vcfg, seed);
+                case PinModel::Mlp: break;
+            }
+            return nn::make_mlp(mcfg, seed);
+        },
         [&](std::int64_t step, int rank) {
-            return dataset.batch_flat(sampler.batch_indices(step, rank, 16));
+            const auto indices = sampler.batch_indices(step, rank, 16);
+            return images ? dataset.batch_images(indices) : dataset.batch_flat(indices);
         },
         {});
 }
@@ -143,7 +168,7 @@ TEST_P(PinnedTrajectory, FinalParamsAndLossesMatchRecordedHash) {
     GTEST_SKIP() << "hashes were recorded for x86-64 float arithmetic";
 #endif
     const PinCase& pc = GetParam();
-    const train::TrainResult r = run_case(pc.config);
+    const train::TrainResult r = run_case(pc);
     ASSERT_EQ(r.epochs.size(), static_cast<std::size_t>(pc.config.epochs));
     const std::uint64_t h = trajectory_hash(r);
     if (const char* env = std::getenv("GTOPK_PRINT_TRAJECTORY_HASHES");
