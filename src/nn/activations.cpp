@@ -1,6 +1,8 @@
 #include "nn/activations.hpp"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace gtopk::nn {
 
@@ -11,7 +13,21 @@ Tensor ReLU::forward(const Tensor& x, bool training) {
     return y;
 }
 
+namespace {
+
+/// The elementwise backward passes index their cache by dy's positions:
+/// dy must have the shape the last training forward cached.
+void check_cached(const Tensor& cached, const Tensor& dy, const char* what) {
+    if (cached.rank() == 0 || !cached.same_shape(dy)) {
+        throw std::invalid_argument(std::string(what) +
+                                    ": dy does not match the last training forward");
+    }
+}
+
+}  // namespace
+
 Tensor ReLU::backward(const Tensor& dy) {
+    check_cached(cached_x_, dy, "ReLU::backward");
     Tensor dx = dy;
     auto xs = cached_x_.data();
     auto ds = dx.data();
@@ -29,6 +45,7 @@ Tensor Tanh::forward(const Tensor& x, bool training) {
 }
 
 Tensor Tanh::backward(const Tensor& dy) {
+    check_cached(cached_y_, dy, "Tanh::backward");
     Tensor dx = dy;
     auto ys = cached_y_.data();
     auto ds = dx.data();
@@ -44,6 +61,7 @@ Tensor Sigmoid::forward(const Tensor& x, bool training) {
 }
 
 Tensor Sigmoid::backward(const Tensor& dy) {
+    check_cached(cached_y_, dy, "Sigmoid::backward");
     Tensor dx = dy;
     auto ys = cached_y_.data();
     auto ds = dx.data();

@@ -1,6 +1,13 @@
 // 2-D convolution, NCHW layout, square kernel, configurable stride and
-// zero padding. Direct (naive) loops — the models here are small enough
-// that clarity beats an im2col.
+// zero padding. Direct loops, ordered for cache and vector use, that keep
+// each element's sum in a fixed order (the results are pinned bit for bit):
+//   y[b,oc,i,j]   the bias, then w*x over (ic, ki, kj) ascending. Taps that
+//                 fall in the padding are skipped, never added as zero.
+//   dw[oc,ic,ki,kj], db[oc]   sum over (b, i, j) ascending.
+//   dx[b,ic,h,w]  sums over (oc, i, j) ascending, i.e. (oc ascending, ki
+//                 descending, kj descending), starting from +0.
+// Loops may interleave or vectorize independent elements, never the terms
+// of one sum.
 #pragma once
 
 #include "nn/layer.hpp"

@@ -1,4 +1,10 @@
 // Fully connected layer: y = x W^T + b, x: [N, in], W: [out, in], b: [out].
+// Each element's sum has a fixed order (the results are pinned bit for bit):
+//   y[n,o]        the bias, then x*w over k ascending.
+//   dw[o,k], db[o]   sum over samples n ascending.
+//   dx[n,k]       sums over o ascending, starting from +0.
+// Loops may interleave or vectorize independent elements, never the terms
+// of one sum.
 #pragma once
 
 #include "nn/layer.hpp"

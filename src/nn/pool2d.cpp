@@ -48,6 +48,11 @@ Tensor MaxPool2d::forward(const Tensor& x, bool training) {
 }
 
 Tensor MaxPool2d::backward(const Tensor& dy) {
+    if (in_shape_.empty() || dy.rank() != 4 || dy.dim(0) != in_shape_[0] ||
+        dy.dim(1) != in_shape_[1] || dy.dim(2) != in_shape_[2] / window_ ||
+        dy.dim(3) != in_shape_[3] / window_) {
+        throw std::invalid_argument("MaxPool2d::backward: dy does not match the last forward");
+    }
     Tensor dx(in_shape_);
     for (std::size_t i = 0; i < argmax_.size(); ++i) {
         dx[static_cast<std::size_t>(argmax_[i])] += dy[i];

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 
 #include "nn/activations.hpp"
 #include "nn/classifier_model.hpp"
@@ -74,6 +75,19 @@ TEST(LinearTest, RejectsWrongInputShape) {
     EXPECT_THROW(lin.forward(bad, false), std::invalid_argument);
 }
 
+TEST(LinearTest, BackwardRejectsMissingOrMismatchedForward) {
+    Xoshiro256 rng(1);
+    Linear lin(4, 3, rng);
+    EXPECT_THROW(lin.backward(Tensor({2, 3})), std::invalid_argument);  // no forward yet
+    lin.forward(Tensor({2, 4}), true);
+    EXPECT_THROW(lin.backward(Tensor({3, 3})), std::invalid_argument);  // batch 3 vs 2
+    EXPECT_THROW(lin.backward(Tensor({1, 3})), std::invalid_argument);
+    EXPECT_THROW(lin.backward(Tensor({6})), std::invalid_argument);
+    lin.forward(Tensor({5, 4}), false);  // eval forward: the cache stays batch 2
+    EXPECT_THROW(lin.backward(Tensor({5, 3})), std::invalid_argument);
+    EXPECT_EQ(lin.backward(Tensor({2, 3})).shape(), (std::vector<std::int64_t>{2, 4}));
+}
+
 TEST(ActivationTest, ReluClampsNegatives) {
     ReLU relu;
     Tensor x({1, 4}, {-1, 0, 2, -3});
@@ -84,6 +98,22 @@ TEST(ActivationTest, ReluClampsNegatives) {
     Tensor dx = relu.backward(dy);
     EXPECT_EQ(dx.data()[0], 0.0f);  // gradient blocked where x <= 0
     EXPECT_EQ(dx.data()[2], 1.0f);
+}
+
+TEST(ActivationTest, BackwardRejectsMissingOrMismatchedForward) {
+    ReLU relu;
+    Tanh tanh_layer;
+    Sigmoid sig;
+    for (Layer* layer : std::initializer_list<Layer*>{&relu, &tanh_layer, &sig}) {
+        EXPECT_THROW(layer->backward(Tensor({1, 4})), std::invalid_argument)
+            << layer->name();
+        layer->forward(Tensor({1, 4}), true);
+        EXPECT_THROW(layer->backward(Tensor({1, 5})), std::invalid_argument)
+            << layer->name();
+        EXPECT_THROW(layer->backward(Tensor({2, 4})), std::invalid_argument)
+            << layer->name();
+        EXPECT_EQ(layer->backward(Tensor({1, 4})).numel(), 4) << layer->name();
+    }
 }
 
 TEST(ActivationTest, TanhAndSigmoidValues) {
@@ -140,6 +170,21 @@ TEST(Conv2dTest, StrideShrinksOutput) {
     EXPECT_EQ(y.shape(), (std::vector<std::int64_t>{2, 5, 4, 4}));
 }
 
+TEST(Conv2dTest, BackwardRejectsMissingOrMismatchedForward) {
+    Xoshiro256 rng(2);
+    Conv2d conv(2, 3, 3, 1, 1, rng);
+    EXPECT_THROW(conv.backward(Tensor({2, 3, 4, 4})), std::invalid_argument);  // no forward
+    conv.forward(Tensor({2, 2, 4, 4}), true);
+    // A smaller dy would be read past its end, a larger one ignored.
+    EXPECT_THROW(conv.backward(Tensor({1, 3, 4, 4})), std::invalid_argument);
+    EXPECT_THROW(conv.backward(Tensor({3, 3, 4, 4})), std::invalid_argument);
+    EXPECT_THROW(conv.backward(Tensor({2, 3, 4, 3})), std::invalid_argument);
+    conv.forward(Tensor({1, 2, 4, 4}), false);  // eval forward: the cache stays batch 2
+    EXPECT_THROW(conv.backward(Tensor({1, 3, 4, 4})), std::invalid_argument);
+    EXPECT_EQ(conv.backward(Tensor({2, 3, 4, 4})).shape(),
+              (std::vector<std::int64_t>{2, 2, 4, 4}));
+}
+
 TEST(MaxPoolTest, PicksWindowMaxAndRoutesGradient) {
     MaxPool2d pool(2);
     Tensor x({1, 1, 2, 2}, {1, 5, 3, 2});
@@ -150,6 +195,17 @@ TEST(MaxPoolTest, PicksWindowMaxAndRoutesGradient) {
     Tensor dx = pool.backward(dy);
     EXPECT_FLOAT_EQ(dx[1], 10.0f);  // only the argmax receives gradient
     EXPECT_FLOAT_EQ(dx[0], 0.0f);
+}
+
+TEST(MaxPoolTest, BackwardRejectsMissingOrMismatchedForward) {
+    MaxPool2d pool(2);
+    EXPECT_THROW(pool.backward(Tensor({1, 1, 1, 1})), std::invalid_argument);
+    pool.forward(Tensor({1, 2, 4, 4}), true);
+    EXPECT_THROW(pool.backward(Tensor({1, 2, 1, 1})), std::invalid_argument);
+    EXPECT_THROW(pool.backward(Tensor({1, 1, 2, 2})), std::invalid_argument);
+    EXPECT_THROW(pool.backward(Tensor({2, 2, 2, 2})), std::invalid_argument);
+    EXPECT_EQ(pool.backward(Tensor({1, 2, 2, 2})).shape(),
+              (std::vector<std::int64_t>{1, 2, 4, 4}));
 }
 
 TEST(MaxPoolTest, RejectsIndivisibleDims) {
