@@ -203,7 +203,11 @@ void BM_Conv2dForward(benchmark::State& state) {
     util::Xoshiro256 rng(1);
     nn::Conv2d layer(state.range(0), state.range(1), 3, 1, 1, rng);
     const nn::Tensor x = random_tensor({state.range(2), state.range(0), 16, 16}, 2);
-    for (auto _ : state) benchmark::DoNotOptimize(layer.forward(x, true).raw());
+    for (auto _ : state) {
+        nn::Tensor y = layer.forward(x, true);
+        benchmark::DoNotOptimize(y.raw());
+        benchmark::ClobberMemory();
+    }
 }
 BENCHMARK(BM_Conv2dForward)->Args({3, 16, 4})->Args({16, 16, 4})->Unit(benchmark::kMicrosecond);
 
@@ -213,7 +217,11 @@ void BM_Conv2dBackward(benchmark::State& state) {
     const nn::Tensor x = random_tensor({state.range(2), state.range(0), 16, 16}, 2);
     const nn::Tensor dy = random_tensor({state.range(2), state.range(1), 16, 16}, 3);
     layer.forward(x, true);
-    for (auto _ : state) benchmark::DoNotOptimize(layer.backward(dy).raw());
+    for (auto _ : state) {
+        nn::Tensor dx = layer.backward(dy);
+        benchmark::DoNotOptimize(dx.raw());
+        benchmark::ClobberMemory();
+    }
 }
 BENCHMARK(BM_Conv2dBackward)->Args({3, 16, 4})->Args({16, 16, 4})->Unit(benchmark::kMicrosecond);
 
@@ -223,7 +231,11 @@ void BM_LinearForward(benchmark::State& state) {
     util::Xoshiro256 rng(1);
     nn::Linear layer(state.range(0), state.range(1), rng);
     const nn::Tensor x = random_tensor({state.range(2), state.range(0)}, 2);
-    for (auto _ : state) benchmark::DoNotOptimize(layer.forward(x, true).raw());
+    for (auto _ : state) {
+        nn::Tensor y = layer.forward(x, true);
+        benchmark::DoNotOptimize(y.raw());
+        benchmark::ClobberMemory();
+    }
 }
 BENCHMARK(BM_LinearForward)
     ->Args({768, 2048, 4})
@@ -239,7 +251,11 @@ void BM_LinearBackward(benchmark::State& state) {
     const nn::Tensor x = random_tensor({state.range(2), state.range(0)}, 2);
     const nn::Tensor dy = random_tensor({state.range(2), state.range(1)}, 3);
     layer.forward(x, true);
-    for (auto _ : state) benchmark::DoNotOptimize(layer.backward(dy).raw());
+    for (auto _ : state) {
+        nn::Tensor dx = layer.backward(dy);
+        benchmark::DoNotOptimize(dx.raw());
+        benchmark::ClobberMemory();
+    }
 }
 BENCHMARK(BM_LinearBackward)
     ->Args({768, 2048, 4})

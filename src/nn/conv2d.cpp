@@ -61,7 +61,7 @@ struct DwTap {
     /// hide the add latency; padding lanes are computed and dropped.
     template <int NV>
     void accumulate(std::int64_t oc0) const {
-        f32x4 acc[NV];
+        f32x4 acc[NV]{};
         for (int v = 0; v < NV; ++v) {
             for (int l = 0; l < 4; ++l) {
                 const std::int64_t oc = oc0 + 4 * v + l;

@@ -25,8 +25,8 @@ struct RowBlock {
     /// samples' terms in ascending order; dx[n, k] gets row o's term.
     template <int NB>
     void backward(const float* wo, float* dwo, float& dbo) const {
-        float g[NB];
-        f32x4 gv[NB];
+        float g[NB]{};
+        f32x4 gv[NB]{};
         for (int l = 0; l < NB; ++l) {
             g[l] = dy[l * out];
             dbo += g[l];

@@ -13,7 +13,7 @@ namespace gtopk::nn::vec4 {
 using f32x4 = float __attribute__((vector_size(16)));
 
 inline f32x4 load(const float* p) {
-    f32x4 v;
+    f32x4 v{};
     std::memcpy(&v, p, sizeof v);
     return v;
 }
