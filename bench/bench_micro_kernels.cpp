@@ -1,15 +1,19 @@
 // google-benchmark microbenches for the hot kernels: top-k selection
 // strategies, the ⊤ merge, wire (de)serialization, host-side costs of
-// the aggregation algorithms on a small cluster, and the Conv2d / Linear
-// layers at the perfbench workloads' shapes.
+// the aggregation algorithms on a small cluster, the Conv2d / Linear
+// layers at the perfbench workloads' shapes, and the trainer's per-step
+// O(m) passes (residual accumulate + top-k select, momentum update) on
+// mlp_wide_gtopk's parameter tensors.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "comm/cluster.hpp"
 #include "comm/fault_transport.hpp"
 #include "core/aggregators.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/layer.hpp"
 #include "nn/linear.hpp"
 #include "sparse/selection_policy.hpp"
 #include "sparse/topk_merge.hpp"
@@ -264,5 +268,79 @@ BENCHMARK(BM_LinearBackward)
     ->Args({1024, 10, 4})
     ->Args({64, 64, 2})
     ->Unit(benchmark::kMicrosecond);
+
+// mlp_wide_gtopk's six parameter tensors (MLP 768->2048->512->10, weight
+// then bias per layer): m = 2 629 130, and k = 2629 at rho = 0.001.
+struct MlpWideParams {
+    std::vector<std::vector<float>> values, grads;
+    std::vector<nn::ParamView> views;
+    std::size_t m = 0;
+
+    explicit MlpWideParams(std::uint64_t seed) {
+        const std::size_t sizes[] = {768 * 2048, 2048, 2048 * 512, 512, 512 * 10, 10};
+        values.reserve(6);
+        grads.reserve(6);
+        for (std::size_t t = 0; t < 6; ++t) {
+            values.push_back(random_dense(sizes[t], seed + t));
+            grads.push_back(random_dense(sizes[t], seed + 16 + t));
+            m += sizes[t];
+        }
+        for (std::size_t t = 0; t < 6; ++t) views.push_back({&values[t], &grads[t], ""});
+    }
+};
+
+void BM_AccumulateCountSelect(benchmark::State& state) {
+    // One gTop-k step's residual passes: residual += every tensor's
+    // gradient, then the exact top-k of the residual and the zeroing of
+    // the selected entries (Alg. 4 lines 4-8).
+    const MlpWideParams p(7);
+    const std::size_t k = 2629;
+    std::vector<float> residual(p.m, 0.0f);
+    sparse::TopkWorkspace ws;
+    sparse::SparseGradient out;
+    for (auto _ : state) {
+        nn::accumulate_grads(p.views, residual);
+        sparse::topk_select_into(residual, k, ws, out);
+        sparse::zero_selected(residual, out);
+        benchmark::DoNotOptimize(out.indices.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(p.m));
+}
+BENCHMARK(BM_AccumulateCountSelect)->Unit(benchmark::kMillisecond);
+
+void BM_MomentumAxpy(benchmark::State& state) {
+    // The momentum-SGD update v = mom*v + u; w += -lr*v over mlp_wide's
+    // tensors. Arg 0: normal velocities fed by a nonzero update (they
+    // settle near 10u). Arg 1: every velocity subnormal and a zero update,
+    // as in a long run's rarely selected coordinates; 0.9*v rounds back
+    // to a subnormal, so the arm stays subnormal for every iteration.
+    MlpWideParams p(9);
+    const bool subnormal = state.range(0) != 0;
+    std::vector<float> velocity(p.m), update(p.m, 0.0f);
+    if (subnormal) {
+        const float tiny = std::numeric_limits<float>::denorm_min();
+        for (std::size_t i = 0; i < p.m; ++i) {
+            velocity[i] = static_cast<float>(i % 1000 + 1) * ((i & 1) ? -tiny : tiny);
+        }
+    } else {
+        velocity = random_dense(p.m, 31);
+        update = random_dense(p.m, 32);
+    }
+    const float momentum = 0.9f;
+    const float lr = 6e-5f;
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < p.m; ++i) {
+            velocity[i] = momentum * velocity[i] + update[i];
+        }
+        nn::axpy_values(p.views, -lr, velocity);
+        benchmark::DoNotOptimize(velocity.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(p.m));
+}
+BENCHMARK(BM_MomentumAxpy)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace

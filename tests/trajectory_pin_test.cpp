@@ -7,7 +7,10 @@
 // LayerwiseFusedBuckets was recorded before every sparse algorithm moved
 // onto the one per-bucket select/aggregate/put-back loop; the CNN cases
 // (MiniResNet with BatchNorm, MiniVgg) were recorded from the direct-loop
-// Conv2d and Linear kernels, before their loops were reordered. These changes
+// Conv2d and Linear kernels, before their loops were reordered; the
+// threshold-policy and fused-bucket LocalCorrection cases were recorded
+// before the residual accumulate learned to count the top-k histogram and
+// the update fused momentum with the axpy. These changes
 // claim to leave every bit of every trajectory unchanged; a mismatch here
 // means some arithmetic moved (an operand order, a sign of
 // zero, a selection tie-break). Set GTOPK_PRINT_TRAJECTORY_HASHES=1 to
@@ -74,6 +77,10 @@ std::vector<PinCase> pin_cases() {
         c.overlap = false;
         c.bucket_bytes = 4096;
         add("LayerwiseFusedBuckets", c, 0x6f29b33893414b78ull);
+        // DGC momentum correction per fused bucket: the velocity is folded
+        // into every bucket's residual before that bucket selects.
+        c.momentum_mode = TrainConfig::MomentumMode::LocalCorrection;
+        add("LayerwiseFusedLocalCorrection", c, 0x9ac1ecd8c77de6e6ull);
     }
     add("Topk", base_config(Algorithm::TopkSsgd), 0x2af6d7821e2e6233ull);
     add("Dense", base_config(Algorithm::DenseSsgd), 0x2a69614ab2875354ull);
@@ -87,6 +94,17 @@ std::vector<PinCase> pin_cases() {
         c.selection = sparse::SelectionPolicy::StaticThreshold;
         c.static_threshold = 2e-3f;
         add("GtopkStaticThreshold", c, 0x78e12c7f0ec1da8eull);
+    }
+    {
+        // The threshold policies read the accumulated residual without the
+        // exact cut: the adaptive selector's state and the sampling RNG
+        // carry across steps.
+        TrainConfig c = base_config(Algorithm::GtopkSsgd);
+        c.selection = sparse::SelectionPolicy::AdaptiveThreshold;
+        c.static_threshold = 2e-3f;
+        add("GtopkAdaptiveThreshold", c, 0x9e867f1832e6157bull);
+        c.selection = sparse::SelectionPolicy::SampledTopk;
+        add("GtopkSampledTopk", c, 0x30fe4d0fe2270544ull);
     }
     {
         // Clipping, DGC momentum correction and value quantization all
