@@ -291,16 +291,21 @@ struct MlpWideParams {
 
 void BM_AccumulateCountSelect(benchmark::State& state) {
     // One gTop-k step's residual passes: residual += every tensor's
-    // gradient, then the exact top-k of the residual and the zeroing of
-    // the selected entries (Alg. 4 lines 4-8).
+    // gradient while counting the histogram, then the exact top-k of the
+    // residual and the zeroing of the selected entries (Alg. 4 lines 4-8).
     const MlpWideParams p(7);
     const std::size_t k = 2629;
     std::vector<float> residual(p.m, 0.0f);
     sparse::TopkWorkspace ws;
     sparse::SparseGradient out;
     for (auto _ : state) {
-        nn::accumulate_grads(p.views, residual);
-        sparse::topk_select_into(residual, k, ws, out);
+        sparse::begin_count(ws, p.m);
+        std::size_t off = 0;
+        for (const auto& g : p.grads) {
+            sparse::accumulate_counted(residual, off, g, ws);
+            off += g.size();
+        }
+        sparse::topk_select_counted(residual, k, ws, out);
         sparse::zero_selected(residual, out);
         benchmark::DoNotOptimize(out.indices.data());
         benchmark::ClobberMemory();
@@ -331,10 +336,7 @@ void BM_MomentumAxpy(benchmark::State& state) {
     const float momentum = 0.9f;
     const float lr = 6e-5f;
     for (auto _ : state) {
-        for (std::size_t i = 0; i < p.m; ++i) {
-            velocity[i] = momentum * velocity[i] + update[i];
-        }
-        nn::axpy_values(p.views, -lr, velocity);
+        nn::momentum_axpy_values(p.views, momentum, velocity, update, -lr);
         benchmark::DoNotOptimize(velocity.data());
         benchmark::ClobberMemory();
     }

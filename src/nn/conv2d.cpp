@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "nn/init.hpp"
-#include "nn/vec4.hpp"
+#include "util/vec4.hpp"
 
 namespace gtopk::nn {
 

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "util/vec4.hpp"
+
 namespace gtopk::nn {
 
 std::size_t param_count(const std::vector<ParamView>& params) {
@@ -80,10 +82,38 @@ void axpy_values(const std::vector<ParamView>& params, float a,
     }
     std::size_t off = 0;
     for (const auto& p : params) {
-        float* w = p.value->data();
-        const float* xs = x.data() + off;
-        for (std::size_t i = 0; i < p.value->size(); ++i) w[i] += a * xs[i];
+        vec4::axpy(p.value->data(), x.data() + off, a,
+                   static_cast<std::int64_t>(p.value->size()));
         off += p.value->size();
+    }
+}
+
+void momentum_axpy_values(const std::vector<ParamView>& params, float mom,
+                          std::span<float> v, std::span<const float> u, float a) {
+    if (v.size() != param_count(params) || u.size() != v.size()) {
+        throw std::invalid_argument("momentum_axpy_values: size mismatch");
+    }
+    // Lanes hold independent elements, so each one gets the scalar
+    // mom*v + u and w + a*v.
+    const vec4::f32x4 mv = vec4::splat(mom);
+    const vec4::f32x4 av = vec4::splat(a);
+    std::size_t off = 0;
+    for (const auto& p : params) {
+        float* w = p.value->data();
+        float* vs = v.data() + off;
+        const float* us = u.data() + off;
+        const std::size_t n = p.value->size();
+        std::size_t i = 0;
+        for (; i + 4 <= n; i += 4) {
+            const vec4::f32x4 vi = mv * vec4::load(vs + i) + vec4::load(us + i);
+            vec4::store(vs + i, vi);
+            vec4::store(w + i, vec4::load(w + i) + av * vi);
+        }
+        for (; i < n; ++i) {
+            vs[i] = mom * vs[i] + us[i];
+            w[i] += a * vs[i];
+        }
+        off += n;
     }
 }
 

@@ -53,6 +53,11 @@ public:
     }
     /// params += a * x, without materializing a delta vector.
     void axpy_params(float a, std::span<const float> x) { axpy_values(params_, a, x); }
+    /// v = mom * v + u; params += a * v, in one pass over the parameters.
+    void momentum_axpy_params(float mom, std::span<float> v, std::span<const float> u,
+                              float a) {
+        momentum_axpy_values(params_, mom, v, u, a);
+    }
 
 protected:
     /// Derived classes populate this once construction is complete.

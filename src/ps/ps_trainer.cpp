@@ -198,13 +198,20 @@ train::TrainResult train_parameter_server(int workers, comm::NetworkModel net,
                 if (dense_agg) {
                     dense_grad = model->flat_grads();
                 } else {
-                    model->accumulate_grads_into(residual);
+                    // Counting the top-k histogram on the way, like the
+                    // trainer's whole-model bucket.
+                    sparse::begin_count(select_ws, m);
+                    std::size_t off = 0;
+                    for (const nn::ParamView& p : model->params()) {
+                        sparse::accumulate_counted(residual, off, *p.grad, select_ws);
+                        off += p.grad->size();
+                    }
                 }
                 const double t1 = now_host_s();
 
                 SparseGradient local;
                 if (!dense_agg) {
-                    sparse::topk_select_into(residual, plan.k, select_ws, local);
+                    sparse::topk_select_counted(residual, plan.k, select_ws, local);
                     sparse::zero_selected(residual, local);
                 }
                 const double t2 = now_host_s();
@@ -241,10 +248,7 @@ train::TrainResult train_parameter_server(int workers, comm::NetworkModel net,
                 const double v1 = comm.clock().now_s();
 
                 const double u0 = now_host_s();
-                for (std::size_t i = 0; i < m; ++i) {
-                    velocity[i] = config.momentum * velocity[i] + update[i];
-                }
-                model->axpy_params(-plan.lr, velocity);
+                model->momentum_axpy_params(config.momentum, velocity, update, -plan.lr);
                 const double u1 = now_host_s();
                 exchange_telemetry(
                     t1 - t0, t2 - t1, v1 - v0, u1 - u0,

@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "util/vec4.hpp"
+
 namespace gtopk::sparse {
 
 namespace {
@@ -92,8 +94,10 @@ void finalize_into(std::span<const float> dense, std::span<std::int32_t> picked,
     }
 }
 
-/// First histogram bin of the Inf/NaN keys (0x7f800000 and up).
-constexpr std::size_t kNonFiniteBin = 0x7f800000u >> kHistogramShift;
+/// Smallest magnitude key of Inf and NaN (0x7f800000 and up), and the
+/// first histogram bin of those keys.
+constexpr std::uint32_t kNonFiniteKey = 0x7f800000u;
+constexpr std::size_t kNonFiniteBin = kNonFiniteKey >> kHistogramShift;
 
 /// Sign-cleared bit pattern of `v`: for finite floats, a larger key means
 /// a larger |v|, and ±0 share key 0 just as they compare equal.
@@ -101,20 +105,83 @@ inline std::uint32_t magnitude_key(float v) {
     return std::bit_cast<std::uint32_t>(v) & 0x7fffffffu;
 }
 
-/// Exact histogram cut (0 < k < m). With b the highest bin whose suffix
-/// count reaches k, every entry in a bin above b outranks every entry in b
-/// or below, so an entry below b has at least k entries ahead of it and
-/// cannot be in the top-k: the candidates (bin >= b) hold the exact top-k,
-/// and selecting among them under magnitude_less gives the full path's
-/// result.
+/// Keys never use the sign bit, so signed lanes order them correctly with
+/// the comparisons baseline SSE2 has.
+using i32x4 = std::int32_t __attribute__((vector_size(16)));
+using u32x4 = std::uint32_t __attribute__((vector_size(16)));
+
+/// Count the keys of dense[at, at + n) into `ws`; with kAdd, first
+/// dense[at + i] += src[i] and store the sum. The chunks follow the block
+/// grid of `dense`, so each one ends in one update of its block's maximum.
+template <bool kAdd>
+void count_segment(const float* dense, float* sums, std::size_t at, const float* src,
+                   std::size_t n, TopkWorkspace& ws) {
+    std::uint32_t* const lane0 = ws.lanes.data();
+    std::uint32_t* const lane1 = lane0 + 1;
+    std::uint32_t* const lane2 = lane0 + 2;
+    std::uint32_t* const lane3 = lane0 + 3;
+    std::size_t i = at;
+    const std::size_t end = at + n;
+    std::uint32_t seg_max = 0;
+    while (i < end) {
+        const std::size_t block = i / kCountBlock;
+        const std::size_t chunk_end = std::min(end, (block + 1) * kCountBlock);
+        vec4::f32x4 vmax{};
+        for (; i + 4 <= chunk_end; i += 4) {
+            vec4::f32x4 v = vec4::load(dense + i);
+            if constexpr (kAdd) {
+                v = v + vec4::load(src + (i - at));
+                vec4::store(sums + i, v);
+            }
+            const i32x4 key = std::bit_cast<i32x4>(v) & 0x7fffffff;
+            // |v| as a float orders like its key (one maxps). A NaN may be
+            // missed here, but never by the histogram's non-finite bins.
+            const vec4::f32x4 mag = std::bit_cast<vec4::f32x4>(key);
+            vmax = mag > vmax ? mag : vmax;
+            // 4 * bin: the offset of the bin's lane 0.
+            const u32x4 at4 = std::bit_cast<u32x4>(key >> (kHistogramShift - 2)) & ~3u;
+            ++lane0[at4[0]];
+            ++lane1[at4[1]];
+            ++lane2[at4[2]];
+            ++lane3[at4[3]];
+        }
+        const u32x4 kmax = std::bit_cast<u32x4>(vmax);
+        std::uint32_t chunk_max = std::max(std::max(kmax[0], kmax[1]), std::max(kmax[2], kmax[3]));
+        for (; i < chunk_end; ++i) {
+            float v = dense[i];
+            if constexpr (kAdd) {
+                v += src[i - at];
+                sums[i] = v;
+            }
+            const std::uint32_t key = magnitude_key(v);
+            chunk_max = std::max(chunk_max, key);
+            ++lane0[4 * (key >> kHistogramShift)];
+        }
+        ws.block_max[block] = std::max(ws.block_max[block], chunk_max);
+        seg_max = std::max(seg_max, chunk_max);
+    }
+    ws.max_key = std::max(ws.max_key, seg_max);
+    ws.counted += n;
+}
+
+std::uint32_t bin_count(const TopkWorkspace& ws, std::size_t bin) {
+    const std::uint32_t* l = ws.lanes.data() + 4 * bin;
+    return l[0] + l[1] + l[2] + l[3];
+}
+
+/// The exact histogram cut (0 < k < m) on a consumed count. With b the
+/// highest bin whose suffix count reaches k, every entry in a bin above b
+/// outranks every entry in b or below, so an entry below b has at least k
+/// entries ahead of it and cannot be in the top-k: the candidates
+/// (bin >= b) hold the exact top-k, and selecting among them under
+/// magnitude_less gives the full path's result. A block whose maximum key
+/// is below b holds no candidate, so skipping it leaves the candidate list
+/// and its ascending order exactly as a full scan builds them.
 void histogram_select_into(std::span<const float> dense, std::size_t k,
                            TopkWorkspace& ws, SparseGradient& out) {
-    ws.hist.fill(0);
-    for (const float v : dense) ++ws.hist[magnitude_key(v) >> kHistogramShift];
-
     std::size_t non_finite = 0;
     for (std::size_t bin = kNonFiniteBin; bin < kHistogramBins; ++bin) {
-        non_finite += ws.hist[bin];
+        non_finite += bin_count(ws, bin);
     }
     if (non_finite > 0) {
         throw std::domain_error("topk_select: " + std::to_string(non_finite) +
@@ -122,19 +189,29 @@ void histogram_select_into(std::span<const float> dense, std::size_t k,
                                 std::to_string(dense.size()));
     }
 
-    std::size_t cut_bin = kNonFiniteBin;
+    // Bins above the largest counted key are empty: start the scan there.
+    std::size_t cut_bin = (ws.max_key >> kHistogramShift) + 1;
     std::size_t candidates = 0;
-    while (candidates < k) candidates += ws.hist[--cut_bin];
+    while (candidates < k) candidates += bin_count(ws, --cut_bin);
 
-    // Branchless compaction: every index is written, only candidates
-    // advance the cursor, so the buffer needs one slot of slack.
+    // Branchless compaction within a block: every index is written, only
+    // candidates advance the cursor. One block of slack keeps a vector
+    // changed since its count from writing past the buffer before the
+    // per-block check catches it.
     const std::uint32_t cut_key = static_cast<std::uint32_t>(cut_bin) << kHistogramShift;
-    ws.perm.resize(candidates + 1);
+    ws.perm.resize(candidates + kCountBlock);
     std::int32_t* const cand = ws.perm.data();
     std::size_t n = 0;
-    for (std::size_t i = 0; i < dense.size(); ++i) {
-        cand[n] = static_cast<std::int32_t>(i);
-        n += magnitude_key(dense[i]) >= cut_key ? 1 : 0;
+    for (std::size_t b = 0; b < ws.block_max.size() && n <= candidates; ++b) {
+        if (ws.block_max[b] < cut_key) continue;
+        const std::size_t end = std::min(dense.size(), (b + 1) * kCountBlock);
+        for (std::size_t i = b * kCountBlock; i < end; ++i) {
+            cand[n] = static_cast<std::int32_t>(i);
+            n += magnitude_key(dense[i]) >= cut_key ? 1 : 0;
+        }
+    }
+    if (n != candidates) {
+        throw std::logic_error("topk_select_counted: the vector changed since its count");
     }
 
     auto greater = [&](std::int32_t a, std::int32_t b) {
@@ -172,8 +249,41 @@ SparseGradient topk_select(std::span<const float> dense, std::size_t k,
     throw std::logic_error("unknown TopkStrategy");
 }
 
-void topk_select_into(std::span<const float> dense, std::size_t k, TopkWorkspace& ws,
-                      SparseGradient& out) {
+void begin_count(TopkWorkspace& ws, std::size_t size) {
+    // Every finite bin above max_key's is still zero from the last clear
+    // (max_key may miss a NaN, so the non-finite bins are always cleared).
+    std::fill_n(ws.lanes.begin(), 4 * ((ws.max_key >> kHistogramShift) + 1), 0u);
+    std::fill(ws.lanes.begin() + 4 * kNonFiniteBin, ws.lanes.end(), 0u);
+    ws.max_key = 0;
+    ws.block_max.assign((size + kCountBlock - 1) / kCountBlock, 0u);
+    ws.count_size = size;
+    ws.counted = 0;
+    ws.count_fresh = true;
+}
+
+void accumulate_counted(std::span<float> dense, std::size_t at,
+                        std::span<const float> src, TopkWorkspace& ws) {
+    if (!ws.count_fresh || ws.count_size != dense.size()) {
+        throw std::logic_error("accumulate_counted: no begin_count for a vector of size " +
+                               std::to_string(dense.size()));
+    }
+    if (at > dense.size() || src.size() > dense.size() - at) {
+        throw std::out_of_range("accumulate_counted: segment [" + std::to_string(at) +
+                                ", +" + std::to_string(src.size()) +
+                                ") overruns a vector of size " +
+                                std::to_string(dense.size()));
+    }
+    count_segment<true>(dense.data(), dense.data(), at, src.data(), src.size(), ws);
+}
+
+void topk_select_counted(std::span<const float> dense, std::size_t k,
+                         TopkWorkspace& ws, SparseGradient& out) {
+    if (!ws.count_fresh || ws.count_size != dense.size() || ws.counted != dense.size()) {
+        throw std::logic_error(
+            "topk_select_counted: the vector of size " + std::to_string(dense.size()) +
+            " has no complete count since begin_count (or a select consumed it)");
+    }
+    ws.count_fresh = false;
     if (k >= dense.size()) {
         // Degenerate: keep everything.
         out.dense_size = static_cast<std::int64_t>(dense.size());
@@ -188,6 +298,13 @@ void topk_select_into(std::span<const float> dense, std::size_t k, TopkWorkspace
         return;
     }
     histogram_select_into(dense, k, ws, out);
+}
+
+void topk_select_into(std::span<const float> dense, std::size_t k, TopkWorkspace& ws,
+                      SparseGradient& out) {
+    begin_count(ws, dense.size());
+    count_segment<false>(dense.data(), nullptr, 0, nullptr, dense.size(), ws);
+    topk_select_counted(dense, k, ws, out);
 }
 
 SparseGradient topk_select(std::span<const float> dense, std::size_t k,

@@ -46,24 +46,72 @@ SparseGradient topk_select(std::span<const float> dense, std::size_t k,
 /// in the top 8 bins.
 inline constexpr int kHistogramShift = 20;
 inline constexpr std::size_t kHistogramBins = std::size_t{1} << (31 - kHistogramShift);
+/// Entries per block of the counted vector's block-max index: block b
+/// covers entries [64 b, 64 b + 64), aligned to the vector's start.
+inline constexpr std::size_t kCountBlock = 64;
 
-/// Scratch reused across selection calls: the magnitude histogram, the
-/// candidate index buffer, and the magnitude buffer of
-/// kth_largest_magnitude. One workspace per worker thread; the vectors grow
-/// to the largest size seen and stay there.
+/// Scratch reused across selection calls, one per worker thread and
+/// selected vector (the trainer keeps one per bucket). The vectors grow to
+/// the largest size seen and stay there.
+///
+/// A count fills it: `lanes` holds four interleaved sub-histograms of the
+/// magnitude keys (lanes[4 * bin + j] counts the entries that went through
+/// vector lane j), so runs of equal keys increment four counters in turn
+/// rather than serializing on one; `block_max` holds the largest key of
+/// every kCountBlock-entry block; `max_key` the largest key counted (a
+/// NaN's key may be left out of both; the histogram always counts it).
 struct TopkWorkspace {
-    std::array<std::uint32_t, kHistogramBins> hist{};
+    std::array<std::uint32_t, 4 * kHistogramBins> lanes{};
+    std::vector<std::uint32_t> block_max;
+    std::uint32_t max_key = 0;
+    std::size_t count_size = 0;  // the size begin_count announced
+    std::size_t counted = 0;     // entries counted since
+    bool count_fresh = false;    // no select has consumed the count yet
     std::vector<std::int32_t> perm;
     std::vector<float> mags;
 };
 
-/// Workspace-reusing selection, identical results to the one-shot overload:
-/// the exact histogram cut. One pass counts the magnitude keys, a scan from
-/// the top bin finds the bin holding the k-th entry, every index in that
-/// bin or above becomes a candidate (a superset of the top-k), and the
-/// magnitude_less introselect runs on the candidates only. Throws
-/// std::domain_error when `dense` holds Inf or NaN, which have no place in
-/// the magnitude order. (Heap and FullSort live only in the one-shot
+/// The exact histogram cut runs in two halves, so that counting rides on
+/// the pass that produces the vector (Alg. 4 line 4 plus line 5's
+/// histogram):
+///
+///   begin_count(ws, m);                         // reset the count
+///   accumulate_counted(dense, at, src, ws);     // per segment, covering
+///   ...                                         // each entry once
+///   topk_select_counted(dense, k, ws, out);     // cut, consume the count
+///
+/// begin_count clears the histogram bins the last count used and sizes the
+/// block maxima for an m-entry vector.
+void begin_count(TopkWorkspace& ws, std::size_t size);
+
+/// dense[at + i] += src[i] for every i, four lanes at a time, counting each
+/// sum's magnitude key into the lane histograms and the block maxima. Each
+/// element gets exactly the scalar `d += g`, so the bits are those of a
+/// plain accumulate. Throws std::logic_error unless a begin_count for
+/// dense.size() came after the last select, std::out_of_range when the
+/// segment overruns `dense`.
+void accumulate_counted(std::span<float> dense, std::size_t at,
+                        std::span<const float> src, TopkWorkspace& ws);
+
+/// The exact top-k of the counted `dense`, identical to the one-shot
+/// topk_select. A scan from the top counted bin down sums the four lanes of
+/// each bin until the suffix count reaches k; that bin b is the cut. Every
+/// entry in bin b or above is a candidate (a superset of the top-k); only
+/// the blocks whose maximum key reaches bin b are scanned for them, in
+/// ascending index order, and the magnitude_less introselect runs on the
+/// candidates only. Consumes the count: throws std::logic_error unless
+/// every entry of `dense` was counted since the last begin_count and no
+/// select has run since, or when `dense` changed after its count so that
+/// its candidates no longer match the count. Throws std::domain_error when
+/// `dense` holds Inf or NaN (a finite sum that overflowed included), which
+/// have no place in the magnitude order. k == 0 selects nothing, k >= m
+/// everything.
+void topk_select_counted(std::span<const float> dense, std::size_t k,
+                         TopkWorkspace& ws, SparseGradient& out);
+
+/// Workspace-reusing selection of a vector nobody counted: begin_count, a
+/// count-only pass, then topk_select_counted — identical results to the
+/// one-shot overload. (Heap and FullSort live only in the one-shot
 /// overload, as references for the benches and property tests.)
 SparseGradient topk_select(std::span<const float> dense, std::size_t k,
                            TopkWorkspace& ws);

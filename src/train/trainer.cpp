@@ -148,9 +148,9 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
         sparse::AdaptiveThresholdSelector adaptive(
             std::max(config.density, 1e-9), std::max(config.static_threshold, 1e-6f));
         // Hot-path scratch, reused across every iteration of this worker:
-        // top-k selection temporaries and the aggregator's merge/wire
-        // buffers stop allocating after the first iteration.
-        sparse::TopkWorkspace select_ws;
+        // the aggregator's merge/wire buffers stop allocating after the
+        // first iteration, and so does each bucket's selection workspace
+        // (below), which its residual accumulate counts into.
         core::GtopkWorkspace agg_ws;
         // The gTop-k family's dense mean update, reused across steps: the
         // global selection is scattered into it (recording the support) and
@@ -193,6 +193,7 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
         // aggregation only (TrainConfig::overlap_backward_s).
         const double backward_s = layerwise ? config.overlap_backward_s : 0.0;
         std::vector<SparseGradient> locals(buckets.size());
+        std::vector<sparse::TopkWorkspace> select_ws(buckets.size());
         const bool exact = config.selection == sparse::SelectionPolicy::ExactTopk;
 
         double total_compute = 0, total_compress = 0, total_comm = 0;
@@ -349,11 +350,27 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                     // LOCAL stream before residual accumulation.
                     for (float& v : velocity) v *= config.momentum;
                     model->accumulate_grads_into(velocity);
-                    for (std::size_t i = 0; i < m; ++i) residual[i] += velocity[i];
-                } else {
-                    // Accumulate the residual in place (Alg. 4 line 4);
-                    // selection then reads G straight from `residual`.
-                    model->accumulate_grads_into(residual);
+                }
+                // Accumulate each bucket's residual in place (Alg. 4 line
+                // 4), counting line 5's histogram on the way; selection
+                // then reads G straight from `residual`. Threshold
+                // policies ignore the count.
+                for (std::size_t b = 0; b < buckets.size(); ++b) {
+                    const GradBucket& bk = buckets[b];
+                    const std::span<float> g(residual.data() + bk.begin, bk.size());
+                    sparse::begin_count(select_ws[b], g.size());
+                    if (local_momentum) {
+                        sparse::accumulate_counted(
+                            g, 0, std::span<const float>(velocity.data() + bk.begin, g.size()),
+                            select_ws[b]);
+                    } else {
+                        for (int s = bk.first_segment; s <= bk.last_segment; ++s) {
+                            const auto seg = static_cast<std::size_t>(s);
+                            sparse::accumulate_counted(g, seg_offsets[seg] - bk.begin,
+                                                       *model->params()[seg].grad,
+                                                       select_ws[b]);
+                        }
+                    }
                 }
                 compute_span.finish();
                 const double t1 = now_host_s();
@@ -371,7 +388,8 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                     if (config.check_invariants) accumulated.assign(g.begin(), g.end());
                     switch (config.selection) {
                         case sparse::SelectionPolicy::ExactTopk:
-                            sparse::topk_select_into(g, k_of(g.size()), select_ws, local);
+                            sparse::topk_select_counted(g, k_of(g.size()), select_ws[b],
+                                                        local);
                             break;
                         case sparse::SelectionPolicy::StaticThreshold:
                             local = sparse::threshold_select(g, config.static_threshold);
@@ -525,10 +543,7 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                 if (local_momentum) {
                     model->axpy_params(-lr, update);
                 } else {
-                    for (std::size_t i = 0; i < m; ++i) {
-                        velocity[i] = config.momentum * velocity[i] + update[i];
-                    }
-                    model->axpy_params(-lr, velocity);
+                    model->momentum_axpy_params(config.momentum, velocity, update, -lr);
                 }
                 update_span.finish();
                 const double u1 = now_host_s();

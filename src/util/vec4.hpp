@@ -1,14 +1,15 @@
 // Four-lane float vectors (GCC/Clang vector extensions) for the Conv2d and
-// Linear kernels. Each lane performs exactly the scalar IEEE operation, so
-// a loop that puts four *independent* elements in one vector computes the
-// same bits as the scalar loop. The terms of one sum never share a vector:
-// that would reassociate it.
+// Linear kernels, the parameter update and the residual accumulate. Each
+// lane performs exactly the scalar IEEE operation, so a loop that puts four
+// *independent* elements in one vector computes the same bits as the
+// scalar loop. The terms of one sum never share a vector: that would
+// reassociate it.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 
-namespace gtopk::nn::vec4 {
+namespace gtopk::vec4 {
 
 using f32x4 = float __attribute__((vector_size(16)));
 
@@ -30,4 +31,4 @@ inline void axpy(float* y, const float* x, float a, std::int64_t n) {
     for (; t < n; ++t) y[t] += a * x[t];
 }
 
-}  // namespace gtopk::nn::vec4
+}  // namespace gtopk::vec4

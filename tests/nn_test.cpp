@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <initializer_list>
+#include <limits>
+#include <stdexcept>
 
 #include "nn/activations.hpp"
 #include "nn/classifier_model.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dropout.hpp"
+#include "nn/layer.hpp"
 #include "nn/linear.hpp"
 #include "nn/loss.hpp"
 #include "nn/model_zoo.hpp"
@@ -361,6 +365,113 @@ TEST(ModelInterface, TrainStepFillsGradients) {
     double norm = 0;
     for (float g : grads) norm += std::abs(g);
     EXPECT_GT(norm, 0.0);
+}
+
+// Parameter tensors of every length mod 4 (the vector lanes' scalar tails),
+// owned here and viewed like a model's.
+struct FlatParams {
+    std::vector<std::vector<float>> values, grads;
+    std::vector<ParamView> views;
+    std::size_t m = 0;
+};
+
+/// Normal values mixed with +-0.0f and subnormals.
+float awkward_value(std::size_t i, std::uint64_t salt, Xoshiro256& rng) {
+    const float tiny = std::numeric_limits<float>::denorm_min();
+    const float sign = ((i + salt) & 2) ? -1.0f : 1.0f;
+    switch ((i + salt) % 6) {
+        case 0: return -0.0f;
+        case 1: return 0.0f;
+        case 2: return sign * static_cast<float>(i % 97 + 1) * tiny;
+        case 3: return sign * std::numeric_limits<float>::min() * 0.75f;
+        default: return static_cast<float>(rng.next_gaussian());
+    }
+}
+
+FlatParams awkward_params(std::uint64_t seed) {
+    FlatParams p;
+    Xoshiro256 rng(seed);
+    for (const std::size_t n : {8u, 9u, 10u, 11u, 1u, 2u, 3u, 4u, 37u}) {
+        std::vector<float> v(n);
+        for (std::size_t i = 0; i < n; ++i) v[i] = awkward_value(i, seed, rng);
+        p.values.push_back(v);
+        p.grads.emplace_back(n, 0.0f);
+        p.m += n;
+    }
+    for (std::size_t t = 0; t < p.values.size(); ++t) {
+        p.views.push_back({&p.values[t], &p.grads[t], "t"});
+    }
+    return p;
+}
+
+std::vector<float> awkward_flat(std::size_t m, std::uint64_t salt) {
+    Xoshiro256 rng(salt);
+    std::vector<float> v(m);
+    for (std::size_t i = 0; i < m; ++i) v[i] = awkward_value(i, salt, rng);
+    return v;
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(FlatUpdate, MomentumAxpyMatchesTheScalarLoopsBitForBit) {
+    for (const float mom : {0.9f, 0.0f, 1.0f}) {
+        for (const float a : {-0.05f, -6e-5f, 0.0f}) {
+            FlatParams got = awkward_params(1);
+            FlatParams want = awkward_params(1);
+            std::vector<float> v_got = awkward_flat(got.m, 2);  // subnormal velocities
+            std::vector<float> v_want = v_got;
+            std::vector<float> u = awkward_flat(got.m, 3);
+            for (std::size_t i = 0; i < u.size(); i += 3) u[i] = 0.0f;  // zero updates
+            // The two loops the fused pass replaces.
+            for (std::size_t i = 0; i < want.m; ++i) v_want[i] = mom * v_want[i] + u[i];
+            std::size_t off = 0;
+            for (auto& w : want.values) {
+                for (std::size_t i = 0; i < w.size(); ++i) w[i] += a * v_want[off + i];
+                off += w.size();
+            }
+            momentum_axpy_values(got.views, mom, v_got, u, a);
+            EXPECT_TRUE(same_bits(v_got, v_want)) << "mom=" << mom << " a=" << a;
+            for (std::size_t t = 0; t < got.values.size(); ++t) {
+                EXPECT_TRUE(same_bits(got.values[t], want.values[t]))
+                    << "tensor " << t << " mom=" << mom << " a=" << a;
+            }
+        }
+    }
+}
+
+TEST(FlatUpdate, AxpyMatchesTheScalarLoopBitForBit) {
+    for (const float a : {-0.05f, 1.0f, -0.0f}) {
+        FlatParams got = awkward_params(4);
+        FlatParams want = awkward_params(4);
+        const std::vector<float> x = awkward_flat(got.m, 5);
+        std::size_t off = 0;
+        for (auto& w : want.values) {
+            for (std::size_t i = 0; i < w.size(); ++i) w[i] += a * x[off + i];
+            off += w.size();
+        }
+        axpy_values(got.views, a, x);
+        for (std::size_t t = 0; t < got.values.size(); ++t) {
+            EXPECT_TRUE(same_bits(got.values[t], want.values[t])) << "tensor " << t;
+        }
+    }
+}
+
+TEST(FlatUpdate, ModelMomentumAxpyUpdatesParamsAndVelocity) {
+    auto model = make_mlp({8, {4}, 3}, 3);
+    const std::vector<float> w0 = model->flat_params();
+    std::vector<float> v(model->num_params(), 1.0f);
+    const std::vector<float> u(model->num_params(), 0.5f);
+    model->momentum_axpy_params(0.5f, v, u, -2.0f);
+    EXPECT_EQ(v[0], 1.0f);  // 0.5 * 1 + 0.5
+    EXPECT_EQ(model->flat_params()[0], w0[0] - 2.0f);
+    std::vector<float> short_v(v.size() - 1, 0.0f);
+    EXPECT_THROW(model->momentum_axpy_params(0.5f, short_v, u, -2.0f),
+                 std::invalid_argument);
+    EXPECT_THROW(model->momentum_axpy_params(0.5f, v, std::span(u).first(3), -2.0f),
+                 std::invalid_argument);
 }
 
 }  // namespace
