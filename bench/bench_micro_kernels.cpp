@@ -293,12 +293,19 @@ void BM_AccumulateCountSelect(benchmark::State& state) {
     // One gTop-k step's residual passes: residual += every tensor's
     // gradient while counting the histogram, then the exact top-k of the
     // residual and the zeroing of the selected entries (Alg. 4 lines 4-8).
+    // Every iteration starts from the same carried-over residual, restored
+    // untimed: adding one fixed gradient step after step would pile the
+    // residual up along it and bloat the cut bin far beyond k.
     const MlpWideParams p(7);
     const std::size_t k = 2629;
-    std::vector<float> residual(p.m, 0.0f);
+    const std::vector<float> carried = random_dense(p.m, 8);
+    std::vector<float> residual(p.m);
     sparse::TopkWorkspace ws;
     sparse::SparseGradient out;
     for (auto _ : state) {
+        state.PauseTiming();
+        std::copy(carried.begin(), carried.end(), residual.begin());
+        state.ResumeTiming();
         sparse::begin_count(ws, p.m);
         std::size_t off = 0;
         for (const auto& g : p.grads) {

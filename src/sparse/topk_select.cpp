@@ -94,6 +94,10 @@ void finalize_into(std::span<const float> dense, std::span<std::int32_t> picked,
     }
 }
 
+/// Entries per block of the counted vector's block maxima, aligned to the
+/// vector's start.
+constexpr std::size_t kCountBlock = 64;
+
 /// Smallest magnitude key of Inf and NaN (0x7f800000 and up), and the
 /// first histogram bin of those keys.
 constexpr std::uint32_t kNonFiniteKey = 0x7f800000u;
@@ -105,9 +109,6 @@ inline std::uint32_t magnitude_key(float v) {
     return std::bit_cast<std::uint32_t>(v) & 0x7fffffffu;
 }
 
-/// Keys never use the sign bit, so signed lanes order them correctly with
-/// the comparisons baseline SSE2 has.
-using i32x4 = std::int32_t __attribute__((vector_size(16)));
 using u32x4 = std::uint32_t __attribute__((vector_size(16)));
 
 /// Count the keys of dense[at, at + n) into `ws`; with kAdd, first
@@ -133,20 +134,21 @@ void count_segment(const float* dense, float* sums, std::size_t at, const float*
                 v = v + vec4::load(src + (i - at));
                 vec4::store(sums + i, v);
             }
-            const i32x4 key = std::bit_cast<i32x4>(v) & 0x7fffffff;
+            const u32x4 key = std::bit_cast<u32x4>(v) & 0x7fffffffu;
             // |v| as a float orders like its key (one maxps). A NaN may be
             // missed here, but never by the histogram's non-finite bins.
             const vec4::f32x4 mag = std::bit_cast<vec4::f32x4>(key);
             vmax = mag > vmax ? mag : vmax;
             // 4 * bin: the offset of the bin's lane 0.
-            const u32x4 at4 = std::bit_cast<u32x4>(key >> (kHistogramShift - 2)) & ~3u;
+            const u32x4 at4 = (key >> (kHistogramShift - 2)) & ~3u;
             ++lane0[at4[0]];
             ++lane1[at4[1]];
             ++lane2[at4[2]];
             ++lane3[at4[3]];
         }
         const u32x4 kmax = std::bit_cast<u32x4>(vmax);
-        std::uint32_t chunk_max = std::max(std::max(kmax[0], kmax[1]), std::max(kmax[2], kmax[3]));
+        std::uint32_t chunk_max =
+            std::max(std::max(kmax[0], kmax[1]), std::max(kmax[2], kmax[3]));
         for (; i < chunk_end; ++i) {
             float v = dense[i];
             if constexpr (kAdd) {
@@ -264,8 +266,9 @@ void begin_count(TopkWorkspace& ws, std::size_t size) {
 void accumulate_counted(std::span<float> dense, std::size_t at,
                         std::span<const float> src, TopkWorkspace& ws) {
     if (!ws.count_fresh || ws.count_size != dense.size()) {
-        throw std::logic_error("accumulate_counted: no begin_count for a vector of size " +
-                               std::to_string(dense.size()));
+        throw std::logic_error(
+            "accumulate_counted: no begin_count for a vector of size " +
+            std::to_string(dense.size()));
     }
     if (at > dense.size() || src.size() > dense.size() - at) {
         throw std::out_of_range("accumulate_counted: segment [" + std::to_string(at) +

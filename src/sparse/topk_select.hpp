@@ -46,9 +46,6 @@ SparseGradient topk_select(std::span<const float> dense, std::size_t k,
 /// in the top 8 bins.
 inline constexpr int kHistogramShift = 20;
 inline constexpr std::size_t kHistogramBins = std::size_t{1} << (31 - kHistogramShift);
-/// Entries per block of the counted vector's block-max index: block b
-/// covers entries [64 b, 64 b + 64), aligned to the vector's start.
-inline constexpr std::size_t kCountBlock = 64;
 
 /// Scratch reused across selection calls, one per worker thread and
 /// selected vector (the trainer keeps one per bucket). The vectors grow to
@@ -57,8 +54,8 @@ inline constexpr std::size_t kCountBlock = 64;
 /// A count fills it: `lanes` holds four interleaved sub-histograms of the
 /// magnitude keys (lanes[4 * bin + j] counts the entries that went through
 /// vector lane j), so runs of equal keys increment four counters in turn
-/// rather than serializing on one; `block_max` holds the largest key of
-/// every kCountBlock-entry block; `max_key` the largest key counted (a
+/// rather than serializing on one; `block_max[b]` holds the largest key of
+/// entries [64 b, 64 b + 64); `max_key` the largest key counted (a
 /// NaN's key may be left out of both; the histogram always counts it).
 struct TopkWorkspace {
     std::array<std::uint32_t, 4 * kHistogramBins> lanes{};

@@ -360,9 +360,9 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                     const std::span<float> g(residual.data() + bk.begin, bk.size());
                     sparse::begin_count(select_ws[b], g.size());
                     if (local_momentum) {
-                        sparse::accumulate_counted(
-                            g, 0, std::span<const float>(velocity.data() + bk.begin, g.size()),
-                            select_ws[b]);
+                        const std::span<const float> v(velocity.data() + bk.begin,
+                                                       g.size());
+                        sparse::accumulate_counted(g, 0, v, select_ws[b]);
                     } else {
                         for (int s = bk.first_segment; s <= bk.last_segment; ++s) {
                             const auto seg = static_cast<std::size_t>(s);

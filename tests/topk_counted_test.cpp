@@ -102,7 +102,12 @@ TEST(TopkCounted, MatchesOneShotReferenceOnLargeVectors) {
     for (const std::size_t k : {1u, 50u, 517u, 5000u, 50'006u}) {
         std::vector<float> dense = random_dense(m, 40 + k);
         std::vector<float> grad = random_dense(m, 41 + k);
-        for (std::size_t i = 0; i < m; i += 9) grad[i] = std::round(grad[i] * 4.0f) / 4.0f;
+        // Every ninth sum is 0 + a quarter step: exact ties for the index
+        // order to break.
+        for (std::size_t i = 0; i < m; i += 9) {
+            dense[i] = 0.0f;
+            grad[i] = std::round(grad[i] * 4) / 4;
+        }
         accumulate_in_three(dense, 1 + k % 1000, 20'001, grad, ws);
         sparse::topk_select_counted(dense, k, ws, out);
         EXPECT_EQ(out, sparse::topk_select(dense, k, sparse::TopkStrategy::FullSort))
