@@ -56,8 +56,8 @@ void accumulate_grads(const std::vector<ParamView>& params, std::span<float> dst
 void axpy_values(const std::vector<ParamView>& params, float a,
                  std::span<const float> x);
 /// Momentum SGD in one pass (flat): v = mom * v + u, then params += a * v,
-/// element by element — the same two roundings per step as a velocity
-/// loop followed by axpy_values(params, a, v).
+/// element by element — each element gets the same operations, in the same
+/// order, as a velocity loop followed by axpy_values(params, a, v).
 void momentum_axpy_values(const std::vector<ParamView>& params, float mom,
                           std::span<float> v, std::span<const float> u, float a);
 
