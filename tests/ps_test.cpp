@@ -8,11 +8,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <ostream>
+#include <vector>
 
 #include "collectives/cost_model.hpp"
 #include "data/sampler.hpp"
 #include "data/synthetic_images.hpp"
 #include "nn/model_zoo.hpp"
+#include "obs/telemetry.hpp"
 #include "ps/ps_cost_model.hpp"
 #include "ps/ps_trainer.hpp"
 #include "train/trainer.hpp"
@@ -161,6 +163,90 @@ TEST_P(PsPinnedTrajectory, FinalParamsAndLossesMatchRecordedHash) {
     mix(r.final_params.data(), r.final_params.size() * sizeof(float));
     for (const train::EpochMetrics& e : r.epochs) mix(&e.train_loss, sizeof(double));
     if (const char* env = std::getenv("GTOPK_PRINT_TRAJECTORY_HASHES");
+        env && std::strcmp(env, "1") == 0) {
+        std::printf("%s 0x%016llxull\n", pc.name,
+                    static_cast<unsigned long long>(hash));
+    }
+    EXPECT_EQ(hash, pc.hash) << pc.name;
+}
+
+// Pinned parameter-server clocks on 1 GbE: per-rank virtual time and
+// traffic of the push/pull exchange, for both aggregations at 2 and 4
+// workers. train_parameter_server reports per-rank numbers only through
+// the telemetry plane, so the run has telemetry on and the hash reads every
+// rank's per-step clock advance (a difference of virtual clocks), messages
+// and bytes sent and received, plus worker 0's counts, its mean clock
+// advance and the final parameters. comm_time_s and the host-time fields
+// are left out (mailbox depth too: it samples in-flight traffic). Recorded
+// before the exchange moved off the blocking send/recv. Set
+// GTOPK_PRINT_CLOCK_PIN=1 to print what a build computes; x86-64 only, like
+// the other pins.
+struct PsClockCase {
+    const char* name;
+    ps::PsAggregation aggregation;
+    int workers;
+    std::uint64_t hash;
+};
+
+void PrintTo(const PsClockCase& pc, std::ostream* os) { *os << pc.name; }
+
+class PsClockPin : public ::testing::TestWithParam<PsClockCase> {};
+INSTANTIATE_TEST_SUITE_P(
+    OneGbE, PsClockPin,
+    ::testing::Values(
+        PsClockCase{"Dense2", ps::PsAggregation::Dense, 2, 0x576a22c8105d2e1cull},
+        PsClockCase{"Dense4", ps::PsAggregation::Dense, 4, 0xc10e8ddf7ccdf8feull},
+        PsClockCase{"Gtopk2", ps::PsAggregation::Gtopk, 2, 0x152b0f3e45533720ull},
+        PsClockCase{"Gtopk4", ps::PsAggregation::Gtopk, 4, 0xc5e0230720546289ull}),
+    [](const ::testing::TestParamInfo<PsClockCase>& info) { return info.param.name; });
+
+TEST_P(PsClockPin, PerRankClocksCountsAndParamsMatchRecordedHash) {
+#if !defined(__x86_64__)
+    GTEST_SKIP() << "hashes were recorded for x86-64 float arithmetic";
+#endif
+    const PsClockCase& pc = GetParam();
+    PsHarness h(pc.workers);
+    obs::Telemetry telem(pc.workers + 1);
+    ps::PsTrainConfig config;
+    config.aggregation = pc.aggregation;
+    config.epochs = 2;
+    config.iters_per_epoch = 4;
+    config.density = 0.02;
+    config.telemetry = &telem;
+    const auto r = ps::train_parameter_server(pc.workers,
+                                              NetworkModel::one_gbps_ethernet(),
+                                              config, h.factory(), h.batches(),
+                                              nullptr);
+    const std::vector<obs::IterSnapshot> snaps = telem.snapshots();
+    ASSERT_EQ(snaps.size(), 8u);
+
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    auto mix = [&hash](const void* data, std::size_t n) {
+        const auto* p = static_cast<const unsigned char*>(data);
+        for (std::size_t i = 0; i < n; ++i) {
+            hash ^= p[i];
+            hash *= 0x100000001b3ull;
+        }
+    };
+    for (const obs::IterSnapshot& snap : snaps) {
+        mix(&snap.step, sizeof(snap.step));
+        for (const obs::RankIterStats& row : snap.ranks) {
+            mix(&row.physical_rank, sizeof(row.physical_rank));
+            mix(&row.comm_virtual_s, sizeof(row.comm_virtual_s));
+            mix(&row.wire_bytes_sent, sizeof(row.wire_bytes_sent));
+            mix(&row.wire_bytes_received, sizeof(row.wire_bytes_received));
+            mix(&row.messages_sent, sizeof(row.messages_sent));
+            mix(&row.messages_received, sizeof(row.messages_received));
+            mix(&row.nnz, sizeof(row.nnz));
+        }
+    }
+    mix(&r.rank0_comm.messages_sent, sizeof(std::uint64_t));
+    mix(&r.rank0_comm.messages_received, sizeof(std::uint64_t));
+    mix(&r.rank0_comm.bytes_sent, sizeof(std::uint64_t));
+    mix(&r.rank0_comm.bytes_received, sizeof(std::uint64_t));
+    mix(&r.mean_comm_virtual_s, sizeof(double));
+    mix(r.final_params.data(), r.final_params.size() * sizeof(float));
+    if (const char* env = std::getenv("GTOPK_PRINT_CLOCK_PIN");
         env && std::strcmp(env, "1") == 0) {
         std::printf("%s 0x%016llxull\n", pc.name,
                     static_cast<unsigned long long>(hash));

@@ -7,6 +7,9 @@
 // recorder's forensic bundle on an injected kill.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -221,6 +224,86 @@ TEST_P(TelemetryOnOffSweep, TrainingIsBitIdenticalWithTelemetryOn) {
     for (const obs::IterSnapshot& snap : telem.snapshots()) {
         EXPECT_EQ(snap.world(), 4);
     }
+}
+
+// Pinned clocks of a telemetry-on GtopkSsgd run at P = 4 on 1 GbE: every
+// rank's virtual clock at the start and end of each step's telemetry
+// exchange and at the end of each iteration (read off the trainer's own
+// spans), plus every snapshot's virtual-time and count fields. comm_time_s,
+// the host-time fields and the mailbox depth (it samples in-flight
+// traffic) are left out. Recorded before the exchange moved off the
+// blocking send/recv. Set GTOPK_PRINT_CLOCK_PIN=1 to print what a build
+// computes; x86-64 only, like the other pins.
+TEST(TelemetryClockPin, GtopkSsgdAtP4On1GbE) {
+#if !defined(__x86_64__)
+    GTEST_SKIP() << "hashes were recorded for x86-64 double arithmetic";
+#endif
+    constexpr int kWorld = 4;
+    TinyTrainScenario scenario(kWorld);
+    obs::Telemetry telem(kWorld);
+    obs::Tracer tracer(kWorld);
+    train::TrainConfig cfg = scenario.config(Algorithm::GtopkSsgd);
+    cfg.telemetry = &telem;
+    cfg.tracer = &tracer;
+    const auto result = train::train_distributed(
+        kWorld, comm::NetworkModel::one_gbps_ethernet(), cfg,
+        [mc = scenario.mlp](std::uint64_t seed) { return nn::make_mlp(mc, seed); },
+        [&](std::int64_t step, int rank) {
+            return scenario.dataset.batch_flat(
+                scenario.sampler.batch_indices(step, rank, 8));
+        },
+        train::EvalBatchProvider{});
+    ASSERT_FALSE(result.final_params.empty());
+
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    auto mix = [&hash](const void* data, std::size_t n) {
+        const auto* p = static_cast<const unsigned char*>(data);
+        for (std::size_t i = 0; i < n; ++i) {
+            hash ^= p[i];
+            hash *= 0x100000001b3ull;
+        }
+    };
+    const int steps = cfg.epochs * cfg.iters_per_epoch;
+    for (int r = 0; r < kWorld; ++r) {
+        int telemetry_spans = 0;
+        for (const obs::Span& s : tracer.rank_spans(r)) {
+            const std::string name = s.name;
+            if (name == "telemetry") {
+                ++telemetry_spans;
+                mix(&s.v_begin_s, sizeof(double));
+            } else if (name != "iteration") {
+                continue;
+            }
+            mix(&s.v_end_s, sizeof(double));
+        }
+        ASSERT_EQ(telemetry_spans, steps) << "rank " << r;
+    }
+    const std::vector<obs::IterSnapshot> snaps = telem.snapshots();
+    ASSERT_EQ(snaps.size(), static_cast<std::size_t>(steps));
+    for (const obs::IterSnapshot& snap : snaps) {
+        mix(&snap.step, sizeof(snap.step));
+        mix(&snap.epoch, sizeof(snap.epoch));
+        for (const obs::RankIterStats& row : snap.ranks) {
+            mix(&row.physical_rank, sizeof(row.physical_rank));
+            mix(&row.logical_rank, sizeof(row.logical_rank));
+            mix(&row.epoch, sizeof(row.epoch));
+            mix(&row.regroups, sizeof(row.regroups));
+            mix(&row.comm_virtual_s, sizeof(row.comm_virtual_s));
+            mix(&row.wire_bytes_sent, sizeof(row.wire_bytes_sent));
+            mix(&row.wire_bytes_received, sizeof(row.wire_bytes_received));
+            mix(&row.messages_sent, sizeof(row.messages_sent));
+            mix(&row.messages_received, sizeof(row.messages_received));
+            mix(&row.nnz, sizeof(row.nnz));
+            mix(&row.faults_injected, sizeof(row.faults_injected));
+            mix(&row.retransmits, sizeof(row.retransmits));
+        }
+    }
+    if (const char* env = std::getenv("GTOPK_PRINT_CLOCK_PIN");
+        env && std::strcmp(env, "1") == 0) {
+        std::printf("TelemetryClockPin 0x%016llxull\n",
+                    static_cast<unsigned long long>(hash));
+    }
+    EXPECT_EQ(hash, 0xc09f5970c50b6cc9ull);
 }
 
 // ---------------------------------------------------------------------------
