@@ -2,12 +2,13 @@
 // fit. The paper measures its 1GbE testbed with the OSU benchmark and fits
 // alpha = 0.436 ms, beta = 3.6e-5 ms/element; we run the same protocol on
 // the virtual-time transport and recover the constants by least squares —
-// pinning the simulator to the paper's network.
+// pinning the simulator to the paper's network. Each transfer is a P = 2
+// broadcast from rank 0: exactly one alpha + n*beta message to rank 1.
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "collectives/collectives.hpp"
 #include "comm/cluster.hpp"
-#include "comm/tags.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -25,12 +26,8 @@ int main() {
     for (std::size_t n : {0u, 50'000u, 100'000u, 200'000u, 400'000u, 600'000u,
                           800'000u, 1'000'000u}) {
         auto result = comm::Cluster::run_timed(2, net, [&](comm::Communicator& comm) {
-            std::vector<float> payload(n, 1.0f);
-            if (comm.rank() == 0) {
-                comm.send_vec<float>(1, gtopk::comm::kTagBenchP2p, payload);
-            } else {
-                (void)comm.recv(0, gtopk::comm::kTagBenchP2p);
-            }
+            std::vector<float> payload(comm.rank() == 0 ? n : 0, 1.0f);
+            collectives::broadcast(comm, payload, /*root=*/0);
         });
         const double measured_ms = result.final_time_s[1] * 1e3;
         const double predicted_ms = net.transfer_time_elems(n) * 1e3;

@@ -36,10 +36,6 @@ public:
             {std::move(msg), /*corrupt=*/false});
     }
 
-    comm::Message receive(int, int, int) override {
-        throw std::logic_error("ScriptedTransport: blocking receive unused");
-    }
-
     std::optional<comm::Message> try_receive(int rank, int source,
                                              int tag) override {
         auto& q = ready_[static_cast<std::size_t>(rank)];

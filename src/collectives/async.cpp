@@ -18,11 +18,6 @@ AsyncCollective::AsyncCollective(comm::Communicator& comm, Schedule sched,
                                     " != communicator size " +
                                     std::to_string(comm_.size()));
     }
-    if (sched_.absolute_tags) {
-        throw std::invalid_argument(
-            "AsyncCollective: absolute-tag schedules cannot share the async "
-            "band");
-    }
 }
 
 AsyncCollective::~AsyncCollective() {
@@ -33,7 +28,9 @@ void AsyncCollective::start() {
     if (state_ != State::Created) {
         throw std::logic_error("AsyncCollective: start() called twice");
     }
-    tag_base_ = comm_.fresh_async_tags(sched_.tag_count);
+    // An absolute-tag schedule (ps, telemetry) runs at base 0 and leaves the
+    // SPMD cursor alone, the rule analysis::SchedulePredictor replays.
+    tag_base_ = sched_.absolute_tags ? 0 : comm_.fresh_async_tags(sched_.tag_count);
     state_ = State::Started;
     span_v_begin_s_ = comm_.clock().now_s();
     span_h_begin_s_ = obs::host_now_s();
@@ -71,7 +68,7 @@ bool AsyncCollective::pump_some() {
 }
 
 void AsyncCollective::consume_(const CommOp& op, comm::Communicator::AsyncMsg msg) {
-    // A virtual deadline applies Mailbox::pop_for_virtual's rule on the
+    // A virtual deadline applies Transport::receive_for_virtual's rule on the
     // handle's timeline: the receive gave up at last_event_s_ + timeout of
     // modeled time, so a later arrival is consumed (already popped) and the
     // op times out — an outcome of modeled arrivals only, never host speed.

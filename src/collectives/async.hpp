@@ -5,8 +5,11 @@
 //
 // A handle wraps one generated Schedule (schedule.hpp) and executes its
 // per-rank op program INCREMENTALLY: start() reserves a private tag band in
-// the async tag space (comm/tags.hpp) and runs ops until the first
-// unmatched receive; test()/wait() resume from that point. Sends are
+// the async tag space (comm/tags.hpp) — or, for an absolute-tag schedule
+// (ps, telemetry), uses the op tags as they are without drawing from the
+// band — and runs ops until the first unmatched receive; test()/wait()
+// resume from that point. It is the runtime's one receive path: every
+// receive is a Communicator::try_recv_async pumped by a wait(). Sends are
 // buffered (never block), so a pump always drains every runnable op; a
 // receive op suspends the program until its message is polled in via
 // Communicator::try_recv_async.
@@ -38,8 +41,8 @@
 //   * DeadlineClock::Host: recv_timeout_s host seconds without progress.
 //   * DeadlineClock::Virtual: a matched message whose modeled arrival is
 //     later than last_event_s() + recv_timeout_s is consumed and times out
-//     (Mailbox::pop_for_virtual's rule); one that never arrives times out
-//     after recv_host_grace_s.
+//     (Transport::receive_for_virtual's rule); one that never arrives times
+//     out after recv_host_grace_s.
 #pragma once
 
 #include <cstdint>
@@ -70,8 +73,9 @@ public:
     AsyncCollective(const AsyncCollective&) = delete;
     AsyncCollective& operator=(const AsyncCollective&) = delete;
 
-    /// Reserve this handle's async tag band, register as a progress source
-    /// and run every immediately-runnable op. Throws on double start.
+    /// Reserve this handle's async tag band (none for an absolute-tag
+    /// schedule: base 0), register as a progress source and run every
+    /// immediately-runnable op. Throws on double start.
     void start();
 
     /// Non-blocking progress: pump every registered source once and report
@@ -87,7 +91,8 @@ public:
     State state() const { return state_; }
     bool done() const { return state_ == State::Done; }
 
-    /// Base of this handle's private tag band (valid once started).
+    /// Base of this handle's private tag band (valid once started; 0 for an
+    /// absolute-tag schedule).
     int tag_base() const { return tag_base_; }
 
     /// Latest modeled event of this handle (send end / arrival consumed) —

@@ -46,8 +46,10 @@ using comm::Communicator;
 namespace detail {
 
 /// A blocking collective's handle: `payload(op)` names the bytes a Send op
-/// ships (copied into a pooled buffer), `land(op, bytes)` consumes a Recv
-/// op's payload. The caller's ScopedSpan is the call's only span.
+/// ships — a span is copied into a pooled buffer, a std::vector<std::byte>
+/// (serialized straight into one from buffer_pool()) is moved — and
+/// `land(op, bytes)` consumes a Recv op's payload. The caller's ScopedSpan
+/// is the call's only span.
 template <typename Payload, typename Land>
 class CallbackCollective final : public AsyncCollective {
 public:
@@ -58,7 +60,12 @@ public:
 
 private:
     void op_send(const CommOp& op, int tag) override {
-        send_async_copy(op, tag, payload_(op));
+        if constexpr (std::is_same_v<std::invoke_result_t<Payload&, const CommOp&>,
+                                     std::vector<std::byte>>) {
+            send_async(op, tag, payload_(op));
+        } else {
+            send_async_copy(op, tag, payload_(op));
+        }
     }
     void op_recv(const CommOp& op, std::vector<std::byte> bytes) override {
         land_(op, std::span<const std::byte>(bytes));

@@ -32,16 +32,12 @@ void Communicator::set_view(std::vector<int> members, int epoch) {
             throw std::invalid_argument("set_view: members must be sorted unique");
         }
     }
-    view_members_ = std::move(members);
-    phys_to_logical_.assign(static_cast<std::size_t>(transport_.world_size()), -1);
-    for (std::size_t i = 0; i < view_members_.size(); ++i) {
-        phys_to_logical_[static_cast<std::size_t>(view_members_[i])] =
-            static_cast<int>(i);
-    }
-    logical_rank_ = phys_to_logical_[static_cast<std::size_t>(rank_)];
-    if (logical_rank_ < 0) {
+    const auto self = std::find(members.begin(), members.end(), rank_);
+    if (self == members.end()) {
         throw std::invalid_argument("set_view: this rank is not a member");
     }
+    logical_rank_ = static_cast<int>(self - members.begin());
+    view_members_ = std::move(members);
     epoch_ = epoch;
     // Ranks reach a regroup from wherever the failure found them, so their
     // tag cursors may disagree. Restarting at the base resynchronizes the
@@ -59,26 +55,8 @@ int Communicator::to_physical(int logical_peer) const {
     return view_members_[static_cast<std::size_t>(logical_peer)];
 }
 
-int Communicator::to_logical(int physical_src) const {
-    if (view_members_.empty()) return physical_src;
-    const int logical = phys_to_logical_[static_cast<std::size_t>(physical_src)];
-    // Non-members cannot reach us (epoch floor), so this is defensive.
-    return logical >= 0 ? logical : physical_src;
-}
-
 int Communicator::fresh_async_tags(int count) {
     if (count < 0) throw std::invalid_argument("fresh_async_tags: negative count");
-    if (progress_sources_.empty()) {
-        // No handle in flight: every future transfer's dependency time is at
-        // or after the current clock, so NIC occupancy that already ended is
-        // unreachable — drop it to keep the busy list bounded across
-        // iterations.
-        const double now = clock_.now_s();
-        std::erase_if(nic_busy_,
-                      [now](const std::pair<double, double>& iv) {
-                          return iv.second <= now;
-                      });
-    }
     if (count > std::numeric_limits<int>::max() - kAsyncTagBase) {
         throw std::invalid_argument("fresh_async_tags: count exceeds tag space");
     }
@@ -113,6 +91,17 @@ int Communicator::fresh_async_tags(int count) {
 
 void Communicator::add_progress_source(ProgressSource* source) {
     if (!source) throw std::invalid_argument("add_progress_source: null source");
+    if (progress_sources_.empty()) {
+        // No handle in flight: every future transfer's dependency time is at
+        // or after the current clock, so NIC occupancy that already ended is
+        // unreachable — drop it to keep the busy list bounded across
+        // iterations.
+        const double now = clock_.now_s();
+        std::erase_if(nic_busy_,
+                      [now](const std::pair<double, double>& iv) {
+                          return iv.second <= now;
+                      });
+    }
     progress_sources_.push_back(source);
 }
 
@@ -154,79 +143,6 @@ void Communicator::set_tracer(obs::Tracer* tracer) {
         m_bytes_received_ = nullptr;
         m_message_bytes_ = nullptr;
     }
-}
-
-void Communicator::send(int dst, int tag, std::span<const std::byte> payload) {
-    std::vector<std::byte> buf = pool_.acquire(payload.size());
-    if (!payload.empty()) {
-        std::memcpy(buf.data(), payload.data(), payload.size());
-    }
-    send_buffer(dst, tag, std::move(buf));
-}
-
-void Communicator::send_buffer(int dst, int tag, std::vector<std::byte>&& payload) {
-    if (dst == logical_rank_) throw std::invalid_argument("send to self is not allowed");
-    const int phys_dst = to_physical(dst);
-    obs::ScopedSpan span(tracer_, clock_, rank_, "send", "comm");
-    span.attrs().bytes = static_cast<std::int64_t>(payload.size());
-    span.attrs().peer = phys_dst;
-    span.attrs().tag = tag;
-
-    const double cost = model_.transfer_time_s(payload.size());
-    clock_.advance(cost);
-    stats_.comm_time_s += cost;
-    stats_.messages_sent += 1;
-    stats_.bytes_sent += payload.size();
-    if (tracer_) {
-        m_bytes_sent_->add(payload.size());
-        m_message_bytes_->record(payload.size());
-    }
-
-    Message msg;
-    msg.source = rank_;
-    msg.tag = tag;
-    msg.epoch = epoch_;
-    msg.arrival_time_s = clock_.now_s();
-    msg.payload = std::move(payload);
-    transport_.deliver(phys_dst, std::move(msg));
-}
-
-std::vector<std::byte> Communicator::recv(int src, int tag) {
-    int ignored = 0;
-    return recv(src, tag, ignored);
-}
-
-std::vector<std::byte> Communicator::recv(int src, int tag, int& actual_src) {
-    // The span's virtual duration is exactly the wait: how far this rank's
-    // clock had to jump forward to the message's modeled arrival.
-    obs::ScopedSpan span(tracer_, clock_, rank_, "recv_wait", "comm");
-    span.attrs().tag = tag;
-
-    const int phys_src = to_physical(src);
-    Message msg = [&] {
-        if (recv_timeout_s_ <= 0.0) return transport_.receive(rank_, phys_src, tag);
-        std::optional<Message> m =
-            deadline_clock_ == DeadlineClock::Virtual
-                ? transport_.receive_for_virtual(rank_, phys_src, tag,
-                                                 clock_.now_s() + recv_timeout_s_,
-                                                 recv_host_grace_s_)
-                : transport_.receive_for(rank_, phys_src, tag, recv_timeout_s_);
-        if (!m) {
-            throw CommError(CommErrorKind::RecvTimeout, rank_, phys_src, tag,
-                            recv_timeout_s_);
-        }
-        return std::move(*m);
-    }();
-    const double before = clock_.now_s();
-    clock_.advance_to(msg.arrival_time_s);
-    stats_.comm_time_s += clock_.now_s() - before;
-    stats_.messages_received += 1;
-    stats_.bytes_received += msg.payload.size();
-    span.attrs().bytes = static_cast<std::int64_t>(msg.payload.size());
-    span.attrs().peer = msg.source;
-    if (tracer_) m_bytes_received_->add(msg.payload.size());
-    actual_src = to_logical(msg.source);
-    return std::move(msg.payload);
 }
 
 double Communicator::send_async(int dst, int tag, std::vector<std::byte>&& payload,
@@ -289,10 +205,6 @@ std::optional<Communicator::AsyncMsg> Communicator::try_recv_async(int src, int 
                        .peer = m->source, .tag = tag}});
     }
     return AsyncMsg{std::move(m->payload), m->arrival_time_s};
-}
-
-PooledBuffer Communicator::recv_buffer(int src, int tag) {
-    return PooledBuffer(recv(src, tag), &pool_);
 }
 
 }  // namespace gtopk::comm

@@ -1,26 +1,27 @@
 // Communicator: the rank-scoped handle a worker uses to talk to peers —
 // the moral equivalent of an MPI communicator, plus virtual-time accounting.
 //
-// Timing model (applied on every matched send/recv pair):
-//   * send(dst, n bytes) advances the SENDER's clock by alpha + n*beta and
-//     stamps the message's arrival time with the sender's post-send clock.
-//   * recv() advances the RECEIVER's clock to max(own clock, arrival).
-// This sequential-send model reproduces the standard alpha-beta costs of
-// all the collectives analyzed in the paper: a ring step costs
-// alpha + n*beta per rank (send-then-recv overlap collapses to one term),
-// a tree round costs alpha + n*beta on its critical path, and a flat-tree
-// root serializes (P-1) sends — exactly the behaviors Eqs. 5-7 assume.
-// The collectives themselves run as AsyncCollective handles on the NIC
-// timeline (send_async / try_recv_async), where a lone handle's sends start
-// at max(previous send end, last arrival): the same clock, bit for bit.
+// Timing model: every transfer rides this rank's NIC timeline.
+//   * send_async(dst, n bytes) occupies the sender's NIC for alpha + n*beta
+//     from the first free slot at or after the caller's dependency time and
+//     stamps the message's arrival with the transfer's end. It does not move
+//     the virtual clock.
+//   * try_recv_async() hands back the payload with its modeled arrival and
+//     does not move the clock either.
+// The caller is always an AsyncCollective handle (collectives/async.hpp):
+// its sends start at max(previous send end, last arrival), and its wait()
+// advances the clock to its last event. That is the sequential alpha-beta
+// model of the paper: a ring step costs alpha + n*beta per rank, a tree
+// round costs alpha + n*beta on its critical path, and a flat-tree root
+// serializes (P-1) sends — exactly the behaviors Eqs. 5-7 assume. There is
+// no blocking send or receive: every receive in the runtime is a
+// try_recv_async pumped by a handle's wait().
 #pragma once
 
 #include <cstdint>
-#include <cstring>
-#include <span>
-#include <vector>
-
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "comm/buffer_pool.hpp"
 #include "comm/comm_error.hpp"
@@ -44,8 +45,8 @@ struct CommStats {
     std::uint64_t messages_received = 0;
     std::uint64_t bytes_sent = 0;
     std::uint64_t bytes_received = 0;
-    /// Virtual seconds this rank's clock advanced inside send/recv calls
-    /// and AsyncCollective::wait (includes waiting for a peer's message to
+    /// Virtual seconds this rank's clock advanced inside
+    /// AsyncCollective::wait (includes waiting for a peer's message to
     /// arrive). send_async does not move the clock and adds nothing.
     double comm_time_s = 0.0;
 
@@ -82,11 +83,12 @@ public:
     /// Install a membership view (comm/membership.hpp): `members` are the
     /// sorted physical ranks of the survivor world and must contain this
     /// rank. From here on rank()/size() are logical, peer arguments to
-    /// send/recv are logical and translated at the wire, every outgoing
-    /// message is stamped with `epoch`, and the transport's inbound epoch
-    /// floor is raised so stale pre-regroup traffic is rejected. The
-    /// async tag cursor restarts at kAsyncTagBase — safe precisely because
-    /// the epoch floor guarantees no old-epoch message can steal a match.
+    /// send_async/try_recv_async are logical and translated at the wire,
+    /// every outgoing message is stamped with `epoch`, and the transport's
+    /// inbound epoch floor is raised so stale pre-regroup traffic is
+    /// rejected. The async tag cursor restarts at kAsyncTagBase — safe
+    /// precisely because the epoch floor guarantees no old-epoch message
+    /// can steal a match.
     void set_view(std::vector<int> members, int epoch);
 
     /// Current membership epoch stamped on outgoing messages (0 initially).
@@ -103,8 +105,8 @@ public:
     CommStats& stats() { return stats_; }
     const CommStats& stats() const { return stats_; }
 
-    /// Receive deadline in HOST seconds applied to every blocking recv on
-    /// this rank; <= 0 (the default) waits forever. On expiry the recv
+    /// Receive deadline in HOST seconds applied to every handle's wait() on
+    /// this rank; <= 0 (the default) waits forever. On expiry the wait
     /// throws CommError(RecvTimeout) naming this rank, the awaited peer and
     /// the tag, so a dropped message (fault injection, dead peer) surfaces
     /// as a typed failure instead of an indefinite hang. Host time is the
@@ -117,11 +119,11 @@ public:
     double recv_timeout_s() const { return recv_timeout_s_; }
 
     /// Generalized receive deadline: `DeadlineClock::Host` is exactly
-    /// set_recv_timeout_s; `DeadlineClock::Virtual` times a recv out when
-    /// no match arrives by (receiver's virtual now + timeout_s) of MODELED
-    /// time — a matching message with a later modeled arrival is consumed
-    /// and discarded, so the timeout outcome depends only on the network
-    /// model, never on host-machine speed. In virtual mode,
+    /// set_recv_timeout_s; `DeadlineClock::Virtual` times a receive out
+    /// when no match arrives by (the handle's last event + timeout_s) of
+    /// MODELED time — a matching message with a later modeled arrival is
+    /// consumed and discarded, so the timeout outcome depends only on the
+    /// network model, never on host-machine speed. In virtual mode,
     /// set_recv_host_grace_s bounds the wall-clock wait for the only
     /// nondeterministic case (the message never arrives at all).
     void set_recv_deadline(DeadlineClock clock, double timeout_s) {
@@ -130,7 +132,7 @@ public:
     }
     DeadlineClock recv_deadline_clock() const { return deadline_clock_; }
 
-    /// Host-seconds bound on a virtual-deadline recv whose match never
+    /// Host-seconds bound on a virtual-deadline receive whose match never
     /// materializes (true drop). Affects detection latency only, never
     /// which outcome deterministic scenarios observe.
     void set_recv_host_grace_s(double grace_s) { recv_host_grace_s_ = grace_s; }
@@ -142,33 +144,12 @@ public:
     void mark_progress(std::int64_t step) { transport_.on_progress(rank_, step); }
 
     /// Attach an observability tracer (nullptr = tracing off, the default).
-    /// With a tracer, send/recv record per-message spans and metrics;
+    /// With a tracer, send_async/try_recv_async record per-message spans
+    /// and metrics;
     /// collectives and aggregators pick it up via tracer() to add their
     /// phase spans. Off, every traced path is one branch on null.
     void set_tracer(obs::Tracer* tracer);
     obs::Tracer* tracer() const { return tracer_; }
-
-    /// Blocking-by-semantics send (buffered, so it never deadlocks on an
-    /// unmatched peer, like an MPI buffered send). Costs alpha + n*beta of
-    /// sender virtual time. The payload is copied — into a pooled buffer,
-    /// so steady-state sends do not allocate.
-    void send(int dst, int tag, std::span<const std::byte> payload);
-
-    /// Zero-copy send: the vector is moved into the Message unchanged.
-    /// Acquire it from buffer_pool() (serialize straight into it) so the
-    /// storage recirculates; any vector is accepted either way.
-    void send_buffer(int dst, int tag, std::vector<std::byte>&& payload);
-
-    /// Blocking matched receive; returns the payload. Receiver's clock is
-    /// advanced to the message's modeled arrival.
-    std::vector<std::byte> recv(int src, int tag);
-
-    /// Receive and also report the actual source (for kAnySource receives).
-    std::vector<std::byte> recv(int src, int tag, int& actual_src);
-
-    /// Like recv, but the payload's storage returns to this rank's pool
-    /// when the returned handle dies — the allocation-free receive path.
-    PooledBuffer recv_buffer(int src, int tag);
 
     /// NIC-timeline send for async collectives: the transfer occupies this
     /// rank's modeled NIC for alpha + n*beta starting at the first free
@@ -202,53 +183,6 @@ public:
     /// rank's thread may touch it.
     BufferPool& buffer_pool() { return pool_; }
 
-    /// Typed helpers for trivially copyable element types.
-    template <typename T>
-    void send_vec(int dst, int tag, std::span<const T> values) {
-        static_assert(std::is_trivially_copyable_v<T>);
-        send(dst, tag, std::as_bytes(values));
-    }
-
-    template <typename T>
-    void send_vec(int dst, int tag, const std::vector<T>& values) {
-        send_vec<T>(dst, tag, std::span<const T>(values));
-    }
-
-    template <typename T>
-    std::vector<T> recv_vec(int src, int tag) {
-        std::vector<T> out;
-        recv_vec_into<T>(src, tag, out);
-        return out;
-    }
-
-    /// Receive into an existing vector, reusing its capacity; the wire
-    /// buffer itself recycles through the pool.
-    template <typename T>
-    void recv_vec_into(int src, int tag, std::vector<T>& out) {
-        static_assert(std::is_trivially_copyable_v<T>);
-        const PooledBuffer raw = recv_buffer(src, tag);
-        out.resize(raw.size() / sizeof(T));
-        if (!out.empty()) {
-            std::memcpy(out.data(), raw.bytes().data(), out.size() * sizeof(T));
-        }
-    }
-
-    /// Send a single trivially-copyable value.
-    template <typename T>
-    void send_value(int dst, int tag, const T& v) {
-        static_assert(std::is_trivially_copyable_v<T>);
-        send(dst, tag, std::as_bytes(std::span<const T>(&v, 1)));
-    }
-
-    template <typename T>
-    T recv_value(int src, int tag) {
-        static_assert(std::is_trivially_copyable_v<T>);
-        std::vector<std::byte> raw = recv(src, tag);
-        T v{};
-        std::memcpy(&v, raw.data(), sizeof(T));
-        return v;
-    }
-
     /// Inbound mailbox depth of this rank (pending messages across every
     /// tag) — the queue-pressure signal the telemetry plane folds into its
     /// per-iteration RankIterStats.
@@ -279,8 +213,13 @@ public:
     void set_async_tag_cursor_for_test(int cursor) { async_tag_counter_ = cursor; }
 
     /// Register/unregister an in-flight progress source (async handles do
-    /// this in start()/destruction). Single-threaded: only the owning
-    /// rank's thread may touch the registry.
+    /// this in start()/destruction). Registering into an empty registry
+    /// also prunes the NIC busy list: with no handle in flight, every
+    /// future transfer's dependency time is at or after the current clock,
+    /// so occupancy that already ended is unreachable. Every handle's
+    /// start() passes here, async-band or absolute-tag, which keeps the list
+    /// bounded across iterations. Single-threaded: only the owning rank's
+    /// thread may touch the registry.
     void add_progress_source(ProgressSource* source);
     void remove_progress_source(ProgressSource* source);
 
@@ -292,18 +231,17 @@ public:
     /// Registered in-flight sources (for diagnostics/tests).
     std::size_t progress_source_count() const { return progress_sources_.size(); }
 
-private:
-    /// Physical -> logical source translation (kAnySource receives).
-    int to_logical(int physical_src) const;
+    /// Reserved NIC busy intervals (for diagnostics/tests).
+    std::size_t nic_busy_count() const { return nic_busy_.size(); }
 
+private:
     int async_tag_counter_;  // initialized to kAsyncTagBase, clear of user tags
     std::vector<ProgressSource*> progress_sources_;
     Transport& transport_;
     int rank_;          // physical, fixed for the communicator's lifetime
     int logical_rank_;  // index into view_members_ (== rank_ when identity)
     int epoch_ = 0;
-    std::vector<int> view_members_;    // empty = identity view (full world)
-    std::vector<int> phys_to_logical_;  // -1 for non-members
+    std::vector<int> view_members_;  // empty = identity view (full world)
     /// Place a `duration_s` transfer at the first NIC gap at or after
     /// `earliest_s` (first-fit over nic_busy_), reserve it, and return its
     /// start. Host pump order must not decide modeled contention: a send
@@ -313,8 +251,8 @@ private:
 
     DeadlineClock deadline_clock_ = DeadlineClock::Host;
     /// Reserved NIC busy intervals [start, end), sorted by start,
-    /// non-overlapping. Pruned between overlapped iterations (see
-    /// fresh_async_tags).
+    /// non-overlapping. Pruned whenever a handle starts with none in flight
+    /// (see add_progress_source).
     std::vector<std::pair<double, double>> nic_busy_;
     double nic_busy_until_s_ = 0.0;
     double recv_timeout_s_ = 0.0;

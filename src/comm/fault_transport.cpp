@@ -1,10 +1,8 @@
 #include "comm/fault_transport.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <stdexcept>
-#include <thread>
 
 #include "comm/comm_error.hpp"
 #include "obs/trace.hpp"
@@ -184,11 +182,6 @@ void FaultInjectingTransport::flush_held(int dst) {
     for (Message& m : release) deliver_through(dst, std::move(m));
 }
 
-Message FaultInjectingTransport::receive(int rank, int source, int tag) {
-    std::optional<Message> msg = receive_for(rank, source, tag, 0.0);
-    return std::move(*msg);  // timeout <= 0 only returns with a message
-}
-
 std::optional<Message> FaultInjectingTransport::try_receive(int rank, int source,
                                                             int tag) {
     if (rank_killed(rank)) {
@@ -196,27 +189,6 @@ std::optional<Message> FaultInjectingTransport::try_receive(int rank, int source
     }
     flush_held(rank);
     return inner_->try_receive(rank, source, tag);
-}
-
-std::optional<Message> FaultInjectingTransport::receive_for(int rank, int source,
-                                                            int tag,
-                                                            double timeout_s) {
-    // Poll rather than block inside the inner mailbox: a sender may PARK a
-    // message after this receiver already started waiting, so the hold
-    // slots must be re-checked until the match shows up, the deadline
-    // passes, or the transport shuts down (MailboxClosed from try_receive).
-    const bool bounded = timeout_s > 0.0;
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(bounded ? timeout_s : 0.0));
-    for (;;) {
-        if (auto msg = try_receive(rank, source, tag)) return msg;
-        if (bounded && std::chrono::steady_clock::now() >= deadline) {
-            return std::nullopt;
-        }
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
 }
 
 void FaultInjectingTransport::shutdown() { inner_->shutdown(); }

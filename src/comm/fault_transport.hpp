@@ -141,10 +141,10 @@ public:
 
     int world_size() const override { return inner_->world_size(); }
     void deliver(int dst, Message msg) override;
-    Message receive(int rank, int source, int tag) override;
+    /// Flushes the hold slots parked for `rank` before polling the inner
+    /// fabric, so a message a sender parked after the receiver started
+    /// waiting still shows up on the next poll.
     std::optional<Message> try_receive(int rank, int source, int tag) override;
-    std::optional<Message> receive_for(int rank, int source, int tag,
-                                       double timeout_s) override;
     void shutdown() override;
     void set_tracer(obs::Tracer* tracer) override;
     /// Forwarded to the inner fabric. A message parked in a reorder hold

@@ -1,12 +1,11 @@
 // Per-worker inbound message queue with MPI-style (source, tag) matching.
 //
-// Producers are other worker threads; the consumer is the owning worker.
-// Matching preserves per-(source, tag) FIFO order, which is the ordering
-// guarantee MPI gives and the one the collectives rely on.
+// Producers are other worker threads; the consumer is the owning worker,
+// which polls try_pop (an AsyncCollective handle's wait() pumps it through
+// the transport). Matching preserves per-(source, tag) FIFO order, which is
+// the ordering guarantee MPI gives and the one the collectives rely on.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <mutex>
 #include <optional>
@@ -21,34 +20,11 @@ public:
     /// queue depth right after the enqueue (feeds the queue-depth metric).
     std::size_t push(Message msg);
 
-    /// Block until a message matching (source, tag) is available and remove
-    /// it. Wildcards kAnySource / kAnyTag match anything.
-    Message pop(int source, int tag);
-
-    /// Non-blocking variant; returns nullopt when nothing matches.
+    /// Remove and return the first message matching (source, tag); nullopt
+    /// when nothing matches. Wildcards kAnySource / kAnyTag match anything.
     /// Throws MailboxClosed once the mailbox is closed, so pollers observe
-    /// shutdown just like blocked pop() callers.
+    /// shutdown.
     std::optional<Message> try_pop(int source, int tag);
-
-    /// Deadline variant of pop(): waits at most `timeout` (host time) for a
-    /// match and returns nullopt on expiry. Throws MailboxClosed on
-    /// shutdown, exactly like pop(). The Communicator's receive-timeout
-    /// path turns the nullopt into a typed CommError.
-    std::optional<Message> pop_for(int source, int tag,
-                                   std::chrono::nanoseconds timeout);
-
-    /// VIRTUAL-clock deadline variant: a matching message whose modeled
-    /// arrival_time_s is <= `max_arrival_s` is returned; a matching message
-    /// that arrives LATER than the virtual deadline is consumed and
-    /// discarded (a receive that gave up at virtual time D treats anything
-    /// after D as lost) and nullopt is returned immediately — a
-    /// deterministic outcome, independent of host-machine speed. The
-    /// `host_grace` bound only covers the case where no matching message
-    /// ever materializes (a true drop); it converts an indefinite wait into
-    /// nullopt without affecting WHICH outcome deterministic scenarios see.
-    /// Throws MailboxClosed on shutdown.
-    std::optional<Message> pop_for_virtual(int source, int tag, double max_arrival_s,
-                                           std::chrono::nanoseconds host_grace);
 
     /// Raise the epoch floor: every queued message with epoch < `epoch` is
     /// purged now, and every future push below the floor is rejected on
@@ -61,7 +37,7 @@ public:
     /// set_min_epoch plus dropped at push).
     std::size_t stale_rejected() const;
 
-    /// Wake all waiters with a shutdown signal; subsequent pops throw.
+    /// Shut down: every subsequent try_pop throws MailboxClosed.
     void close();
 
     std::size_t size() const;
@@ -90,7 +66,6 @@ private:
     void note_erase(const Message& m);
 
     mutable std::mutex mutex_;
-    std::condition_variable cv_;
     std::deque<Message> queue_;
     bool closed_ = false;
     int min_epoch_ = 0;
@@ -98,7 +73,7 @@ private:
     std::size_t async_pending_ = 0;  // queued with tag >= kAsyncTagBase
 };
 
-/// Thrown by pop() when the mailbox is closed while waiting (cluster abort).
+/// Thrown by try_pop() once the mailbox is closed (cluster abort).
 struct MailboxClosed : std::exception {
     const char* what() const noexcept override { return "mailbox closed"; }
 };

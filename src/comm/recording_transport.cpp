@@ -26,17 +26,8 @@ void RecordingTransport::deliver(int dst, Message msg) {
     inner_->deliver(dst, std::move(msg));
 }
 
-Message RecordingTransport::receive(int rank, int source, int tag) {
-    return inner_->receive(rank, source, tag);
-}
-
 std::optional<Message> RecordingTransport::try_receive(int rank, int source, int tag) {
     return inner_->try_receive(rank, source, tag);
-}
-
-std::optional<Message> RecordingTransport::receive_for(int rank, int source, int tag,
-                                                       double timeout_s) {
-    return inner_->receive_for(rank, source, tag, timeout_s);
 }
 
 void RecordingTransport::shutdown() { inner_->shutdown(); }

@@ -39,10 +39,7 @@ public:
 
     int world_size() const override { return inner_->world_size(); }
     void deliver(int dst, Message msg) override;
-    Message receive(int rank, int source, int tag) override;
     std::optional<Message> try_receive(int rank, int source, int tag) override;
-    std::optional<Message> receive_for(int rank, int source, int tag,
-                                       double timeout_s) override;
     void shutdown() override;
     void set_tracer(obs::Tracer* tracer) override;
     std::size_t pending_with_tag_at_least(int rank, int min_tag) const override;

@@ -441,13 +441,6 @@ std::optional<Message> ReliableTransport::try_receive(int rank, int source, int 
     return delivered_[static_cast<std::size_t>(rank)]->try_pop(source, tag);
 }
 
-Message ReliableTransport::receive(int rank, int source, int tag) {
-    for (;;) {
-        if (auto msg = try_receive(rank, source, tag)) return std::move(*msg);
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-}
-
 void ReliableTransport::shutdown() {
     if (shut_.exchange(true)) return;
     if (wire_) {

@@ -105,7 +105,6 @@ public:
 
     int world_size() const override { return inner_->world_size(); }
     void deliver(int dst, Message msg) override;
-    Message receive(int rank, int source, int tag) override;
     std::optional<Message> try_receive(int rank, int source, int tag) override;
     void shutdown() override;
     void begin_epoch(int rank, int epoch) override;

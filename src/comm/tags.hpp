@@ -38,11 +38,10 @@ enum UserTag : int {
     kTagPsPush = 101,  // worker -> server gradients
     kTagPsPull = 102,  // server -> worker aggregate
 
-    /// Point-to-point tags used by tests and benches (tests/, bench/).
+    /// Point-to-point tags used by tests (tests/).
     kTagTestData = 201,
     kTagTestAux = 202,
     kTagTestValue = 203,
-    kTagBenchP2p = 301,
 
     /// Recovery layer (comm/reliable_transport.hpp, comm/membership.hpp).
     kTagReliableData = 401,  // seq-numbered envelope around user traffic
@@ -79,7 +78,7 @@ static_assert(kTagHeartbeat < kTagTelemetryBase &&
               "point-to-point user tags must stay below the telemetry band");
 static_assert(kTagPsPush < kAsyncTagBase && kTagPsPull < kAsyncTagBase &&
                   kTagTestData < kAsyncTagBase && kTagTestAux < kAsyncTagBase &&
-                  kTagTestValue < kAsyncTagBase && kTagBenchP2p < kAsyncTagBase &&
+                  kTagTestValue < kAsyncTagBase &&
                   kTagReliableData < kAsyncTagBase && kTagHeartbeat < kAsyncTagBase &&
                   kTagReliableAck < kAsyncTagBase && kTagReliablePull < kAsyncTagBase &&
                   kTagMembershipJoin < kAsyncTagBase &&

@@ -854,38 +854,9 @@ void TcpTransport::deliver(int dst, Message msg) {
     frames_sent_.fetch_add(1, std::memory_order_relaxed);
 }
 
-Message TcpTransport::receive(int rank, int source, int tag) {
-    require_local(rank, "receive");
-    return mailbox_.pop(source, tag);
-}
-
 std::optional<Message> TcpTransport::try_receive(int rank, int source, int tag) {
     require_local(rank, "try_receive");
     return mailbox_.try_pop(source, tag);
-}
-
-std::optional<Message> TcpTransport::receive_for(int rank, int source, int tag,
-                                                 double timeout_s) {
-    require_local(rank, "receive_for");
-    if (timeout_s <= 0.0) return mailbox_.pop(source, tag);
-    // The host-clock deadline maps onto the mailbox's condition-variable
-    // wait; the receiver thread's socket timeouts keep frames flowing into
-    // it independent of this wait.
-    return mailbox_.pop_for(
-        source, tag,
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::duration<double>(timeout_s)));
-}
-
-std::optional<Message> TcpTransport::receive_for_virtual(int rank, int source,
-                                                         int tag,
-                                                         double max_arrival_s,
-                                                         double host_grace_s) {
-    require_local(rank, "receive_for_virtual");
-    return mailbox_.pop_for_virtual(
-        source, tag, max_arrival_s,
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::duration<double>(host_grace_s)));
 }
 
 void TcpTransport::begin_epoch(int rank, int epoch) {

@@ -136,13 +136,7 @@ public:
     int local_rank() const { return rank_; }
 
     void deliver(int dst, Message msg) override;
-    Message receive(int rank, int source, int tag) override;
     std::optional<Message> try_receive(int rank, int source, int tag) override;
-    std::optional<Message> receive_for(int rank, int source, int tag,
-                                       double timeout_s) override;
-    std::optional<Message> receive_for_virtual(int rank, int source, int tag,
-                                               double max_arrival_s,
-                                               double host_grace_s) override;
     void shutdown() override;
     void begin_epoch(int rank, int epoch) override;
     /// False only once a peer's link is kDead (reconnect budget exhausted);

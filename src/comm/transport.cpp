@@ -9,15 +9,19 @@
 
 namespace gtopk::comm {
 
+Message Transport::receive(int rank, int source, int tag) {
+    return std::move(*receive_for(rank, source, tag, 0.0));
+}
+
 std::optional<Message> Transport::receive_for(int rank, int source, int tag,
                                               double timeout_s) {
-    if (timeout_s <= 0.0) return receive(rank, source, tag);
+    const bool bounded = timeout_s > 0.0;
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                              std::chrono::duration<double>(timeout_s));
+                              std::chrono::duration<double>(bounded ? timeout_s : 0.0));
     for (;;) {
         if (auto msg = try_receive(rank, source, tag)) return msg;
-        if (std::chrono::steady_clock::now() >= deadline) return std::nullopt;
+        if (bounded && std::chrono::steady_clock::now() >= deadline) return std::nullopt;
         std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
 }
@@ -25,10 +29,9 @@ std::optional<Message> Transport::receive_for(int rank, int source, int tag,
 std::optional<Message> Transport::receive_for_virtual(int rank, int source, int tag,
                                                       double max_arrival_s,
                                                       double host_grace_s) {
-    // Polling fallback for decorators: try_receive consumes, so a match
-    // past the virtual deadline is discarded — the same semantics the
-    // mailbox implements natively (a receive that gave up at virtual time D
-    // treats anything after D as lost).
+    // try_receive consumes, so a match past the virtual deadline is
+    // discarded: a receive that gave up at virtual time D treats anything
+    // after D as lost, and the outcome depends only on modeled arrivals.
     const auto grace_deadline =
         std::chrono::steady_clock::now() +
         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -62,11 +65,6 @@ void InProcTransport::set_tracer(obs::Tracer* tracer) {
     depth_histogram_ = tracer ? &tracer->metrics().histogram("mailbox.depth") : nullptr;
 }
 
-Message InProcTransport::receive(int rank, int source, int tag) {
-    if (rank < 0 || rank >= world_size()) throw std::out_of_range("receive: bad rank");
-    return mailboxes_[static_cast<std::size_t>(rank)]->pop(source, tag);
-}
-
 void InProcTransport::shutdown() {
     for (auto& mb : mailboxes_) mb->close();
 }
@@ -74,29 +72,6 @@ void InProcTransport::shutdown() {
 std::optional<Message> InProcTransport::try_receive(int rank, int source, int tag) {
     if (rank < 0 || rank >= world_size()) throw std::out_of_range("try_receive: bad rank");
     return mailboxes_[static_cast<std::size_t>(rank)]->try_pop(source, tag);
-}
-
-std::optional<Message> InProcTransport::receive_for(int rank, int source, int tag,
-                                                    double timeout_s) {
-    if (rank < 0 || rank >= world_size()) throw std::out_of_range("receive_for: bad rank");
-    if (timeout_s <= 0.0) return receive(rank, source, tag);
-    return mailboxes_[static_cast<std::size_t>(rank)]->pop_for(
-        source, tag,
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::duration<double>(timeout_s)));
-}
-
-std::optional<Message> InProcTransport::receive_for_virtual(int rank, int source,
-                                                            int tag,
-                                                            double max_arrival_s,
-                                                            double host_grace_s) {
-    if (rank < 0 || rank >= world_size()) {
-        throw std::out_of_range("receive_for_virtual: bad rank");
-    }
-    return mailboxes_[static_cast<std::size_t>(rank)]->pop_for_virtual(
-        source, tag, max_arrival_s,
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::duration<double>(host_grace_s)));
 }
 
 void InProcTransport::begin_epoch(int rank, int epoch) {

@@ -1,11 +1,17 @@
 // Transport: the point-to-point fabric connecting P simulated workers.
 //
-// InProcTransport is the production implementation: one mailbox per rank
-// inside a shared process. FaultInjectingTransport (fault_transport.hpp)
-// decorates any Transport with a seeded, declarative FaultPlan — drops,
-// duplicates, reorders, delays, payload corruption, rank kills — so chaos
-// tests exercise the exact interface production code runs on. A socket-
-// backed transport could slot in behind the same interface later.
+// InProcTransport is the in-process implementation: one mailbox per rank
+// inside a shared process. TcpTransport (tcp_transport.hpp) is the
+// socket-backed one, one OS process per rank. FaultInjectingTransport
+// (fault_transport.hpp) decorates any Transport with a seeded, declarative
+// FaultPlan — drops, duplicates, reorders, delays, payload corruption, rank
+// kills — so chaos tests exercise the exact interface production code runs
+// on. RecordingTransport and ReliableTransport are decorators too.
+//
+// try_receive is the one receive every implementation provides, and the
+// only one the runtime calls: an AsyncCollective handle's wait() pumps it
+// (collectives/async.hpp). The base class polls it to serve receive,
+// receive_for and receive_for_virtual for callers outside the runtime.
 #pragma once
 
 #include <atomic>
@@ -35,21 +41,18 @@ public:
     /// be stamped by the caller (the Communicator applies the NetworkModel).
     virtual void deliver(int dst, Message msg) = 0;
 
-    /// Blocking matched receive on rank `rank`.
-    virtual Message receive(int rank, int source, int tag) = 0;
-
-    /// Non-blocking matched receive; nullopt when nothing matches. Throws
-    /// MailboxClosed after shutdown. Lets wrapper transports (fault
-    /// injection) poll instead of blocking inside the inner mailbox.
+    /// Non-blocking matched receive on rank `rank`; nullopt when nothing
+    /// matches. Throws MailboxClosed after shutdown.
     virtual std::optional<Message> try_receive(int rank, int source, int tag) = 0;
+
+    /// Blocking matched receive: polls try_receive until a match arrives.
+    virtual Message receive(int rank, int source, int tag);
 
     /// Matched receive with a HOST-time deadline: nullopt once `timeout_s`
     /// host seconds elapse without a match (a stalled receiver cannot be
     /// detected on the virtual clock — it only advances via message
     /// arrivals). timeout_s <= 0 waits forever, identical to receive().
-    /// Throws MailboxClosed after shutdown. The base implementation polls
-    /// try_receive; InProcTransport overrides it with a condition-variable
-    /// wait.
+    /// Throws MailboxClosed after shutdown. Polls try_receive.
     virtual std::optional<Message> receive_for(int rank, int source, int tag,
                                                double timeout_s);
 
@@ -58,9 +61,8 @@ public:
     /// match is consumed and discarded with nullopt (deterministically — the
     /// outcome depends only on modeled arrival times, never on host speed).
     /// `host_grace_s` bounds the wait when no match ever materializes (a
-    /// true drop); it changes detection latency, never the outcome. The
-    /// base implementation polls try_receive; InProcTransport waits on the
-    /// mailbox condition variable.
+    /// true drop); it changes detection latency, never the outcome. Polls
+    /// try_receive.
     virtual std::optional<Message> receive_for_virtual(int rank, int source, int tag,
                                                        double max_arrival_s,
                                                        double host_grace_s);
@@ -144,13 +146,7 @@ public:
 
     int world_size() const override { return static_cast<int>(mailboxes_.size()); }
     void deliver(int dst, Message msg) override;
-    Message receive(int rank, int source, int tag) override;
     std::optional<Message> try_receive(int rank, int source, int tag) override;
-    std::optional<Message> receive_for(int rank, int source, int tag,
-                                       double timeout_s) override;
-    std::optional<Message> receive_for_virtual(int rank, int source, int tag,
-                                               double max_arrival_s,
-                                               double host_grace_s) override;
     void shutdown() override;
     void begin_epoch(int rank, int epoch) override;
     std::size_t pending_with_tag_at_least(int rank, int min_tag) const override;

@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "collectives/collectives.hpp"
 #include "comm/communicator.hpp"
 #include "obs/attribution.hpp"
 #include "obs/flight_recorder.hpp"
@@ -54,11 +55,14 @@ void fold_fault_counters(const MetricsRegistry& metrics, RankIterStats& st) {
 }
 
 /// Per-physical-rank scratch, touched only by the owning worker thread: the
-/// cached schedule (regenerated when the logical world changes, i.e. after
-/// a regroup) and the rank's own snapshot view.
+/// cached schedule (regenerated when the logical view changes, i.e. after a
+/// regroup) and the rank's own snapshot view. The schedule keeps only this
+/// rank's program, the one part its handle reads, so the copy each exchange
+/// hands the handle is O(P), not O(P^2).
 struct Telemetry::RankSlot {
     collectives::Schedule sched;
     int sched_world = 0;
+    int sched_rank = -1;
     IterSnapshot snap;
 };
 
@@ -96,10 +100,14 @@ const IterSnapshot& Telemetry::exchange(comm::Communicator& comm,
     mine.logical_rank = lrank;
     mine.epoch = comm.epoch();
 
-    if (slot.sched_world != world) {
+    if (slot.sched_world != world || slot.sched_rank != lrank) {
         slot.sched = collectives::telemetry_allgather_schedule(
             world, static_cast<std::int64_t>(sizeof(RankIterStats)));
+        for (int r = 0; r < world; ++r) {
+            if (r != lrank) slot.sched.ranks[static_cast<std::size_t>(r)].clear();
+        }
         slot.sched_world = world;
+        slot.sched_rank = lrank;
     }
 
     slot.snap.step = mine.step;
@@ -108,23 +116,25 @@ const IterSnapshot& Telemetry::exchange(comm::Communicator& comm,
     rows.assign(static_cast<std::size_t>(world), RankIterStats{});
     rows[static_cast<std::size_t>(lrank)] = mine;
 
+    // One absolute-tag handle: the exchange never draws from the SPMD tag
+    // cursor, and a lone handle's sends and waits keep the blocking
+    // alpha-beta clock.
     using collectives::CommOp;
-    for (const CommOp& op : slot.sched.rank_ops(lrank)) {
-        if (op.kind == CommOp::Kind::Send) {
-            const RankIterStats& row = rows[static_cast<std::size_t>(op.a)];
-            comm.send(op.peer, op.tag_offset,
-                      std::as_bytes(std::span<const RankIterStats>(&row, 1)));
-        } else {
-            const comm::PooledBuffer raw = comm.recv_buffer(op.peer, op.tag_offset);
-            if (raw.size() != sizeof(RankIterStats)) {
+    collectives::detail::run(
+        comm, slot.sched,
+        [&rows](const CommOp& op) {
+            return std::as_bytes(std::span<const RankIterStats>(
+                &rows[static_cast<std::size_t>(op.a)], 1));
+        },
+        [&rows](const CommOp& op, std::span<const std::byte> bytes) {
+            if (bytes.size() != sizeof(RankIterStats)) {
                 throw std::runtime_error(
                     "telemetry: stats wire size mismatch (peer speaks a "
                     "different RankIterStats layout?)");
             }
-            std::memcpy(&rows[static_cast<std::size_t>(op.a)], raw.bytes().data(),
+            std::memcpy(&rows[static_cast<std::size_t>(op.a)], bytes.data(),
                         sizeof(RankIterStats));
-        }
-    }
+        });
 
     // The lead drives the shared sinks. Logical rank 0 always exists and is
     // unique within a view; across a regroup the lead may move to another

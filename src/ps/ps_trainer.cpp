@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <span>
 #include <stdexcept>
 
+#include "collectives/collectives.hpp"
 #include "obs/telemetry.hpp"
 #include "ps/ps_schedule.hpp"
 #include "sparse/topk_merge.hpp"
@@ -16,7 +19,9 @@ namespace gtopk::ps {
 namespace {
 
 using collectives::CommOp;
+using collectives::detail::run;
 using comm::Communicator;
+namespace detail = collectives::detail;
 using sparse::SparseGradient;
 
 double now_host_s() {
@@ -82,17 +87,21 @@ train::TrainResult train_parameter_server(int workers, comm::NetworkModel net,
         sparse::MergeScratch merge_scratch;
         std::vector<std::byte> wire;
 
-        // The iteration exchange executes this op program (peers and tags
-        // come exclusively from the generator, which src/analysis verifies).
-        // Dense payloads are m floats both ways; sparse payloads are
-        // data-dependent, so the schedule marks them variable.
+        // The iteration exchange executes this op program as one
+        // absolute-tag handle per iteration (peers and tags come exclusively
+        // from the generator, which src/analysis verifies). Dense payloads
+        // are m floats both ways; sparse payloads are data-dependent, so the
+        // schedule marks them variable. The handle reads only this rank's
+        // program, so the others are dropped from the copy it gets.
         const bool dense_agg = config.aggregation == PsAggregation::Dense;
         const std::int64_t dense_bytes =
             static_cast<std::int64_t>(m) * static_cast<std::int64_t>(sizeof(float));
-        const collectives::Schedule iter_sched = ps_iteration_schedule(
+        collectives::Schedule iter_sched = ps_iteration_schedule(
             workers, dense_agg ? dense_bytes : collectives::kVariableBytes,
             dense_agg ? dense_bytes : collectives::kVariableBytes);
-        const auto& my_ops = iter_sched.rank_ops(comm.rank());
+        for (int r = 0; r < world; ++r) {
+            if (r != comm.rank()) iter_sched.ranks[static_cast<std::size_t>(r)].clear();
+        }
 
         std::int64_t step = 0;
         for (int epoch = 0; epoch < config.epochs; ++epoch) {
@@ -143,44 +152,43 @@ train::TrainResult train_parameter_server(int workers, comm::NetworkModel net,
                     const comm::CommStats server_pre = comm.stats();
                     const double sv0 = comm.clock().now_s();
                     // ---- server: receive, aggregate, answer ----
-                    // Phase 0 ops are the per-worker pushes; the first
-                    // phase-1 op marks aggregation complete.
-                    if (config.aggregation == PsAggregation::Dense) {
+                    // Phase 0 ops are the per-worker pushes, landed in
+                    // ascending worker order; the first phase-1 Send marks
+                    // aggregation complete.
+                    if (dense_agg) {
                         std::vector<float> sum(m, 0.0f);
-                        std::vector<float> grad;
-                        for (const CommOp& op : my_ops) {
-                            if (op.kind == CommOp::Kind::Recv) {
-                                comm.recv_vec_into<float>(op.peer, op.tag_offset, grad);
-                                for (std::size_t i = 0; i < m; ++i) sum[i] += grad[i];
-                            } else {
-                                comm.send_vec<float>(op.peer, op.tag_offset, sum);
-                            }
-                        }
+                        const std::span<float> acc(sum);
+                        run(comm, iter_sched,
+                            [acc](const CommOp&) {
+                                return std::as_bytes(std::span<const float>(acc));
+                            },
+                            [acc](const CommOp&, std::span<const std::byte> bytes) {
+                                detail::check_size(acc, bytes, "ps.iteration");
+                                detail::add_into(acc, bytes);
+                            });
                     } else {
                         SparseGradient sum;
                         sum.dense_size = static_cast<std::int64_t>(m);
                         bool aggregated = false;
-                        for (const CommOp& op : my_ops) {
-                            if (op.kind == CommOp::Kind::Recv) {
-                                // Validate-once view straight off the pooled
-                                // wire bytes; k = m makes the merge a pure
-                                // sparse sum (merged nnz can never exceed m).
-                                const comm::PooledBuffer raw =
-                                    comm.recv_buffer(op.peer, op.tag_offset);
-                                const sparse::SparseGradientView v =
-                                    sparse::deserialize_view(raw.bytes());
-                                sparse::topk_merge_into(sum, v.dense_size, v.indices,
-                                                        v.values, m, merge_scratch);
-                            } else {
+                        run(comm, iter_sched,
+                            [&](const CommOp&) {
                                 if (!aggregated) {
                                     const SparseGradient global =
                                         sparse::sparse_topk(sum, plan.k);
                                     sparse::serialize_into(global, wire);
                                     aggregated = true;
                                 }
-                                comm.send(op.peer, op.tag_offset, wire);
-                            }
-                        }
+                                return std::span<const std::byte>(wire);
+                            },
+                            [&](const CommOp&, std::span<const std::byte> bytes) {
+                                // Validate-once view straight off the pooled
+                                // wire bytes; k = m makes the merge a pure
+                                // sparse sum (merged nnz can never exceed m).
+                                const sparse::SparseGradientView v =
+                                    sparse::deserialize_view(bytes);
+                                sparse::topk_merge_into(sum, v.dense_size, v.indices,
+                                                        v.values, m, merge_scratch);
+                            });
                     }
                     exchange_telemetry(0.0, 0.0, comm.clock().now_s() - sv0,
                                        0.0, -1, server_pre);
@@ -218,32 +226,41 @@ train::TrainResult train_parameter_server(int workers, comm::NetworkModel net,
 
                 const comm::CommStats worker_pre = comm.stats();
                 const double v0 = comm.clock().now_s();
-                for (const CommOp& op : my_ops) {
-                    if (dense_agg) {
-                        if (op.kind == CommOp::Kind::Send) {
-                            comm.send_vec<float>(op.peer, op.tag_offset, dense_grad);
-                        } else {
-                            const auto sum = comm.recv_vec<float>(op.peer, op.tag_offset);
+                if (dense_agg) {
+                    run(comm, iter_sched,
+                        [&dense_grad](const CommOp&) {
+                            return std::as_bytes(std::span<const float>(dense_grad));
+                        },
+                        [&update, workers](const CommOp&,
+                                           std::span<const std::byte> bytes) {
+                            detail::check_size(std::span<float>(update), bytes,
+                                               "ps.iteration");
                             const float inv = 1.0f / static_cast<float>(workers);
-                            for (std::size_t i = 0; i < m; ++i) update[i] = sum[i] * inv;
-                        }
-                    } else if (op.kind == CommOp::Kind::Send) {
-                        // Push via a pooled buffer (no owning temporary).
-                        std::vector<std::byte> push =
-                            comm.buffer_pool().acquire(sparse::wire_size_bytes(local.nnz()));
-                        sparse::serialize_into(local, push);
-                        comm.send_buffer(op.peer, op.tag_offset, std::move(push));
-                    } else {
-                        // Pull as a zero-copy view over the wire bytes.
-                        const comm::PooledBuffer raw =
-                            comm.recv_buffer(op.peer, op.tag_offset);
-                        const sparse::SparseGradientView global =
-                            sparse::deserialize_view(raw.bytes());
-                        // Alg. 4 line 10: return locally-sent entries that did
-                        // not survive the global selection.
-                        sparse::return_unselected(residual, local, global.indices);
-                        scatter_mean(global, workers, update);
-                    }
+                            for (std::size_t i = 0; i < update.size(); ++i) {
+                                float sum;
+                                std::memcpy(&sum, bytes.data() + i * sizeof(float),
+                                            sizeof(float));
+                                update[i] = sum * inv;
+                            }
+                        });
+                } else {
+                    run(comm, iter_sched,
+                        [&](const CommOp&) {
+                            // Push via a pooled buffer the handle moves.
+                            std::vector<std::byte> push = comm.buffer_pool().acquire(
+                                sparse::wire_size_bytes(local.nnz()));
+                            sparse::serialize_into(local, push);
+                            return push;
+                        },
+                        [&](const CommOp&, std::span<const std::byte> bytes) {
+                            // Pull as a zero-copy view over the wire bytes.
+                            const sparse::SparseGradientView global =
+                                sparse::deserialize_view(bytes);
+                            // Alg. 4 line 10: return locally-sent entries that
+                            // did not survive the global selection.
+                            sparse::return_unselected(residual, local, global.indices);
+                            scatter_mean(global, workers, update);
+                        });
                 }
                 const double v1 = comm.clock().now_s();
 

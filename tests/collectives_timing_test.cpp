@@ -17,6 +17,7 @@
 #include "sparse/topk_select.hpp"
 #include "sparse/wire.hpp"
 #include "util/rng.hpp"
+#include "p2p_handles.hpp"
 
 namespace {
 
@@ -44,9 +45,9 @@ TEST_P(TimingWorld, PointToPointCostIsAlphaPlusNBeta) {
     auto result = Cluster::run_timed(2, net, [&](Communicator& comm) {
         std::vector<float> v(n, 1.0f);
         if (comm.rank() == 0) {
-            comm.send_vec<float>(1, kTagTestData, v);
+            test::send_vec(comm, 1, kTagTestData, v);
         } else {
-            (void)comm.recv(0, kTagTestData);
+            (void)test::recv_bytes(comm, 0, kTagTestData);
         }
     });
     EXPECT_NEAR(max_time(result.final_time_s), net.transfer_time_elems(n), kTol);

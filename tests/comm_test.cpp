@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
+#include <optional>
+#include <string>
 #include <thread>
 
 #include "comm/cluster.hpp"
@@ -11,6 +14,7 @@
 #include "comm/network_model.hpp"
 #include "comm/transport.hpp"
 #include "obs/trace.hpp"
+#include "p2p_handles.hpp"
 
 namespace {
 
@@ -27,6 +31,10 @@ using gtopk::comm::Mailbox;
 using gtopk::comm::MailboxClosed;
 using gtopk::comm::Message;
 using gtopk::comm::NetworkModel;
+using gtopk::test::recv_bytes;
+using gtopk::test::recv_vec;
+using gtopk::test::send_bytes;
+using gtopk::test::send_vec;
 
 Message make_msg(int source, int tag, std::size_t n = 0) {
     Message m;
@@ -40,24 +48,27 @@ TEST(MailboxTest, MatchesExactSourceAndTag) {
     Mailbox mb;
     mb.push(make_msg(1, kTagTestData));
     mb.push(make_msg(2, kTagTestAux));
-    const Message m = mb.pop(2, kTagTestAux);
-    EXPECT_EQ(m.source, 2);
-    EXPECT_EQ(m.tag, kTagTestAux);
+    const std::optional<Message> m = mb.try_pop(2, kTagTestAux);
+    ASSERT_TRUE(m.has_value());
+    EXPECT_EQ(m->source, 2);
+    EXPECT_EQ(m->tag, kTagTestAux);
     EXPECT_EQ(mb.size(), 1u);
 }
 
 TEST(MailboxTest, WildcardSourceMatchesFirstArrival) {
     Mailbox mb;
     mb.push(make_msg(3, kTagTestData));
-    const Message m = mb.pop(kAnySource, kTagTestData);
-    EXPECT_EQ(m.source, 3);
+    const std::optional<Message> m = mb.try_pop(kAnySource, kTagTestData);
+    ASSERT_TRUE(m.has_value());
+    EXPECT_EQ(m->source, 3);
 }
 
 TEST(MailboxTest, WildcardTagMatches) {
     Mailbox mb;
     mb.push(make_msg(1, kTagTestValue));
-    const Message m = mb.pop(1, kAnyTag);
-    EXPECT_EQ(m.tag, kTagTestValue);
+    const std::optional<Message> m = mb.try_pop(1, kAnyTag);
+    ASSERT_TRUE(m.has_value());
+    EXPECT_EQ(m->tag, kTagTestValue);
 }
 
 TEST(MailboxTest, PreservesFifoPerSourceTag) {
@@ -66,7 +77,9 @@ TEST(MailboxTest, PreservesFifoPerSourceTag) {
         mb.push(make_msg(1, kTagTestData, static_cast<std::size_t>(i)));
     }
     for (std::size_t i = 0; i < 5; ++i) {
-        EXPECT_EQ(mb.pop(1, kTagTestData).payload.size(), i);
+        const std::optional<Message> m = mb.try_pop(1, kTagTestData);
+        ASSERT_TRUE(m.has_value());
+        EXPECT_EQ(m->payload.size(), i);
     }
 }
 
@@ -77,23 +90,17 @@ TEST(MailboxTest, TryPopReturnsNulloptWhenNoMatch) {
     EXPECT_TRUE(mb.try_pop(1, kTagTestData).has_value());
 }
 
-TEST(MailboxTest, BlockingPopWakesOnPush) {
-    Mailbox mb;
-    std::atomic<bool> got{false};
-    std::thread consumer([&] {
-        (void)mb.pop(1, kTagTestData);
-        got = true;
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    EXPECT_FALSE(got.load());
-    mb.push(make_msg(1, kTagTestData));
-    consumer.join();
-    EXPECT_TRUE(got.load());
-}
-
 TEST(MailboxTest, CloseThrowsInWaiters) {
+    // A consumer polling for a message that never comes sees the close.
     Mailbox mb;
-    std::thread consumer([&] { EXPECT_THROW(mb.pop(1, kTagTestData), MailboxClosed); });
+    std::thread consumer([&] {
+        EXPECT_THROW(
+            for (;;) {
+                (void)mb.try_pop(1, kTagTestData);
+                std::this_thread::yield();
+            },
+            MailboxClosed);
+    });
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     mb.close();
     consumer.join();
@@ -102,7 +109,7 @@ TEST(MailboxTest, CloseThrowsInWaiters) {
 TEST(TransportTest, RejectsBadRanks) {
     InProcTransport t(2);
     EXPECT_THROW(t.deliver(2, make_msg(0, 0)), std::out_of_range);
-    EXPECT_THROW(t.receive(-1, 0, kTagTestData), std::out_of_range);
+    EXPECT_THROW(t.try_receive(-1, 0, kTagTestData), std::out_of_range);
     EXPECT_THROW(InProcTransport(0), std::invalid_argument);
 }
 
@@ -117,9 +124,9 @@ TEST(CommunicatorTest, SendRecvRoundTrip) {
     Cluster::run(2, NetworkModel::free(), [](Communicator& comm) {
         if (comm.rank() == 0) {
             std::vector<float> v{1.0f, 2.0f, 3.0f};
-            comm.send_vec<float>(1, kTagTestData, v);
+            send_vec(comm, 1, kTagTestData, v);
         } else {
-            const std::vector<float> v = comm.recv_vec<float>(0, kTagTestData);
+            const std::vector<float> v = recv_vec<float>(comm, 0, kTagTestData);
             ASSERT_EQ(v.size(), 3u);
             EXPECT_EQ(v[2], 3.0f);
         }
@@ -129,7 +136,7 @@ TEST(CommunicatorTest, SendRecvRoundTrip) {
 TEST(CommunicatorTest, SendToSelfForbidden) {
     Cluster::run(1, NetworkModel::free(), [](Communicator& comm) {
         std::vector<float> v{1.0f};
-        EXPECT_THROW(comm.send_vec<float>(0, 0, v), std::invalid_argument);
+        EXPECT_THROW(send_vec(comm, 0, 0, v), std::invalid_argument);
     });
 }
 
@@ -138,9 +145,9 @@ TEST(CommunicatorTest, VirtualClockFollowsAlphaBetaModel) {
     auto result = Cluster::run_timed(2, net, [&](Communicator& comm) {
         if (comm.rank() == 0) {
             std::vector<float> v(1000, 1.0f);  // 4000 bytes = 1000 elements
-            comm.send_vec<float>(1, kTagTestData, v);
+            send_vec(comm, 1, kTagTestData, v);
         } else {
-            (void)comm.recv_vec<float>(0, kTagTestData);
+            (void)recv_vec<float>(comm, 0, kTagTestData);
         }
     });
     const double expected = 1e-3 + 1000 * 4e-8;
@@ -153,11 +160,11 @@ TEST(CommunicatorTest, ReceiverWaitsForSlowSender) {
     auto result = Cluster::run_timed(2, net, [&](Communicator& comm) {
         if (comm.rank() == 0) {
             std::vector<float> v(10, 0.0f);
-            comm.send_vec<float>(1, kTagTestData, v);
-            comm.send_vec<float>(1, kTagTestAux, v);
+            send_vec(comm, 1, kTagTestData, v);
+            send_vec(comm, 1, kTagTestAux, v);
         } else {
-            (void)comm.recv(0, kTagTestData);
-            (void)comm.recv(0, kTagTestAux);
+            (void)recv_bytes(comm, 0, kTagTestData);
+            (void)recv_bytes(comm, 0, kTagTestAux);
         }
     });
     // Sender's clock: 2s after two sends; receiver waits for arrival at 2s.
@@ -170,9 +177,9 @@ TEST(CommunicatorTest, StatsAccumulate) {
                               [](Communicator& comm) {
                                   std::vector<float> v(100, 0.0f);
                                   if (comm.rank() == 0) {
-                                      comm.send_vec<float>(1, kTagTestData, v);
+                                      send_vec(comm, 1, kTagTestData, v);
                                   } else {
-                                      (void)comm.recv(0, kTagTestData);
+                                      (void)recv_bytes(comm, 0, kTagTestData);
                                   }
                               });
     EXPECT_EQ(stats[0].messages_sent, 1u);
@@ -185,9 +192,10 @@ TEST(CommunicatorTest, StatsAccumulate) {
 TEST(CommunicatorTest, SendValueRoundTrip) {
     Cluster::run(2, NetworkModel::free(), [](Communicator& comm) {
         if (comm.rank() == 0) {
-            comm.send_value<std::int64_t>(1, kTagTestValue, 123456789LL);
+            send_vec(comm, 1, kTagTestValue, std::vector<std::int64_t>{123456789LL});
         } else {
-            EXPECT_EQ(comm.recv_value<std::int64_t>(0, kTagTestValue), 123456789LL);
+            EXPECT_EQ(recv_vec<std::int64_t>(comm, 0, kTagTestValue),
+                      std::vector<std::int64_t>{123456789LL});
         }
     });
 }
@@ -199,8 +207,9 @@ TEST(ClusterTest, PropagatesWorkerException) {
                          if (comm.rank() == 0) {
                              throw std::runtime_error("worker failure");
                          }
-                         // Rank 1 blocks forever; the abort must wake it.
-                         (void)comm.recv(0, 1);
+                         // Rank 1 waits forever in a receive handle; the
+                         // abort must wake it.
+                         (void)recv_bytes(comm, 0, 1);
                      }),
         std::runtime_error);
 }
@@ -218,8 +227,10 @@ TEST(ClusterTest, RunsEveryRankExactlyOnce) {
 }
 
 TEST(CommunicatorTest, TracedSpansAgreeWithCommStats) {
-    // The tracer's per-message spans and metric counters must tell the same
-    // story as the CommStats accumulators: same bytes, same message counts.
+    // The tracer's per-message send_async/recv_async spans and metric
+    // counters must tell the same story as the CommStats accumulators: same
+    // bytes, same message counts, and the clock advance every wait() adds
+    // to comm_time_s ends at the rank's latest span.
     const int world = 3;
     gtopk::obs::Tracer tracer(world);
     const auto stats = Cluster::run(
@@ -231,8 +242,8 @@ TEST(CommunicatorTest, TracedSpansAgreeWithCommStats) {
             const int prev = (comm.rank() + comm.size() - 1) % comm.size();
             std::vector<float> v(
                 static_cast<std::size_t>(10 * (comm.rank() + 1)), 1.0f);
-            comm.send_vec<float>(next, 1, v);
-            (void)comm.recv_vec<float>(prev, 1);
+            send_vec(comm, next, 1, v);
+            (void)recv_vec<float>(comm, prev, 1);
         },
         &tracer);
 
@@ -245,22 +256,22 @@ TEST(CommunicatorTest, TracedSpansAgreeWithCommStats) {
     std::uint64_t span_sent_bytes = 0, span_recv_bytes = 0;
     std::uint64_t send_spans = 0, recv_spans = 0;
     for (int r = 0; r < world; ++r) {
-        double virtual_span_time = 0.0;
+        double last_event_s = 0.0;
         for (const auto& span : tracer.rank_spans(r)) {
-            if (std::string(span.name) == "send") {
+            if (std::string(span.name) == "send_async") {
                 span_sent_bytes += static_cast<std::uint64_t>(span.attrs.bytes);
                 send_spans += 1;
-                virtual_span_time += span.v_end_s - span.v_begin_s;
-            } else if (std::string(span.name) == "recv_wait") {
+            } else if (std::string(span.name) == "recv_async") {
                 span_recv_bytes += static_cast<std::uint64_t>(span.attrs.bytes);
                 recv_spans += 1;
-                virtual_span_time += span.v_end_s - span.v_begin_s;
+            } else {
+                continue;
             }
+            last_event_s = std::max(last_event_s, span.v_end_s);
         }
-        // Per-rank: send+recv span virtual time is exactly the CommStats
-        // comm_time_s accumulator.
-        EXPECT_NEAR(virtual_span_time,
-                    stats[static_cast<std::size_t>(r)].comm_time_s, 1e-12);
+        // Per-rank: the clock starts at 0 and only the waits move it, so
+        // comm_time_s is exactly the latest send end or arrival.
+        EXPECT_EQ(last_event_s, stats[static_cast<std::size_t>(r)].comm_time_s);
     }
     EXPECT_EQ(span_sent_bytes, stats_sent_bytes);
     EXPECT_EQ(span_recv_bytes, stats_sent_bytes);  // every byte arrived
@@ -279,6 +290,26 @@ TEST(CommunicatorTest, TracedSpansAgreeWithCommStats) {
     const auto* depth_hist = metrics.find_histogram("mailbox.depth");
     ASSERT_NE(depth_hist, nullptr);
     EXPECT_EQ(depth_hist->count(), stats_msgs);  // one sample per delivery
+}
+
+TEST(CommunicatorTest, AbsoluteTagHandlesPruneTheNicBusyList) {
+    // ps and telemetry run absolute-tag handles, which draw no async tags.
+    // Their start() must still drop NIC occupancy that ended before the
+    // clock: without the prune every send would stay on the busy list and
+    // reserve_nic's first-fit scan would grow with the run.
+    Cluster::run(2, NetworkModel::one_gbps_ethernet(), [](Communicator& comm) {
+        const std::vector<float> v(8, 1.0f);
+        for (int i = 0; i < 64; ++i) {
+            if (comm.rank() == 0) {
+                send_vec(comm, 1, kTagTestData, v);
+            } else {
+                (void)recv_bytes(comm, 0, kTagTestData);
+            }
+            EXPECT_LE(comm.nic_busy_count(), 1u) << "iteration " << i;
+        }
+        // And they leave the SPMD tag cursor where it started.
+        EXPECT_EQ(comm.fresh_async_tags(0), kAsyncTagBase);
+    });
 }
 
 // fresh_async_tags: the SPMD tag cursor every collective's handle draws
@@ -309,11 +340,11 @@ TEST(FreshTagsTest, WrapsSafelyNearIntMaxWhenNothingIsInFlight) {
         // pending async-band message).
         std::vector<float> v{1.0f};
         if (comm.rank() == 0) {
-            (void)comm.recv(1, kTagTestAux);
-            comm.send_vec<float>(1, base, v);
+            (void)recv_bytes(comm, 1, kTagTestAux);
+            send_vec(comm, 1, base, v);
         } else {
-            comm.send_vec<float>(0, kTagTestAux, v);
-            EXPECT_EQ(comm.recv_vec<float>(0, base).size(), 1u);
+            send_vec(comm, 0, kTagTestAux, v);
+            EXPECT_EQ(recv_vec<float>(comm, 0, base).size(), 1u);
         }
     });
 }
@@ -328,13 +359,13 @@ TEST(FreshTagsTest, WrapRefusedWhileFreshTagMessageIsInFlight) {
     Cluster::run(2, NetworkModel::free(), [](Communicator& comm) {
         std::vector<float> v{1.0f};
         if (comm.rank() == 0) {
-            comm.send_vec<float>(1, kAsyncTagBase + 50, v);  // stays pending
-            comm.send_vec<float>(1, kTagTestAux, v);         // "sent" signal
+            send_vec(comm, 1, kAsyncTagBase + 50, v);  // stays pending
+            send_vec(comm, 1, kTagTestAux, v);         // "sent" signal
         } else {
-            (void)comm.recv(0, kTagTestAux);  // async-band msg arrived first
+            (void)recv_bytes(comm, 0, kTagTestAux);  // async-band msg arrived first
             comm.set_async_tag_cursor_for_test(std::numeric_limits<int>::max() - 5);
             EXPECT_THROW(comm.fresh_async_tags(10), std::logic_error);
-            (void)comm.recv(0, kAsyncTagBase + 50);  // drain; wrap legal again
+            (void)recv_bytes(comm, 0, kAsyncTagBase + 50);  // drain; wrap legal again
             comm.set_async_tag_cursor_for_test(std::numeric_limits<int>::max() - 5);
             EXPECT_EQ(comm.fresh_async_tags(10), kAsyncTagBase);
         }
@@ -348,13 +379,13 @@ TEST(FreshTagsTest, WrapToleratesInFlightTrafficInsideTheNewBlock) {
     Cluster::run(2, NetworkModel::free(), [](Communicator& comm) {
         std::vector<float> v{1.0f};
         if (comm.rank() == 0) {
-            comm.send_vec<float>(1, kAsyncTagBase + 3, v);  // inside new block
-            comm.send_vec<float>(1, kTagTestAux, v);
+            send_vec(comm, 1, kAsyncTagBase + 3, v);  // inside new block
+            send_vec(comm, 1, kTagTestAux, v);
         } else {
-            (void)comm.recv(0, kTagTestAux);
+            (void)recv_bytes(comm, 0, kTagTestAux);
             comm.set_async_tag_cursor_for_test(std::numeric_limits<int>::max() - 5);
             EXPECT_EQ(comm.fresh_async_tags(10), kAsyncTagBase);
-            EXPECT_EQ(comm.recv_vec<float>(0, kAsyncTagBase + 3).size(), 1u);
+            EXPECT_EQ(recv_vec<float>(comm, 0, kAsyncTagBase + 3).size(), 1u);
         }
     });
 }

@@ -20,6 +20,7 @@
 #include "sparse/topk_select.hpp"
 #include "sparse/wire.hpp"
 #include "util/rng.hpp"
+#include "p2p_handles.hpp"
 
 namespace {
 
@@ -159,9 +160,10 @@ TEST(FaultTest, CorruptSparsePayloadIsRejectedNotMisread) {
                            [](Communicator& comm) {
                                if (comm.rank() == 1) {
                                    std::vector<std::byte> junk(24, std::byte{0xAB});
-                                   comm.send(0, kTagTestData, junk);
+                                   test::send_bytes(comm, 0, kTagTestData, junk);
                                } else {
-                                   const auto bytes = comm.recv(1, kTagTestData);
+                                   const auto bytes =
+                                       test::recv_bytes(comm, 1, kTagTestData);
                                    (void)sparse::deserialize(bytes);
                                }
                            }),
@@ -172,7 +174,7 @@ TEST(FaultTest, ShutdownIsIdempotent) {
     InProcTransport transport(2);
     transport.shutdown();
     transport.shutdown();  // second shutdown must be harmless
-    EXPECT_THROW(transport.receive(0, 1, kTagTestData), comm::MailboxClosed);
+    EXPECT_THROW(transport.try_receive(0, 1, kTagTestData), comm::MailboxClosed);
 }
 
 TEST(FaultTest, ManyConcurrentClustersDoNotInterfere) {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <thread>
 
 #include "comm/cluster.hpp"
@@ -180,14 +181,17 @@ TEST(MailboxStress, PerStreamFifoUnderConcurrentStorm) {
             }
         });
     }
-    // Consumer interleaves matched pops across sources; each source's
-    // stream must arrive in order.
+    // Consumer polls matched pops interleaved across sources; each
+    // source's stream must arrive in order.
     std::vector<int> next(kSenders, 0);
     for (int total = 0; total < kSenders * kPerSender; ++total) {
-        const comm::Message m = mailbox.pop(total % kSenders, kTagTestData);
+        std::optional<comm::Message> m;
+        while (!(m = mailbox.try_pop(total % kSenders, kTagTestData))) {
+            std::this_thread::yield();
+        }
         int value = -1;
-        std::memcpy(&value, m.payload.data(), sizeof(int));
-        EXPECT_EQ(value, next[static_cast<std::size_t>(m.source)]++);
+        std::memcpy(&value, m->payload.data(), sizeof(int));
+        EXPECT_EQ(value, next[static_cast<std::size_t>(m->source)]++);
     }
     for (auto& t : senders) t.join();
     EXPECT_EQ(mailbox.size(), 0u);

@@ -14,6 +14,7 @@
 #include "nn/model_zoo.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "p2p_handles.hpp"
 #include "sparse/topk_select.hpp"
 #include "train/trainer.hpp"
 #include "util/log.hpp"
@@ -307,9 +308,9 @@ TEST(TracerTest, DisabledTracerAddsNoSpans) {
         EXPECT_EQ(comm.tracer(), nullptr);
         std::vector<float> v{1.0f, 2.0f};
         if (comm.rank() == 0) {
-            comm.send_vec<float>(1, kTagTestData, v);
+            gtopk::test::send_vec(comm, 1, kTagTestData, v);
         } else {
-            (void)comm.recv_vec<float>(0, kTagTestData);
+            (void)gtopk::test::recv_vec<float>(comm, 0, kTagTestData);
         }
     });
     EXPECT_EQ(tracer.recorded(0), 0u);

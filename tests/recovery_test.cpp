@@ -17,6 +17,7 @@
 #include "sparse/topk_select.hpp"
 #include "train/checkpoint.hpp"
 #include "util/rng.hpp"
+#include "p2p_handles.hpp"
 
 namespace {
 
@@ -566,10 +567,24 @@ TEST(RecoveryTest, VirtualDeadlineDiscardsLateArrivalDeterministically) {
     late.tag = comm::kAsyncTagBase + 1;
     late.arrival_time_s = 3.0;  // modeled arrival past the deadline
     late.payload = {std::byte{9}};
+
+    // The runtime's receive: a handle on rank 0 whose virtual deadline is
+    // t = 2.0 (clock 0 + 2 s). The matching message exists but arrives too
+    // late on the modeled clock — a deterministic timeout, and the message
+    // is consumed so a later wait cannot nondeterministically succeed.
     transport.deliver(0, late);
-    // Deadline at virtual t=2.0: the matching message exists but arrives
-    // too late on the modeled clock — deterministic timeout, message
-    // consumed so a later wait cannot nondeterministically succeed.
+    comm::Communicator comm(transport, 0, comm::NetworkModel::free());
+    comm.set_recv_deadline(comm::DeadlineClock::Virtual, 2.0);
+    try {
+        (void)test::recv_bytes(comm, 1, late.tag);
+        FAIL() << "expected a RecvTimeout";
+    } catch (const comm::CommError& e) {
+        EXPECT_EQ(e.kind(), comm::CommErrorKind::RecvTimeout);
+    }
+    EXPECT_FALSE(transport.try_receive(0, 1, late.tag).has_value());
+
+    // Transport::receive_for_virtual applies the same rule.
+    transport.deliver(0, late);
     EXPECT_FALSE(transport
                      .receive_for_virtual(0, 1, late.tag,
                                           /*max_arrival_s=*/2.0,
