@@ -7,8 +7,9 @@
 // Walks through the whole public API surface: dataset, sharded sampler,
 // model factory, TrainConfig, train_distributed, and the returned metrics.
 // With --trace-out, every rank's per-phase spans (compute, selection, each
-// gTop-k merge round, broadcast, send/recv) are exported as Chrome-trace
-// JSON — open it at https://ui.perfetto.dev to see where virtual time goes.
+// gTop-k merge round, broadcast, send_async/recv_async) are exported as
+// Chrome-trace JSON — open it at https://ui.perfetto.dev to see where
+// virtual time goes.
 //
 // With --telemetry-out, the cluster telemetry plane streams one JSON line
 // per iteration (every rank's phase timings, wire bytes, nnz) and prints

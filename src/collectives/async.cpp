@@ -178,7 +178,7 @@ void AsyncCollective::wait() {
     // The single compute/comm synchronization point: the rank resumes at
     // the handle's completion on the NIC timeline (a no-op when compute
     // already ran past it — fully hidden communication). The jump is the
-    // exposed wait, accounted exactly like a blocking recv's.
+    // exposed wait, the clock advance comm_time_s accounts.
     const double before = comm_.clock().now_s();
     comm_.clock().advance_to(last_event_s_);
     comm_.stats().comm_time_s += comm_.clock().now_s() - before;

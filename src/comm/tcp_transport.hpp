@@ -19,11 +19,10 @@
 // blocking under a per-peer mutex; a single background receiver thread
 // poll()s every peer socket, feeds each connection's FrameDecoder, and
 // pushes decoded messages into the local rank's Mailbox — the identical
-// matching/deadline machinery the in-process transport uses, so
-// receive_for's host-clock deadline maps onto the mailbox's
-// condition-variable wait while socket-level timeouts (SO_RCVTIMEO during
-// bootstrap and handshakes, the poll() tick afterwards) bound every
-// blocking socket operation the background threads perform.
+// matching machinery the in-process transport uses, polled through
+// try_receive by the rank's handles — while socket-level timeouts
+// (SO_RCVTIMEO during bootstrap and handshakes, the poll() tick afterwards)
+// bound every blocking socket operation the background threads perform.
 //
 // Failure model (self-healing): EOF, ECONNRESET/EPIPE, a mid-frame
 // disconnect or a malformed frame downs the LINK, not the peer. Link

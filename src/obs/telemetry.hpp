@@ -12,10 +12,11 @@
 // world and the epoch floor rejects stale telemetry traffic like any other
 // traffic.
 //
-// Tag discipline: the exchange uses ABSOLUTE tags (kTagTelemetryBase +
-// round), never fresh tags, so enabling telemetry does not advance the SPMD
-// fresh-tag cursor — training with telemetry on is bit-identical to
-// telemetry off by construction, not by tolerance.
+// Tag discipline: the exchange runs as one absolute-tag AsyncCollective
+// handle on ABSOLUTE tags (kTagTelemetryBase + round), never an async-band
+// block, so enabling telemetry does not advance the SPMD async tag cursor —
+// training with telemetry on is bit-identical to telemetry off by
+// construction, not by tolerance.
 //
 // Threading contract: exchange() is called by every rank's worker thread at
 // the same loop point (SPMD). Per-rank scratch (cached schedule, row

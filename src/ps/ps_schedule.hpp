@@ -3,10 +3,11 @@
 // aggregates and answers every worker with the global update.
 //
 // Unlike the SPMD collectives, the PS protocol runs on FIXED user tags
-// (comm/tags.hpp: kTagPsPush / kTagPsPull) rather than a fresh-tag block —
+// (comm/tags.hpp: kTagPsPush / kTagPsPull) rather than an async-band block —
 // the schedule is emitted with absolute_tags set, and the static checker
-// verifies those tags stay below the fresh base. ps_trainer.cpp executes
-// exactly this program; src/analysis/ verifies the same one.
+// verifies those tags stay below kAsyncTagBase. ps_trainer.cpp executes
+// exactly this program as one absolute-tag AsyncCollective handle per
+// iteration; src/analysis/ verifies the same one.
 #pragma once
 
 #include <cstdint>

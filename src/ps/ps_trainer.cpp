@@ -19,7 +19,6 @@ namespace gtopk::ps {
 namespace {
 
 using collectives::CommOp;
-using collectives::detail::run;
 using comm::Communicator;
 namespace detail = collectives::detail;
 using sparse::SparseGradient;
@@ -158,7 +157,7 @@ train::TrainResult train_parameter_server(int workers, comm::NetworkModel net,
                     if (dense_agg) {
                         std::vector<float> sum(m, 0.0f);
                         const std::span<float> acc(sum);
-                        run(comm, iter_sched,
+                        detail::run(comm, iter_sched,
                             [acc](const CommOp&) {
                                 return std::as_bytes(std::span<const float>(acc));
                             },
@@ -170,7 +169,7 @@ train::TrainResult train_parameter_server(int workers, comm::NetworkModel net,
                         SparseGradient sum;
                         sum.dense_size = static_cast<std::int64_t>(m);
                         bool aggregated = false;
-                        run(comm, iter_sched,
+                        detail::run(comm, iter_sched,
                             [&](const CommOp&) {
                                 if (!aggregated) {
                                     const SparseGradient global =
@@ -227,7 +226,7 @@ train::TrainResult train_parameter_server(int workers, comm::NetworkModel net,
                 const comm::CommStats worker_pre = comm.stats();
                 const double v0 = comm.clock().now_s();
                 if (dense_agg) {
-                    run(comm, iter_sched,
+                    detail::run(comm, iter_sched,
                         [&dense_grad](const CommOp&) {
                             return std::as_bytes(std::span<const float>(dense_grad));
                         },
@@ -244,7 +243,7 @@ train::TrainResult train_parameter_server(int workers, comm::NetworkModel net,
                             }
                         });
                 } else {
-                    run(comm, iter_sched,
+                    detail::run(comm, iter_sched,
                         [&](const CommOp&) {
                             // Push via a pooled buffer the handle moves.
                             std::vector<std::byte> push = comm.buffer_pool().acquire(

@@ -554,7 +554,7 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                 ++total_iters;
 
                 // --- telemetry exchange (absolute-tag band, so the SPMD
-                // fresh-tag cursor and hence the trajectory are untouched).
+                // async tag cursor and hence the trajectory are untouched).
                 if (telem) {
                     obs::RankIterStats st;
                     st.step = step;

@@ -100,7 +100,8 @@ struct TrainConfig {
     quant::Scheme value_quantizer = quant::Scheme::None;
 
     /// Observability: non-null enables per-phase span tracing on every rank
-    /// (worker-loop phases, collectives, gTop-k merge rounds, send/recv).
+    /// (worker-loop phases, collectives, gTop-k merge rounds, send_async /
+    /// recv_async).
     /// The tracer must outlive train_distributed and cover world_size
     /// ranks. nullptr (default) compiles the traced paths down to
     /// branch-on-null.

@@ -419,9 +419,6 @@ public:
     void deliver(int dst, gtopk::comm::Message msg) override {
         inner_.deliver(dst, std::move(msg));
     }
-    gtopk::comm::Message receive(int rank, int source, int tag) override {
-        return inner_.receive(rank, source, tag);
-    }
     std::optional<gtopk::comm::Message> try_receive(int rank, int source,
                                                     int tag) override {
         return inner_.try_receive(rank, source, tag);

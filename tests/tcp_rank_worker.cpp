@@ -76,22 +76,9 @@ public:
     void deliver(int dst, gtopk::comm::Message msg) override {
         inner_->deliver(dst, std::move(msg));
     }
-    gtopk::comm::Message receive(int rank, int source, int tag) override {
-        return inner_->receive(rank, source, tag);
-    }
     std::optional<gtopk::comm::Message> try_receive(int rank, int source,
                                                     int tag) override {
         return inner_->try_receive(rank, source, tag);
-    }
-    std::optional<gtopk::comm::Message> receive_for(int rank, int source, int tag,
-                                                    double timeout_s) override {
-        return inner_->receive_for(rank, source, tag, timeout_s);
-    }
-    std::optional<gtopk::comm::Message> receive_for_virtual(
-        int rank, int source, int tag, double max_arrival_s,
-        double host_grace_s) override {
-        return inner_->receive_for_virtual(rank, source, tag, max_arrival_s,
-                                           host_grace_s);
     }
     void shutdown() override { inner_->shutdown(); }
     void begin_epoch(int rank, int epoch) override {

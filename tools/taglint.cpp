@@ -11,9 +11,8 @@
 //   * designated initializers `.tag = <integer literal>`
 //   * integer literals in the tag argument slot of the transport/mailbox
 //     matching calls: receive / try_receive / receive_for /
-//     receive_for_virtual (3rd arg), pop / try_pop / pop_for /
-//     pop_for_virtual (2nd arg), count_tag_at_least (1st arg),
-//     pending_with_tag_at_least (2nd arg)
+//     receive_for_virtual (3rd arg), try_pop (2nd arg), count_tag_at_least
+//     (1st arg), pending_with_tag_at_least (2nd arg)
 //
 // tags.hpp itself (the single place literals are legal) and tests/ (which
 // deliberately exercise raw tags against the banded API) stay in scope —
@@ -168,13 +167,11 @@ struct TagCall {
 
 // Matching functions whose tag slot must never see a raw literal. The arg
 // positions track the Transport/Mailbox signatures (receive(rank, source,
-// tag), pop(source, tag), ...).
+// tag), try_pop(source, tag), ...).
 constexpr TagCall kTagCalls[] = {
     {"receive", 2},          {"try_receive", 2},
     {"receive_for", 2},      {"receive_for_virtual", 2},
-    {"pop", 1},              {"try_pop", 1},
-    {"pop_for", 1},          {"pop_for_virtual", 1},
-    {"count_tag_at_least", 0},
+    {"try_pop", 1},          {"count_tag_at_least", 0},
     {"pending_with_tag_at_least", 1},
 };
 
