@@ -145,9 +145,8 @@ public:
 
     /// Attach an observability tracer (nullptr = tracing off, the default).
     /// With a tracer, send_async/try_recv_async record per-message spans
-    /// and metrics;
-    /// collectives and aggregators pick it up via tracer() to add their
-    /// phase spans. Off, every traced path is one branch on null.
+    /// and metrics; collectives and aggregators pick it up via tracer() to
+    /// add their phase spans. Off, every traced path is one branch on null.
     void set_tracer(obs::Tracer* tracer);
     obs::Tracer* tracer() const { return tracer_; }
 
