@@ -12,7 +12,6 @@
 //
 // Phases (all host wall-clock, virtual-time network is free):
 //   select            one-shot topk_select  vs  workspace + histogram cut
-//   kth_magnitude     fresh kth_largest_magnitude  vs  workspace overload
 //   wire_roundtrip    serialize+deserialize  vs  serialize_into + view
 //   merge             topk_merge (allocate-add-reselect)  vs  topk_merge_into
 //   e2e_gtopk_iteration   select + gtopk_allreduce on a P-rank cluster:
@@ -108,28 +107,6 @@ Phase bench_select(const Config& cfg, const std::vector<float>& dense) {
         sparse::topk_select_into(dense, k, ws, out);
     }
     p.optimized_s = (now_s() - t) / cfg.iters;
-    return p;
-}
-
-Phase bench_kth(const Config& cfg, const std::vector<float>& dense) {
-    Phase p{"kth_magnitude"};
-    const std::size_t k = cfg.k();
-    sparse::TopkWorkspace ws;
-    const float fresh = sparse::kth_largest_magnitude(dense, k);
-    const float reused = sparse::kth_largest_magnitude(dense, k, ws);
-    if (fresh != reused) throw std::logic_error("kth_magnitude mismatch");
-    double t = now_s();
-    float sink = 0;
-    for (int i = 0; i < cfg.iters; ++i) {
-        sink += sparse::kth_largest_magnitude(dense, k);
-    }
-    p.legacy_s = (now_s() - t) / cfg.iters;
-    t = now_s();
-    for (int i = 0; i < cfg.iters; ++i) {
-        sink += sparse::kth_largest_magnitude(dense, k, ws);
-    }
-    p.optimized_s = (now_s() - t) / cfg.iters;
-    if (sink == -1.0f) std::cout << "";  // keep the calls observable
     return p;
 }
 
@@ -260,7 +237,6 @@ int main(int argc, char** argv) {
 
     std::vector<Phase> phases;
     phases.push_back(bench_select(cfg, dense));
-    phases.push_back(bench_kth(cfg, dense));
     phases.push_back(bench_wire(cfg, a));
     phases.push_back(bench_merge(cfg, a, b));
 

@@ -41,10 +41,10 @@
 //
 // --chaos composes with --transport tcp: rank 3's PROCESS dies mid-run,
 // its sockets collapse, the survivors' reconnect FSM declares the links
-// dead, the membership plane regroups OVER THE WIRE (leader-driven
-// JOIN/VIEW frames, DESIGN.md §17), and the three survivor processes roll
-// back and finish converged. The victim exits with the typed rank-killed
-// code (43), so launch it as
+// dead, the membership plane regroups over the sockets (the same
+// leader-driven JOIN/VIEW frames as in-process, DESIGN.md §12/§17), and
+// the three survivor processes roll back and finish converged. The victim
+// exits with the typed rank-killed code (43), so launch it as
 //
 //   $ gtopkrun -n 4 --allow-exit 43 -- ./quickstart --transport tcp --chaos
 #include <cstring>

@@ -14,10 +14,9 @@
 //     std::optional<std::string> check(const State&) const;
 //     bool is_goal(const State&) const;           // liveness target
 //     bool is_fair(const Action&) const;          // guaranteed-to-fire class
-//     // Canonical fingerprint: equal iff states are equivalent (symmetry
-//     // reduction folds rank permutations here). Used ONLY as the
-//     // visited-set key; stored states stay concrete so every trace is a
-//     // real executable run.
+//     // Canonical fingerprint: equal iff states are equivalent. Used ONLY
+//     // as the visited-set key; traces replay concrete states from
+//     // initial(), so every trace is a real executable run.
 //     std::vector<std::uint64_t> encode(const State&) const;
 //   };
 //
@@ -25,7 +24,10 @@
 // visited set, checking every discovered state's invariants. The FIRST
 // violation aborts the search with a minimal-depth counterexample trace
 // (BFS order guarantees minimality over canonical classes). A state with
-// no enabled actions that is not a goal is reported as a deadlock.
+// no enabled actions that is not a goal is reported as a deadlock. Only
+// the frontier holds concrete states; a discovered state keeps its key,
+// its parent edge and its goal bit, and a trace is rebuilt by replaying
+// the parent edges from initial().
 //
 // Liveness under fairness: after a clean sweep, every reachable state must
 // be able to reach a goal state using FAIR actions only — fair actions are
@@ -91,92 +93,94 @@ CheckReport<Model> explore(const Model& model, const ExploreLimits& limits = {})
     using State = typename Model::State;
     CheckReport<Model> report;
 
-    std::vector<State> states;
     std::vector<std::uint32_t> depth;
     // (parent id, index into actions(parent)); root parent is itself.
     std::vector<std::pair<std::uint32_t, std::uint32_t>> parent;
     std::vector<std::vector<std::uint32_t>> fair_out;  // fair successor ids
+    std::vector<char> goal;
     std::unordered_map<std::string, std::uint32_t> visited;
 
     const auto rebuild_trace = [&](std::uint32_t id) {
         std::vector<std::uint32_t> chain;
         while (parent[id].first != id) {
-            chain.push_back(id);
+            chain.push_back(parent[id].second);
             id = parent[id].first;
         }
+        State cur = model.initial();
         for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-            const auto& [pid, act_idx] = parent[*it];
-            typename Model::Action a = model.actions(states[pid])[act_idx];
+            typename Model::Action a = model.actions(cur)[*it];
             report.trace.push_back({a, model.describe(a)});
+            cur = model.apply(cur, a);
         }
     };
+    const auto discover = [&](std::uint32_t pid, std::uint32_t act_idx,
+                              std::uint32_t d, const State& s) {
+        depth.push_back(d);
+        parent.emplace_back(pid, act_idx);
+        fair_out.emplace_back();
+        goal.push_back(model.is_goal(s) ? 1 : 0);
+        if (d > report.max_depth) report.max_depth = d;
+    };
 
-    const State root = model.initial();
+    State root = model.initial();
     visited.emplace(detail::key_bytes(model.encode(root)), 0);
-    states.push_back(root);
-    depth.push_back(0);
-    parent.emplace_back(0, 0);
-    fair_out.emplace_back();
+    discover(0, 0, 0, root);
     if (auto v = model.check(root)) {
         report.states = 1;
         report.violation = v;
         return report;
     }
 
-    std::deque<std::uint32_t> frontier{0};
+    std::deque<std::pair<std::uint32_t, State>> frontier;
+    frontier.emplace_back(0, std::move(root));
     while (!frontier.empty()) {
-        if (states.size() > limits.max_states) {
+        if (depth.size() > limits.max_states) {
             report.truncated = true;
             break;
         }
-        const std::uint32_t sid = frontier.front();
+        const auto [sid, state] = std::move(frontier.front());
         frontier.pop_front();
-        // actions() of a copy: `states` may reallocate while we expand.
-        const std::vector<typename Model::Action> acts = model.actions(states[sid]);
-        if (acts.empty() && !model.is_goal(states[sid])) {
+        const std::vector<typename Model::Action> acts = model.actions(state);
+        if (acts.empty() && !goal[sid]) {
             report.violation = "deadlock";
             rebuild_trace(sid);
-            report.states = states.size();
+            report.states = depth.size();
             report.max_depth = depth[sid];
             return report;
         }
         for (std::uint32_t ai = 0; ai < acts.size(); ++ai) {
-            State next = model.apply(states[sid], acts[ai]);
+            State next = model.apply(state, acts[ai]);
             ++report.transitions;
             const std::string key = detail::key_bytes(model.encode(next));
             auto [it, inserted] =
-                visited.emplace(key, static_cast<std::uint32_t>(states.size()));
+                visited.emplace(key, static_cast<std::uint32_t>(depth.size()));
             if (inserted) {
                 const std::uint32_t nid = it->second;
-                states.push_back(std::move(next));
-                depth.push_back(depth[sid] + 1);
-                parent.emplace_back(sid, ai);
-                fair_out.emplace_back();
-                if (depth[nid] > report.max_depth) report.max_depth = depth[nid];
-                if (auto v = model.check(states[nid])) {
+                discover(sid, ai, depth[sid] + 1, next);
+                if (auto v = model.check(next)) {
                     report.violation = v;
                     rebuild_trace(nid);
-                    report.states = states.size();
+                    report.states = depth.size();
                     return report;
                 }
-                frontier.push_back(nid);
+                frontier.emplace_back(nid, std::move(next));
             }
             if (model.is_fair(acts[ai])) fair_out[sid].push_back(it->second);
         }
     }
-    report.states = states.size();
+    report.states = depth.size();
     if (report.truncated) return report;
 
     // Liveness: reverse BFS from the goal set over fair edges; every
     // reachable state must be co-reachable or the adversary owns a trap.
-    std::vector<std::vector<std::uint32_t>> fair_in(states.size());
-    for (std::uint32_t s = 0; s < states.size(); ++s) {
+    std::vector<std::vector<std::uint32_t>> fair_in(depth.size());
+    for (std::uint32_t s = 0; s < depth.size(); ++s) {
         for (std::uint32_t d : fair_out[s]) fair_in[d].push_back(s);
     }
-    std::vector<char> co(states.size(), 0);
+    std::vector<char> co(depth.size(), 0);
     std::deque<std::uint32_t> rq;
-    for (std::uint32_t s = 0; s < states.size(); ++s) {
-        if (model.is_goal(states[s])) {
+    for (std::uint32_t s = 0; s < depth.size(); ++s) {
+        if (goal[s]) {
             co[s] = 1;
             rq.push_back(s);
         }
@@ -191,7 +195,7 @@ CheckReport<Model> explore(const Model& model, const ExploreLimits& limits = {})
             }
         }
     }
-    for (std::uint32_t s = 0; s < states.size(); ++s) {
+    for (std::uint32_t s = 0; s < depth.size(); ++s) {
         if (!co[s]) {
             report.violation =
                 "livelock: no fair path to a goal state";

@@ -1,20 +1,114 @@
 #include "analysis/protocheck/membership_model.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace gtopk::analysis::protocheck {
 
 namespace fsm = comm::fsm;
 
+namespace {
+
+using Frame = MembershipModel::Frame;
+using Mode = MembershipModel::Mode;
+
+std::uint32_t mask_of(const std::vector<int>& ranks) {
+    std::uint32_t m = 0;
+    for (const int r : ranks) m |= 1u << r;
+    return m;
+}
+
+std::uint32_t mask_of(const std::vector<bool>& flags) {
+    std::uint32_t m = 0;
+    for (std::size_t r = 0; r < flags.size(); ++r) m |= flags[r] ? 1u << r : 0u;
+    return m;
+}
+
+std::vector<int> ranks_of(std::uint32_t mask, int world) {
+    std::vector<int> out;
+    for (int r = 0; r < world; ++r) {
+        if (mask & (1u << r)) out.push_back(r);
+    }
+    return out;
+}
+
+void add_frame(MembershipModel::State& s, const Frame& f) {
+    const auto it = std::lower_bound(s.frames.begin(), s.frames.end(), f);
+    if (it == s.frames.end() || *it != f) s.frames.insert(it, f);
+}
+
+/// The service polls VIEW frames first, so a leader never evaluates while
+/// a VIEW newer than its own view is waiting in its mailbox.
+bool newer_view_pending(const MembershipModel::State& s, int rank) {
+    const int epoch = s.ranks[static_cast<std::size_t>(rank)].fsm.epoch;
+    return std::any_of(s.frames.begin(), s.frames.end(), [&](const Frame& f) {
+        return f.kind == Frame::Kind::kView && f.dst == rank && f.epoch > epoch;
+    });
+}
+
+/// Drop the frames whose take can no longer change anything: those to a
+/// dead rank, a VIEW no newer than its receiver's view, and a JOIN that
+/// is stale, from a dead sender, or already admitted (epochs only grow and
+/// the dead stay dead, so each stays a no-op forever). Keeps equivalent
+/// states from multiplying by their leftover mail.
+void drop_inert_frames(MembershipModel::State& s) {
+    std::erase_if(s.frames, [&](const Frame& f) {
+        const std::size_t d = static_cast<std::size_t>(f.dst);
+        if (!s.fabric_alive[d]) return true;
+        const auto& dst = s.ranks[d].fsm;
+        if (f.kind == Frame::Kind::kView) return f.epoch <= dst.epoch;
+        return f.epoch != dst.epoch || !s.fabric_alive[static_cast<std::size_t>(f.src)] ||
+               dst.joined[static_cast<std::size_t>(f.src)];
+    });
+}
+
+/// A follower's election step: lead when it is the lowest live member of
+/// its own view, else send its JOIN to that leader (once per leader: the
+/// service's timed resends to the same leader are idempotent).
+void elect(MembershipModel::State& s, int rank) {
+    auto& rs = s.ranks[static_cast<std::size_t>(rank)];
+    const int leader = fsm::membership_leader(rs.fsm, s.fabric_alive);
+    if (leader == rank) {
+        rs.mode = Mode::kLeader;
+        rs.grace_expired = false;
+    } else if (leader != rs.join_sent_to) {
+        rs.join_sent_to = leader;
+        add_frame(s, {Frame::Kind::kJoin, leader, rank, rs.fsm.epoch, 0});
+    }
+}
+
+/// `rank` installs `view` over `prev`: the spec checks, then the record.
+void install(MembershipModel::State& s, int rank,
+             const fsm::MembershipFsmState& prev, const comm::MembershipView& view) {
+    const std::uint32_t mask = mask_of(view.members);
+    const bool split = std::any_of(s.installed.begin(), s.installed.end(), [&](const auto& i) {
+        return i.epoch == view.epoch && i.members != mask;
+    });
+    if (!s.violation.empty()) {
+        // keep the first violation
+    } else if (view.epoch != prev.epoch + 1) {
+        s.violation = "epoch-skip";
+    } else if ((mask & ~mask_of(prev.members)) != 0) {
+        s.violation = "member-resurrection";
+    } else if (split) {
+        s.violation = "split-brain";
+    }
+    const MembershipModel::Install rec{rank, view.epoch, mask};
+    s.installed.insert(
+        std::lower_bound(s.installed.begin(), s.installed.end(), rec), rec);
+}
+
+}  // namespace
+
 MembershipModel::State MembershipModel::initial() const {
     State s;
-    s.fsm = fsm::membership_init(cfg_.world);
     const std::size_t w = static_cast<std::size_t>(cfg_.world);
+    s.ranks.resize(w);
+    for (auto& r : s.ranks) {
+        r.fsm = fsm::membership_init(cfg_.world);
+        r.joins_left = cfg_.joins_per_rank;
+    }
     s.fabric_alive.assign(w, true);
-    s.waiting.assign(w, false);
-    s.grace_expired.assign(w, false);
-    s.my_round.assign(w, 0);
-    s.joins_left.assign(w, cfg_.joins_per_rank);
     s.kills_left = cfg_.max_kills;
     return s;
 }
@@ -24,33 +118,53 @@ std::vector<MembershipModel::Action> MembershipModel::actions(const State& s) co
     if (!s.violation.empty()) return out;  // violating states are terminal
     for (int r = 0; r < cfg_.world; ++r) {
         const std::size_t ri = static_cast<std::size_t>(r);
-        if (s.waiting[ri]) {
-            if (s.my_round[ri] != s.fsm.round) {
-                out.push_back({Action::Kind::kWake, r});
-            } else {
-                if (fsm::membership_evaluate(s.fsm, s.fabric_alive,
-                                             s.grace_expired[ri]) !=
-                    fsm::RoundVerdict::kWait) {
+        if (!s.fabric_alive[ri]) continue;  // the dead take no steps
+        const RankState& rs = s.ranks[ri];
+        if (s.kills_left > 0) out.push_back({Action::Kind::kKill, r});
+        const auto take = [&](Frame::Kind kind, Action::Kind action) {
+            for (const Frame& f : s.frames) {
+                if (f.kind == kind && f.dst == r) out.push_back({action, r, f});
+            }
+        };
+        switch (rs.mode) {
+            case Mode::kIdle:
+                if (rs.joins_left > 0) {
+                    // Enumerate the call only when it would be admitted (a
+                    // refused join throws in the service and changes
+                    // nothing).
+                    fsm::MembershipFsmState probe = rs.fsm;
+                    const fsm::JoinVerdict v =
+                        fsm::membership_join(probe, r, s.fabric_alive);
+                    if (v == fsm::JoinVerdict::kJoined ||
+                        v == fsm::JoinVerdict::kAlreadyJoined) {
+                        out.push_back({Action::Kind::kJoin, r});
+                    }
+                }
+                break;
+            case Mode::kFollower: {
+                take(Frame::Kind::kView, Action::Kind::kTakeView);
+                // A kill moved the election: promote, or re-send the JOIN.
+                const int leader = fsm::membership_leader(rs.fsm, s.fabric_alive);
+                if (leader == r || leader != rs.join_sent_to) {
+                    out.push_back({Action::Kind::kElect, r});
+                }
+                out.push_back({Action::Kind::kDeadline, r});
+                break;
+            }
+            case Mode::kLeader:
+                take(Frame::Kind::kView, Action::Kind::kTakeView);
+                take(Frame::Kind::kJoin, Action::Kind::kTakeJoin);
+                if (!rs.grace_expired) out.push_back({Action::Kind::kGraceExpire, r});
+                if (!newer_view_pending(s, r) &&
+                    fsm::membership_evaluate(rs.fsm, s.fabric_alive,
+                                             rs.grace_expired) !=
+                        fsm::RoundVerdict::kWait) {
                     out.push_back({Action::Kind::kEvaluate, r});
                 }
-                if (!s.grace_expired[ri]) {
-                    out.push_back({Action::Kind::kGraceExpire, r});
-                }
-            }
-        } else if (s.joins_left[ri] > 0) {
-            // Enumerate the join only when it would actually be admitted
-            // (a refused join raises in the service and changes nothing).
-            fsm::MembershipFsmState probe = s.fsm;
-            if (fsm::membership_join(probe, r, s.fabric_alive) ==
-                fsm::JoinVerdict::kJoined) {
-                out.push_back({Action::Kind::kJoin, r});
-            }
-        }
-        if (s.kills_left > 0 && s.fabric_alive[ri]) {
-            out.push_back({Action::Kind::kKill, r});
-        }
-        if (!s.fabric_alive[ri] && !s.fsm.left[ri]) {
-            out.push_back({Action::Kind::kLeave, r});
+                break;
+            case Mode::kBroadcast:
+                out.push_back({Action::Kind::kSendView, r});
+                break;
         }
     }
     return out;
@@ -59,85 +173,110 @@ std::vector<MembershipModel::Action> MembershipModel::actions(const State& s) co
 MembershipModel::State MembershipModel::apply(const State& prev,
                                               const Action& a) const {
     State s = prev;
-    const std::size_t ri = static_cast<std::size_t>(a.rank);
+    const int r = a.rank;
+    RankState& rs = s.ranks[static_cast<std::size_t>(r)];
     switch (a.kind) {
         case Action::Kind::kJoin:
-            fsm::membership_join(s.fsm, a.rank, s.fabric_alive);
-            s.waiting[ri] = true;
-            s.grace_expired[ri] = false;
-            s.my_round[ri] = s.fsm.round;
-            --s.joins_left[ri];
+            // The first spin of the service's follower loop elects at once;
+            // its JOIN only becomes available earlier than in the service,
+            // and a frame's taker may always wait.
+            (void)fsm::membership_join(rs.fsm, r, s.fabric_alive);
+            rs.mode = Mode::kFollower;
+            rs.join_sent_to = -1;
+            --rs.joins_left;
+            elect(s, r);
             break;
-        case Action::Kind::kWake:
-            s.waiting[ri] = false;
+        case Action::Kind::kElect:
+            elect(s, r);
             break;
+        case Action::Kind::kTakeJoin:
+            s.frames.erase(std::find(s.frames.begin(), s.frames.end(), a.frame));
+            // A JOIN from an already-closed round is stale and dropped.
+            if (a.frame.epoch == rs.fsm.epoch) {
+                (void)fsm::membership_join(rs.fsm, a.frame.src, s.fabric_alive);
+            }
+            break;
+        case Action::Kind::kTakeView: {
+            s.frames.erase(std::find(s.frames.begin(), s.frames.end(), a.frame));
+            const comm::MembershipView view{a.frame.epoch,
+                                            ranks_of(a.frame.members, cfg_.world)};
+            const fsm::MembershipFsmState before = rs.fsm;
+            if (!fsm::membership_adopt(rs.fsm, view)) break;  // stale
+            rs.mode = Mode::kIdle;
+            // A VIEW without this rank votes it out: it holds the view only
+            // to refuse every later join, and never trains on it.
+            if (a.frame.members & (1u << r)) install(s, r, before, view);
+            break;
+        }
         case Action::Kind::kGraceExpire:
-            s.grace_expired[ri] = true;
+            rs.grace_expired = true;
             break;
         case Action::Kind::kEvaluate: {
-            const fsm::RoundVerdict v = fsm::membership_evaluate(
-                s.fsm, s.fabric_alive, s.grace_expired[ri]);
+            const fsm::RoundVerdict v =
+                fsm::membership_evaluate(rs.fsm, s.fabric_alive, rs.grace_expired);
             if (v == fsm::RoundVerdict::kWait) break;  // disabled; defensive
-            s.waiting[ri] = false;
+            rs.mode = Mode::kIdle;
             if (v == fsm::RoundVerdict::kAbortNoQuorum) break;  // throws upstream
             // Spec-side quorum check, computed independently of the FSM's
             // own verdict: a finalization is legitimate only when every
             // live member joined or a strict majority of them did.
             const std::vector<int> live =
-                fsm::membership_live_members(s.fsm, s.fabric_alive);
+                fsm::membership_live_members(rs.fsm, s.fabric_alive);
             const std::size_t joined_live = static_cast<std::size_t>(
-                std::count_if(live.begin(), live.end(), [&](int r) {
-                    return s.fsm.joined[static_cast<std::size_t>(r)];
+                std::count_if(live.begin(), live.end(), [&](int m) {
+                    return rs.fsm.joined[static_cast<std::size_t>(m)];
                 }));
             if (joined_live < live.size() && joined_live * 2 <= live.size()) {
                 s.violation = "quorum-violation";
             }
-            const std::vector<int> prev_members = s.fsm.members;
-            const int prev_epoch = s.fsm.epoch;
-            const comm::MembershipView view = fsm::membership_finalize(s.fsm);
-            if (s.violation.empty() && view.epoch != prev_epoch + 1) {
-                s.violation = "epoch-skip";
-            }
-            if (s.violation.empty()) {
-                for (const int m : view.members) {
-                    if (std::find(prev_members.begin(), prev_members.end(), m) ==
-                        prev_members.end()) {
-                        s.violation = "member-resurrection";
-                        break;
-                    }
-                }
-            }
-            if (s.violation.empty()) {
-                for (const auto& f : s.finalized) {
-                    if (f.epoch == view.epoch && f.members != view.members) {
-                        s.violation = "split-brain";
-                        break;
-                    }
-                }
-            }
-            s.finalized.push_back(view);
+            const fsm::MembershipFsmState before = rs.fsm;
+            const comm::MembershipView view = fsm::membership_finalize(rs.fsm);
+            install(s, r, before, view);
+            // The VIEW goes to every live member of the old view, ascending.
+            rs.outbox = mask_of(live) & ~(1u << r);
+            if (rs.outbox != 0) rs.mode = Mode::kBroadcast;
             break;
         }
-        case Action::Kind::kKill:
-            s.fabric_alive[ri] = false;
-            --s.kills_left;
+        case Action::Kind::kSendView: {
+            const int dst = std::countr_zero(rs.outbox);
+            rs.outbox &= rs.outbox - 1;
+            if (s.fabric_alive[static_cast<std::size_t>(dst)]) {
+                add_frame(s, {Frame::Kind::kView, dst, 0, rs.fsm.epoch,
+                              mask_of(rs.fsm.members)});
+            }
+            if (rs.outbox == 0) rs.mode = Mode::kIdle;
             break;
-        case Action::Kind::kLeave:
-            fsm::membership_leave(s.fsm, a.rank);
+        }
+        case Action::Kind::kDeadline:
+            rs.mode = Mode::kIdle;
+            break;
+        case Action::Kind::kKill:
+            s.fabric_alive[static_cast<std::size_t>(r)] = false;
+            --s.kills_left;
+            rs.mode = Mode::kIdle;
+            rs.outbox = 0;
+            std::erase_if(s.installed, [&](const Install& i) { return i.rank == r; });
             break;
     }
+    drop_inert_frames(s);
     return s;
 }
 
 std::string MembershipModel::describe(const Action& a) const {
     const std::string r = std::to_string(a.rank);
+    const std::string e = std::to_string(a.frame.epoch);
     switch (a.kind) {
         case Action::Kind::kJoin: return "join(" + r + ")";
-        case Action::Kind::kEvaluate: return "evaluate(" + r + ")";
-        case Action::Kind::kWake: return "wake(" + r + ")";
+        case Action::Kind::kElect: return "elect(" + r + ")";
+        case Action::Kind::kTakeJoin:
+            return "take-join(" + r + "<-" + std::to_string(a.frame.src) + ",e" + e + ")";
+        case Action::Kind::kTakeView:
+            return "take-view(" + r + ",e" + e + ",mask" + std::to_string(a.frame.members) + ")";
         case Action::Kind::kGraceExpire: return "grace-expire(" + r + ")";
+        case Action::Kind::kEvaluate: return "evaluate(" + r + ")";
+        case Action::Kind::kSendView: return "send-view(" + r + ")";
+        case Action::Kind::kDeadline: return "deadline(" + r + ")";
         case Action::Kind::kKill: return "kill(" + r + ")";
-        case Action::Kind::kLeave: return "leave(" + r + ")";
     }
     return "?";
 }
@@ -148,71 +287,47 @@ std::optional<std::string> MembershipModel::check(const State& s) const {
 }
 
 bool MembershipModel::is_goal(const State& s) const {
-    return std::none_of(s.waiting.begin(), s.waiting.end(),
-                        [](bool w) { return w; });
+    // The dead are forced idle, so this reads "no live rank is inside
+    // regroup()".
+    return std::all_of(s.ranks.begin(), s.ranks.end(),
+                       [](const RankState& r) { return r.mode == Mode::kIdle; });
 }
 
 bool MembershipModel::is_fair(const Action& a) const {
-    switch (a.kind) {
-        case Action::Kind::kEvaluate:
-        case Action::Kind::kWake:
-        case Action::Kind::kGraceExpire:
-            return true;
-        default:
-            return false;
-    }
-}
-
-std::vector<std::uint64_t> MembershipModel::encode_permuted(
-    const State& s, const std::vector<int>& perm) const {
-    // perm[i] = the ORIGINAL rank relabeled as rank i.
-    std::vector<std::uint64_t> e;
-    e.reserve(static_cast<std::size_t>(cfg_.world) + 6 + s.finalized.size());
-    e.push_back(static_cast<std::uint64_t>(s.fsm.epoch));
-    e.push_back(s.fsm.round);
-    std::uint64_t members_mask = 0;
-    for (const int m : s.fsm.members) {
-        for (int i = 0; i < cfg_.world; ++i) {
-            if (perm[static_cast<std::size_t>(i)] == m) members_mask |= 1ULL << i;
-        }
-    }
-    e.push_back(members_mask);
-    for (int i = 0; i < cfg_.world; ++i) {
-        const std::size_t oi = static_cast<std::size_t>(perm[static_cast<std::size_t>(i)]);
-        std::uint64_t bits = 0;
-        bits |= s.fabric_alive[oi] ? 1u : 0u;
-        bits |= s.fsm.left[oi] ? 2u : 0u;
-        bits |= s.fsm.joined[oi] ? 4u : 0u;
-        bits |= s.waiting[oi] ? 8u : 0u;
-        bits |= s.grace_expired[oi] ? 16u : 0u;
-        bits |= static_cast<std::uint64_t>(s.joins_left[oi]) << 8;
-        bits |= (s.waiting[oi] ? s.my_round[oi] : 0) << 16;
-        e.push_back(bits);
-    }
-    e.push_back(static_cast<std::uint64_t>(s.kills_left));
-    e.push_back(0xffff'0004ULL);
-    for (const auto& f : s.finalized) {
-        std::uint64_t mask = 0;
-        for (const int m : f.members) {
-            for (int i = 0; i < cfg_.world; ++i) {
-                if (perm[static_cast<std::size_t>(i)] == m) mask |= 1ULL << i;
-            }
-        }
-        e.push_back((static_cast<std::uint64_t>(f.epoch) << 8) | mask);
-    }
-    return e;
+    return a.kind != Action::Kind::kJoin && a.kind != Action::Kind::kKill;
 }
 
 std::vector<std::uint64_t> MembershipModel::encode(const State& s) const {
-    std::vector<int> perm(static_cast<std::size_t>(cfg_.world));
-    for (int i = 0; i < cfg_.world; ++i) perm[static_cast<std::size_t>(i)] = i;
-    if (!cfg_.symmetry_reduction) return encode_permuted(s, perm);
-    std::vector<std::uint64_t> best = encode_permuted(s, perm);
-    while (std::next_permutation(perm.begin(), perm.end())) {
-        std::vector<std::uint64_t> cand = encode_permuted(s, perm);
-        if (cand < best) best = std::move(cand);
+    std::vector<std::uint64_t> e{static_cast<std::uint64_t>(s.kills_left)};
+    for (std::size_t i = 0; i < s.ranks.size(); ++i) {
+        const RankState& r = s.ranks[i];
+        // Timers and the JOIN target only matter in the mode that reads
+        // them; leaving them out elsewhere merges equivalent states.
+        const bool leads = r.mode == Mode::kLeader;
+        const bool follows = r.mode == Mode::kFollower;
+        e.push_back(static_cast<std::uint64_t>(r.fsm.epoch) |
+                    std::uint64_t{mask_of(r.fsm.members)} << 8 |
+                    std::uint64_t{mask_of(r.fsm.joined)} << 16 |
+                    static_cast<std::uint64_t>(r.mode) << 24 |
+                    std::uint64_t{leads && r.grace_expired} << 26 |
+                    std::uint64_t{s.fabric_alive[i]} << 27 |
+                    static_cast<std::uint64_t>(follows ? r.join_sent_to + 1 : 0) << 28 |
+                    static_cast<std::uint64_t>(r.joins_left) << 32 |
+                    std::uint64_t{r.outbox} << 40);
     }
-    return best;
+    e.push_back(s.frames.size());
+    for (const Frame& f : s.frames) {
+        e.push_back(static_cast<std::uint64_t>(f.kind) | static_cast<std::uint64_t>(f.dst) << 4 |
+                    static_cast<std::uint64_t>(f.src) << 8 |
+                    static_cast<std::uint64_t>(f.epoch) << 16 |
+                    std::uint64_t{f.members} << 32);
+    }
+    for (const Install& i : s.installed) {
+        e.push_back(static_cast<std::uint64_t>(i.rank) |
+                    static_cast<std::uint64_t>(i.epoch) << 8 |
+                    std::uint64_t{i.members} << 32);
+    }
+    return e;
 }
 
 }  // namespace gtopk::analysis::protocheck

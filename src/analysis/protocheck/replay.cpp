@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -17,7 +18,6 @@ namespace gtopk::analysis::protocheck {
 namespace {
 
 constexpr int kAppTag = 7;  // arbitrary user tag for replay payloads
-constexpr std::size_t kEnvelopeHeaderBytes = 32;  // matches reliable layer
 
 /// A fully scripted world-2 fabric: every envelope ReliableTransport sends
 /// is STAGED invisible to the receiver until the trace releases, drops,
@@ -292,108 +292,81 @@ std::optional<std::string> arq_random_conformance(const ArqModelConfig& cfg,
     return std::nullopt;
 }
 
-MembershipReplayResult replay_membership_trace(
+namespace {
+
+/// An agreed view as (epoch, member bitmask): ordered by epoch, so a set of
+/// them lists a run's distinct views in epoch order.
+using ViewKey = std::pair<int, std::uint32_t>;
+
+/// Drive a real MembershipService through the Join/Kill skeleton of
+/// `trace` (frame sends and takes, elections, evaluations and timer
+/// expiries are the service's own clockwork: replay uses a short real
+/// grace window and waits joins out) and collect the distinct views its
+/// regroup() calls returned. Outcomes are deterministic as long as every
+/// trace action lands well inside the grace window, which the generous
+/// pacing guarantees.
+std::set<ViewKey> replay_membership_trace(
     const MembershipModelConfig& cfg,
     const std::vector<MembershipModel::Action>& trace) {
-    auto fault = std::make_unique<comm::FaultInjectingTransport>(cfg.world,
-                                                                 comm::FaultPlan{});
-    comm::FaultInjectingTransport& fabric = *fault;
+    comm::FaultInjectingTransport fabric(cfg.world, comm::FaultPlan{});
     comm::MembershipConfig mcfg;
     // Generous grace: every trace action must land well inside the window
     // so the real outcome is a function of the trace, not the scheduler.
     mcfg.join_grace_s = 1.5;
     comm::MembershipService svc(fabric, mcfg);
 
-    struct Joiner {
-        std::thread thread;
-        MembershipReplayOutcome outcome;
-    };
-    std::vector<std::unique_ptr<Joiner>> joiners;
-
-    using Kind = MembershipModel::Action::Kind;
-    for (const MembershipModel::Action& a : trace) {
-        switch (a.kind) {
-            case Kind::kJoin: {
-                auto j = std::make_unique<Joiner>();
-                j->outcome.rank = a.rank;
-                Joiner* raw = j.get();
-                const int rank = a.rank;
-                raw->thread = std::thread([raw, rank, &svc] {
-                    try {
-                        raw->outcome.view = svc.regroup(rank);
-                        raw->outcome.kind = MembershipReplayOutcome::Kind::kView;
-                    } catch (const std::invalid_argument&) {
-                        raw->outcome.kind = MembershipReplayOutcome::Kind::kRefused;
-                    } catch (const std::runtime_error&) {
-                        raw->outcome.kind = MembershipReplayOutcome::Kind::kAbort;
-                    }
-                });
-                joiners.push_back(std::move(j));
-                break;
-            }
-            case Kind::kKill:
-                fabric.kill_rank(a.rank);
-                break;
-            case Kind::kLeave:
-                svc.leave(a.rank);
-                break;
-            case Kind::kEvaluate:
-            case Kind::kWake:
-            case Kind::kGraceExpire:
-                break;  // the service's own clockwork
+    std::vector<std::optional<comm::MembershipView>> views(trace.size());
+    std::vector<std::thread> joiners;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const MembershipModel::Action& a = trace[i];
+        if (a.kind == MembershipModel::Action::Kind::kJoin) {
+            joiners.emplace_back([&svc, &views, i, rank = a.rank] {
+                try {
+                    views[i] = svc.regroup(rank);
+                } catch (const std::exception&) {
+                    // Refused or aborted: no view.
+                }
+            });
+        } else if (a.kind == MembershipModel::Action::Kind::kKill) {
+            fabric.kill_rank(a.rank);
         }
         // Pace actions so each lands before the next (join registration,
         // fast-path finalization) while staying far from the grace bound.
         std::this_thread::sleep_for(std::chrono::milliseconds(30));
     }
+    for (auto& t : joiners) t.join();
 
-    MembershipReplayResult result;
-    for (auto& j : joiners) {
-        j->thread.join();
-        result.outcomes.push_back(j->outcome);
+    std::set<ViewKey> out;
+    for (const auto& v : views) {
+        if (!v) continue;
+        std::uint32_t mask = 0;
+        for (const int m : v->members) mask |= 1u << m;
+        out.emplace(v->epoch, mask);
     }
-    return result;
+    return out;
 }
+
+}  // namespace
 
 std::optional<std::string> membership_conformance_diff(
     const MembershipModelConfig& cfg,
     const std::vector<MembershipModel::Action>& trace) {
-    // Model-side prediction: finalized views along the trace.
+    // Model-side prediction: the views its ranks installed along the trace.
     const MembershipModel model(cfg);
     MembershipModel::State s = model.initial();
     for (const MembershipModel::Action& a : trace) s = model.apply(s, a);
+    std::set<ViewKey> predicted;
+    for (const auto& i : s.installed) predicted.emplace(i.epoch, i.members);
 
-    const MembershipReplayResult real = replay_membership_trace(cfg, trace);
-
-    // Distinct real views in epoch order.
-    std::vector<comm::MembershipView> real_views;
-    for (const auto& o : real.outcomes) {
-        if (o.kind != MembershipReplayOutcome::Kind::kView) continue;
-        const bool seen = std::any_of(
-            real_views.begin(), real_views.end(), [&](const auto& v) {
-                return v.epoch == o.view.epoch && v.members == o.view.members;
-            });
-        if (!seen) real_views.push_back(o.view);
-    }
-    std::sort(real_views.begin(), real_views.end(),
-              [](const auto& a, const auto& b) { return a.epoch < b.epoch; });
-
-    // Every view the model finalized must be realized, in order (the real
+    // Every view the model installed must be realized, in order (the real
     // service may finalize FURTHER rounds after the trace's horizon — its
     // grace clock keeps running — so prefix agreement is the contract).
-    if (s.finalized.size() > real_views.size()) {
-        return "model finalized " + std::to_string(s.finalized.size()) +
-               " view(s), real service produced " +
-               std::to_string(real_views.size());
-    }
-    for (std::size_t i = 0; i < s.finalized.size(); ++i) {
-        if (s.finalized[i].epoch != real_views[i].epoch ||
-            s.finalized[i].members != real_views[i].members) {
-            return "finalized view " + std::to_string(i) +
-                   " diverged (model epoch " +
-                   std::to_string(s.finalized[i].epoch) + " vs real epoch " +
-                   std::to_string(real_views[i].epoch) + ")";
-        }
+    const std::set<ViewKey> real = replay_membership_trace(cfg, trace);
+    if (predicted.size() > real.size() ||
+        !std::equal(predicted.begin(), predicted.end(), real.begin())) {
+        return "model installed " + std::to_string(predicted.size()) +
+               " view(s) the real service's " + std::to_string(real.size()) +
+               " do not start with";
     }
     return std::nullopt;
 }

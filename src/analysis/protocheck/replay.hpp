@@ -26,7 +26,6 @@
 
 #include "analysis/protocheck/arq_model.hpp"
 #include "analysis/protocheck/membership_model.hpp"
-#include "comm/membership_fsm.hpp"
 
 namespace gtopk::analysis::protocheck {
 
@@ -67,30 +66,10 @@ std::optional<std::string> arq_random_conformance(const ArqModelConfig& cfg,
                                                   int samples, int max_steps,
                                                   std::uint64_t seed);
 
-/// Outcome of one rank's regroup() call during a membership replay.
-struct MembershipReplayOutcome {
-    int rank = 0;
-    enum class Kind : std::uint8_t { kView, kAbort, kRefused } kind = Kind::kView;
-    comm::MembershipView view;  // valid for kView
-};
-
-struct MembershipReplayResult {
-    std::vector<MembershipReplayOutcome> outcomes;  // one per trace Join
-};
-
-/// Drive a real MembershipService through the Join/Kill/Leave skeleton of
-/// `trace` (Evaluate/Wake/GraceExpire are the service's own clockwork:
-/// replay uses a short real grace window and waits joins out). Outcomes
-/// are deterministic as long as every trace action lands well inside the
-/// grace window, which the generous pacing guarantees.
-MembershipReplayResult replay_membership_trace(
-    const MembershipModelConfig& cfg,
-    const std::vector<MembershipModel::Action>& trace);
-
-/// Compare a real replay against the model's finalized views for the same
-/// trace: every view the model finalized must be returned by some real
-/// joiner, and a model trace with no finalization must produce no real
-/// views. Returns nullopt on agreement.
+/// Replay the Join/Kill skeleton of `trace` through a real threaded
+/// MembershipService and compare: every view the model's ranks installed
+/// must be returned by some real regroup() call, in epoch order. Returns
+/// nullopt on agreement.
 std::optional<std::string> membership_conformance_diff(
     const MembershipModelConfig& cfg,
     const std::vector<MembershipModel::Action>& trace);

@@ -94,9 +94,6 @@ public:
     /// Current membership epoch stamped on outgoing messages (0 initially).
     int epoch() const { return epoch_; }
 
-    /// Physical ranks of the current view (empty = identity/full world).
-    const std::vector<int>& view_members() const { return view_members_; }
-
     const NetworkModel& network() const { return model_; }
 
     VirtualClock& clock() { return clock_; }
@@ -226,9 +223,6 @@ public:
     /// order (front-layer buckets first — the P3 preemption rule). Returns
     /// true if any source executed at least one op.
     bool pump_progress();
-
-    /// Registered in-flight sources (for diagnostics/tests).
-    std::size_t progress_source_count() const { return progress_sources_.size(); }
 
     /// Reserved NIC busy intervals (for diagnostics/tests).
     std::size_t nic_busy_count() const { return nic_busy_.size(); }

@@ -16,39 +16,35 @@ std::chrono::steady_clock::duration host_dur(double seconds) {
         std::chrono::duration<double>(seconds));
 }
 
-// Wire regroup frame layout (little-endian):
+// Regroup frame layout (little-endian):
 //   JOIN  (kTagMembershipJoin): [u64 joiner's current epoch]
 //   VIEW  (kTagMembershipView): [u64 epoch][u64 count][count x u32 ranks]
 // The epoch inside JOIN lets the leader ignore resends that straggle in
 // from an already-finalized round; both frames additionally carry the
 // sender's current epoch in Message::epoch so the mailbox floors apply.
 
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-        out.push_back(std::byte{static_cast<unsigned char>((v >> (8 * i)) & 0xff)});
+/// A control-plane frame: it never advances a virtual clock.
+Message control_frame(int source, int tag, int epoch) {
+    Message m;
+    m.source = source;
+    m.tag = tag;
+    m.epoch = epoch;
+    m.arrival_time_s = 0.0;
+    return m;
+}
+
+template <typename T>
+void put_le(std::vector<std::byte>& out, T v) {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+        out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
     }
 }
 
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-        out.push_back(std::byte{static_cast<unsigned char>((v >> (8 * i)) & 0xff)});
-    }
-}
-
-std::uint64_t get_u64(const std::vector<std::byte>& p, std::size_t at) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-        v |= static_cast<std::uint64_t>(std::to_integer<unsigned char>(p[at + i]))
-             << (8 * i);
-    }
-    return v;
-}
-
-std::uint32_t get_u32(const std::vector<std::byte>& p, std::size_t at) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-        v |= static_cast<std::uint32_t>(std::to_integer<unsigned char>(p[at + i]))
-             << (8 * i);
+template <typename T>
+T get_le(const std::vector<std::byte>& p, std::size_t at) {
+    T v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+        v |= static_cast<T>(std::to_integer<unsigned char>(p[at + i])) << (8 * i);
     }
     return v;
 }
@@ -58,7 +54,7 @@ std::uint32_t get_u32(const std::vector<std::byte>& p, std::size_t at) {
 MembershipService::MembershipService(Transport& transport, MembershipConfig config)
     : transport_(transport), config_(config) {
     const int world = transport_.world_size();
-    state_ = fsm::membership_init(world);
+    state_.assign(static_cast<std::size_t>(world), fsm::membership_init(world));
     rank_state_.resize(static_cast<std::size_t>(world));
     util::Xoshiro256 root(config_.seed);
     for (int r = 0; r < world; ++r) {
@@ -88,7 +84,7 @@ void MembershipService::tick(int rank) {
 
     if (now - st.last_sent >= host_dur(config_.heartbeat_interval_s)) {
         st.last_sent = now;
-        const int epoch = this->epoch();
+        const int epoch = this->epoch(rank);
         const int world = transport_.world_size();
         // Bounded fan-out: a burst covers `fanout` peers starting at the
         // rotating cursor (fanout <= 0 broadcasts, the historical O(P)
@@ -108,15 +104,10 @@ void MembershipService::tick(int rank) {
             // typed throw; the liveness plane must not let that bubble into
             // the trainer — silence toward the dead is exactly right.
             if (!transport_.rank_alive(peer)) continue;
-            Message hb;
-            hb.source = rank;
-            hb.tag = kTagHeartbeat;
-            hb.epoch = epoch;
             // Heartbeats are free on the modeled network: they ride the
-            // control plane and never advance a virtual clock.
-            hb.arrival_time_s = 0.0;
+            // control plane.
             try {
-                transport_.deliver(peer, std::move(hb));
+                transport_.deliver(peer, control_frame(rank, kTagHeartbeat, epoch));
             } catch (const CommError&) {
                 // Peer died between the aliveness check and the send.
             }
@@ -154,7 +145,7 @@ std::vector<int> MembershipService::suspected(int rank) const {
     return out;
 }
 
-std::vector<bool> MembershipService::fabric_alive_unlocked() const {
+std::vector<bool> MembershipService::fabric_alive() const {
     const int world = transport_.world_size();
     std::vector<bool> alive(static_cast<std::size_t>(world), true);
     for (int r = 0; r < world; ++r) {
@@ -163,59 +154,11 @@ std::vector<bool> MembershipService::fabric_alive_unlocked() const {
     return alive;
 }
 
-void MembershipService::leave(int rank) {
-    if (rank < 0 || rank >= transport_.world_size()) {
-        throw std::out_of_range("leave: bad rank");
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    fsm::membership_leave(state_, rank);
-    cv_.notify_all();  // waiting regroupers recompute their expected set
-}
-
 MembershipView MembershipService::regroup(int rank) {
-    if (!transport_.shared_memory_fabric()) return regroup_wire(rank);
-    std::unique_lock<std::mutex> lock(mutex_);
-    switch (fsm::membership_join(state_, rank, fabric_alive_unlocked())) {
-        case fsm::JoinVerdict::kNotLive:
-            throw std::invalid_argument("regroup: rank not a live member");
-        case fsm::JoinVerdict::kNotInView:
-            throw std::invalid_argument("regroup: rank not in current view");
-        case fsm::JoinVerdict::kJoined:
-        case fsm::JoinVerdict::kAlreadyJoined:
-            break;
-    }
-    const std::uint64_t my_round = state_.round;
-
-    const auto grace_deadline = Clock::now() + host_dur(config_.join_grace_s);
-    for (;;) {
-        if (state_.round != my_round) {
-            // Someone finalized our round; every joiner returns that view.
-            return MembershipView{state_.epoch, state_.members};
-        }
-        const bool grace_expired = Clock::now() >= grace_deadline;
-        switch (fsm::membership_evaluate(state_, fabric_alive_unlocked(),
-                                         grace_expired)) {
-            case fsm::RoundVerdict::kFinalizeAll:
-            case fsm::RoundVerdict::kFinalizeQuorum: {
-                const MembershipView view = fsm::membership_finalize(state_);
-                cv_.notify_all();
-                return view;
-            }
-            case fsm::RoundVerdict::kAbortNoQuorum:
-                throw std::runtime_error(
-                    "regroup: join grace expired without a majority of live "
-                    "members; refusing to finalize a minority view");
-            case fsm::RoundVerdict::kWait:
-                break;
-        }
-        cv_.wait_until(lock, grace_deadline);
-    }
-}
-
-MembershipView MembershipService::regroup_wire(int rank) {
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        switch (fsm::membership_join(state_, rank, fabric_alive_unlocked())) {
+        switch (fsm::membership_join(state_.at(static_cast<std::size_t>(rank)), rank,
+                                     fabric_alive())) {
             case fsm::JoinVerdict::kNotLive:
                 throw std::invalid_argument("regroup: rank not a live member");
             case fsm::JoinVerdict::kNotInView:
@@ -228,37 +171,66 @@ MembershipView MembershipService::regroup_wire(int rank) {
     // Election is re-run by the follower loop every spin, so a rank that
     // becomes lowest-live mid-round (the previous leader was the casualty)
     // promotes itself.
-    return regroup_wire_follower(rank);
+    return follow(rank);
 }
 
-MembershipView MembershipService::regroup_wire_leader(int rank) {
+std::optional<MembershipView> MembershipService::take_view(int rank) {
+    for (;;) {
+        const auto vm = transport_.try_receive(rank, kAnySource, kTagMembershipView);
+        if (!vm) return std::nullopt;
+        if (vm->payload.size() < 16) continue;  // malformed: drop
+        MembershipView view;
+        view.epoch = static_cast<int>(get_le<std::uint64_t>(vm->payload, 0));
+        const auto count = get_le<std::uint64_t>(vm->payload, 8);
+        if (vm->payload.size() != 16 + 4 * count) continue;
+        for (std::uint64_t i = 0; i < count; ++i) {
+            view.members.push_back(
+                static_cast<int>(get_le<std::uint32_t>(vm->payload, 16 + 4 * i)));
+        }
+        std::lock_guard<std::mutex> lock(mutex_);
+        // Adopt the leader's agreement verbatim: same epoch, same members.
+        if (!fsm::membership_adopt(state_[static_cast<std::size_t>(rank)], view)) {
+            continue;  // straggling resend from an already-closed round
+        }
+        if (std::find(view.members.begin(), view.members.end(), rank) ==
+            view.members.end()) {
+            throw std::invalid_argument("regroup: rank voted out of the agreed view");
+        }
+        return view;
+    }
+}
+
+MembershipView MembershipService::lead(int rank) {
+    auto& st = state_[static_cast<std::size_t>(rank)];
     const auto grace_deadline = Clock::now() + host_dur(config_.join_grace_s);
     for (;;) {
-        // Fold incoming JOINs into the same FSM the barrier path executes.
+        // A VIEW that reached this rank before its predecessor died is the
+        // round's outcome; finalizing a second one would split the world.
+        if (auto view = take_view(rank)) return *view;
+        // Fold incoming JOINs into this rank's own FSM state.
         for (;;) {
-            std::optional<Message> jm;
-            jm = transport_.try_receive(rank, kAnySource, kTagMembershipJoin);
+            const auto jm = transport_.try_receive(rank, kAnySource, kTagMembershipJoin);
             if (!jm) break;
             if (jm->payload.size() != 8) continue;  // malformed: drop
-            const std::uint64_t proposal = get_u64(jm->payload, 0);
+            const auto proposal = get_le<std::uint64_t>(jm->payload, 0);
             std::lock_guard<std::mutex> lock(mutex_);
-            if (proposal != static_cast<std::uint64_t>(state_.epoch)) {
+            if (proposal != static_cast<std::uint64_t>(st.epoch)) {
                 continue;  // straggling resend from an already-closed round
             }
-            (void)fsm::membership_join(state_, jm->source, fabric_alive_unlocked());
+            (void)fsm::membership_join(st, jm->source, fabric_alive());
         }
 
         const bool grace_expired = Clock::now() >= grace_deadline;
-        bool finalized = false;
-        MembershipView view;
+        std::vector<int> recipients;
+        std::optional<MembershipView> view;
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            switch (fsm::membership_evaluate(state_, fabric_alive_unlocked(),
-                                             grace_expired)) {
+            const std::vector<bool> alive = fabric_alive();
+            switch (fsm::membership_evaluate(st, alive, grace_expired)) {
                 case fsm::RoundVerdict::kFinalizeAll:
                 case fsm::RoundVerdict::kFinalizeQuorum:
-                    view = fsm::membership_finalize(state_);
-                    finalized = true;
+                    recipients = fsm::membership_live_members(st, alive);
+                    view = fsm::membership_finalize(st);
                     break;
                 case fsm::RoundVerdict::kAbortNoQuorum:
                     throw std::runtime_error(
@@ -268,64 +240,56 @@ MembershipView MembershipService::regroup_wire_leader(int rank) {
                     break;
             }
         }
-        if (finalized) {
-            // Broadcast the agreed view to every other member. The frames
-            // ride the reliable layer, so a lost TCP segment is the ARQ's
-            // problem, not a second agreement round's.
-            for (int m : view.members) {
-                if (m == rank) continue;
-                Message vm;
-                vm.source = rank;
-                vm.tag = kTagMembershipView;
-                vm.epoch = view.epoch;
-                vm.arrival_time_s = 0.0;
-                put_u64(vm.payload, static_cast<std::uint64_t>(view.epoch));
-                put_u64(vm.payload, static_cast<std::uint64_t>(view.members.size()));
-                for (int r : view.members) {
-                    put_u32(vm.payload, static_cast<std::uint32_t>(r));
-                }
-                try {
-                    transport_.deliver(m, std::move(vm));
-                } catch (const CommError&) {
-                    // Member died after finalization; the NEXT round will
-                    // vote it out.
-                }
-            }
-            cv_.notify_all();
-            return view;
+        if (!view) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            continue;
         }
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        // Send the agreed view to every live member of the OLD view, in
+        // ascending order: the members adopt it, and a straggler the round
+        // voted out learns so and never leads the closed round itself. The
+        // frames ride the reliable layer on lossy fabrics, so a lost TCP
+        // segment is the ARQ's problem, not a second agreement round's.
+        for (int m : recipients) {
+            if (m == rank) continue;
+            Message vm = control_frame(rank, kTagMembershipView, view->epoch);
+            put_le(vm.payload, static_cast<std::uint64_t>(view->epoch));
+            put_le(vm.payload, static_cast<std::uint64_t>(view->members.size()));
+            for (int r : view->members) put_le(vm.payload, static_cast<std::uint32_t>(r));
+            try {
+                transport_.deliver(m, std::move(vm));
+            } catch (const CommError&) {
+                // Member died after finalization; the NEXT round will vote
+                // it out.
+            }
+        }
+        return *view;
     }
 }
 
-MembershipView MembershipService::regroup_wire_follower(int rank) {
+MembershipView MembershipService::follow(int rank) {
     // Twice the leader's grace: the leader may burn a full window itself
     // before the VIEW goes out.
     const auto deadline = Clock::now() + host_dur(2.0 * config_.join_grace_s);
     auto next_join = Clock::now();
     for (;;) {
+        if (auto view = take_view(rank)) return *view;
         // Re-elect from a fresh liveness snapshot: the leader is whatever
-        // rank is CURRENTLY the lowest live member of the current view.
+        // rank is CURRENTLY the lowest live member of this rank's view.
         int leader = rank;
         int my_epoch = 0;
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            const auto live =
-                fsm::membership_live_members(state_, fabric_alive_unlocked());
-            if (!live.empty()) leader = live.front();
-            my_epoch = state_.epoch;
+            const auto& st = state_[static_cast<std::size_t>(rank)];
+            leader = fsm::membership_leader(st, fabric_alive());
+            my_epoch = st.epoch;
         }
-        if (leader == rank) return regroup_wire_leader(rank);
+        if (leader == rank) return lead(rank);
 
         const auto now = Clock::now();
         if (now >= next_join) {
             next_join = now + host_dur(0.1);
-            Message jm;
-            jm.source = rank;
-            jm.tag = kTagMembershipJoin;
-            jm.epoch = my_epoch;
-            jm.arrival_time_s = 0.0;
-            put_u64(jm.payload, static_cast<std::uint64_t>(my_epoch));
+            Message jm = control_frame(rank, kTagMembershipJoin, my_epoch);
+            put_le(jm.payload, static_cast<std::uint64_t>(my_epoch));
             try {
                 transport_.deliver(leader, std::move(jm));
             } catch (const CommError&) {
@@ -333,35 +297,10 @@ MembershipView MembershipService::regroup_wire_follower(int rank) {
             }
         }
 
-        const auto vm = transport_.try_receive(rank, kAnySource, kTagMembershipView);
-        if (vm && vm->payload.size() >= 16) {
-            const std::uint64_t epoch = get_u64(vm->payload, 0);
-            const std::uint64_t count = get_u64(vm->payload, 8);
-            if (vm->payload.size() == 16 + 4 * count) {
-                std::vector<int> members;
-                members.reserve(count);
-                for (std::uint64_t i = 0; i < count; ++i) {
-                    members.push_back(
-                        static_cast<int>(get_u32(vm->payload, 16 + 4 * i)));
-                }
-                std::lock_guard<std::mutex> lock(mutex_);
-                if (static_cast<int>(epoch) > state_.epoch) {
-                    // Install the leader's agreement verbatim: same epoch,
-                    // same member set, round closed.
-                    state_.epoch = static_cast<int>(epoch);
-                    state_.members = members;
-                    std::fill(state_.joined.begin(), state_.joined.end(), false);
-                    ++state_.round;
-                    cv_.notify_all();
-                    return MembershipView{state_.epoch, std::move(members)};
-                }
-            }
-        }
-
         if (Clock::now() >= deadline) {
-            // No agreed view reached this rank — either the leader's round
-            // aborted without quorum or this rank was voted out while its
-            // JOIN was in flight. Either way it must NOT train on.
+            // No agreed view reached this rank — the leader's round aborted
+            // without quorum, or the leader never entered the round. Either
+            // way it must NOT train on.
             throw std::runtime_error(
                 "regroup: no agreed view from leader within the grace "
                 "window; refusing to continue on a stale membership");
@@ -371,19 +310,18 @@ MembershipView MembershipService::regroup_wire_follower(int rank) {
 }
 
 bool MembershipService::alive(int rank) const {
-    if (rank < 0 || rank >= transport_.world_size()) return false;
-    std::lock_guard<std::mutex> lock(mutex_);
-    return fsm::membership_rank_live(state_, rank, fabric_alive_unlocked());
+    return rank >= 0 && rank < transport_.world_size() && transport_.rank_alive(rank);
 }
 
-MembershipView MembershipService::current() const {
+MembershipView MembershipService::current(int rank) const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return MembershipView{state_.epoch, state_.members};
+    const auto& st = state_.at(static_cast<std::size_t>(rank));
+    return MembershipView{st.epoch, st.members};
 }
 
-int MembershipService::epoch() const {
+int MembershipService::epoch(int rank) const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return state_.epoch;
+    return state_.at(static_cast<std::size_t>(rank)).epoch;
 }
 
 std::uint64_t MembershipService::heartbeats_sent() const {

@@ -8,20 +8,20 @@
 // suspected. A fault-plan kill swallows the victim's sends, so its
 // heartbeats stop and every survivor's suspicion converges on the truth.
 //
-// Agreement plane — when a failure surfaces (a receive deadline fires, or
-// the dead rank's own thread observes RankKilled and calls leave()), the
-// survivors run a regroup round: an in-process barrier that completes as
-// soon as every live member has joined (fast path) or after a grace
-// window (pathological straggler). The round deterministically produces
-// the next View{epoch, members}: members are the sorted joiners, the
-// epoch increments by one. Every joiner observes the identical view —
-// this is the agreement the elastic trainer rebuilds its collectives on.
+// Agreement plane — when a failure surfaces (a receive deadline fires on a
+// survivor), the survivors run a regroup round: one JOIN/VIEW protocol,
+// in-process and across processes alike (see regroup()). Every survivor
+// ends up with the identical View{epoch + 1, sorted joiners} — the
+// agreement the elastic trainer rebuilds its collectives on. Death has
+// one source: Transport::rank_alive (the fault plan's kill, or a TCP link
+// declared dead).
 //
-// The agreement transitions themselves (join admission, quorum rule,
-// finalization) live in comm/membership_fsm.hpp as pure functions this
-// service EXECUTES under its mutex — the same functions the protocheck
-// model checker explores exhaustively (DESIGN.md §16), so the checked
-// model and the running code are one.
+// Each rank keeps its OWN agreement state, and the transitions on it (join
+// admission, quorum rule, finalization, VIEW adoption) live in
+// comm/membership_fsm.hpp as pure functions this service EXECUTES — the
+// same functions the protocheck model checker explores exhaustively, one
+// state per rank with the frames in flight (DESIGN.md §16), so the
+// checked model and the running code are one.
 //
 // Epoch discipline — the view's epoch is stamped on all subsequent
 // traffic (Communicator::set_view) and installed as the receive floor
@@ -31,9 +31,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "comm/membership_fsm.hpp"
@@ -46,7 +46,7 @@ struct MembershipConfig {
     std::uint64_t seed = 1;            // jitters heartbeat phase per rank
     double heartbeat_interval_s = 0.010;  // host time between gossips
     double suspect_after_s = 0.100;    // silence before a peer is suspected
-    double join_grace_s = 2.0;         // regroup barrier straggler bound
+    double join_grace_s = 2.0;         // regroup round straggler bound
     /// Peers gossiped to per heartbeat burst. 0 (default) broadcasts to
     /// every peer — O(P) sends per rank per interval, O(P^2) cluster-wide,
     /// which is what melts at P in the hundreds. A positive fanout sends to
@@ -73,43 +73,36 @@ public:
     /// threshold). Reads only rank-local state; call from rank's thread.
     std::vector<int> suspected(int rank) const;
 
-    /// `rank`'s own thread observed its death (CommError::RankKilled):
-    /// remove it from the expected-joiner set so regroup rounds no longer
-    /// wait for it, and wake any round in progress.
-    void leave(int rank);
-
     /// Join the current regroup round and block until it completes. The
-    /// round finalizes when every live expected member has joined (fast
-    /// path, the common case — receive-deadline cascades bring everyone
-    /// here) or when `join_grace_s` expires with a strict MAJORITY of the
-    /// live members joined. Grace expiry without a majority throws: a
-    /// minority must never finalize a view (a straggler excluded by the
-    /// majority's round would otherwise build a singleton view whose
-    /// higher epoch passes every later epoch floor and train solo).
-    /// Ranks not in the current view cannot join at all.
-    /// All joiners of a round return the identical view.
-    ///
-    /// On a shared-memory fabric this is the in-process barrier above. On a
-    /// multi-process fabric (TcpTransport) the round runs over the wire:
-    /// the LOWEST live member of the current view acts as leader, collects
-    /// JOIN frames (kTagMembershipJoin) from the other survivors, runs the
-    /// identical FSM verdicts, and broadcasts the finalized VIEW
-    /// (kTagMembershipView). Followers re-send their JOIN until the VIEW
-    /// lands (the frames ride the reliable layer, so the resend only papers
-    /// over leader-side timing, not loss) and re-elect the leader from
-    /// fresh rank_alive snapshots each retry in case the leader itself is
-    /// the casualty being regrouped around.
+    /// leader (lowest live member of this rank's view) finalizes when every
+    /// live member has joined (fast path, the common case — receive-deadline
+    /// cascades bring everyone here) or when `join_grace_s` expires with a
+    /// strict MAJORITY of the live members joined. Grace expiry without a
+    /// majority throws std::runtime_error: a minority must never finalize a
+    /// view (a straggler excluded by the majority's round would otherwise
+    /// build a singleton view whose higher epoch passes every later epoch
+    /// floor and train solo). The leader sends the VIEW to every live member
+    /// of the old view, so a straggler the round voted out learns it and
+    /// throws std::invalid_argument, as does a rank that is dead or was
+    /// voted out earlier. A follower re-elects from fresh rank_alive
+    /// snapshots while it waits, in case the leader itself is the casualty,
+    /// re-sending its JOIN to the new leader; it throws std::runtime_error
+    /// when no VIEW arrives within twice the grace window. Every VIEW is
+    /// polled before the election and before the leader's verdict, so a
+    /// VIEW a dead leader sent is never overruled by its successor.
+    /// All survivors of a round return the identical view.
     MembershipView regroup(int rank);
 
-    /// Latest agreed view (initially epoch 0, all ranks).
-    MembershipView current() const;
+    /// Latest view `rank` holds (initially epoch 0, all ranks).
+    MembershipView current(int rank) const;
 
-    /// True while `rank` has neither left nor been declared dead by the
-    /// fabric. A rank must check this before regrouping: its own death can
-    /// surface as a receive timeout when the kill lands mid-wait.
+    /// True while the fabric has not declared `rank` dead. A rank must check
+    /// this before regrouping: its own death can surface as a receive
+    /// timeout when the kill lands mid-wait.
     bool alive(int rank) const;
 
-    int epoch() const;
+    /// Epoch of the latest view `rank` holds.
+    int epoch(int rank) const;
     /// Total heartbeats gossiped (all ranks), for tests.
     std::uint64_t heartbeats_sent() const;
 
@@ -121,16 +114,15 @@ private:
     using Clock = std::chrono::steady_clock;
 
     /// Snapshot of Transport::rank_alive for every rank, the fabric input
-    /// the FSM transitions consume. Call with mutex_ held (rank_alive is
-    /// itself thread-safe; the lock just keeps the snapshot and the FSM
-    /// step atomic with respect to other agreement transitions).
-    std::vector<bool> fabric_alive_unlocked() const;
+    /// the FSM transitions consume.
+    std::vector<bool> fabric_alive() const;
 
-    /// The wire regroup round (non-shared-memory fabrics): leader-driven
-    /// JOIN/VIEW exchange executing the same FSM verdicts as the barrier.
-    MembershipView regroup_wire(int rank);
-    MembershipView regroup_wire_leader(int rank);
-    MembershipView regroup_wire_follower(int rank);
+    /// The two halves of a round, run on `rank`'s own thread.
+    MembershipView follow(int rank);
+    MembershipView lead(int rank);
+    /// Drain `rank`'s VIEW frames and adopt the first newer one: returns
+    /// it, throws std::invalid_argument if it does not list `rank`.
+    std::optional<MembershipView> take_view(int rank);
 
     Transport& transport_;
     MembershipConfig config_;
@@ -145,9 +137,11 @@ private:
     };
     std::vector<RankState> rank_state_;
 
+    /// Per-rank agreement state, FSM-owned shape. Each entry is written
+    /// only by its rank's thread; the mutex lets epoch()/current() read it
+    /// from any thread.
     mutable std::mutex mutex_;
-    std::condition_variable cv_;
-    fsm::MembershipFsmState state_;  // agreement state, FSM-owned shape
+    std::vector<fsm::MembershipFsmState> state_;
 
     std::atomic<std::uint64_t> heartbeats_sent_{0};
 };

@@ -23,35 +23,33 @@ MembershipFsmState membership_init(int world) {
     st.world = world;
     st.members.resize(static_cast<std::size_t>(world));
     for (int r = 0; r < world; ++r) st.members[static_cast<std::size_t>(r)] = r;
-    st.left.assign(static_cast<std::size_t>(world), false);
     st.joined.assign(static_cast<std::size_t>(world), false);
     return st;
-}
-
-bool membership_rank_live(const MembershipFsmState& st, int rank,
-                          const std::vector<bool>& fabric_alive) {
-    if (rank < 0 || rank >= st.world) return false;
-    return !st.left[static_cast<std::size_t>(rank)] &&
-           fabric_alive[static_cast<std::size_t>(rank)];
 }
 
 std::vector<int> membership_live_members(const MembershipFsmState& st,
                                          const std::vector<bool>& fabric_alive) {
     std::vector<int> out;
     for (int r : st.members) {
-        if (membership_rank_live(st, r, fabric_alive)) out.push_back(r);
+        if (fabric_alive[static_cast<std::size_t>(r)]) out.push_back(r);
     }
     return out;
 }
 
-void membership_leave(MembershipFsmState& st, int rank) {
-    st.left[static_cast<std::size_t>(rank)] = true;
-    st.joined[static_cast<std::size_t>(rank)] = false;
+int membership_leader(const MembershipFsmState& st,
+                      const std::vector<bool>& fabric_alive) {
+    for (int r : st.members) {
+        if (fabric_alive[static_cast<std::size_t>(r)]) return r;
+    }
+    return -1;
 }
 
 JoinVerdict membership_join(MembershipFsmState& st, int rank,
                             const std::vector<bool>& fabric_alive) {
-    if (!membership_rank_live(st, rank, fabric_alive)) return JoinVerdict::kNotLive;
+    if (rank < 0 || rank >= st.world ||
+        !fabric_alive[static_cast<std::size_t>(rank)]) {
+        return JoinVerdict::kNotLive;
+    }
     // A rank a previous round voted out must not join: allowing it would
     // let an excluded straggler spin up a fresh round, finalize a view
     // without the actual members, and train on with a higher epoch.
@@ -97,9 +95,16 @@ MembershipView membership_finalize(MembershipFsmState& st) {
     // surviving physical rank is logical rank 0 in the new world.
     st.epoch = next.epoch;
     st.members = next.members;
-    ++st.round;
     std::fill(st.joined.begin(), st.joined.end(), false);
     return next;
+}
+
+bool membership_adopt(MembershipFsmState& st, const MembershipView& view) {
+    if (view.epoch <= st.epoch) return false;
+    st.epoch = view.epoch;
+    st.members = view.members;
+    std::fill(st.joined.begin(), st.joined.end(), false);
+    return true;
 }
 
 }  // namespace gtopk::comm::fsm

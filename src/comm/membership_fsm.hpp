@@ -2,14 +2,17 @@
 // MembershipService and the protocheck model checker EXECUTE.
 //
 // The agreement plane of DESIGN.md §12 (regroup rounds, majority quorum,
-// view finalization, the excluded-straggler rejection) is expressed here as
-// side-effect-free transition functions over a value-type state.
-// membership.cpp owns the mutex, condition variable and heartbeat clocks
-// and merely APPLIES the verdicts these functions return;
-// src/analysis/protocheck/membership_model.cpp drives the identical
-// functions under an exhaustive adversarial scheduler (kills, grace-window
-// expiries and joins in every interleaving). One copy of the protocol
-// logic — the model cannot drift from the code.
+// view finalization, VIEW adoption, the excluded-straggler rejection) is
+// expressed here as side-effect-free transition functions over a
+// value-type state. Every rank holds its OWN state: the leader folds the
+// JOINs it receives into its copy and finalizes there; a follower adopts
+// the leader's VIEW into its copy. membership.cpp owns the frames, the
+// mutex and the clocks and merely APPLIES the verdicts these functions
+// return; src/analysis/protocheck/membership_model.cpp drives the
+// identical functions, one state per rank with JOIN/VIEW frames in
+// flight, under an exhaustive adversarial scheduler (kills, grace and
+// deadline expiries, joins and frame deliveries in every interleaving).
+// One copy of the protocol logic — the model cannot drift from the code.
 //
 // The liveness plane (heartbeat gossip, suspicion timers) stays in
 // MembershipService: it is advisory by design — regroup is driven by
@@ -48,34 +51,31 @@ MembershipBreak membership_break();
 // ---------------------------------------------------------------------------
 // Agreement state
 
+/// One rank's view of the agreement. `joined` is meaningful on the rank
+/// that leads the round: the JOINs it has admitted (itself included).
 struct MembershipFsmState {
     int world = 0;            // physical world size (fixed)
     int epoch = 0;            // epoch of the latest agreed view
     std::vector<int> members;  // latest agreed view, sorted ascending
-    std::vector<bool> left;    // ranks that called leave()
     std::vector<bool> joined;  // joiners of the in-flight round
-    std::uint64_t round = 0;   // regroup round counter
 };
 
 MembershipFsmState membership_init(int world);
 
-/// A member counts as live while it has neither left nor been declared
-/// dead by the fabric (`fabric_alive` = Transport::rank_alive per rank).
-bool membership_rank_live(const MembershipFsmState& st, int rank,
-                          const std::vector<bool>& fabric_alive);
-
-/// Live members of the CURRENT view, ascending.
+/// Live members of the rank's CURRENT view, ascending. Liveness is the
+/// fabric's alone (`fabric_alive` = Transport::rank_alive per rank).
 std::vector<int> membership_live_members(const MembershipFsmState& st,
                                          const std::vector<bool>& fabric_alive);
 
-/// leave(): the rank is out of the expected-joiner set from now on; any
-/// in-flight round stops waiting for it.
-void membership_leave(MembershipFsmState& st, int rank);
+/// The round's leader as this rank sees it: the lowest live member of its
+/// own view, or -1 when none is live.
+int membership_leader(const MembershipFsmState& st,
+                      const std::vector<bool>& fabric_alive);
 
 enum class JoinVerdict {
     kJoined,         // now a joiner of the current round
     kAlreadyJoined,  // idempotent re-entry into the same round
-    kNotLive,        // left or fabric-dead: regroup() throws invalid_argument
+    kNotLive,        // fabric-dead: regroup() throws invalid_argument
     kNotInView,      // voted out by a previous round: throws invalid_argument
 };
 
@@ -89,7 +89,7 @@ enum class RoundVerdict {
     kAbortNoQuorum,   // grace expired without a majority: regroup() throws
 };
 
-/// The finalization rule, evaluated by a waiting joiner: a round completes
+/// The finalization rule, evaluated by the round's leader: a round completes
 /// when every live expected member joined, or at grace expiry with a
 /// strict MAJORITY of live members (a minority must never finalize — a
 /// straggler excluded by the majority's round would otherwise build a view
@@ -99,9 +99,16 @@ RoundVerdict membership_evaluate(const MembershipFsmState& st,
                                  bool grace_expired);
 
 /// Apply a finalize verdict: epoch + 1, members = the joiner set (sorted
-/// by construction: `joined` is rank-indexed), round advanced, joiner set
-/// cleared. Returns the new view every joiner of the round observes.
+/// by construction: `joined` is rank-indexed), joiner set cleared. Returns
+/// the new view every joiner of the round observes.
 MembershipView membership_finalize(MembershipFsmState& st);
+
+/// A VIEW frame reached this rank: adopt it when it is newer than the
+/// rank's own view (a resend from a closed round is stale and ignored).
+/// Adopting clears the joiner set. Returns whether the view was adopted;
+/// an adopted view that does not list the rank means it was voted out,
+/// and every later join of its own round is refused as kNotInView.
+bool membership_adopt(MembershipFsmState& st, const MembershipView& view);
 
 }  // namespace fsm
 }  // namespace gtopk::comm

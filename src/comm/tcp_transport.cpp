@@ -851,7 +851,6 @@ void TcpTransport::deliver(int dst, Message msg) {
         link_mark_down(dst);
         return;
     }
-    frames_sent_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::optional<Message> TcpTransport::try_receive(int rank, int source, int tag) {
@@ -971,15 +970,12 @@ void TcpTransport::receiver_loop() {
                         if (frame->dst != rank_ || frame->msg.source != peer) {
                             // Misrouted or spoofed: the link is not
                             // trustworthy; tear it down wholesale.
-                            frames_rejected_.fetch_add(1, std::memory_order_relaxed);
                             link_mark_down(peer);
                             break;
                         }
-                        frames_received_.fetch_add(1, std::memory_order_relaxed);
                         mailbox_.push(std::move(frame->msg));
                     }
                 } catch (const tcp::FrameError& e) {
-                    frames_rejected_.fetch_add(1, std::memory_order_relaxed);
                     util::log_warn("tcp rank " + std::to_string(rank_) +
                                    ": downing link to peer " +
                                    std::to_string(peer) + ": " + e.what());

@@ -152,18 +152,6 @@ public:
     /// replays the ARQ gap with each returned peer.
     std::vector<int> take_reconnected(int rank) override;
 
-    /// Wire counters (frames, not messages-with-duplicates) for tests.
-    std::uint64_t frames_sent() const {
-        return frames_sent_.load(std::memory_order_relaxed);
-    }
-    std::uint64_t frames_received() const {
-        return frames_received_.load(std::memory_order_relaxed);
-    }
-    /// Frames the receiver rejected (FrameError, wrong-dst) — each one also
-    /// downs its connection.
-    std::uint64_t frames_rejected() const {
-        return frames_rejected_.load(std::memory_order_relaxed);
-    }
     /// Successful session resumes (either side) since construction.
     std::uint64_t reconnects() const {
         return reconnects_.load(std::memory_order_relaxed);
@@ -256,19 +244,8 @@ private:
     std::thread dialer_;
     std::atomic<bool> running_{false};
     std::once_flag shutdown_once_;
-    std::atomic<std::uint64_t> frames_sent_{0};
-    std::atomic<std::uint64_t> frames_received_{0};
-    std::atomic<std::uint64_t> frames_rejected_{0};
     std::atomic<std::uint64_t> reconnects_{0};
     std::atomic<std::uint64_t> socket_faults_injected_{0};
-
-public:
-    /// Test-only peek at a link's phase (0 kUp, 1 kDown, 2 kDead).
-    int link_phase(int peer) const {
-        if (peer < 0 || peer >= world_ || peer == rank_) return 0;
-        return phase_[static_cast<std::size_t>(peer)].load(
-            std::memory_order_acquire);
-    }
 };
 
 }  // namespace gtopk::comm

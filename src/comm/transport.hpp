@@ -122,9 +122,7 @@ public:
     /// sender's buffer; on a multi-process fabric (TCP) acks and
     /// gap-recovery pulls travel as real frames on the wire
     /// (kTagReliableAck / kTagReliablePull) and both endpoints run the same
-    /// fsm::arq_* transitions cross-process. MembershipService likewise
-    /// switches its regroup barrier between the in-process condition
-    /// variable and the wire JOIN/VIEW protocol. Decorators forward.
+    /// fsm::arq_* transitions cross-process. Decorators forward.
     virtual bool shared_memory_fabric() const { return true; }
 
     /// Drain the set of peers whose connection to `rank` was re-established

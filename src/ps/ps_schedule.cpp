@@ -19,8 +19,8 @@ Schedule ps_iteration_schedule(int workers, std::int64_t push_bytes,
     s.absolute_tags = true;
     s.ranks.resize(static_cast<std::size_t>(s.world));
 
-    auto push_op = [](int rank, CommOp::Kind kind, int peer, int tag, int round,
-                      int phase, std::int64_t bytes, std::int64_t worker_id) {
+    auto push_op = [](CommOp::Kind kind, int peer, int tag, int round, int phase,
+                      std::int64_t bytes, std::int64_t worker_id) {
         CommOp op;
         op.kind = kind;
         op.peer = peer;
@@ -36,17 +36,17 @@ Schedule ps_iteration_schedule(int workers, std::int64_t push_bytes,
     for (int w = 1; w <= workers; ++w) {
         // Phase 0 — push: worker w sends, the server receives in ascending
         // worker order (the trainer's blocking per-worker recv loop).
-        s.ranks[static_cast<std::size_t>(w)].push_back(push_op(
-            w, CommOp::Kind::Send, 0, comm::kTagPsPush, 0, 0, push_bytes, w - 1));
-        s.ranks[0].push_back(push_op(0, CommOp::Kind::Recv, w, comm::kTagPsPush, 0, 0,
-                                     push_bytes, w - 1));
+        s.ranks[static_cast<std::size_t>(w)].push_back(
+            push_op(CommOp::Kind::Send, 0, comm::kTagPsPush, 0, 0, push_bytes, w - 1));
+        s.ranks[0].push_back(
+            push_op(CommOp::Kind::Recv, w, comm::kTagPsPush, 0, 0, push_bytes, w - 1));
     }
     for (int w = 1; w <= workers; ++w) {
         // Phase 1 — pull: the server answers every worker, ascending.
-        s.ranks[0].push_back(push_op(0, CommOp::Kind::Send, w, comm::kTagPsPull, 1, 1,
-                                     pull_bytes, w - 1));
-        s.ranks[static_cast<std::size_t>(w)].push_back(push_op(
-            w, CommOp::Kind::Recv, 0, comm::kTagPsPull, 1, 1, pull_bytes, w - 1));
+        s.ranks[0].push_back(
+            push_op(CommOp::Kind::Send, w, comm::kTagPsPull, 1, 1, pull_bytes, w - 1));
+        s.ranks[static_cast<std::size_t>(w)].push_back(
+            push_op(CommOp::Kind::Recv, 0, comm::kTagPsPull, 1, 1, pull_bytes, w - 1));
     }
     return s;
 }

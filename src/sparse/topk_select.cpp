@@ -317,28 +317,6 @@ SparseGradient topk_select(std::span<const float> dense, std::size_t k,
     return out;
 }
 
-float kth_largest_magnitude(std::span<const float> dense, std::size_t k) {
-    if (k == 0 || dense.empty()) return 0.0f;
-    k = std::min(k, dense.size());
-    std::vector<float> mags(dense.size());
-    for (std::size_t i = 0; i < dense.size(); ++i) mags[i] = std::abs(dense[i]);
-    std::nth_element(mags.begin(), mags.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                     mags.end(), std::greater<float>());
-    return mags[k - 1];
-}
-
-float kth_largest_magnitude(std::span<const float> dense, std::size_t k,
-                            TopkWorkspace& ws) {
-    if (k == 0 || dense.empty()) return 0.0f;
-    k = std::min(k, dense.size());
-    ws.mags.resize(dense.size());
-    for (std::size_t i = 0; i < dense.size(); ++i) ws.mags[i] = std::abs(dense[i]);
-    std::nth_element(ws.mags.begin(),
-                     ws.mags.begin() + static_cast<std::ptrdiff_t>(k - 1), ws.mags.end(),
-                     std::greater<float>());
-    return ws.mags[k - 1];
-}
-
 void zero_selected(std::span<float> dense, const SparseGradient& selected) {
     for (std::int32_t idx : selected.indices) {
         dense[static_cast<std::size_t>(idx)] = 0.0f;

@@ -65,7 +65,6 @@ struct TopkWorkspace {
     std::size_t counted = 0;     // entries counted since
     bool count_fresh = false;    // no select has consumed the count yet
     std::vector<std::int32_t> perm;
-    std::vector<float> mags;
 };
 
 /// The exact histogram cut runs in two halves, so that counting rides on
@@ -116,15 +115,6 @@ SparseGradient topk_select(std::span<const float> dense, std::size_t k,
 /// Same, writing into `out` (indices/values capacity reused across calls).
 void topk_select_into(std::span<const float> dense, std::size_t k, TopkWorkspace& ws,
                       SparseGradient& out);
-
-/// The paper's threshold formulation (Line 5-6 of Algorithm 1): returns the
-/// kth largest |value| of `dense` (0 when k == 0 or the vector is empty).
-float kth_largest_magnitude(std::span<const float> dense, std::size_t k);
-
-/// Workspace-reusing variant: the magnitude scratch lives in `ws` instead
-/// of being a fresh m-float allocation per call.
-float kth_largest_magnitude(std::span<const float> dense, std::size_t k,
-                            TopkWorkspace& ws);
 
 /// Zero out the selected entries of `dense` in place — the residual update
 /// `G ⊙ ¬Mask` (Line 8 of Algorithm 1).

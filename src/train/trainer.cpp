@@ -118,8 +118,7 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                 "train_distributed: local_rank outside world");
         }
         // Elastic + local_rank is supported: MembershipService runs its
-        // regroup over the wire (leader-driven JOIN/VIEW frames) when the
-        // transport is not a shared-memory fabric.
+        // regroup as leader-driven JOIN/VIEW frames on every transport.
     }
 
     auto worker = [&](Communicator& comm) {
@@ -687,15 +686,14 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                     // This rank is the casualty (a kill landing mid-wait
                     // surfaces as RecvTimeout, hence the alive() check).
                     // Exit CLEANLY: throwing would shut the cluster down
-                    // under the survivors while they regroup.
+                    // under the survivors while they regroup. The fabric
+                    // already reports the death to them.
                     if (frec) {
                         frec->note_event("rank_killed", rank, step, comm.epoch(),
                                          err.what());
                     }
-                    config.membership->leave(rank);
                     killed = true;
-                    util::log_info("rank " + std::to_string(rank) +
-                                   " killed; leaving membership");
+                    util::log_info("rank " + std::to_string(rank) + " killed");
                     break;
                 }
                 // A peer stopped responding: regroup into the survivor
@@ -734,7 +732,7 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
         if (!killed) {
             out.completed = true;
             out.final_params = model->flat_params();
-            out.final_epoch = elastic ? config.membership->epoch() : 0;
+            out.final_epoch = elastic ? config.membership->epoch(rank) : 0;
         }
         final_stats[static_cast<std::size_t>(rank)] = comm.stats();
     };
@@ -785,7 +783,7 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
     if (lead < 0) {
         if (config.local_rank >= 0 && config.membership) {
             // Multi-process elastic run and the LOCAL rank was the casualty:
-            // its clean leave() is the whole story for this process, so
+            // its clean exit is the whole story for this process, so
             // surface the typed death the worker's exit contract maps onto
             // rather than a generic abort.
             throw comm::CommError(comm::CommErrorKind::RankKilled,

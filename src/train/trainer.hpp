@@ -118,11 +118,11 @@ struct TrainConfig {
     /// typically a comm::TcpTransport whose peer ranks live in other OS
     /// processes launched by tools/gtopkrun). The returned TrainResult then
     /// describes this rank alone: final_params is the local replica,
-    /// final_members == {local_rank}. Composes with `membership`: on a
-    /// non-shared-memory transport the regroup round runs over the wire
-    /// (leader-collected JOIN frames, broadcast VIEW), so a SIGKILLed peer
-    /// yields the same elastic shrink as the in-process barrier; if the
-    /// LOCAL rank is the casualty, train_distributed throws the typed
+    /// final_members == {local_rank}. Composes with `membership`: the
+    /// regroup round runs over the transport (leader-collected JOIN frames,
+    /// broadcast VIEW) exactly as in-process, so a SIGKILLed peer yields the
+    /// same elastic shrink as a fault-plan kill; if the LOCAL rank is the
+    /// casualty, train_distributed throws the typed
     /// comm::CommError(RankKilled) the process exit contract maps onto.
     /// -1 (default): the classic mode, one thread per rank in this process.
     int local_rank = -1;
@@ -139,7 +139,7 @@ struct TrainConfig {
 
     /// Membership service enabling the self-healing runtime (must span the
     /// same transport and outlive train_distributed). With it, a rank kill
-    /// no longer aborts the run: the dead rank leaves, survivors detect the
+    /// no longer aborts the run: the dead rank exits, survivors detect the
     /// stall via their receive deadline, regroup into a new epoch-stamped
     /// view, roll back to the newest common checkpoint, resync state by
     /// binomial broadcast from the lowest surviving rank, and finish the

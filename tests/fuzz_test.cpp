@@ -283,7 +283,9 @@ TEST(TcpFrameFuzz, TruncatedStreamsNeverYieldPartialFrames) {
         // A strict prefix of 3 frames holds at most the complete frames
         // that fully fit; whatever remains is a visible mid-frame residue.
         EXPECT_EQ(dec.mid_frame(), dec.buffered() > 0);
-        if (len < comm::tcp::kFrameHeaderBytes) EXPECT_EQ(decoded, 0);
+        if (len < comm::tcp::kFrameHeaderBytes) {
+            EXPECT_EQ(decoded, 0);
+        }
     }
     // The unbroken stream decodes all three exactly.
     comm::tcp::FrameDecoder dec;

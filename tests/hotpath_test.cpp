@@ -350,16 +350,6 @@ TEST(TopkPrefilter, WorkspaceReuseAcrossDifferentSizes) {
     }
 }
 
-TEST(KthMagnitude, WorkspaceOverloadMatchesFresh) {
-    sparse::TopkWorkspace ws;
-    const auto dense = random_dense(10'000, 28);
-    for (const std::size_t k : {1u, 7u, 100u, 10'000u, 20'000u}) {
-        EXPECT_EQ(sparse::kth_largest_magnitude(dense, k),
-                  sparse::kth_largest_magnitude(dense, k, ws));
-    }
-    EXPECT_EQ(sparse::kth_largest_magnitude(dense, 0, ws), 0.0f);
-}
-
 // ------------------------------------------------------- in-place ⊤ merge
 
 void expect_merge_equivalent(const SparseGradient& a, const SparseGradient& b,

@@ -281,19 +281,6 @@ TEST(ProtocheckSweepTest, ReconnectFullAdversaryIsCleanWithLiveness) {
     }
 }
 
-TEST(ProtocheckSweepTest, SymmetryReductionPreservesVerdictAndShrinksSpace) {
-    pc::MembershipModelConfig sym;
-    sym.world = 3;
-    sym.max_kills = 1;
-    pc::MembershipModelConfig full = sym;
-    full.symmetry_reduction = false;
-    const auto rs = pc::explore(pc::MembershipModel(sym));
-    const auto rf = pc::explore(pc::MembershipModel(full));
-    EXPECT_TRUE(rs.clean());
-    EXPECT_TRUE(rf.clean());
-    EXPECT_LT(rs.states, rf.states);
-}
-
 // ---------------------------------------------------------------------------
 // Seeded invariant breaks: the checker must find a counterexample and the
 // trace must replay to a real failure through the real stack (the

@@ -7,10 +7,12 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "chaos_common.hpp"
 #include "comm/membership.hpp"
+#include "comm/recording_transport.hpp"
 #include "comm/reliable_transport.hpp"
 #include "comm/tags.hpp"
 #include "core/aggregators.hpp"
@@ -421,9 +423,9 @@ TEST(RecoveryTest, SilentRankBecomesSuspected) {
 }
 
 TEST(RecoveryTest, RegroupProducesIdenticalViewsOnAllSurvivors) {
-    comm::InProcTransport transport(4);
+    FaultInjectingTransport transport(4, FaultPlan{});
     MembershipService membership(transport, fast_membership(11));
-    membership.leave(2);
+    transport.kill_rank(2);
     MembershipView views[3];
     std::thread t0([&] { views[0] = membership.regroup(0); });
     std::thread t1([&] { views[1] = membership.regroup(1); });
@@ -435,7 +437,7 @@ TEST(RecoveryTest, RegroupProducesIdenticalViewsOnAllSurvivors) {
         EXPECT_EQ(v.epoch, 1);
         EXPECT_EQ(v.members, (std::vector<int>{0, 1, 3}));
     }
-    EXPECT_EQ(membership.epoch(), 1);
+    EXPECT_EQ(membership.epoch(0), 1);
     EXPECT_FALSE(membership.alive(2));
     EXPECT_TRUE(membership.alive(0));
 }
@@ -448,11 +450,11 @@ TEST(RecoveryTest, RegroupWithoutMajorityQuorumAborts) {
     cfg.join_grace_s = 0.05;
     MembershipService membership(transport, cfg);
     EXPECT_THROW(membership.regroup(0), std::runtime_error);
-    EXPECT_EQ(membership.epoch(), 0);  // nothing was finalized
+    EXPECT_EQ(membership.epoch(0), 0);  // nothing was finalized
 }
 
 TEST(RecoveryTest, MajorityFinalizesAndExcludedStragglerCannotRejoin) {
-    comm::InProcTransport transport(3);
+    FaultInjectingTransport transport(3, FaultPlan{});
     MembershipConfig cfg = fast_membership(6);
     cfg.join_grace_s = 0.1;
     MembershipService membership(transport, cfg);
@@ -469,38 +471,40 @@ TEST(RecoveryTest, MajorityFinalizesAndExcludedStragglerCannotRejoin) {
     EXPECT_EQ(v1.members, v0.members);
     // The voted-out straggler cannot start a round of its own — the hole
     // that would let it finalize a singleton view with a higher epoch and
-    // train solo past every survivor's epoch floor.
+    // train solo past every survivor's epoch floor. The leader's VIEW told
+    // it so: it holds the majority's view, which does not list it.
     EXPECT_THROW(membership.regroup(2), std::invalid_argument);
-    EXPECT_EQ(membership.epoch(), 1);
+    EXPECT_EQ(membership.epoch(2), 1);
+    EXPECT_EQ(membership.current(2).members, v0.members);
 }
 
 TEST(RecoveryTest, TwoRankDeathDuringInProgressRegroupFinalizesSurvivors) {
     // Ranks 0 and 1 enter a regroup round that CANNOT finalize yet (2 of 4
     // live is not a strict majority); ranks 2 and 3 then die mid-round.
-    // Each leave() must wake the waiters and re-evaluate: once the live set
-    // shrinks to exactly the joiner set, the fast path finalizes without
-    // waiting out the grace window. Pinned behavior for the FSM extraction
-    // — membership_evaluate drives the same verdicts the inline logic did.
-    comm::InProcTransport transport(5);
+    // The leader re-evaluates on every spin: once the live set shrinks to
+    // exactly the joiner set, the fast path finalizes without waiting out
+    // the grace window. Pinned behavior for the FSM extraction —
+    // membership_evaluate drives the same verdicts the inline logic did.
+    FaultInjectingTransport transport(5, FaultPlan{});
     MembershipService membership(transport, fast_membership(21));
-    membership.leave(4);  // down to live {0,1,2,3} before the round starts
+    transport.kill_rank(4);  // down to live {0,1,2,3} before the round starts
     MembershipView v0, v1;
     std::thread t0([&] { v0 = membership.regroup(0); });
     std::thread t1([&] { v1 = membership.regroup(1); });
     // Let both joiners reach the in-round wait, then kill two ranks while
     // the round is in flight.
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    EXPECT_EQ(membership.epoch(), 0);  // round still open: no quorum yet
-    membership.leave(2);
+    EXPECT_EQ(membership.epoch(0), 0);  // round still open: no quorum yet
+    transport.kill_rank(2);
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    membership.leave(3);
+    transport.kill_rank(3);
     t0.join();
     t1.join();
     EXPECT_EQ(v0.epoch, 1);
     EXPECT_EQ(v0.members, (std::vector<int>{0, 1}));
     EXPECT_EQ(v1.epoch, v0.epoch);
     EXPECT_EQ(v1.members, v0.members);
-    EXPECT_EQ(membership.epoch(), 1);
+    EXPECT_EQ(membership.epoch(0), 1);
 }
 
 TEST(RecoveryTest, JoinerArrivingInGraceWindowOfDeathRoundIsIncluded) {
@@ -508,16 +512,16 @@ TEST(RecoveryTest, JoinerArrivingInGraceWindowOfDeathRoundIsIncluded) {
     // inside the grace window. It must land in the finalized view — the
     // fast path completes the instant the last live member joins, and all
     // three observers agree. Pinned behavior for the FSM extraction.
-    comm::InProcTransport transport(4);
+    FaultInjectingTransport transport(4, FaultPlan{});
     MembershipConfig cfg = fast_membership(22);
     cfg.join_grace_s = 5.0;  // generous: the test must finish via fast path
     MembershipService membership(transport, cfg);
-    membership.leave(3);
+    transport.kill_rank(3);
     MembershipView v0, v1, v2;
     std::thread t0([&] { v0 = membership.regroup(0); });
     std::thread t1([&] { v1 = membership.regroup(1); });
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    EXPECT_EQ(membership.epoch(), 0);  // waiting on the straggler
+    EXPECT_EQ(membership.epoch(0), 0);  // waiting on the straggler
     std::thread t2([&] { v2 = membership.regroup(2); });
     t0.join();
     t1.join();
@@ -526,7 +530,127 @@ TEST(RecoveryTest, JoinerArrivingInGraceWindowOfDeathRoundIsIncluded) {
         EXPECT_EQ(v->epoch, 1);
         EXPECT_EQ(v->members, (std::vector<int>{0, 1, 2}));
     }
-    EXPECT_EQ(membership.epoch(), 1);
+    EXPECT_EQ(membership.epoch(0), 1);
+}
+
+TEST(RecoveryTest, LeaderKilledMidRoundSurvivorsReelectAndAgree) {
+    // Rank 0 leads a round that waits on a stuck rank 4 (4 of 5 joined
+    // is a majority, but grace has not expired), then dies inside it. The
+    // followers re-elect rank 1, re-send their JOINs to it, and all three
+    // survivors return one view once rank 1's own grace window expires.
+    FaultInjectingTransport transport(5, FaultPlan{});
+    MembershipConfig cfg = fast_membership(23);
+    cfg.join_grace_s = 0.5;
+    MembershipService membership(transport, cfg);
+    MembershipView views[3];
+    std::thread t0([&] {
+        EXPECT_THROW(membership.regroup(0), comm::CommError);  // its own death
+    });
+    std::vector<std::thread> followers;
+    for (int r = 1; r <= 3; ++r) {
+        followers.emplace_back([&, r] { views[r - 1] = membership.regroup(r); });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_EQ(membership.epoch(1), 0);  // the leader is still waiting
+    transport.kill_rank(0);
+    t0.join();
+    for (auto& t : followers) t.join();
+    for (const MembershipView& v : views) {
+        EXPECT_EQ(v.epoch, 1);
+        EXPECT_EQ(v.members, (std::vector<int>{1, 2, 3}));
+    }
+}
+
+TEST(RecoveryTest, LeaderKilledMidBroadcastNeverSplitsTheView) {
+    // The leader finalizes {0,1,2,3} and dies on its third send: ranks 1
+    // and 2 hold its VIEW, rank 3 does not. Rank 1, now the lowest live
+    // rank, must adopt the VIEW waiting in its mailbox rather than lead a
+    // second round of the same epoch — the split-brain protocheck found
+    // when followers elected before polling their VIEW frames.
+    FaultPlan plan;
+    plan.kill(0, 2);  // sends 1 and 2 are its VIEWs to ranks 1 and 2
+    FaultInjectingTransport transport(4, plan);
+    MembershipConfig cfg = fast_membership(24);
+    cfg.join_grace_s = 0.3;
+    MembershipService membership(transport, cfg);
+    std::optional<MembershipView> views[4];
+    std::vector<std::thread> threads;
+    for (int r = 0; r < 4; ++r) {
+        threads.emplace_back([&, r] {
+            try {
+                views[r] = membership.regroup(r);
+            } catch (const std::exception&) {
+                // Rank 3 gets no VIEW and no second round gives it one.
+            }
+        });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_FALSE(transport.rank_alive(0));
+    ASSERT_TRUE(views[1].has_value());
+    ASSERT_TRUE(views[2].has_value());
+    EXPECT_EQ(views[1]->epoch, 1);
+    EXPECT_EQ(views[1]->members, (std::vector<int>{0, 1, 2, 3}));
+    for (int r = 2; r < 4; ++r) {
+        if (!views[r]) continue;
+        EXPECT_EQ(views[r]->epoch, views[1]->epoch) << "rank " << r;
+        EXPECT_EQ(views[r]->members, views[1]->members) << "rank " << r;
+    }
+}
+
+TEST(RecoveryTest, VotedOutStragglerCannotLeadADeadLeadersClosedRound) {
+    // protocheck's counterexample against followers that elected before
+    // polling their VIEW frames and leaders that told only the new members:
+    // rank 0 finalizes {0,2} at grace expiry without the stuck rank 1,
+    // sends its VIEW and dies. Rank 1, now the lowest live rank, would
+    // lead a second epoch-1 round that rank 2's JOIN completes as {1,2}.
+    // The VIEW goes to every live member of the old view, so rank 1 learns
+    // it was voted out instead.
+    FaultInjectingTransport transport(3, FaultPlan{});
+    MembershipConfig cfg = fast_membership(25);
+    cfg.join_grace_s = 0.2;
+    MembershipService membership(transport, cfg);
+    MembershipView v0, v2;
+    std::thread t0([&] { v0 = membership.regroup(0); });
+    std::thread t2([&] { v2 = membership.regroup(2); });
+    t0.join();
+    t2.join();
+    EXPECT_EQ(v0.members, (std::vector<int>{0, 2}));
+    EXPECT_EQ(v2.epoch, v0.epoch);
+    EXPECT_EQ(v2.members, v0.members);
+    transport.kill_rank(0);
+    EXPECT_THROW(membership.regroup(1), std::invalid_argument);
+    EXPECT_EQ(membership.current(1).epoch, 1);
+    EXPECT_EQ(membership.current(1).members, v0.members);
+}
+
+TEST(MembershipTest, InProcessRegroupExchangesJoinAndViewFrames) {
+    // One regroup protocol on every fabric: in-process too, the round is
+    // JOIN frames to the leader (rank 0) and VIEW frames back from it.
+    comm::RecordingTransport transport(3);
+    MembershipService membership(transport, fast_membership(31));
+    MembershipView views[3];
+    std::vector<std::thread> threads;
+    for (int r = 0; r < 3; ++r) {
+        threads.emplace_back([&, r] { views[r] = membership.regroup(r); });
+    }
+    for (auto& t : threads) t.join();
+    for (const MembershipView& v : views) {
+        EXPECT_EQ(v.epoch, 1);
+        EXPECT_EQ(v.members, (std::vector<int>{0, 1, 2}));
+    }
+    int joins = 0;
+    int view_frames = 0;
+    for (const comm::RecordedMsg& m : transport.log()) {
+        if (m.tag == comm::kTagMembershipJoin) {
+            ++joins;
+            EXPECT_EQ(m.dst, 0);
+        } else if (m.tag == comm::kTagMembershipView) {
+            ++view_frames;
+            EXPECT_EQ(m.src, 0);
+        }
+    }
+    EXPECT_GE(joins, 2);
+    EXPECT_EQ(view_frames, 2);
 }
 
 TEST(RecoveryTest, ElasticModeRequiresDeadlineBelowJoinGrace) {

@@ -23,6 +23,7 @@
 
 #include "collectives/collectives.hpp"
 #include "comm/cluster.hpp"
+#include "comm/fault_transport.hpp"
 #include "comm/mailbox.hpp"
 #include "comm/membership.hpp"
 #include "comm/tags.hpp"
@@ -98,7 +99,7 @@ TEST_P(GtopkScaleSmoke, AllRanksBitIdenticalForTreeAndNaive) {
 TEST(MembershipScale, RegroupP64WithBoundedFanout) {
     const int world = 64;
     const int victim = 13;
-    InProcTransport transport(world);
+    comm::FaultInjectingTransport transport(world, comm::FaultPlan{});
     comm::MembershipConfig mcfg;
     mcfg.heartbeat_interval_s = 0.001;
     mcfg.suspect_after_s = 5.0;  // rotation cycle ceil(63/4) bursts ≪ this
@@ -111,7 +112,7 @@ TEST(MembershipScale, RegroupP64WithBoundedFanout) {
         transport, NetworkModel::free(), [&](comm::Communicator& c) {
             const int rank = c.rank();
             if (rank == victim) {
-                svc.leave(rank);
+                transport.kill_rank(rank);
                 return;
             }
             svc.tick(rank);  // exercise the bounded-fanout gossip path

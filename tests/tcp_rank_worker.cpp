@@ -63,9 +63,9 @@ namespace {
 
 /// Raises SIGKILL on this process the moment the trainer reports the
 /// configured step. Placed outermost so the trigger fires at the exact
-/// iteration boundary BEFORE any graceful-exit path (membership leave,
-/// socket teardown) can run — the peers must see an abrupt kernel-level
-/// death, same as an OOM kill or operator `kill -9`.
+/// iteration boundary BEFORE any graceful-exit path (socket teardown) can
+/// run — the peers must see an abrupt kernel-level death, same as an OOM
+/// kill or operator `kill -9`.
 class SigkillAtStep final : public gtopk::comm::Transport {
 public:
     SigkillAtStep(std::unique_ptr<gtopk::comm::Transport> inner,
@@ -349,7 +349,7 @@ int main(int argc, char** argv) {
             if (membership) {
                 // local_rank mode: result.final_members is just {rank}; the
                 // agreed survivor set lives in the membership view.
-                for (const int m : membership->current().members) os << ' ' << m;
+                for (const int m : membership->current(rank).members) os << ' ' << m;
             } else {
                 for (const int m : result.final_members) os << ' ' << m;
             }

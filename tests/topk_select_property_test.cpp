@@ -13,7 +13,6 @@
 
 namespace {
 
-using gtopk::sparse::kth_largest_magnitude;
 using gtopk::sparse::magnitude_less;
 using gtopk::sparse::SparseGradient;
 using gtopk::sparse::topk_select;
@@ -121,11 +120,17 @@ TEST(TopkSelect, DeterministicAcrossCalls) {
 }
 
 TEST(TopkSelect, KthLargestMagnitudeMatchesSelection) {
+    // The selection's smallest |value| is the paper's threshold (Line 5-6
+    // of Algorithm 1): the kth largest |value| of the input.
     Xoshiro256 rng(17);
     std::vector<float> dense(500);
     for (auto& v : dense) v = static_cast<float>(rng.next_gaussian());
     for (std::size_t k : {1u, 5u, 100u, 500u}) {
-        const float thr = kth_largest_magnitude(dense, k);
+        std::vector<float> mags(dense.size());
+        for (std::size_t i = 0; i < dense.size(); ++i) mags[i] = std::abs(dense[i]);
+        std::nth_element(mags.begin(), mags.begin() + static_cast<std::ptrdiff_t>(k - 1),
+                         mags.end(), std::greater<float>());
+        const float thr = mags[k - 1];
         const auto sel = topk_select(dense, k);
         float min_sel = std::abs(sel.values[0]);
         for (float v : sel.values) min_sel = std::min(min_sel, std::abs(v));
@@ -134,10 +139,10 @@ TEST(TopkSelect, KthLargestMagnitudeMatchesSelection) {
 }
 
 TEST(TopkSelect, KthLargestEdgeCases) {
-    EXPECT_EQ(kth_largest_magnitude({}, 3), 0.0f);
+    EXPECT_EQ(topk_select({}, 3).nnz(), 0u);
     const std::vector<float> one{-5.0f};
-    EXPECT_EQ(kth_largest_magnitude(one, 1), 5.0f);
-    EXPECT_EQ(kth_largest_magnitude(one, 10), 5.0f);  // clamped
+    EXPECT_EQ(topk_select(one, 1).values, one);
+    EXPECT_EQ(topk_select(one, 10).values, one);  // clamped
 }
 
 TEST(TopkSelect, ZeroSelectedClearsExactlyTheSelection) {

@@ -16,7 +16,7 @@
 //   protocheck --proto arq|epoch|membership|reconnect|all [--world 2..4]
 //              [--max-msgs N] [--dup-budget N] [--corrupt-budget N]
 //              [--kills N] [--joins N] [--losses N] [--attempts N]
-//              [--max-states N] [--no-symmetry]
+//              [--max-states N]
 //              [--seed-break none|quorum|gc-unacked|accept-dup|accept-stale]
 //              [--replay] [--replay-sample N] [--seed S]
 //              [--report out.json] [-v]
@@ -62,7 +62,6 @@ struct Options {
     int losses = 1;
     int attempts = 3;
     std::uint64_t max_states = 2'000'000;
-    bool symmetry = true;
     std::string seed_break = "none";
     bool replay = false;
     int replay_sample = 0;
@@ -126,8 +125,6 @@ Options parse_args(int argc, char** argv) {
             o.attempts = std::stoi(need_value());
         } else if (arg == "--max-states") {
             o.max_states = std::stoull(need_value());
-        } else if (arg == "--no-symmetry") {
-            o.symmetry = false;
         } else if (arg == "--seed-break") {
             o.seed_break = need_value();
             if (o.seed_break != "none" && o.seed_break != "quorum" &&
@@ -333,14 +330,12 @@ int main(int argc, char** argv) {
             cfg.world = world;
             cfg.max_kills = std::min(o.kills, world - 1);
             cfg.joins_per_rank = o.joins;
-            cfg.symmetry_reduction = o.symmetry;
             const pc::MembershipModel model(cfg);
             std::vector<pc::MembershipModel::Action> trace;
             const std::string name =
                 "membership(world=" + std::to_string(world) +
                 ",kills=" + std::to_string(cfg.max_kills) +
-                ",joins=" + std::to_string(cfg.joins_per_rank) +
-                (cfg.symmetry_reduction ? "" : ",no-symmetry") + ")";
+                ",joins=" + std::to_string(cfg.joins_per_rank) + ")";
             SweepResult r = run_sweep(name, model, o.max_states, &trace);
             found_violation |= !r.violation.empty();
             truncated |= r.truncated;
