@@ -120,7 +120,8 @@ void BM_TopkMergeInto(benchmark::State& state) {
         benchmark::DoNotOptimize(acc.indices.data());
     }
 }
-BENCHMARK(BM_TopkMergeInto)->Arg(1000)->Arg(25'000);
+// 492 and 2629: the k of layerwise_tcp's tensors' merges.
+BENCHMARK(BM_TopkMergeInto)->Arg(492)->Arg(1000)->Arg(2629)->Arg(25'000);
 
 void BM_WireRoundTripPooled(benchmark::State& state) {
     // serialize_into a reused buffer + zero-copy view — compare against

@@ -42,10 +42,6 @@ void SchedulePredictor::add(const Schedule& sched) {
     if (!sched.absolute_tags) async_cursor_ += sched.tag_count;
 }
 
-void SchedulePredictor::add_n(const Schedule& sched, int times) {
-    for (int i = 0; i < times; ++i) add(sched);
-}
-
 const std::vector<ExpectedMsg>& SchedulePredictor::edge(int src, int dst) const {
     return edges_[static_cast<std::size_t>(src) * static_cast<std::size_t>(world_) +
                   static_cast<std::size_t>(dst)];

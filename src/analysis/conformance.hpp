@@ -41,8 +41,6 @@ public:
     /// async-band cursor (fresh_async_tags replay) — so call in handle
     /// START order, the order every rank calls AsyncCollective::start() in.
     void add(const collectives::Schedule& sched);
-    /// Append the same schedule `times` times (e.g. per-iteration loops).
-    void add_n(const collectives::Schedule& sched, int times);
 
     int world() const { return world_; }
     std::int64_t total_messages() const { return total_; }

@@ -33,11 +33,6 @@ double gtopk_allreduce_time_s(const comm::NetworkModel& net, int workers,
     return 2.0 * log2i(workers) * net.alpha_s + 4.0 * kd * log2i(workers) * net.beta_s;
 }
 
-double barrier_time_s(const comm::NetworkModel& net, int workers) {
-    if (workers <= 1) return 0.0;
-    return log2i(workers) * net.alpha_s;
-}
-
 double broadcast_time_s(const comm::NetworkModel& net, int workers,
                         std::uint64_t elements) {
     if (workers <= 1) return 0.0;

@@ -25,9 +25,6 @@ double topk_allreduce_time_s(const comm::NetworkModel& net, int workers,
 double gtopk_allreduce_time_s(const comm::NetworkModel& net, int workers,
                               std::uint64_t k);
 
-/// Dissemination barrier: ceil(log2 P) zero-payload messages.
-double barrier_time_s(const comm::NetworkModel& net, int workers);
-
 /// Binomial broadcast of n elements: ceil(log2 P) (alpha + n beta).
 double broadcast_time_s(const comm::NetworkModel& net, int workers,
                         std::uint64_t elements);

@@ -116,16 +116,23 @@ bool Communicator::pump_progress() {
     // A lone source (every blocking collective) needs no order and no
     // snapshot, and so no allocation.
     if (progress_sources_.size() == 1) return progress_sources_.front()->pump_some();
-    // Snapshot + priority sort per round: a pump may complete (and so
+    // Snapshot + priority order per round: a pump may complete (and so
     // unregister) a handle, and the P3 drain order wants front-layer
-    // buckets served first.
-    std::vector<ProgressSource*> round = progress_sources_;
-    std::stable_sort(round.begin(), round.end(),
-                     [](const ProgressSource* a, const ProgressSource* b) {
-                         return a->pump_priority() < b->pump_priority();
-                     });
+    // buckets served first. The snapshot reuses one buffer and a stable
+    // insertion sort orders it in place: a handful of handles, no
+    // allocation per poll.
+    pump_round_.assign(progress_sources_.begin(), progress_sources_.end());
+    for (std::size_t i = 1; i < pump_round_.size(); ++i) {
+        ProgressSource* const s = pump_round_[i];
+        const int priority = s->pump_priority();
+        std::size_t j = i;
+        for (; j > 0 && pump_round_[j - 1]->pump_priority() > priority; --j) {
+            pump_round_[j] = pump_round_[j - 1];
+        }
+        pump_round_[j] = s;
+    }
     bool any = false;
-    for (ProgressSource* s : round) {
+    for (ProgressSource* s : pump_round_) {
         if (s->pump_some()) any = true;
     }
     return any;

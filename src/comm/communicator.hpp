@@ -220,8 +220,12 @@ public:
     void remove_progress_source(ProgressSource* source);
 
     /// Pump every registered source once, in ascending pump_priority()
-    /// order (front-layer buckets first — the P3 preemption rule). Returns
-    /// true if any source executed at least one op.
+    /// order (front-layer buckets first — the P3 preemption rule), equal
+    /// priorities in registration order. The round is the registry as it
+    /// stood on entry: a source that completes (and unregisters) mid-round
+    /// changes only the next one. Not reentrant — no source's pump_some()
+    /// may call back into it. Returns true if any source executed at least
+    /// one op.
     bool pump_progress();
 
     /// Reserved NIC busy intervals (for diagnostics/tests).
@@ -230,6 +234,7 @@ public:
 private:
     int async_tag_counter_;  // initialized to kAsyncTagBase, clear of user tags
     std::vector<ProgressSource*> progress_sources_;
+    std::vector<ProgressSource*> pump_round_;  // pump_progress's snapshot
     Transport& transport_;
     int rank_;          // physical, fixed for the communicator's lifetime
     int logical_rank_;  // index into view_members_ (== rank_ when identity)

@@ -7,7 +7,6 @@ ReconnectBreak g_reconnect_break = ReconnectBreak::kNone;
 }  // namespace
 
 void set_reconnect_break(ReconnectBreak b) { g_reconnect_break = b; }
-ReconnectBreak reconnect_break() { return g_reconnect_break; }
 
 bool link_down(LinkState& st) {
     if (st.phase != LinkPhase::kUp) return false;

@@ -45,7 +45,6 @@ enum class ReconnectBreak {
 };
 
 void set_reconnect_break(ReconnectBreak b);
-ReconnectBreak reconnect_break();
 
 enum class LinkPhase : std::uint8_t {
     kUp = 0,  // connection established; frames flow

@@ -725,18 +725,20 @@ void TcpTransport::accept_resume() {
             return;
         }
     }
-    install_fd(peer, fd, proposal, /*from_dial=*/false);
+    // The ack goes out before install_fd publishes the socket: from then on
+    // a rank thread's deliver (the ARQ replaying its backlog) may write data
+    // frames to it, and the dialer reads whatever comes first as the ack.
+    // Until the install nothing else knows this fd, so no lock is needed.
     unsigned char ok[kResumeBytes];
     put_u32(ok + 0, kResumeAckMagic);
     put_u32(ok + 4, static_cast<std::uint32_t>(rank_));
     put_u64(ok + 8, proposal);
-    bool sent = false;
-    {
-        std::lock_guard<std::mutex> lock(
-            send_mutexes_[static_cast<std::size_t>(peer)]);
-        sent = write_full(fd, ok, sizeof(ok));
+    if (!write_full(fd, ok, sizeof(ok))) {
+        ::close(fd);
+        link_mark_down(peer);
+        return;
     }
-    if (!sent) link_mark_down(peer);
+    install_fd(peer, fd, proposal, /*from_dial=*/false);
 }
 
 void TcpTransport::dialer_loop() {

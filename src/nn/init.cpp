@@ -9,12 +9,6 @@ void kaiming_normal(std::span<float> w, std::size_t fan_in, util::Xoshiro256& rn
     for (float& x : w) x = static_cast<float>(rng.next_gaussian()) * std_dev;
 }
 
-void xavier_uniform(std::span<float> w, std::size_t fan_in, std::size_t fan_out,
-                    util::Xoshiro256& rng) {
-    const float limit = std::sqrt(6.0f / static_cast<float>(fan_in + fan_out));
-    for (float& x : w) x = rng.next_uniform(-limit, limit);
-}
-
 void uniform_init(std::span<float> w, float scale, util::Xoshiro256& rng) {
     for (float& x : w) x = rng.next_uniform(-scale, scale);
 }

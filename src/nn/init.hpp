@@ -11,10 +11,6 @@ namespace gtopk::nn {
 /// Kaiming/He normal: N(0, sqrt(2 / fan_in)) — the standard for ReLU nets.
 void kaiming_normal(std::span<float> w, std::size_t fan_in, util::Xoshiro256& rng);
 
-/// Xavier/Glorot uniform: U(-L, L), L = sqrt(6 / (fan_in + fan_out)).
-void xavier_uniform(std::span<float> w, std::size_t fan_in, std::size_t fan_out,
-                    util::Xoshiro256& rng);
-
 /// U(-scale, scale) — used for LSTM and embedding tables.
 void uniform_init(std::span<float> w, float scale, util::Xoshiro256& rng);
 

@@ -1,6 +1,10 @@
 #include "nn/layer.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 
@@ -94,9 +98,15 @@ void momentum_axpy_values(const std::vector<ParamView>& params, float mom,
         throw std::invalid_argument("momentum_axpy_values: size mismatch");
     }
     // Lanes hold independent elements, so each one gets the scalar
-    // mom*v + u and w + a*v.
+    // mom*v + u and w + a*v. A velocity below FLT_MIN in magnitude snaps to
+    // +0 before the step uses it: a coordinate the global top-k stopped
+    // selecting decays by mom into the subnormals and sticks there (0.9 *
+    // n*2^-149 rounds back to n*2^-149 for n <= 4), and every later pass
+    // would pay a microcode assist on it. Normal velocities keep their bits.
+    using i32x4 = std::int32_t __attribute__((vector_size(16)));
     const vec4::f32x4 mv = vec4::splat(mom);
     const vec4::f32x4 av = vec4::splat(a);
+    const vec4::f32x4 tiny = vec4::splat(FLT_MIN);
     std::size_t off = 0;
     for (const auto& p : params) {
         float* w = p.value->data();
@@ -106,11 +116,15 @@ void momentum_axpy_values(const std::vector<ParamView>& params, float mom,
         std::size_t i = 0;
         for (; i + 4 <= n; i += 4) {
             const vec4::f32x4 vi = mv * vec4::load(vs + i) + vec4::load(us + i);
-            vec4::store(vs + i, vi);
-            vec4::store(w + i, vec4::load(w + i) + av * vi);
+            const i32x4 bits = std::bit_cast<i32x4>(vi);
+            const vec4::f32x4 mag = std::bit_cast<vec4::f32x4>(bits & 0x7fffffff);
+            const vec4::f32x4 snapped = std::bit_cast<vec4::f32x4>(bits & ~(mag < tiny));
+            vec4::store(vs + i, snapped);
+            vec4::store(w + i, vec4::load(w + i) + av * snapped);
         }
         for (; i < n; ++i) {
-            vs[i] = mom * vs[i] + us[i];
+            const float vi = mom * vs[i] + us[i];
+            vs[i] = std::fabs(vi) < FLT_MIN ? 0.0f : vi;
             w[i] += a * vs[i];
         }
         off += n;

@@ -55,9 +55,10 @@ void accumulate_grads(const std::vector<ParamView>& params, std::span<float> dst
 /// params += a * x (flat).
 void axpy_values(const std::vector<ParamView>& params, float a,
                  std::span<const float> x);
-/// Momentum SGD in one pass (flat): v = mom * v + u, then params += a * v,
-/// element by element — each element gets the same operations, in the same
-/// order, as a velocity loop followed by axpy_values(params, a, v).
+/// Momentum SGD in one pass (flat): v = mom * v + u, a v below FLT_MIN in
+/// magnitude snapped to +0, then params += a * v, element by element — each
+/// element gets the bits of a velocity loop with that snap followed by
+/// axpy_values(params, a, v).
 void momentum_axpy_values(const std::vector<ParamView>& params, float mom,
                           std::span<float> v, std::span<const float> u, float a);
 

@@ -25,8 +25,6 @@ public:
     void collect_params(std::vector<ParamView>& out) override;
     std::string name() const override { return "Sequential"; }
 
-    std::size_t layer_count() const { return layers_.size(); }
-
 private:
     std::vector<LayerPtr> layers_;
 };

@@ -1,13 +1,11 @@
 #include "obs/attribution.hpp"
 
-#include <fstream>
 #include <limits>
 #include <ostream>
 
 #include "analysis/cost_rules.hpp"
 #include "analysis/verify.hpp"
 #include "collectives/schedule.hpp"
-#include "util/log.hpp"
 
 namespace gtopk::obs {
 
@@ -141,17 +139,6 @@ void CostAttribution::write_json(std::ostream& os) const {
     }
     os << "]}";
     os.precision(precision);
-}
-
-bool CostAttribution::write_json_file(const std::string& path) const {
-    std::ofstream out(path);
-    if (!out) {
-        util::log_error("attribution: cannot open ", path, " for writing");
-        return false;
-    }
-    write_json(out);
-    out << "\n";
-    return static_cast<bool>(out);
 }
 
 }  // namespace gtopk::obs

@@ -93,7 +93,6 @@ public:
 
     /// {"alpha_s":..,"beta_s":..,"entries":[{...}]} — the JSON report.
     void write_json(std::ostream& os) const;
-    bool write_json_file(const std::string& path) const;
 
 private:
     struct Key {

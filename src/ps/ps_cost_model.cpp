@@ -2,12 +2,6 @@
 
 namespace gtopk::ps {
 
-double ps_dense_time_s(const comm::NetworkModel& net, int workers,
-                       std::uint64_t elements) {
-    if (workers <= 0) return 0.0;
-    return static_cast<double>(workers + 1) * net.transfer_time_elems(elements);
-}
-
 double ps_gtopk_time_s(const comm::NetworkModel& net, int workers, std::uint64_t k) {
     if (workers <= 0) return 0.0;
     return static_cast<double>(workers + 1) * net.transfer_time_elems(2 * k);

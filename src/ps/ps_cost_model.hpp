@@ -16,10 +16,6 @@
 
 namespace gtopk::ps {
 
-/// Dense PS round: n = m elements each way.
-double ps_dense_time_s(const comm::NetworkModel& net, int workers,
-                       std::uint64_t elements);
-
 /// gTop-k PS round: n = 2k elements ([V, I]) each way.
 double ps_gtopk_time_s(const comm::NetworkModel& net, int workers, std::uint64_t k);
 

@@ -1,7 +1,5 @@
 #include "sparse/topk_merge.hpp"
 
-#include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 #include "sparse/topk_select.hpp"
@@ -10,25 +8,14 @@ namespace gtopk::sparse {
 
 SparseGradient sparse_topk(const SparseGradient& g, std::size_t k) {
     if (g.nnz() <= k) return g;
-    // Order positions by the shared deterministic magnitude order.
-    std::vector<std::size_t> order(g.nnz());
-    std::iota(order.begin(), order.end(), 0);
-    std::nth_element(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                     order.end(), [&](std::size_t a, std::size_t b) {
-                         return magnitude_less(g.values[b], g.indices[b], g.values[a],
-                                               g.indices[a]);
-                     });
-    order.resize(k);
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) { return g.indices[a] < g.indices[b]; });
+    std::vector<std::uint64_t> keys(g.nnz());
+    for (std::size_t j = 0; j < keys.size(); ++j) {
+        keys[j] = magnitude_order_key(g.values[j], g.indices[j]);
+    }
+    std::vector<std::uint64_t> work;
     SparseGradient out;
     out.dense_size = g.dense_size;
-    out.indices.reserve(k);
-    out.values.reserve(k);
-    for (std::size_t pos : order) {
-        out.indices.push_back(g.indices[pos]);
-        out.values.push_back(g.values[pos]);
-    }
+    keep_largest_keys(keys, g.values, k, work, out);
     return out;
 }
 
@@ -44,64 +31,37 @@ void topk_merge_into(SparseGradient& acc, std::int64_t b_dense_size,
     if (acc.dense_size != b_dense_size) {
         throw std::invalid_argument("topk_merge_into: dense_size mismatch");
     }
-    auto& idx = scratch.idx;
+    auto& keys = scratch.keys;
     auto& val = scratch.val;
-    idx.clear();
+    keys.clear();
     val.clear();
 
     // Two-pointer merge of the two sorted index lists (duplicates summed),
-    // exactly sparse::add but into reused scratch.
+    // exactly sparse::add but into reused scratch, each entry as its key.
+    const auto emit = [&](std::int32_t index, float value) {
+        keys.push_back(magnitude_order_key(value, index));
+        val.push_back(value);
+    };
     const std::size_t an = acc.nnz();
     const std::size_t bn = b_indices.size();
     std::size_t i = 0, j = 0;
     while (i < an || j < bn) {
         if (j >= bn || (i < an && acc.indices[i] < b_indices[j])) {
-            idx.push_back(acc.indices[i]);
-            val.push_back(acc.values[i]);
+            emit(acc.indices[i], acc.values[i]);
             ++i;
         } else if (i >= an || b_indices[j] < acc.indices[i]) {
-            idx.push_back(b_indices[j]);
-            val.push_back(b_values[j]);
+            emit(b_indices[j], b_values[j]);
             ++j;
         } else {
-            idx.push_back(acc.indices[i]);
-            val.push_back(acc.values[i] + b_values[j]);
+            emit(acc.indices[i], acc.values[i] + b_values[j]);
             ++i;
             ++j;
         }
     }
 
-    const std::size_t n = idx.size();
-    if (n <= k) {
-        acc.indices.assign(idx.begin(), idx.end());
-        acc.values.assign(val.begin(), val.end());
-        return;
-    }
-
-    // Re-select the k largest under the shared total order. Merged indices
-    // are unique, so the order is strict and the selected set unique —
-    // nth_element's unspecified tie handling cannot change the result.
-    auto& order = scratch.order;
-    order.resize(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::nth_element(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                     order.end(), [&](std::int32_t a, std::int32_t b) {
-                         const auto pa = static_cast<std::size_t>(a);
-                         const auto pb = static_cast<std::size_t>(b);
-                         return magnitude_less(val[pb], idx[pb], val[pa], idx[pa]);
-                     });
-    std::sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(k),
-              [&](std::int32_t a, std::int32_t b) {
-                  return idx[static_cast<std::size_t>(a)] <
-                         idx[static_cast<std::size_t>(b)];
-              });
-    acc.indices.resize(k);
-    acc.values.resize(k);
-    for (std::size_t pos = 0; pos < k; ++pos) {
-        const auto src = static_cast<std::size_t>(order[pos]);
-        acc.indices[pos] = idx[src];
-        acc.values[pos] = val[src];
-    }
+    // Merged indices are unique, so the keys are distinct and the k
+    // largest a unique set, kept in the merged (ascending index) order.
+    keep_largest_keys(keys, val, k, scratch.work, acc);
 }
 
 }  // namespace gtopk::sparse

@@ -24,22 +24,23 @@ namespace gtopk::sparse {
 SparseGradient topk_merge(const SparseGradient& a, const SparseGradient& b,
                           std::size_t k);
 
-/// Scratch for topk_merge_into: the merged index/value lists and the
-/// selection permutation. One instance per worker; after the first merge
-/// the vectors stay at ~2k capacity and the log2(P) rounds of a gTop-k
-/// tree allocate nothing.
+/// Scratch for topk_merge_into: the merged entries as magnitude_order_keys
+/// and values, and keep_largest_keys' copy of the keys. One instance per
+/// worker; after the first merge the vectors stay at ~2k capacity and the
+/// log2(P) rounds of a gTop-k tree allocate nothing.
 struct MergeScratch {
-    std::vector<std::int32_t> idx;
+    std::vector<std::uint64_t> keys;
     std::vector<float> val;
-    std::vector<std::int32_t> order;
+    std::vector<std::uint64_t> work;
 };
 
 /// acc = acc ⊤ b, in place. `b` arrives as (dense_size, indices, values)
 /// spans so a zero-copy SparseGradientView can be consumed directly off the
 /// wire. Two-pointer merge of the sorted index lists into `scratch`, then
-/// re-selection of the k largest under the shared deterministic order —
-/// bit-identical to topk_merge(acc, b, k) (the order is total, so the
-/// selected set is unique), with every temporary reused.
+/// keep_largest_keys re-selects the k largest under the shared
+/// deterministic order, already in index order — bit-identical to
+/// topk_merge(acc, b, k) (the order is total, so the selected set is
+/// unique), with every temporary reused.
 void topk_merge_into(SparseGradient& acc, std::int64_t b_dense_size,
                      std::span<const std::int32_t> b_indices,
                      std::span<const float> b_values, std::size_t k,

@@ -81,19 +81,6 @@ SparseGradient topk_full_sort(std::span<const float> dense, std::size_t k) {
     return finalize(dense, std::move(idx));
 }
 
-/// Fill `out` from the picked index positions `picked` (sorted in place).
-void finalize_into(std::span<const float> dense, std::span<std::int32_t> picked,
-                   SparseGradient& out) {
-    std::sort(picked.begin(), picked.end());
-    out.dense_size = static_cast<std::int64_t>(dense.size());
-    out.indices.assign(picked.begin(), picked.end());
-    out.values.clear();
-    out.values.reserve(picked.size());
-    for (std::int32_t idx : picked) {
-        out.values.push_back(dense[static_cast<std::size_t>(idx)]);
-    }
-}
-
 /// Entries per block of the counted vector's block maxima, aligned to the
 /// vector's start.
 constexpr std::size_t kCountBlock = 64;
@@ -196,13 +183,13 @@ void histogram_select_into(std::span<const float> dense, std::size_t k,
     std::size_t candidates = 0;
     while (candidates < k) candidates += bin_count(ws, --cut_bin);
 
-    // Branchless compaction within a block: every index is written, only
-    // candidates advance the cursor. One block of slack keeps a vector
+    // Branchless compaction within a block: every position is written,
+    // only candidates advance the cursor. One block of slack keeps a vector
     // changed since its count from writing past the buffer before the
-    // per-block check catches it.
+    // per-block check catches it. Keys are built for the candidates only.
     const std::uint32_t cut_key = static_cast<std::uint32_t>(cut_bin) << kHistogramShift;
-    ws.perm.resize(candidates + kCountBlock);
-    std::int32_t* const cand = ws.perm.data();
+    ws.candidates.resize(candidates + kCountBlock);
+    std::int32_t* const cand = ws.candidates.data();
     std::size_t n = 0;
     for (std::size_t b = 0; b < ws.block_max.size() && n <= candidates; ++b) {
         if (ws.block_max[b] < cut_key) continue;
@@ -215,17 +202,49 @@ void histogram_select_into(std::span<const float> dense, std::size_t k,
     if (n != candidates) {
         throw std::logic_error("topk_select_counted: the vector changed since its count");
     }
-
-    auto greater = [&](std::int32_t a, std::int32_t b) {
-        return magnitude_less(dense[static_cast<std::size_t>(b)], b,
-                              dense[static_cast<std::size_t>(a)], a);
-    };
-    std::nth_element(cand, cand + static_cast<std::ptrdiff_t>(k - 1), cand + candidates,
-                     greater);
-    finalize_into(dense, std::span<std::int32_t>(cand, k), out);
+    ws.keys.resize(candidates);
+    ws.values.resize(candidates);
+    for (std::size_t j = 0; j < candidates; ++j) {
+        const float v = dense[static_cast<std::size_t>(cand[j])];
+        ws.keys[j] = magnitude_order_key(v, cand[j]);
+        ws.values[j] = v;
+    }
+    out.dense_size = static_cast<std::int64_t>(dense.size());
+    keep_largest_keys(ws.keys, ws.values, k, ws.key_work, out);
 }
 
 }  // namespace
+
+void keep_largest_keys(std::span<const std::uint64_t> keys, std::span<const float> values,
+                       std::size_t k, std::vector<std::uint64_t>& work,
+                       SparseGradient& out) {
+    const std::size_t n = keys.size();
+    const std::size_t kept = std::min(k, n);
+    out.indices.resize(kept);
+    out.values.resize(kept);
+    std::int32_t* const idx = out.indices.data();
+    float* const val = out.values.data();
+    if (kept == n) {
+        for (std::size_t j = 0; j < n; ++j) {
+            idx[j] = key_index(keys[j]);
+            val[j] = values[j];
+        }
+        return;
+    }
+    if (kept == 0) return;
+    work.assign(keys.begin(), keys.end());
+    const auto kth = work.begin() + static_cast<std::ptrdiff_t>(n - k);
+    std::nth_element(work.begin(), kth, work.end());
+    const std::uint64_t cut = *kth;
+    // The keys being distinct, exactly k reach the cut: the cursor stops at
+    // k and every write lands in [0, k). The store is unconditional, only
+    // the advance depends on the key.
+    for (std::size_t j = 0, m = 0; m < k; ++j) {
+        idx[m] = key_index(keys[j]);
+        val[m] = values[j];
+        m += keys[j] >= cut ? 1 : 0;
+    }
+}
 
 SparseGradient topk_select(std::span<const float> dense, std::size_t k,
                            TopkStrategy strategy) {

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -32,6 +33,31 @@ inline bool magnitude_less(float va, std::int32_t ia, float vb, std::int32_t ib)
     if (ma != mb) return ma < mb;
     return ia > ib;  // smaller index wins ties, so it is "greater"
 }
+
+/// The entry (v, i) as one key of the same order: the sign-cleared bits of
+/// v above the complemented index. For finite values, comparing keys as
+/// unsigned integers is exactly magnitude_less — a larger |v| has larger
+/// bits (±0 share key 0), and of two equal magnitudes the smaller index has
+/// the larger complement.
+inline std::uint64_t magnitude_order_key(float v, std::int32_t i) {
+    return std::uint64_t{std::bit_cast<std::uint32_t>(v) & 0x7fffffffu} << 32 |
+           static_cast<std::uint32_t>(~i);
+}
+
+/// The index a magnitude_order_key was built from.
+inline std::int32_t key_index(std::uint64_t key) {
+    return static_cast<std::int32_t>(~static_cast<std::uint32_t>(key));
+}
+
+/// out = the min(k, n) entries with the largest of n distinct keys, each
+/// with its index (key_index) and its value (values[j] for keys[j]), in
+/// the order given — ascending index when the keys come in that order, so
+/// the result needs no sort. An introselect on `work`, a copy of the keys,
+/// finds the k-th largest key K; one pass then keeps every key >= K.
+/// Sets out's indices and values, not its dense_size.
+void keep_largest_keys(std::span<const std::uint64_t> keys, std::span<const float> values,
+                       std::size_t k, std::vector<std::uint64_t>& work,
+                       SparseGradient& out);
 
 /// Select min(k, nnz-meaningful) entries; exact zeros are still selectable
 /// (the paper selects by threshold on |G|; we keep exact-k semantics).
@@ -64,7 +90,12 @@ struct TopkWorkspace {
     std::size_t count_size = 0;  // the size begin_count announced
     std::size_t counted = 0;     // entries counted since
     bool count_fresh = false;    // no select has consumed the count yet
-    std::vector<std::int32_t> perm;
+    // The cut's candidate positions, their keys and values, and
+    // keep_largest_keys' copy of the keys.
+    std::vector<std::int32_t> candidates;
+    std::vector<std::uint64_t> keys;
+    std::vector<float> values;
+    std::vector<std::uint64_t> key_work;
 };
 
 /// The exact histogram cut runs in two halves, so that counting rides on
@@ -94,8 +125,8 @@ void accumulate_counted(std::span<float> dense, std::size_t at,
 /// each bin until the suffix count reaches k; that bin b is the cut. Every
 /// entry in bin b or above is a candidate (a superset of the top-k); only
 /// the blocks whose maximum key reaches bin b are scanned for them, in
-/// ascending index order, and the magnitude_less introselect runs on the
-/// candidates only. Consumes the count: throws std::logic_error unless
+/// ascending index order, and keep_largest_keys cuts the candidates to k.
+/// Consumes the count: throws std::logic_error unless
 /// every entry of `dense` was counted since the last begin_count and no
 /// select has run since, or when `dense` changed after its count so that
 /// its candidates no longer match the count. Throws std::domain_error when

@@ -45,8 +45,6 @@ public:
     bool is_object() const { return type_ == Type::Object; }
     bool is_array() const { return type_ == Type::Array; }
     bool is_number() const { return type_ == Type::Number; }
-    bool is_string() const { return type_ == Type::String; }
-    bool is_bool() const { return type_ == Type::Bool; }
 
     /// Typed accessors; throw JsonError(offset 0) on type mismatch.
     bool as_bool() const;

@@ -48,10 +48,6 @@ void log(LogLevel level, Args&&... args) {
 }
 
 template <typename... Args>
-void log_debug(Args&&... args) {
-    log(LogLevel::Debug, std::forward<Args>(args)...);
-}
-template <typename... Args>
 void log_info(Args&&... args) {
     log(LogLevel::Info, std::forward<Args>(args)...);
 }

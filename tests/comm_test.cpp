@@ -12,6 +12,7 @@
 #include "comm/communicator.hpp"
 #include "comm/mailbox.hpp"
 #include "comm/network_model.hpp"
+#include "comm/progress.hpp"
 #include "comm/transport.hpp"
 #include "obs/trace.hpp"
 #include "p2p_handles.hpp"
@@ -31,6 +32,7 @@ using gtopk::comm::Mailbox;
 using gtopk::comm::MailboxClosed;
 using gtopk::comm::Message;
 using gtopk::comm::NetworkModel;
+using gtopk::comm::ProgressSource;
 using gtopk::test::recv_bytes;
 using gtopk::test::recv_vec;
 using gtopk::test::send_bytes;
@@ -309,6 +311,61 @@ TEST(CommunicatorTest, AbsoluteTagHandlesPruneTheNicBusyList) {
         }
         // And they leave the SPMD tag cursor where it started.
         EXPECT_EQ(comm.fresh_async_tags(0), kAsyncTagBase);
+    });
+}
+
+// pump_progress: the round order every in-flight handle is pumped in.
+
+/// Logs its id on each pump; optionally completes (unregisters) itself on
+/// its first one, as a handle whose last op ran does.
+class LoggingSource : public ProgressSource {
+public:
+    LoggingSource(Communicator& comm, std::vector<int>& log, int id, int priority,
+                  bool completes = false)
+        : comm_(comm), log_(log), id_(id), priority_(priority), completes_(completes) {}
+
+    bool pump_some() override {
+        log_.push_back(id_);
+        if (completes_) comm_.remove_progress_source(this);
+        return id_ == 2;
+    }
+    int pump_priority() const override { return priority_; }
+
+private:
+    Communicator& comm_;
+    std::vector<int>& log_;
+    int id_;
+    int priority_;
+    bool completes_;
+};
+
+TEST(PumpProgressTest, AscendingPriorityStableAmongTiesAndSurvivesCompletion) {
+    Cluster::run(1, NetworkModel::free(), [](Communicator& comm) {
+        std::vector<int> log;
+        // Registration order 0..5; priorities 2, 0, 2, 1, 0, 2.
+        LoggingSource s0(comm, log, 0, 2);
+        LoggingSource s1(comm, log, 1, 0, /*completes=*/true);
+        LoggingSource s2(comm, log, 2, 2);
+        LoggingSource s3(comm, log, 3, 1, /*completes=*/true);
+        LoggingSource s4(comm, log, 4, 0);
+        LoggingSource s5(comm, log, 5, 2);
+        for (LoggingSource* s : {&s0, &s1, &s2, &s3, &s4, &s5}) {
+            comm.add_progress_source(s);
+        }
+        // Sources 1 and 3 complete mid-round: the round still pumps every
+        // source registered when it began, each once and in order.
+        EXPECT_TRUE(comm.pump_progress());
+        EXPECT_EQ(log, (std::vector<int>{1, 4, 3, 0, 2, 5}));
+        log.clear();
+        EXPECT_TRUE(comm.pump_progress());
+        EXPECT_EQ(log, (std::vector<int>{4, 0, 2, 5}));
+        // Without the one source that reports progress, a round reports none.
+        comm.remove_progress_source(&s2);
+        log.clear();
+        EXPECT_FALSE(comm.pump_progress());
+        EXPECT_EQ(log, (std::vector<int>{4, 0, 5}));
+        for (LoggingSource* s : {&s0, &s4, &s5}) comm.remove_progress_source(s);
+        EXPECT_FALSE(comm.pump_progress());
     });
 }
 

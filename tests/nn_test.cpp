@@ -2,7 +2,10 @@
 // mode behavior). Gradient correctness lives in nn_gradcheck_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <initializer_list>
 #include <limits>
@@ -425,8 +428,14 @@ TEST(FlatUpdate, MomentumAxpyMatchesTheScalarLoopsBitForBit) {
             std::vector<float> v_want = v_got;
             std::vector<float> u = awkward_flat(got.m, 3);
             for (std::size_t i = 0; i < u.size(); i += 3) u[i] = 0.0f;  // zero updates
-            // The two loops the fused pass replaces.
-            for (std::size_t i = 0; i < want.m; ++i) v_want[i] = mom * v_want[i] + u[i];
+            // The two loops the fused pass replaces, with its snap of
+            // velocities below FLT_MIN to +0.
+            for (std::size_t i = 0; i < want.m; ++i) {
+                v_want[i] = mom * v_want[i] + u[i];
+                if (std::fabs(v_want[i]) < std::numeric_limits<float>::min()) {
+                    v_want[i] = 0.0f;
+                }
+            }
             std::size_t off = 0;
             for (auto& w : want.values) {
                 for (std::size_t i = 0; i < w.size(); ++i) w[i] += a * v_want[off + i];
@@ -440,6 +449,86 @@ TEST(FlatUpdate, MomentumAxpyMatchesTheScalarLoopsBitForBit) {
             }
         }
     }
+}
+
+TEST(FlatUpdate, MomentumAxpySnapsSubnormalVelocitiesToPositiveZero) {
+    const float tiny = std::numeric_limits<float>::denorm_min();
+    const float fmin = std::numeric_limits<float>::min();
+    const float mom = 0.9f;
+    const float a = -0.05f;
+    // Lengths 6 and 11: four-lane bodies with tails of 2 and 3 elements.
+    FlatParams p;
+    for (const std::size_t n : {6u, 11u}) {
+        p.values.emplace_back(n);
+        p.grads.emplace_back(n, 0.0f);
+        p.m += n;
+    }
+    for (std::size_t t = 0; t < p.values.size(); ++t) {
+        p.views.push_back({&p.values[t], &p.grads[t], "t"});
+    }
+    Xoshiro256 rng(7);
+    std::vector<float> v(p.m), u(p.m, 0.0f);
+    std::vector<float> w_flat(p.m);
+    for (std::size_t i = 0; i < p.m; ++i) {
+        w_flat[i] = static_cast<float>(rng.next_gaussian());
+        switch (i % 7) {
+            case 0: v[i] = 4.0f * tiny; break;  // stuck: 0.9 * 4 tiny rounds back
+            case 1: v[i] = -fmin; break;        // decays into the subnormals
+            case 2: v[i] = static_cast<float>(rng.next_gaussian()); break;
+            case 3: v[i] = -0.0f; u[i] = -0.0f; break;  // -0 snaps to +0 too
+            case 4: u[i] = fmin; break;                 // exactly FLT_MIN: kept
+            // Normal velocities whose step a*v is subnormal: kept, and the
+            // step moves a w below 2^-100.
+            case 5: v[i] = 1e-37f; break;
+            default: v[i] = -1e-37f; w_flat[i] = 1e-36f; break;
+        }
+    }
+    std::vector<std::vector<float>> w0;
+    std::size_t off = 0;
+    for (auto& w : p.values) {
+        std::copy_n(w_flat.begin() + static_cast<std::ptrdiff_t>(off), w.size(), w.begin());
+        off += w.size();
+        w0.push_back(w);
+    }
+    const std::vector<float> v0 = v;
+    momentum_axpy_values(p.views, mom, v, u, a);
+
+    std::size_t snapped = 0;
+    off = 0;
+    for (std::size_t t = 0; t < p.values.size(); ++t) {
+        const std::size_t n = p.values[t].size();
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::size_t f = off + i;
+            const float raw = mom * v0[f] + u[f];
+            const bool snap = std::fabs(raw) < fmin;
+            const float want_v = snap ? 0.0f : raw;
+            const float want_w = w0[t][i] + a * want_v;
+            if (snap) {
+                ++snapped;
+                EXPECT_EQ(std::bit_cast<std::uint32_t>(v[f]), 0u) << "lane " << f;
+            } else {
+                EXPECT_EQ(std::bit_cast<std::uint32_t>(v[f]),
+                          std::bit_cast<std::uint32_t>(raw))
+                    << "lane " << f;
+            }
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(p.values[t][i]),
+                      std::bit_cast<std::uint32_t>(want_w))
+                << "lane " << f;
+            if (f % 7 == 5) {
+                EXPECT_EQ(p.values[t][i], w0[t][i]) << "lane " << f;
+            }
+            if (f % 7 == 6) {
+                EXPECT_NE(p.values[t][i], w0[t][i]) << "lane " << f;
+            }
+        }
+        off += n;
+    }
+    // Cases 0, 1 and 3 snap, in the four-lane bodies and in the tails
+    // (flat 4 and 5 end the first tensor, 14 to 16 the second).
+    EXPECT_EQ(snapped, 8u);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(v[14]), 0u);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(v[15]), 0u);
+    EXPECT_EQ(v[4], fmin);
 }
 
 TEST(FlatUpdate, AxpyMatchesTheScalarLoopBitForBit) {

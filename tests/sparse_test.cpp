@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include "sparse/sparse_gradient.hpp"
 #include "sparse/topk_merge.hpp"
@@ -214,6 +221,154 @@ TEST(Wire, RejectsNonCanonicalPayload) {
     std::swap(bytes[18], bytes[22]);
     std::swap(bytes[19], bytes[23]);
     EXPECT_THROW(gtopk::sparse::deserialize(bytes), std::invalid_argument);
+}
+
+// Key-order selection (keep_largest_keys behind the ⊤ merge, the counted
+// cut and sparse_topk) against an independent reference: a full sort of
+// the entries under magnitude_less, the first k re-sorted by index.
+
+SparseGradient reference_topk(std::int64_t dense_size,
+                              const std::vector<std::int32_t>& idx,
+                              const std::vector<float>& val, std::size_t k) {
+    std::vector<std::size_t> order(idx.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        return gtopk::sparse::magnitude_less(val[b], idx[b], val[a], idx[a]);
+    });
+    order.resize(std::min(k, order.size()));
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) { return idx[a] < idx[b]; });
+    SparseGradient out;
+    out.dense_size = dense_size;
+    for (std::size_t pos : order) {
+        out.indices.push_back(idx[pos]);
+        out.values.push_back(val[pos]);
+    }
+    return out;
+}
+
+void expect_same_bits(const SparseGradient& got, const SparseGradient& want,
+                      const std::string& what) {
+    EXPECT_EQ(got.dense_size, want.dense_size) << what;
+    ASSERT_EQ(got.indices, want.indices) << what;
+    ASSERT_EQ(got.values.size(), want.values.size()) << what;
+    for (std::size_t j = 0; j < got.values.size(); ++j) {
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(got.values[j]),
+                  std::bit_cast<std::uint32_t>(want.values[j]))
+            << what << ", entry " << j;
+    }
+}
+
+enum class Pattern { OppositeSigns, SignedZeros, AllEqual, Mixed };
+
+const char* pattern_name(Pattern p) {
+    switch (p) {
+        case Pattern::OppositeSigns: return "opposite signs";
+        case Pattern::SignedZeros: return "signed zeros";
+        case Pattern::AllEqual: return "all equal";
+        case Pattern::Mixed: return "mixed";
+    }
+    return "?";
+}
+
+float pattern_value(Pattern p, gtopk::util::Xoshiro256& rng) {
+    const float sign = rng.next_u64() & 1 ? -1.0f : 1.0f;
+    switch (p) {
+        case Pattern::OppositeSigns:
+            // Few magnitudes, both signs: ties across signs everywhere, and
+            // merged pairs that cancel to +0.
+            return sign * static_cast<float>(1 + rng.next_u64() % 3);
+        case Pattern::SignedZeros:
+            // Mostly +-0, so the cut lands among the zeros.
+            return rng.next_u64() % 8 == 0 ? sign * 0.5f : sign * 0.0f;
+        case Pattern::AllEqual: return sign * 0.25f;
+        case Pattern::Mixed:
+            switch (rng.next_u64() % 4) {
+                case 0: return sign * std::numeric_limits<float>::denorm_min() * 3.0f;
+                case 1: return sign * 0.0f;
+                default: return static_cast<float>(rng.next_gaussian());
+            }
+    }
+    return 0.0f;
+}
+
+constexpr Pattern kPatterns[] = {Pattern::OppositeSigns, Pattern::SignedZeros,
+                                 Pattern::AllEqual, Pattern::Mixed};
+
+/// k = 1, n - 1, n and beyond n, plus one cut in the middle.
+std::vector<std::size_t> edge_ks(std::size_t n) { return {1, n / 3, n - 1, n, n + 5}; }
+
+/// A canonical sparse gradient over [0, m) holding about a third of it.
+SparseGradient pattern_sparse(std::int64_t m, Pattern p, gtopk::util::Xoshiro256& rng) {
+    SparseGradient g;
+    g.dense_size = m;
+    for (std::int32_t i = 0; i < m; ++i) {
+        if (rng.next_u64() % 3 != 0) continue;
+        g.indices.push_back(i);
+        g.values.push_back(pattern_value(p, rng));
+    }
+    g.validate();
+    return g;
+}
+
+TEST(KeyOrderSelection, CountedSelectMatchesFullSortReference) {
+    gtopk::util::Xoshiro256 rng(41);
+    gtopk::sparse::TopkWorkspace ws;
+    for (const Pattern p : kPatterns) {
+        // 300 entries: four full 64-entry count blocks and a partial one.
+        std::vector<float> dense(300);
+        for (float& v : dense) v = pattern_value(p, rng);
+        std::vector<std::int32_t> all(dense.size());
+        std::iota(all.begin(), all.end(), 0);
+        for (const std::size_t k : edge_ks(dense.size())) {
+            SparseGradient got;
+            gtopk::sparse::topk_select_into(dense, k, ws, got);
+            expect_same_bits(got, reference_topk(300, all, dense, k),
+                             std::string(pattern_name(p)) + ", k=" + std::to_string(k));
+        }
+    }
+}
+
+TEST(KeyOrderSelection, MergeIntoAndSparseTopkMatchFullSortReference) {
+    gtopk::util::Xoshiro256 rng(43);
+    gtopk::sparse::MergeScratch scratch;
+    for (const Pattern p : kPatterns) {
+        const SparseGradient a = pattern_sparse(400, p, rng);
+        const SparseGradient b = pattern_sparse(400, p, rng);
+        const SparseGradient sum = add(a, b);
+        for (const std::size_t k : edge_ks(sum.nnz())) {
+            const std::string what =
+                std::string(pattern_name(p)) + ", k=" + std::to_string(k);
+            const SparseGradient want = reference_topk(400, sum.indices, sum.values, k);
+            SparseGradient acc = a;
+            gtopk::sparse::topk_merge_into(acc, b.dense_size, b.indices, b.values, k,
+                                           scratch);
+            expect_same_bits(acc, want, "topk_merge_into, " + what);
+            expect_same_bits(topk_merge(a, b, k), want, "topk_merge, " + what);
+            expect_same_bits(sparse_topk(sum, k), want, "sparse_topk, " + what);
+        }
+    }
+}
+
+TEST(KeyOrderSelection, KeysOrderLikeMagnitudeLess) {
+    const float tiny = std::numeric_limits<float>::denorm_min();
+    const float inf = std::numeric_limits<float>::infinity();
+    const std::vector<float> vals{0.0f, -0.0f, tiny, -tiny, 1.0f, -1.0f, 3e38f, -inf, inf};
+    for (std::size_t x = 0; x < vals.size(); ++x) {
+        for (std::size_t y = 0; y < vals.size(); ++y) {
+            for (const std::int32_t ix : {0, 7, std::numeric_limits<std::int32_t>::max()}) {
+                for (const std::int32_t iy : {0, 7, 8}) {
+                    if (ix == iy) continue;
+                    EXPECT_EQ(gtopk::sparse::magnitude_order_key(vals[x], ix) <
+                                  gtopk::sparse::magnitude_order_key(vals[y], iy),
+                              gtopk::sparse::magnitude_less(vals[x], ix, vals[y], iy))
+                        << vals[x] << "@" << ix << " vs " << vals[y] << "@" << iy;
+                }
+            }
+            EXPECT_EQ(gtopk::sparse::key_index(gtopk::sparse::magnitude_order_key(vals[x], 7)),
+                      7);
+        }
+    }
 }
 
 }  // namespace

@@ -213,7 +213,8 @@ int main(int argc, char** argv) {
                 world = env->world_size;
                 host = env->rendezvous_host;
                 port = env->rendezvous_port;
-                const std::string sfx = "." + std::to_string(rank);
+                std::string sfx = ".";
+                sfx += std::to_string(rank);
                 if (!out_path.empty()) out_path += sfx;
                 if (!record_path.empty()) record_path += sfx;
                 if (!stats_path.empty()) stats_path += sfx;

@@ -145,7 +145,8 @@ TEST(TcpRecovery, TenPercentDropAndCorruptionOverGtopkrunIsBitIdentical) {
     std::uint64_t drops = 0;
     std::uint64_t corruptions = 0;
     for (int r = 0; r < world; ++r) {
-        const std::string sfx = "." + std::to_string(r);
+        std::string sfx = ".";
+        sfx += std::to_string(r);
         expect_params_match_baseline(dir + "/params.bin" + sfx,
                                      baseline.final_params,
                                      "rank " + std::to_string(r));
