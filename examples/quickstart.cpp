@@ -234,8 +234,8 @@ int main(int argc, char** argv) {
     }
 
     // 3c. Optional chaos: kill rank 3 mid-epoch and let the self-healing
-    // runtime (heartbeats + receive deadlines + membership regroup +
-    // checkpoint rollback) finish the run on the 3 survivors. In-process
+    // runtime (receive deadlines + membership regroup + checkpoint
+    // rollback) finish the run on the 3 survivors. In-process
     // this is a FaultPlan kill; over TCP the same plan lands in the
     // victim's own process, whose death then plays out through real
     // sockets — reconnect FSM, wire regroup and all.

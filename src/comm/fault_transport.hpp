@@ -21,6 +21,15 @@
 // a per-edge hold slot and released by the edge's next message (or by the
 // receiver's poll), preserving per-(source, tag) FIFO — the only ordering
 // the mailbox guarantees — while scrambling cross-stream order.
+//
+// Host-timed traffic breaks that purity. A membership regroup's follower
+// re-sends its JOIN every 0.1 s of host time until a VIEW arrives, and each
+// resend draws from its edge's stream, so after a regroup the schedule also
+// depends on how long the round took. Absent a regroup the membership
+// service sends nothing, and the schedule is the same with it or without.
+// Over a wire fabric, ReliableTransport's stall pulls (and the retransmits
+// and acks they cause) are host-timed too; over the in-process fabric its
+// recovery reads the sender's buffer and never passes through here.
 #pragma once
 
 #include <atomic>

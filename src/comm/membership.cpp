@@ -53,96 +53,8 @@ T get_le(const std::vector<std::byte>& p, std::size_t at) {
 
 MembershipService::MembershipService(Transport& transport, MembershipConfig config)
     : transport_(transport), config_(config) {
-    const int world = transport_.world_size();
-    state_.assign(static_cast<std::size_t>(world), fsm::membership_init(world));
-    rank_state_.resize(static_cast<std::size_t>(world));
-    util::Xoshiro256 root(config_.seed);
-    for (int r = 0; r < world; ++r) {
-        auto& st = rank_state_[static_cast<std::size_t>(r)];
-        st.last_heard.resize(static_cast<std::size_t>(world));
-        // Desynchronize gossip phases so P heartbeats do not land as one
-        // synchronized burst every interval.
-        st.phase_jitter = host_dur(config_.heartbeat_interval_s *
-                                   root.fork(static_cast<std::uint64_t>(r))
-                                       .next_double());
-    }
-}
-
-void MembershipService::tick(int rank) {
-    if (rank < 0 || rank >= transport_.world_size()) {
-        throw std::out_of_range("tick: bad rank");
-    }
-    auto& st = rank_state_[static_cast<std::size_t>(rank)];
-    const auto now = Clock::now();
-    if (!st.started) {
-        st.started = true;
-        st.last_sent = now - host_dur(config_.heartbeat_interval_s) + st.phase_jitter;
-        // Peers get the benefit of the doubt from the moment we start
-        // observing: silence is only measured from here.
-        for (auto& t : st.last_heard) t = now;
-    }
-
-    if (now - st.last_sent >= host_dur(config_.heartbeat_interval_s)) {
-        st.last_sent = now;
-        const int epoch = this->epoch(rank);
-        const int world = transport_.world_size();
-        // Bounded fan-out: a burst covers `fanout` peers starting at the
-        // rotating cursor (fanout <= 0 broadcasts, the historical O(P)
-        // behavior). The cursor walks the peer ring so the full world is
-        // refreshed once per rotation cycle, turning the cluster-wide
-        // gossip cost from O(P^2) per interval into O(P * fanout).
-        const int peers = world - 1;
-        const int burst = (config_.heartbeat_fanout <= 0 ||
-                           config_.heartbeat_fanout >= peers)
-                              ? peers
-                              : config_.heartbeat_fanout;
-        for (int i = 0; i < burst; ++i) {
-            int peer = (st.gossip_cursor + i) % (peers > 0 ? peers : 1);
-            // Peer index skips self: [0..world-2] maps onto ranks != rank.
-            if (peer >= rank) ++peer;
-            // Over a real fabric a dead peer's link refuses traffic with a
-            // typed throw; the liveness plane must not let that bubble into
-            // the trainer — silence toward the dead is exactly right.
-            if (!transport_.rank_alive(peer)) continue;
-            // Heartbeats are free on the modeled network: they ride the
-            // control plane.
-            try {
-                transport_.deliver(peer, control_frame(rank, kTagHeartbeat, epoch));
-            } catch (const CommError&) {
-                // Peer died between the aliveness check and the send.
-            }
-        }
-        if (peers > 0) st.gossip_cursor = (st.gossip_cursor + burst) % peers;
-        heartbeats_sent_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    // Drain gossip. A killed peer's sends are swallowed by the fault
-    // layer, so its entry simply stops refreshing.
-    for (;;) {
-        std::optional<Message> hb;
-        try {
-            hb = transport_.try_receive(rank, kAnySource, kTagHeartbeat);
-        } catch (...) {
-            return;  // shutdown or own death; liveness plane is best-effort
-        }
-        if (!hb) break;
-        st.last_heard[static_cast<std::size_t>(hb->source)] = now;
-    }
-}
-
-std::vector<int> MembershipService::suspected(int rank) const {
-    const auto& st = rank_state_[static_cast<std::size_t>(rank)];
-    std::vector<int> out;
-    if (!st.started) return out;
-    const auto now = Clock::now();
-    for (int peer = 0; peer < transport_.world_size(); ++peer) {
-        if (peer == rank) continue;
-        if (now - st.last_heard[static_cast<std::size_t>(peer)] >
-            host_dur(config_.suspect_after_s)) {
-            out.push_back(peer);
-        }
-    }
-    return out;
+    state_.assign(static_cast<std::size_t>(transport_.world_size()),
+                  fsm::membership_init(transport_.world_size()));
 }
 
 std::vector<bool> MembershipService::fabric_alive() const {
@@ -322,10 +234,6 @@ MembershipView MembershipService::current(int rank) const {
 int MembershipService::epoch(int rank) const {
     std::lock_guard<std::mutex> lock(mutex_);
     return state_.at(static_cast<std::size_t>(rank)).epoch;
-}
-
-std::uint64_t MembershipService::heartbeats_sent() const {
-    return heartbeats_sent_.load(std::memory_order_relaxed);
 }
 
 }  // namespace gtopk::comm

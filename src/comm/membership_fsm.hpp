@@ -14,10 +14,9 @@
 // deadline expiries, joins and frame deliveries in every interleaving).
 // One copy of the protocol logic — the model cannot drift from the code.
 //
-// The liveness plane (heartbeat gossip, suspicion timers) stays in
-// MembershipService: it is advisory by design — regroup is driven by
-// receive deadlines, never by suspected() — so it carries no agreement
-// state worth model checking.
+// There is no liveness state here: death is the fabric's rank_alive, read
+// as an input by every transition that needs it, and a regroup starts when
+// a receive deadline fires.
 #pragma once
 
 #include <cstdint>

@@ -15,8 +15,8 @@
 // connection both sides already abandoned. Exhausting the dial budget (or
 // the passive side's patience window) makes the link kDead — an absorbing
 // state that flows into the control plane as Transport::rank_alive(peer)
-// == false, i.e. heartbeat membership, typed CommError and elastic
-// regroup.
+// == false, i.e. typed CommError, membership regroup and elastic
+// rollback.
 //
 // Data-plane recovery after a resume is NOT this FSM's job: frames lost in
 // flight are retransmitted by the wire ARQ (reliable_fsm) once the

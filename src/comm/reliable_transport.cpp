@@ -146,10 +146,6 @@ Message make_envelope(const Message& msg, std::uint64_t seq, int carrier_epoch) 
 
 void ReliableTransport::deliver(int dst, Message msg) {
     if (dst < 0 || dst >= world_size()) throw std::out_of_range("deliver: bad rank");
-    if (msg.tag == kTagHeartbeat) {  // control plane: intentionally unreliable
-        inner_->deliver(dst, std::move(msg));
-        return;
-    }
     EdgeTx& e = tx(msg.source, dst);
 
     std::uint64_t seq = 0;
@@ -436,7 +432,6 @@ std::optional<Message> ReliableTransport::try_receive(int rank, int source, int 
     if (rank < 0 || rank >= world_size()) {
         throw std::out_of_range("try_receive: bad rank");
     }
-    if (tag == kTagHeartbeat) return inner_->try_receive(rank, source, tag);
     pump(rank);
     return delivered_[static_cast<std::size_t>(rank)]->try_pop(source, tag);
 }

@@ -45,9 +45,6 @@
 // checker (src/analysis/protocheck) drives the identical functions under an
 // exhaustive adversarial network — one copy of the protocol logic, so the
 // verified model cannot drift from the running code (DESIGN.md §16).
-//
-// Control-plane traffic on kTagHeartbeat deliberately bypasses the
-// envelope: heartbeat loss is the failure detector's signal, not a fault.
 #pragma once
 
 #include <atomic>

@@ -45,7 +45,6 @@ enum UserTag : int {
 
     /// Recovery layer (comm/reliable_transport.hpp, comm/membership.hpp).
     kTagReliableData = 401,  // seq-numbered envelope around user traffic
-    kTagHeartbeat = 402,     // liveness gossip; intentionally unreliable
     kTagReliableAck = 403,   // wire ARQ: cumulative ack frame (non-shared
                              // fabrics, where the tx edge cannot read the
                              // receiver's ack counter from memory)
@@ -70,8 +69,7 @@ inline constexpr int kTagTelemetryCount = 1024;
 
 static_assert(kTagTelemetryBase + kTagTelemetryCount < kAsyncTagBase,
               "telemetry band must stay below the async band");
-static_assert(kTagHeartbeat < kTagTelemetryBase &&
-                  kTagReliableAck < kTagTelemetryBase &&
+static_assert(kTagReliableAck < kTagTelemetryBase &&
                   kTagReliablePull < kTagTelemetryBase &&
                   kTagMembershipJoin < kTagTelemetryBase &&
                   kTagMembershipView < kTagTelemetryBase,
@@ -79,7 +77,7 @@ static_assert(kTagHeartbeat < kTagTelemetryBase &&
 static_assert(kTagPsPush < kAsyncTagBase && kTagPsPull < kAsyncTagBase &&
                   kTagTestData < kAsyncTagBase && kTagTestAux < kAsyncTagBase &&
                   kTagTestValue < kAsyncTagBase &&
-                  kTagReliableData < kAsyncTagBase && kTagHeartbeat < kAsyncTagBase &&
+                  kTagReliableData < kAsyncTagBase &&
                   kTagReliableAck < kAsyncTagBase && kTagReliablePull < kAsyncTagBase &&
                   kTagMembershipJoin < kAsyncTagBase &&
                   kTagMembershipView < kAsyncTagBase,

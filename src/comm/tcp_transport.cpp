@@ -612,9 +612,7 @@ void TcpTransport::retire_fd(int peer) {
     decoders_[static_cast<std::size_t>(peer)].reset();
 }
 
-void TcpTransport::install_fd(int peer, int fd, std::uint64_t session,
-                              bool from_dial) {
-    (void)from_dial;
+void TcpTransport::install_fd(int peer, int fd, std::uint64_t session) {
     set_nodelay(fd);
     clear_recv_timeout(fd);
     (void)::fcntl(fd, F_SETFL, 0);  // the dial path used O_NONBLOCK
@@ -738,7 +736,7 @@ void TcpTransport::accept_resume() {
         link_mark_down(peer);
         return;
     }
-    install_fd(peer, fd, proposal, /*from_dial=*/false);
+    install_fd(peer, fd, proposal);
 }
 
 void TcpTransport::dialer_loop() {
@@ -898,7 +896,7 @@ void TcpTransport::receiver_loop() {
             installs.swap(installs_);
         }
         for (const auto& inst : installs) {
-            install_fd(inst.peer, inst.fd, inst.session, /*from_dial=*/true);
+            install_fd(inst.peer, inst.fd, inst.session);
         }
         // 2. Passive patience expiry: a downed link only the PEER can
         // re-dial (it is the higher rank) dies after the patience window.

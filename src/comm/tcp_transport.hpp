@@ -199,7 +199,7 @@ private:
     void retire_fd(int peer);
     /// Receiver thread: install a fresh connection for `peer` (closing any
     /// old fd), reset its decoder, record the reconnect event.
-    void install_fd(int peer, int fd, std::uint64_t session, bool from_dial);
+    void install_fd(int peer, int fd, std::uint64_t session);
     /// Receiver thread: accept + validate one RESUME on the listener.
     void accept_resume();
     /// Dialer thread: one bounded connect + RESUME/RESUME_OK exchange.

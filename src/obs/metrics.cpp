@@ -110,10 +110,6 @@ const Counter* MetricsRegistry::find_counter(const std::string& name) const {
     return find_only(mutex_, counters_, name);
 }
 
-const Gauge* MetricsRegistry::find_gauge(const std::string& name) const {
-    return find_only(mutex_, gauges_, name);
-}
-
 const Histogram* MetricsRegistry::find_histogram(const std::string& name) const {
     return find_only(mutex_, histograms_, name);
 }

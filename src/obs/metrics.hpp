@@ -97,7 +97,6 @@ public:
 
     /// Lookup without creation; nullptr when the metric was never recorded.
     const Counter* find_counter(const std::string& name) const;
-    const Gauge* find_gauge(const std::string& name) const;
     const Histogram* find_histogram(const std::string& name) const;
 
     /// One JSON object: {"counters": {...}, "gauges": {...},

@@ -289,11 +289,8 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                 // fires inside this progress mark: the victim dies at the
                 // iteration boundary having fully finished step T-1.
                 comm.mark_progress(step);
-                if (elastic) {
-                    config.membership->tick(rank);
-                    if (ckpts.due(step)) {
-                        ckpts.save({step, model->flat_params(), velocity, residual});
-                    }
+                if (elastic && ckpts.due(step)) {
+                    ckpts.save({step, model->flat_params(), velocity, residual});
                 }
 
                 const int epoch = static_cast<int>(step / config.iters_per_epoch);

@@ -32,8 +32,6 @@ LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
 
 void set_thread_rank(int rank) { t_rank = rank; }
 
-int thread_rank() { return t_rank; }
-
 std::string format_log_line(LogLevel level, const std::string& message, int rank) {
     const auto now = std::chrono::system_clock::now();
     const std::time_t secs = std::chrono::system_clock::to_time_t(now);

@@ -23,7 +23,6 @@ LogLevel log_level();
 /// Tag the calling thread with a worker rank (-1 = untagged, the default);
 /// tagged threads get an "rNN" field in their log lines.
 void set_thread_rank(int rank);
-int thread_rank();
 
 /// Formats "[<L> HH:MM:SS.mmm rNN] message" (rank field only on tagged
 /// threads) — exposed so tests can pin the format.

@@ -219,11 +219,7 @@ TEST(OverlapRecovery, KillWithBucketsInFlightRegroupsAndFinishes) {
     plan.kill_at_step(/*rank=*/3, /*step=*/6);
 
     comm::FaultInjectingTransport transport(scenario.world, plan);
-    comm::MembershipConfig mcfg;
-    mcfg.seed = seed;
-    mcfg.heartbeat_interval_s = 0.002;
-    mcfg.suspect_after_s = 0.050;
-    comm::MembershipService membership(transport, mcfg);
+    comm::MembershipService membership(transport);
 
     TrainConfig cfg = scenario.config(Algorithm::LayerwiseGtopkSsgd);
     cfg.overlap = true;

@@ -41,23 +41,13 @@ using train::Algorithm;
 
 /// ~10% loss on every edge plus payload corruption — unmaskable for the
 /// bare fault transport (chaos_test proves drops surface CommError), fully
-/// maskable once ReliableTransport sits on top.
+/// maskable once ReliableTransport sits on top. One rule: the first
+/// matching rule wins, so a second catch-all rule would never fire.
 FaultPlan lossy_plan(std::uint64_t seed) {
-    FaultRule drop;
-    drop.drop_prob = 0.10;
-    FaultRule corrupt;
-    corrupt.corrupt_prob = 0.05;
-    return chaos::seeded_plan(seed).add(drop).add(corrupt);
-}
-
-/// Short heartbeat/suspicion intervals so failure detection fits in test
-/// time without weakening the logic under test.
-MembershipConfig fast_membership(std::uint64_t seed) {
-    MembershipConfig cfg;
-    cfg.seed = seed;
-    cfg.heartbeat_interval_s = 0.002;
-    cfg.suspect_after_s = 0.050;
-    return cfg;
+    FaultRule lossy;
+    lossy.drop_prob = 0.10;
+    lossy.corrupt_prob = 0.05;
+    return chaos::seeded_plan(seed).add(lossy);
 }
 
 // ---------------------------------------------------------------------------
@@ -132,11 +122,11 @@ struct ElasticRun {
     comm::FaultCounts counts;
 };
 
-/// Kill `victim` at `kill_step` under membership + checkpoints; optionally
-/// stack the reliable layer (with extra loss) under the membership plane.
+/// Run `plan` (usually a mid-run kill) under membership + checkpoints;
+/// optionally stack the reliable layer under the membership service.
 /// `patch` tweaks the train config before the run (momentum mode etc.).
 ElasticRun run_elastic(const TinyTrainScenario& scenario, Algorithm algo,
-                       FaultPlan plan, std::uint64_t seed, bool reliable_layer,
+                       FaultPlan plan, bool reliable_layer,
                        const std::function<void(train::TrainConfig&)>& patch = {}) {
     std::unique_ptr<FaultInjectingTransport> faulty_owner;
     std::unique_ptr<ReliableTransport> reliable_owner;
@@ -152,7 +142,7 @@ ElasticRun run_elastic(const TinyTrainScenario& scenario, Algorithm algo,
         faulty = faulty_owner.get();
         top = faulty_owner.get();
     }
-    MembershipService membership(*top, fast_membership(seed));
+    MembershipService membership(*top);
     train::TrainConfig cfg = scenario.config(algo);
     cfg.transport = top;
     cfg.membership = &membership;
@@ -171,7 +161,7 @@ TEST(RecoveryTest, KillOneRankRegroupsAndConvergesOnSurvivors) {
     FaultPlan plan = chaos::seeded_plan(seed);
     plan.kill_at_step(/*rank=*/3, /*step=*/9);  // mid second epoch
     const ElasticRun run =
-        run_elastic(scenario, Algorithm::GtopkSsgd, plan, seed, false);
+        run_elastic(scenario, Algorithm::GtopkSsgd, plan, false);
     ChaosEventLog::instance().record("elastic_kill_rank3_step9", seed, run.outcome,
                                      run.counts);
     ASSERT_EQ(run.outcome, Outcome::Completed) << run.error;
@@ -198,7 +188,7 @@ TEST(RecoveryTest, KillPlusPacketLossWithReliableLayerStillRecovers) {
     FaultPlan plan = lossy_plan(seed);
     plan.kill_at_step(/*rank=*/2, /*step=*/6);
     const ElasticRun run =
-        run_elastic(scenario, Algorithm::GtopkSsgd, plan, seed, true);
+        run_elastic(scenario, Algorithm::GtopkSsgd, plan, true);
     ChaosEventLog::instance().record("elastic_kill_plus_loss", seed, run.outcome,
                                      run.counts);
     ASSERT_EQ(run.outcome, Outcome::Completed) << run.error;
@@ -210,6 +200,37 @@ TEST(RecoveryTest, KillPlusPacketLossWithReliableLayerStillRecovers) {
     for (std::size_t i = 1; i < run.result.survivor_params.size(); ++i) {
         ASSERT_EQ(run.result.survivor_params[i], run.result.survivor_params[0]);
     }
+}
+
+TEST(RecoveryTest, MembershipLeavesTheLossyFaultScheduleUntouched) {
+    // Same (seed, plan) => same per-edge fault schedule, membership attached
+    // or not: with no failure the service sends nothing, so the fault layer
+    // draws its drops and corruptions over exactly the training traffic.
+    const std::uint64_t seed = chaos::base_seed();
+    TinyTrainScenario scenario(4);
+    const auto lossy_run = [&](bool with_membership) {
+        return run_elastic(scenario, Algorithm::GtopkSsgd, lossy_plan(seed), true,
+                           [with_membership](train::TrainConfig& cfg) {
+                               // Far from a deadline: a spurious regroup would
+                               // add traffic of its own.
+                               cfg.recv_timeout_s = 1.5;
+                               if (!with_membership) cfg.membership = nullptr;
+                           });
+    };
+    const ElasticRun bare = lossy_run(false);
+    const ElasticRun watched = lossy_run(true);
+    ChaosEventLog::instance().record("lossy_with_membership", seed, watched.outcome,
+                                     watched.counts);
+    ASSERT_EQ(bare.outcome, Outcome::Completed) << bare.error;
+    ASSERT_EQ(watched.outcome, Outcome::Completed) << watched.error;
+    EXPECT_EQ(watched.result.regroups, 0);
+    EXPECT_GT(bare.counts.dropped, 0u);
+    EXPECT_GT(bare.counts.corrupted, 0u);
+    EXPECT_EQ(watched.counts.delivered, bare.counts.delivered);
+    EXPECT_EQ(watched.counts.dropped, bare.counts.dropped);
+    EXPECT_EQ(watched.counts.corrupted, bare.counts.corrupted);
+    EXPECT_EQ(watched.counts.injected(), bare.counts.injected());
+    EXPECT_EQ(watched.result.final_params, bare.result.final_params);
 }
 
 TEST(RecoveryTest, LocalMomentumRegroupKeepsRankLocalVelocity) {
@@ -224,7 +245,7 @@ TEST(RecoveryTest, LocalMomentumRegroupKeepsRankLocalVelocity) {
     FaultPlan plan = chaos::seeded_plan(seed);
     plan.kill_at_step(/*rank=*/3, /*step=*/9);
     const ElasticRun run = run_elastic(
-        scenario, Algorithm::GtopkSsgd, plan, seed, false,
+        scenario, Algorithm::GtopkSsgd, plan, false,
         [](train::TrainConfig& cfg) {
             cfg.momentum_mode = train::TrainConfig::MomentumMode::LocalCorrection;
         });
@@ -250,7 +271,7 @@ TEST(RecoveryTest, ElasticSeedSweepSurvivorsAlwaysConsistent) {
         const std::int64_t kill_step = 3 + static_cast<std::int64_t>(seed % 10);
         plan.kill_at_step(victim, kill_step);
         const ElasticRun run =
-            run_elastic(scenario, Algorithm::GtopkSsgd, plan, seed, false);
+            run_elastic(scenario, Algorithm::GtopkSsgd, plan, false);
         ChaosEventLog::instance().record("elastic_sweep", seed, run.outcome,
                                          run.counts);
         ASSERT_EQ(run.outcome, Outcome::Completed)
@@ -399,32 +420,11 @@ TEST(RecoveryTest, ReliableLayerSkipsStaleEpochsOnRecovery) {
 }
 
 // ---------------------------------------------------------------------------
-// Failure detector: heartbeats, suspicion, agreement
-
-TEST(RecoveryTest, SilentRankBecomesSuspected) {
-    comm::InProcTransport transport(3);
-    MembershipService membership(transport, fast_membership(7));
-    // Ranks 0 and 1 gossip; rank 2 never ticks (its heartbeats never start).
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(500);
-    std::vector<int> suspects;
-    while (std::chrono::steady_clock::now() < deadline) {
-        membership.tick(0);
-        membership.tick(1);
-        suspects = membership.suspected(0);
-        if (!suspects.empty()) break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    ASSERT_EQ(suspects, std::vector<int>{2});
-    EXPECT_TRUE(membership.suspected(1) == std::vector<int>{2});
-    EXPECT_GT(membership.heartbeats_sent(), 0u);
-    // The gossiping peers never suspect each other.
-    for (int s : membership.suspected(0)) EXPECT_NE(s, 1);
-}
+// Membership agreement: regroup rounds
 
 TEST(RecoveryTest, RegroupProducesIdenticalViewsOnAllSurvivors) {
     FaultInjectingTransport transport(4, FaultPlan{});
-    MembershipService membership(transport, fast_membership(11));
+    MembershipService membership(transport);
     transport.kill_rank(2);
     MembershipView views[3];
     std::thread t0([&] { views[0] = membership.regroup(0); });
@@ -446,7 +446,7 @@ TEST(RecoveryTest, RegroupWithoutMajorityQuorumAborts) {
     // One joiner out of three live members is a minority: grace expiry
     // must abort the round, never finalize a view the majority is not in.
     comm::InProcTransport transport(3);
-    MembershipConfig cfg = fast_membership(5);
+    MembershipConfig cfg;
     cfg.join_grace_s = 0.05;
     MembershipService membership(transport, cfg);
     EXPECT_THROW(membership.regroup(0), std::runtime_error);
@@ -455,7 +455,7 @@ TEST(RecoveryTest, RegroupWithoutMajorityQuorumAborts) {
 
 TEST(RecoveryTest, MajorityFinalizesAndExcludedStragglerCannotRejoin) {
     FaultInjectingTransport transport(3, FaultPlan{});
-    MembershipConfig cfg = fast_membership(6);
+    MembershipConfig cfg;
     cfg.join_grace_s = 0.1;
     MembershipService membership(transport, cfg);
     // Ranks 0 and 1 join; rank 2 — live but stuck — never does. The
@@ -486,7 +486,7 @@ TEST(RecoveryTest, TwoRankDeathDuringInProgressRegroupFinalizesSurvivors) {
     // the grace window. Pinned behavior for the FSM extraction —
     // membership_evaluate drives the same verdicts the inline logic did.
     FaultInjectingTransport transport(5, FaultPlan{});
-    MembershipService membership(transport, fast_membership(21));
+    MembershipService membership(transport);
     transport.kill_rank(4);  // down to live {0,1,2,3} before the round starts
     MembershipView v0, v1;
     std::thread t0([&] { v0 = membership.regroup(0); });
@@ -513,7 +513,7 @@ TEST(RecoveryTest, JoinerArrivingInGraceWindowOfDeathRoundIsIncluded) {
     // fast path completes the instant the last live member joins, and all
     // three observers agree. Pinned behavior for the FSM extraction.
     FaultInjectingTransport transport(4, FaultPlan{});
-    MembershipConfig cfg = fast_membership(22);
+    MembershipConfig cfg;
     cfg.join_grace_s = 5.0;  // generous: the test must finish via fast path
     MembershipService membership(transport, cfg);
     transport.kill_rank(3);
@@ -539,7 +539,7 @@ TEST(RecoveryTest, LeaderKilledMidRoundSurvivorsReelectAndAgree) {
     // followers re-elect rank 1, re-send their JOINs to it, and all three
     // survivors return one view once rank 1's own grace window expires.
     FaultInjectingTransport transport(5, FaultPlan{});
-    MembershipConfig cfg = fast_membership(23);
+    MembershipConfig cfg;
     cfg.join_grace_s = 0.5;
     MembershipService membership(transport, cfg);
     MembershipView views[3];
@@ -570,7 +570,7 @@ TEST(RecoveryTest, LeaderKilledMidBroadcastNeverSplitsTheView) {
     FaultPlan plan;
     plan.kill(0, 2);  // sends 1 and 2 are its VIEWs to ranks 1 and 2
     FaultInjectingTransport transport(4, plan);
-    MembershipConfig cfg = fast_membership(24);
+    MembershipConfig cfg;
     cfg.join_grace_s = 0.3;
     MembershipService membership(transport, cfg);
     std::optional<MembershipView> views[4];
@@ -606,7 +606,7 @@ TEST(RecoveryTest, VotedOutStragglerCannotLeadADeadLeadersClosedRound) {
     // The VIEW goes to every live member of the old view, so rank 1 learns
     // it was voted out instead.
     FaultInjectingTransport transport(3, FaultPlan{});
-    MembershipConfig cfg = fast_membership(25);
+    MembershipConfig cfg;
     cfg.join_grace_s = 0.2;
     MembershipService membership(transport, cfg);
     MembershipView v0, v2;
@@ -627,7 +627,7 @@ TEST(MembershipTest, InProcessRegroupExchangesJoinAndViewFrames) {
     // One regroup protocol on every fabric: in-process too, the round is
     // JOIN frames to the leader (rank 0) and VIEW frames back from it.
     comm::RecordingTransport transport(3);
-    MembershipService membership(transport, fast_membership(31));
+    MembershipService membership(transport);
     MembershipView views[3];
     std::vector<std::thread> threads;
     for (int r = 0; r < 3; ++r) {
@@ -659,7 +659,7 @@ TEST(RecoveryTest, ElasticModeRequiresDeadlineBelowJoinGrace) {
     // expire, or stragglers get voted out of a healthy world.
     TinyTrainScenario scenario(4);
     comm::InProcTransport transport(4);
-    MembershipService membership(transport, fast_membership(1));
+    MembershipService membership(transport);
     train::TrainConfig cfg = scenario.config(Algorithm::GtopkSsgd);
     cfg.transport = &transport;
     cfg.membership = &membership;

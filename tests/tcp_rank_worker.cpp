@@ -298,9 +298,7 @@ int main(int argc, char** argv) {
 
         std::unique_ptr<comm::MembershipService> membership;
         if (elastic) {
-            comm::MembershipConfig mcfg;
-            mcfg.seed = fault_seed;
-            membership = std::make_unique<comm::MembershipService>(*stack, mcfg);
+            membership = std::make_unique<comm::MembershipService>(*stack);
             // The receive deadline is the survivors' stall detector; it must
             // undercut the regroup grace so the deadline cascade routes every
             // survivor into the round before grace expiry.

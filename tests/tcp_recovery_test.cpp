@@ -10,7 +10,7 @@
 //     load, and the run is STILL bit-identical (the resumed link replays
 //     the lost frames from the ARQ buffer);
 //   * a real mid-run SIGKILL of one rank (uncatchable, kernel-level, no
-//     farewell) routes the survivors through heartbeat detection, wire
+//     farewell) routes the survivors through receive deadlines, wire
 //     membership regroup, checkpoint rollback and a converged finish, with
 //     a parseable flight-recorder bundle explaining the incident.
 #include <gtest/gtest.h>

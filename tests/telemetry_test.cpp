@@ -411,11 +411,7 @@ TEST(TelemetryElastic, KillShrinksSnapshotWorldAndWritesFlightBundle) {
     comm::FaultPlan plan = chaos::seeded_plan(seed);
     plan.kill_at_step(/*rank=*/3, /*step=*/9);  // mid second epoch
     comm::FaultInjectingTransport transport(4, plan);
-    comm::MembershipConfig mcfg;
-    mcfg.seed = seed;
-    mcfg.heartbeat_interval_s = 0.002;
-    mcfg.suspect_after_s = 0.050;
-    comm::MembershipService membership(transport, mcfg);
+    comm::MembershipService membership(transport);
 
     obs::Telemetry telem(4);
     obs::FlightRecorderConfig fcfg;

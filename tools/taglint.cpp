@@ -1,7 +1,7 @@
 // taglint — static lint forbidding raw integer literals in tag positions.
 //
 // Every message tag in the codebase must come from the named constants and
-// banded allocators in src/comm/tags.hpp (kTagHeartbeat, kTagReliableData,
+// banded allocators in src/comm/tags.hpp (kTagReliableData, kTagPsPush,
 // fresh/async band math, kAnyTag). A bare `42` handed to receive() or a
 // `.tag = 7` in product code silently collides with the band layout the
 // moment someone reorders constants — the exact class of bug the tag-band
