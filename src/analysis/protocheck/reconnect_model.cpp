@@ -13,7 +13,11 @@ comm::fsm::ReconnectPolicy ReconnectModel::policy() const {
 }
 
 ReconnectModel::State ReconnectModel::initial() const {
-    State s;  // both endpoints kUp on session 1 — bootstrap succeeded
+    // Both endpoints never connected, as TcpTransport starts every link:
+    // the first connection runs the same handshake as every resume.
+    State s;
+    s.dialer = fsm::kNeverConnected;
+    s.acceptor = fsm::kNeverConnected;
     s.losses_left = cfg_.max_losses;
     return s;
 }
@@ -189,6 +193,11 @@ ReconnectModel::State ReconnectModel::apply(const State& s, const Action& a) con
             }
             break;
     }
+    // encode() leans on this: a session id, once reached, never goes back.
+    if (n.violation.empty() && (n.dialer.session < s.dialer.session ||
+                                n.acceptor.session < s.acceptor.session)) {
+        n.violation = "session-regressed";
+    }
     return n;
 }
 
@@ -260,25 +269,49 @@ bool ReconnectModel::is_fair(const Action& a) const {
 }
 
 std::vector<std::uint64_t> ReconnectModel::encode(const State& s) const {
+    // Session ids only ever meet each other (the FSM adds attempt numbers
+    // to them and compares them, and 0 is not special to it), so two
+    // states that differ by a common session offset behave alike: encode
+    // every id relative to the lower endpoint's session. Without this the
+    // id range, and the state count, grows with every dial attempt of
+    // every earlier incarnation of the link.
+    const std::uint64_t base = std::min(s.dialer.session, s.acceptor.session);
+    const auto rel = [base](std::uint64_t v) { return v - base; };  // mod 2^64
     std::vector<std::uint64_t> e;
     e.push_back(static_cast<std::uint64_t>(s.dialer.phase));
     e.push_back(s.dialer.attempts);
-    e.push_back(s.dialer.session);
+    e.push_back(rel(s.dialer.session));
     e.push_back(static_cast<std::uint64_t>(s.acceptor.phase));
     e.push_back(s.acceptor.attempts);
-    e.push_back(s.acceptor.session);
+    e.push_back(rel(s.acceptor.session));
     e.push_back((s.pend_down_dialer ? 1u : 0u) |
-                (s.pend_down_acceptor ? 2u : 0u));
-    e.push_back(s.cur_proposal);
+                (s.pend_down_acceptor ? 2u : 0u) |
+                (s.cur_proposal != 0 ? 4u : 0u));
+    e.push_back(rel(s.cur_proposal));
     e.push_back(static_cast<std::uint64_t>(s.losses_left));
-    std::vector<std::uint64_t> r = s.resumes;
-    std::sort(r.begin(), r.end());
-    e.push_back(r.size());
-    e.insert(e.end(), r.begin(), r.end());
-    std::vector<std::uint64_t> o = s.oks;
-    std::sort(o.begin(), o.end());
-    e.push_back(o.size());
-    e.insert(e.end(), o.begin(), o.end());
+    // A RESUME the acceptor can no longer accept — its proposal does not
+    // advance the acceptor's session, or the acceptor is dead — can only
+    // be read and refused or dropped, both a plain removal (accepting it
+    // is a violation, which ends the search). Such RESUMEs are alike, so
+    // only their number is encoded. Sound because sessions never go back
+    // ("session-regressed") and death is absorbing ("dead-resurrected").
+    std::vector<std::uint64_t> live;
+    std::uint64_t refused = 0;
+    for (const std::uint64_t r : s.resumes) {
+        if (s.acceptor.phase == fsm::LinkPhase::kDead || r <= s.acceptor.session) {
+            ++refused;
+        } else {
+            live.push_back(rel(r));
+        }
+    }
+    std::vector<std::uint64_t> oks;
+    for (const std::uint64_t o : s.oks) oks.push_back(rel(o));
+    for (std::vector<std::uint64_t>* v : {&live, &oks}) {
+        std::sort(v->begin(), v->end());
+        e.push_back(v->size());
+        e.insert(e.end(), v->begin(), v->end());
+    }
+    e.push_back(refused);
     e.push_back(s.violation.empty() ? 0u : 1u);
     return e;
 }

@@ -3,7 +3,9 @@
 // through the SAME fsm::link_* transition functions the socket layer
 // executes, under an adversary that breaks the established connection,
 // drops RESUME and RESUME_OK frames, reorders delayed dials behind fresh
-// ones, and expires either side's patience at any point.
+// ones, and expires either side's patience at any point. Both endpoints
+// start at fsm::kNeverConnected, as TcpTransport's links do, so the sweep
+// covers the link's first connection as well as every resume.
 //
 // The model is deliberately faithful to the socket realities the FSM has
 // to survive:
@@ -26,6 +28,8 @@
 //                           failure notifications in flight) yet they
 //                           disagree on the session id
 //   dead-resurrected        a kDead endpoint left kDead
+//   session-regressed       an endpoint's session id went down (encode()'s
+//                           state merging relies on it never happening)
 //   attempts-unbounded      the dialer exceeded its dial budget
 //
 // Liveness (fair: detect, dial, deliver, expire — the runtime guarantees
@@ -44,10 +48,12 @@ namespace gtopk::analysis::protocheck {
 
 struct ReconnectModelConfig {
     /// Connection-loss events the adversary may inject on the established
-    /// link (each downs both endpoints, detected independently).
+    /// link (each downs both endpoints, detected independently). 0 checks
+    /// the first connection alone.
     int max_losses = 1;
-    /// Dial budget per down incarnation (kept small: state count grows
-    /// with the session-id range, which is 1 + losses * attempts).
+    /// Dial budget per down incarnation, first connection included (kept
+    /// small: each incarnation can leave up to this many RESUMEs in
+    /// flight, and the state count grows with their combinations).
     std::uint64_t max_attempts = 3;
 };
 

@@ -94,88 +94,107 @@ void static_checks(const Schedule& sched, VerifyResult& out) {
     }
 }
 
-/// Execute the schedule under Mailbox semantics: sends are eager and
-/// buffered, recvs block until a matching (source, tag) message is in
-/// flight. Detects deadlock (wait-for cycle), unmatched recvs and
-/// unconsumed sends, and prices the alpha-beta clock as it goes.
-void simulate(const Schedule& sched, const comm::NetworkModel* net,
-              VerifyResult& out) {
-    const int world = sched.world;
+/// Execute concurrent schedules under Mailbox semantics, `parts[p]`'s tag
+/// offsets rebased to `tag_bases[p]`: sends are eager and buffered, recvs
+/// block until a matching (source, absolute tag) message is in flight, and
+/// each rank round-robins every part's program (the AsyncCollective
+/// executor's pump-all semantics — a recv blocked in one part never stalls
+/// another part's ops on the same rank). One schedule is one part at base
+/// 0. Detects deadlock (wait-for cycle), unmatched recvs and unconsumed
+/// sends, and prices the alpha-beta clock (one per rank) as it goes. With
+/// `name_parts` every violation names its part.
+void simulate(std::span<const Schedule> parts, std::span<const int> tag_bases,
+              const comm::NetworkModel* net, bool name_parts, VerifyResult& out) {
+    const int world = parts[0].world;
+    const auto part_name = [&](std::size_t p) {
+        return name_parts ? "part " + std::to_string(p) + " (" + parts[p].proto + "): "
+                          : std::string();
+    };
     struct InFlight {
         std::int64_t bytes;
         double arrival_s;
+        std::size_t part;
     };
-    std::map<std::tuple<int, int, int>, std::deque<InFlight>> wire;  // (src,dst,tag)
-    std::vector<std::size_t> pc(static_cast<std::size_t>(world), 0);
+    std::map<std::tuple<int, int, int>, std::deque<InFlight>> wire;  // absolute tags
+    std::vector<std::vector<std::size_t>> pc(
+        static_cast<std::size_t>(world), std::vector<std::size_t>(parts.size(), 0));
     std::vector<double> clock(static_cast<std::size_t>(world), 0.0);
-    bool time_exact = out.bytes_exact && net != nullptr;
+    const bool time_exact = out.bytes_exact && net != nullptr;
 
     bool progress = true;
     while (progress) {
         progress = false;
         for (int rank = 0; rank < world; ++rank) {
-            const auto& ops = sched.rank_ops(rank);
-            auto& i = pc[static_cast<std::size_t>(rank)];
-            while (i < ops.size()) {
-                const CommOp& op = ops[i];
-                if (op.kind == CommOp::Kind::Send) {
-                    double arrival = 0.0;
-                    if (time_exact) {
-                        clock[static_cast<std::size_t>(rank)] +=
-                            net->transfer_time_s(static_cast<std::uint64_t>(op.bytes));
-                        arrival = clock[static_cast<std::size_t>(rank)];
+            for (std::size_t p = 0; p < parts.size(); ++p) {
+                const auto& ops = parts[p].rank_ops(rank);
+                auto& i = pc[static_cast<std::size_t>(rank)][p];
+                while (i < ops.size()) {
+                    const CommOp& op = ops[i];
+                    const int tag = tag_bases[p] + op.tag_offset;
+                    if (op.kind == CommOp::Kind::Send) {
+                        double arrival = 0.0;
+                        if (time_exact) {
+                            clock[static_cast<std::size_t>(rank)] +=
+                                net->transfer_time_s(
+                                    static_cast<std::uint64_t>(op.bytes));
+                            arrival = clock[static_cast<std::size_t>(rank)];
+                        }
+                        wire[{rank, op.peer, tag}].push_back({op.bytes, arrival, p});
+                        ++i;
+                        progress = true;
+                        continue;
                     }
-                    wire[{rank, op.peer, op.tag_offset}].push_back({op.bytes, arrival});
+                    auto it = wire.find({op.peer, rank, tag});
+                    if (it == wire.end() || it->second.empty()) break;  // blocked
+                    const InFlight msg = it->second.front();
+                    it->second.pop_front();
+                    if (time_exact) {
+                        auto& c = clock[static_cast<std::size_t>(rank)];
+                        c = std::max(c, msg.arrival_s);
+                    }
                     ++i;
                     progress = true;
-                    continue;
                 }
-                auto it = wire.find({op.peer, rank, op.tag_offset});
-                if (it == wire.end() || it->second.empty()) break;  // blocked
-                const InFlight msg = it->second.front();
-                it->second.pop_front();
-                if (time_exact) {
-                    auto& c = clock[static_cast<std::size_t>(rank)];
-                    c = std::max(c, msg.arrival_s);
-                }
-                ++i;
-                progress = true;
             }
         }
     }
 
-    // Stalled ranks: each blocked rank waits on exactly one (peer, tag).
-    // If the peer's remaining program still sends it, the wait is real
-    // (potential cycle); otherwise the recv can never be satisfied.
-    std::vector<int> waits_on(static_cast<std::size_t>(world), -1);
+    // Stalled ranks: each blocked (rank, part) waits on exactly one (peer,
+    // tag) of its own part. If the peer's remaining program in that part
+    // still sends it, the wait is real (potential cycle); otherwise the
+    // recv can never be satisfied. Parts share no tags, so every wait-for
+    // cycle lies within one part.
     bool any_blocked = false;
-    for (int rank = 0; rank < world; ++rank) {
-        const auto& ops = sched.rank_ops(rank);
-        const std::size_t i = pc[static_cast<std::size_t>(rank)];
-        if (i >= ops.size()) continue;
-        any_blocked = true;
-        const CommOp& op = ops[i];
-        bool peer_will_send = false;
-        const auto& peer_ops = sched.rank_ops(op.peer);
-        for (std::size_t j = pc[static_cast<std::size_t>(op.peer)];
-             j < peer_ops.size(); ++j) {
-            const CommOp& p = peer_ops[j];
-            if (p.kind == CommOp::Kind::Send && p.peer == rank &&
-                p.tag_offset == op.tag_offset) {
-                peer_will_send = true;
-                break;
+    for (std::size_t p = 0; p < parts.size(); ++p) {
+        const Schedule& sched = parts[p];
+        std::vector<int> waits_on(static_cast<std::size_t>(world), -1);
+        for (int rank = 0; rank < world; ++rank) {
+            const auto& ops = sched.rank_ops(rank);
+            const std::size_t i = pc[static_cast<std::size_t>(rank)][p];
+            if (i >= ops.size()) continue;
+            any_blocked = true;
+            const CommOp& op = ops[i];
+            bool peer_will_send = false;
+            const auto& peer_ops = sched.rank_ops(op.peer);
+            for (std::size_t j = pc[static_cast<std::size_t>(op.peer)][p];
+                 j < peer_ops.size(); ++j) {
+                const CommOp& q = peer_ops[j];
+                if (q.kind == CommOp::Kind::Send && q.peer == rank &&
+                    q.tag_offset == op.tag_offset) {
+                    peer_will_send = true;
+                    break;
+                }
+            }
+            if (peer_will_send) {
+                waits_on[static_cast<std::size_t>(rank)] = op.peer;
+            } else {
+                out.violations.push_back(
+                    {"match", rank,
+                     part_name(p) + op_str(op, rank) +
+                         ": no matching send exists anywhere in the "
+                         "schedule — recv can never complete"});
             }
         }
-        if (peer_will_send) {
-            waits_on[static_cast<std::size_t>(rank)] = op.peer;
-        } else {
-            out.violations.push_back(
-                {"match", rank,
-                 op_str(op, rank) + ": no matching send exists anywhere in the "
-                                    "schedule — recv can never complete"});
-        }
-    }
-    if (any_blocked) {
         // Walk the wait-for edges to name a cycle if one exists.
         std::vector<int> color(static_cast<std::size_t>(world), 0);
         for (int start = 0; start < world; ++start) {
@@ -196,10 +215,12 @@ void simulate(const Schedule& sched, const comm::NetworkModel* net,
                 }
                 cycle += std::to_string(r);
                 out.violations.push_back(
-                    {"deadlock", r, "wait-for cycle: " + cycle});
+                    {"deadlock", r, part_name(p) + "wait-for cycle: " + cycle});
             }
             for (int node : path) color[static_cast<std::size_t>(node)] = 2;
         }
+    }
+    if (any_blocked) {
         if (out.violations.empty()) {
             out.violations.push_back(
                 {"deadlock", -1, "schedule stalled without completing"});
@@ -212,11 +233,12 @@ void simulate(const Schedule& sched, const comm::NetworkModel* net,
     for (const auto& [key, queue] : wire) {
         if (queue.empty()) continue;
         const auto& [src, dst, tag] = key;
+        const std::size_t p = queue.front().part;
         out.violations.push_back(
             {"match", src,
-             std::to_string(queue.size()) + " unconsumed send(s) on edge " +
-                 std::to_string(src) + " -> " + std::to_string(dst) + " tag+" +
-                 std::to_string(tag)});
+             part_name(p) + std::to_string(queue.size()) +
+                 " unconsumed send(s) on edge " + std::to_string(src) + " -> " +
+                 std::to_string(dst) + " tag+" + std::to_string(tag - tag_bases[p])});
     }
 
     if (time_exact && out.violations.empty()) {
@@ -224,6 +246,35 @@ void simulate(const Schedule& sched, const comm::NetworkModel* net,
         for (double c : clock) cp = std::max(cp, c);
         out.critical_path_s = cp;
     }
+}
+
+/// Static checks, then per-rank and total traffic from the op programs.
+VerifyResult inspect(const Schedule& sched) {
+    VerifyResult out;
+    static_checks(sched, out);
+    if (!out.violations.empty()) return out;
+
+    out.per_rank.resize(static_cast<std::size_t>(sched.world));
+    for (int rank = 0; rank < sched.world; ++rank) {
+        RankTraffic& t = out.per_rank[static_cast<std::size_t>(rank)];
+        for (const CommOp& op : sched.rank_ops(rank)) {
+            if (op.bytes == kVariableBytes) {
+                t.bytes_exact = false;
+                out.bytes_exact = false;
+            }
+            if (op.kind == CommOp::Kind::Send) {
+                ++t.sends;
+                ++out.total_messages;
+                if (op.bytes != kVariableBytes) {
+                    t.bytes_sent += op.bytes;
+                    out.total_bytes += op.bytes;
+                }
+            } else {
+                ++t.recvs;
+            }
+        }
+    }
+    return out;
 }
 
 }  // namespace
@@ -283,6 +334,7 @@ VerifyResult verify_concurrent_schedules(std::span<const Schedule> parts,
     if (parts.empty()) return out;
 
     const int world = parts[0].world;
+    out.per_rank.resize(static_cast<std::size_t>(world));
     for (std::size_t p = 0; p < parts.size(); ++p) {
         const Schedule& s = parts[p];
         const std::string part_name = "part " + std::to_string(p) + " (" + s.proto + ")";
@@ -304,7 +356,7 @@ VerifyResult verify_concurrent_schedules(std::span<const Schedule> parts,
                  part_name + ": band base " + std::to_string(tag_bases[p]) +
                      " below the async band — collides with user tags"});
         }
-        VerifyResult part = verify_schedule(s, nullptr);
+        VerifyResult part = inspect(s);
         for (Violation& v : part.violations) {
             v.detail = part_name + ": " + v.detail;
             out.violations.push_back(std::move(v));
@@ -312,6 +364,13 @@ VerifyResult verify_concurrent_schedules(std::span<const Schedule> parts,
         if (!part.bytes_exact) out.bytes_exact = false;
         out.total_messages += part.total_messages;
         out.total_bytes += part.total_bytes;
+        for (std::size_t r = 0; r < part.per_rank.size(); ++r) {
+            RankTraffic& t = out.per_rank[r];
+            t.sends += part.per_rank[r].sends;
+            t.recvs += part.per_rank[r].recvs;
+            t.bytes_sent += part.per_rank[r].bytes_sent;
+            t.bytes_exact = t.bytes_exact && part.per_rank[r].bytes_exact;
+        }
     }
     // Pairwise band disjointness — THE overlapped-run tag invariant.
     for (std::size_t i = 0; i < parts.size(); ++i) {
@@ -354,136 +413,16 @@ VerifyResult verify_concurrent_schedules(std::span<const Schedule> parts,
     }
     if (!out.violations.empty()) return out;
 
-    // Aggregate traffic across parts.
-    out.per_rank.assign(static_cast<std::size_t>(world), RankTraffic{});
-    for (const Schedule& s : parts) {
-        for (int rank = 0; rank < world; ++rank) {
-            RankTraffic& t = out.per_rank[static_cast<std::size_t>(rank)];
-            for (const CommOp& op : s.rank_ops(rank)) {
-                if (op.bytes == kVariableBytes) t.bytes_exact = false;
-                if (op.kind == CommOp::Kind::Send) {
-                    ++t.sends;
-                    if (op.bytes != kVariableBytes) t.bytes_sent += op.bytes;
-                } else {
-                    ++t.recvs;
-                }
-            }
-        }
-    }
-
-    // Combined pump-all execution: each rank round-robins every part's
-    // program (the AsyncCollective executor's semantics — a recv blocked in
-    // one part never stalls another part's ops on the same rank).
-    struct InFlight {
-        std::int64_t bytes;
-        double arrival_s;
-    };
-    std::map<std::tuple<int, int, int>, std::deque<InFlight>> wire;  // abs tags
-    std::vector<std::vector<std::size_t>> pc(
-        static_cast<std::size_t>(world),
-        std::vector<std::size_t>(parts.size(), 0));
-    std::vector<double> clock(static_cast<std::size_t>(world), 0.0);
-    const bool time_exact = out.bytes_exact && net != nullptr;
-
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (int rank = 0; rank < world; ++rank) {
-            for (std::size_t p = 0; p < parts.size(); ++p) {
-                const auto& ops = parts[p].rank_ops(rank);
-                auto& i = pc[static_cast<std::size_t>(rank)][p];
-                while (i < ops.size()) {
-                    const CommOp& op = ops[i];
-                    const int abs_tag = tag_bases[p] + op.tag_offset;
-                    if (op.kind == CommOp::Kind::Send) {
-                        double arrival = 0.0;
-                        if (time_exact) {
-                            clock[static_cast<std::size_t>(rank)] +=
-                                net->transfer_time_s(
-                                    static_cast<std::uint64_t>(op.bytes));
-                            arrival = clock[static_cast<std::size_t>(rank)];
-                        }
-                        wire[{rank, op.peer, abs_tag}].push_back({op.bytes, arrival});
-                        ++i;
-                        progress = true;
-                        continue;
-                    }
-                    auto it = wire.find({op.peer, rank, abs_tag});
-                    if (it == wire.end() || it->second.empty()) break;  // blocked
-                    const InFlight msg = it->second.front();
-                    it->second.pop_front();
-                    if (time_exact) {
-                        auto& c = clock[static_cast<std::size_t>(rank)];
-                        c = std::max(c, msg.arrival_s);
-                    }
-                    ++i;
-                    progress = true;
-                }
-            }
-        }
-    }
-
-    bool any_blocked = false;
-    for (int rank = 0; rank < world; ++rank) {
-        for (std::size_t p = 0; p < parts.size(); ++p) {
-            const auto& ops = parts[p].rank_ops(rank);
-            const std::size_t i = pc[static_cast<std::size_t>(rank)][p];
-            if (i >= ops.size()) continue;
-            any_blocked = true;
-            out.violations.push_back(
-                {"deadlock", rank,
-                 "part " + std::to_string(p) + " (" + parts[p].proto + "): " +
-                     op_str(ops[i], rank) + " blocked forever under the "
-                                            "combined pump-all execution"});
-        }
-    }
-    if (any_blocked) return out;
-
-    for (const auto& [key, queue] : wire) {
-        if (queue.empty()) continue;
-        const auto& [src, dst, tag] = key;
-        out.violations.push_back(
-            {"match", src,
-             std::to_string(queue.size()) + " unconsumed send(s) on edge " +
-                 std::to_string(src) + " -> " + std::to_string(dst) +
-                 " absolute tag " + std::to_string(tag)});
-    }
-
-    if (time_exact && out.violations.empty()) {
-        double cp = 0.0;
-        for (double c : clock) cp = std::max(cp, c);
-        out.critical_path_s = cp;
-    }
+    simulate(parts, tag_bases, net, /*name_parts=*/true, out);
     return out;
 }
 
 VerifyResult verify_schedule(const Schedule& sched, const comm::NetworkModel* net) {
-    VerifyResult out;
-    static_checks(sched, out);
+    VerifyResult out = inspect(sched);
     if (!out.violations.empty()) return out;
-
-    out.per_rank.resize(static_cast<std::size_t>(sched.world));
-    for (int rank = 0; rank < sched.world; ++rank) {
-        RankTraffic& t = out.per_rank[static_cast<std::size_t>(rank)];
-        for (const CommOp& op : sched.rank_ops(rank)) {
-            if (op.bytes == kVariableBytes) {
-                t.bytes_exact = false;
-                out.bytes_exact = false;
-            }
-            if (op.kind == CommOp::Kind::Send) {
-                ++t.sends;
-                ++out.total_messages;
-                if (op.bytes != kVariableBytes) {
-                    t.bytes_sent += op.bytes;
-                    out.total_bytes += op.bytes;
-                }
-            } else {
-                ++t.recvs;
-            }
-        }
-    }
-
-    simulate(sched, net, out);
+    const int base = 0;
+    simulate(std::span<const Schedule>(&sched, 1), std::span<const int>(&base, 1), net,
+             /*name_parts=*/false, out);
     return out;
 }
 

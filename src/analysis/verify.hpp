@@ -70,8 +70,8 @@ VerifyResult verify_schedule(const collectives::Schedule& sched,
 /// Concurrent schedule-set checker — the static mirror of N AsyncCollective
 /// handles in flight on one Communicator (collectives/async.hpp). `parts[i]`
 /// executes with its tag offsets rebased to `tag_bases[i]` (the value
-/// fresh_async_tags returned for that handle). Proves, on top of the
-/// per-part verify_schedule checks:
+/// fresh_async_tags returned for that handle). Proves, on top of
+/// verify_schedule's static checks on every part:
 ///
 ///   * band layout       every base at or above kAsyncTagBase, every
 ///                       [base_i, base_i + tag_count_i) band pairwise

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "comm/comm_error.hpp"
 #include "obs/trace.hpp"
@@ -23,6 +24,24 @@ FaultInjectingTransport::FaultInjectingTransport(std::unique_ptr<Transport> inne
                                                  FaultPlan plan)
     : inner_(std::move(inner)), plan_(std::move(plan)) {
     if (!inner_) throw std::invalid_argument("FaultInjectingTransport: null inner");
+    // The first matching rule wins, so a rule that an earlier rule matches
+    // on every field (each a wildcard or equal) can never fire.
+    const auto covers = [](int earlier, int later, int any) {
+        return earlier == any || earlier == later;
+    };
+    for (std::size_t j = 0; j < plan_.rules.size(); ++j) {
+        const FaultRule& later = plan_.rules[j];
+        for (std::size_t i = 0; i < j; ++i) {
+            const FaultRule& earlier = plan_.rules[i];
+            if (covers(earlier.src, later.src, kAnySource) &&
+                covers(earlier.dst, later.dst, kAnySource) &&
+                covers(earlier.tag, later.tag, kAnyTag)) {
+                throw std::invalid_argument(
+                    "FaultPlan: rule " + std::to_string(j) + " is shadowed by rule " +
+                    std::to_string(i) + " and can never fire");
+            }
+        }
+    }
     const std::size_t world = static_cast<std::size_t>(inner_->world_size());
     edges_.resize(world * world);
     held_.resize(world * world);

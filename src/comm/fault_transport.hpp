@@ -52,7 +52,8 @@ namespace gtopk::comm {
 /// One fault specification. A rule applies to every message whose
 /// (source, dst, tag) matches — kAnySource / kAnyTag wildcard like the
 /// mailbox. The FIRST matching rule in FaultPlan::rules wins; later rules
-/// never stack on the same message.
+/// never stack on the same message, and FaultInjectingTransport rejects a
+/// plan whose rule an earlier rule shadows (it could never fire).
 struct FaultRule {
     int src = kAnySource;
     int dst = kAnySource;

@@ -3,20 +3,20 @@
 // EXECUTE (the same single-copy discipline as reliable_fsm.hpp and
 // membership_fsm.hpp).
 //
-// One LinkState per peer, per endpoint. A link starts kUp (bootstrap
-// succeeded). Any socket-level failure — ECONNRESET, EPIPE, EOF, a
-// mid-frame disconnect, a malformed frame — downs the link; the DIALING
-// side (the higher rank, matching the bootstrap mesh orientation) then
-// re-dials with capped exponential backoff and proposes a new session id,
-// the ACCEPTING side validates the proposal against its own session
-// counter. Sessions are strictly monotonic per link: a resume hello that
-// does not advance the session is a stale dial from a previous incarnation
-// of the link and must be rejected, or a delayed connect could resurrect a
-// connection both sides already abandoned. Exhausting the dial budget (or
-// the passive side's patience window) makes the link kDead — an absorbing
-// state that flows into the control plane as Transport::rank_alive(peer)
-// == false, i.e. typed CommError, membership regroup and elastic
-// rollback.
+// One LinkState per peer, per endpoint. A link starts kNeverConnected
+// (kDown, session 0), so its first connection runs the same handshake as
+// every resume. Any socket-level failure — ECONNRESET, EPIPE, EOF, a
+// mid-frame disconnect, a malformed frame — downs an established link;
+// the DIALING side (the higher rank of the pair) then dials with capped
+// exponential backoff and proposes a new session id, the ACCEPTING side
+// validates the proposal against its own session counter. Sessions are
+// strictly monotonic per link: a resume hello that does not advance the
+// session is a stale dial from a previous incarnation of the link and must
+// be rejected, or a delayed connect could resurrect a connection both
+// sides already abandoned. Exhausting the dial budget (or the passive
+// side's patience window) makes the link kDead — an absorbing state that
+// flows into the control plane as Transport::rank_alive(peer) == false,
+// i.e. typed CommError, membership regroup and elastic rollback.
 //
 // Data-plane recovery after a resume is NOT this FSM's job: frames lost in
 // flight are retransmitted by the wire ARQ (reliable_fsm) once the
@@ -52,14 +52,19 @@ enum class LinkPhase : std::uint8_t {
     kDead,    // reconnect budget exhausted — absorbing; peer is gone
 };
 
-/// Per-peer link state. `session` counts established connections on the
-/// link (bootstrap == 1); both endpoints agree on it whenever the link is
-/// up, and it only ever grows.
+/// Per-peer link state. `session` is the id of the link's current
+/// connection (the first one is normally 1); both endpoints agree on it
+/// whenever the link is up, and it only ever grows. The default is a link
+/// already up on session 1, the starting point of the resume-only tests.
 struct LinkState {
     LinkPhase phase = LinkPhase::kUp;
     std::uint64_t attempts = 0;  // dials since the link went down
     std::uint64_t session = 1;
 };
+
+/// Where every live link starts: no connection has been made, so the
+/// dialer's first proposal is 1 and the acceptor rejects 0 as stale.
+inline constexpr LinkState kNeverConnected{LinkPhase::kDown, 0, 0};
 
 struct ReconnectPolicy {
     std::uint64_t max_attempts = 6;  // dials before the link is declared dead

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "comm/comm_error.hpp"
 #include "util/log.hpp"
@@ -29,9 +30,10 @@ using Clock = std::chrono::steady_clock;
 constexpr std::uint32_t kHelloMagic = 0x4754504Cu;  // "GTPL"
 constexpr std::size_t kHelloBytes = 12;
 
-// Session-resume handshake (post-bootstrap, on the persistent listeners):
-// RESUME {magic, dialer rank, proposed session} and its confirmation
-// RESUME_OK {magic, acceptor rank, accepted session}, 16 bytes each.
+// Session handshake (every link's first connection and every resume, on
+// the persistent listeners): RESUME {magic, dialer rank, proposed session}
+// and its confirmation RESUME_OK {magic, acceptor rank, accepted session},
+// 16 bytes each.
 constexpr std::uint32_t kResumeMagic = 0x4754524Du;     // "GTRM"
 constexpr std::uint32_t kResumeAckMagic = 0x4754524Eu;  // "GTRN"
 constexpr std::size_t kResumeBytes = 16;
@@ -39,13 +41,16 @@ constexpr std::size_t kResumeBytes = 16;
 // Address-map entry per rank: {IPv4 (network order), port}, 8 bytes.
 constexpr std::size_t kAddrBytes = 8;
 
-// Bound on one reconnect dial's connect() wait; the FSM's backoff schedule
+// Bound on one dial's connect() wait; the FSM's backoff schedule
 // paces attempts, this only keeps a single attempt from monopolizing the
 // dialer thread.
 constexpr int kDialConnectMs = 300;
 // Handshake reads (RESUME / RESUME_OK) are tiny and sent immediately after
 // connect; anything slower than this is a broken peer.
 constexpr double kHandshakeTimeoutS = 1.0;
+
+// Dial budget and backoff of every link (comm/reconnect_fsm.hpp).
+constexpr fsm::ReconnectPolicy kReconnect{};
 
 [[noreturn]] void fail(const std::string& what) {
     throw std::runtime_error("TcpTransport: " + what +
@@ -105,8 +110,8 @@ void set_nodelay(int fd) {
 enum class IoResult { kOk, kTimeout, kClosed };
 
 /// Exact-length read that reports instead of throwing, so call sites can
-/// raise a TYPED error naming the peer (the bootstrap contract) or treat
-/// the failure as a link event (the resume handshake).
+/// raise a TYPED error naming the peer (the rendezvous contract) or treat
+/// the failure as a link event (the session handshake).
 IoResult read_full(int fd, void* buf, std::size_t len) {
     auto* p = static_cast<unsigned char*>(buf);
     while (len > 0) {
@@ -140,15 +145,15 @@ bool write_full(int fd, const void* buf, std::size_t len) {
     return true;
 }
 
-void send_hello(int fd, int rank, int port, int peer, int self) {
+void send_hello(int fd, int rank, int port) {
     unsigned char hello[kHelloBytes];
     put_u32(hello + 0, kHelloMagic);
     put_u32(hello + 4, static_cast<std::uint32_t>(rank));
     put_u32(hello + 8, static_cast<std::uint32_t>(port));
     if (!write_full(fd, hello, sizeof(hello))) {
-        // The peer accepted our connect but vanished before reading the
-        // hello: it died mid-bootstrap.
-        throw CommError(CommErrorKind::RankKilled, self, peer, -1, 0.0);
+        // Rank 0 accepted our connect but vanished before reading the
+        // hello: it died mid-rendezvous.
+        throw CommError(CommErrorKind::RankKilled, rank, 0, -1, 0.0);
     }
 }
 
@@ -161,27 +166,18 @@ enum class HelloRead {
     kOk,
     kTimeout,  // peer connected but never completed the hello
     kClosed,   // peer died after connecting
-    kResume,   // early session-resume dial racing our bootstrap tail
     kBad,      // malformed
 };
 
-/// Read one hello, distinguishing a RESUME frame: a higher rank that
-/// finished ITS bootstrap, lost a link, and re-dialed while this rank was
-/// still accepting the rest of the mesh. Such a dial is closed here and
-/// retried by the peer's backoff schedule once this rank's receiver is
-/// live.
-HelloRead read_hello2(int fd, int world, Hello& out) {
+/// Read one rendezvous hello. No RESUME can reach rank 0's listener yet:
+/// peers dial only once they hold the address map, which rank 0 sends
+/// after the last hello.
+HelloRead read_hello(int fd, int world, Hello& out) {
     unsigned char head[4];
     IoResult r = read_full(fd, head, sizeof(head));
     if (r == IoResult::kTimeout) return HelloRead::kTimeout;
     if (r == IoResult::kClosed) return HelloRead::kClosed;
-    const std::uint32_t magic = get_u32(head);
-    if (magic == kResumeMagic) {
-        unsigned char rest[kResumeBytes - 4];
-        (void)read_full(fd, rest, sizeof(rest));
-        return HelloRead::kResume;
-    }
-    if (magic != kHelloMagic) return HelloRead::kBad;
+    if (get_u32(head) != kHelloMagic) return HelloRead::kBad;
     unsigned char rest[kHelloBytes - 4];
     r = read_full(fd, rest, sizeof(rest));
     if (r == IoResult::kTimeout) return HelloRead::kTimeout;
@@ -192,6 +188,19 @@ HelloRead read_hello2(int fd, int world, Hello& out) {
     if (out.port < 0 || out.port > 65535) return HelloRead::kBad;
     return HelloRead::kOk;
 }
+
+/// One rendezvous socket, closed on every exit path: none of them
+/// outlives the address exchange.
+struct ScopedFd {
+    int fd = -1;
+    ScopedFd() = default;
+    explicit ScopedFd(int f) : fd(f) {}
+    ScopedFd(const ScopedFd&) = delete;
+    ScopedFd& operator=(const ScopedFd&) = delete;
+    ~ScopedFd() {
+        if (fd >= 0) ::close(fd);
+    }
+};
 
 sockaddr_in resolve_ipv4(const std::string& host, int port) {
     addrinfo hints{};
@@ -300,11 +309,7 @@ std::optional<TcpConfig> TcpTransport::config_from_env() {
 }
 
 TcpTransport::TcpTransport(const TcpConfig& config)
-    : rank_(config.rank),
-      world_(config.world_size),
-      max_payload_(config.max_frame_payload),
-      reconnect_(config.reconnect),
-      faults_(config.socket_faults) {
+    : rank_(config.rank), world_(config.world_size), faults_(config.socket_faults) {
     if (world_ <= 0) throw std::invalid_argument("TcpTransport: world_size <= 0");
     if (rank_ < 0 || rank_ >= world_) {
         throw std::invalid_argument("TcpTransport: rank outside world");
@@ -315,243 +320,173 @@ TcpTransport::TcpTransport(const TcpConfig& config)
     const auto n = static_cast<std::size_t>(world_);
     peer_fds_ = std::make_unique<std::atomic<int>[]>(n);
     for (std::size_t r = 0; r < n; ++r) peer_fds_[r] = -1;
-    decoders_.reserve(n);
-    for (int r = 0; r < world_; ++r) decoders_.emplace_back(max_payload_);
+    decoders_.resize(n);
     send_mutexes_ = std::make_unique<std::mutex[]>(n);
     phase_ = std::make_unique<std::atomic<int>[]>(n);
-    for (std::size_t r = 0; r < n; ++r) phase_[r] = kPhaseUp;
     links_.resize(n);
     peer_ip_.assign(n, 0);
     peer_port_.assign(n, 0);
     fault_ord_.assign(n, 0);
-    fault_rng_.reserve(n);
-    const util::Xoshiro256 root(faults_.seed);
-    for (int r = 0; r < world_; ++r) {
-        fault_rng_.push_back(root.fork(
-            (static_cast<std::uint64_t>(rank_) << 20) ^
-            static_cast<std::uint64_t>(r)));
-    }
+    // At most one install per peer is ever pending (Link::installing), so
+    // the dialer thread's push never allocates: a thread's first malloc
+    // gives it a glibc arena of its own, which raised layerwise_tcp's peak
+    // RSS by several MB when every dialer allocated at bootstrap.
+    installs_.reserve(n);
 
     if (::pipe(wake_pipe_) < 0) fail("pipe");
     // Non-blocking read end: the receiver drains wakeup bytes without ever
     // blocking inside the drain loop.
     (void)::fcntl(wake_pipe_[0], F_SETFL, O_NONBLOCK);
 
+    const auto deadline = Clock::now() + to_duration(config.connect_timeout_s);
     try {
-        bootstrap(config);
-    } catch (...) {
-        for (int r = 0; r < world_; ++r) {
-            const int fd = peer_fds_[static_cast<std::size_t>(r)].load();
-            if (fd >= 0) ::close(fd);
+        rendezvous(config, deadline);
+        // Every link opens through the session handshake that resumes a
+        // downed one: the dialer thread proposes session 1 at once.
+        const auto now = Clock::now();
+        for (std::size_t r = 0; r < n; ++r) {
+            links_[r] = Link{fsm::kNeverConnected, now, now};
+            phase_[r] = kPhaseDown;
         }
-        if (listen_fd_ >= 0) ::close(listen_fd_);
-        ::close(wake_pipe_[0]);
-        ::close(wake_pipe_[1]);
+        running_.store(true, std::memory_order_release);
+        receiver_ = std::thread([this] { receiver_loop(); });
+        if (rank_ > 0) dialer_ = std::thread([this] { dialer_loop(); });
+        await_mesh(deadline, config.connect_timeout_s);
+    } catch (...) {
+        shutdown();
         throw;
     }
-
-    running_.store(true, std::memory_order_release);
-    receiver_ = std::thread([this] { receiver_loop(); });
-    if (rank_ > 0 && world_ > 1) {
-        dialer_ = std::thread([this] { dialer_loop(); });
-    }
+    util::log_info("tcp rank " + std::to_string(rank_) + "/" +
+                   std::to_string(world_) + ": mesh up");
 }
 
-void TcpTransport::bootstrap(const TcpConfig& config) {
-    const double budget = config.connect_timeout_s;
-    const auto deadline = Clock::now() + to_duration(budget);
+void TcpTransport::rendezvous(const TcpConfig& config, Clock::time_point deadline) {
     if (world_ == 1) return;  // a single-rank world has no wire
-
-    // Lowest rank we are still waiting on — the name a typed bootstrap
-    // timeout carries, so a mid-bootstrap death points every survivor at
-    // the same missing peer.
-    const auto lowest_missing = [this](int from) {
-        for (int r = from; r < world_; ++r) {
-            if (r != rank_ && peer_fds_[static_cast<std::size_t>(r)].load() < 0) {
-                return r;
-            }
-        }
-        return -1;
-    };
+    const double budget = config.connect_timeout_s;
+    std::vector<unsigned char> map(static_cast<std::size_t>(world_) * kAddrBytes);
 
     if (rank_ == 0) {
         // The rendezvous listener stays open for the process's lifetime:
-        // it doubles as the session-resume listener peers re-dial.
+        // it doubles as rank 0's session listener.
         listen_fd_ =
             listen_on(static_cast<std::uint16_t>(config.rendezvous_port), world_);
-        // Phase 1: every peer dials in, introduces itself, advertises its
-        // mesh listen port. The connection itself becomes the permanent
-        // rank0<->peer link.
-        int accepted = 0;
-        while (accepted < world_ - 1) {
-            const int fd = accept_with_deadline(listen_fd_, deadline);
-            if (fd < 0) {
-                errno = 0;
-                throw CommError(CommErrorKind::RecvTimeout, rank_,
-                                lowest_missing(1), -1, budget);
+        // Every peer dials in, introduces itself and advertises its listen
+        // port; its connection lives only until the map is out.
+        std::vector<ScopedFd> hellos(static_cast<std::size_t>(world_));
+        // Lowest rank not yet introduced — the name a typed timeout
+        // carries, so a mid-rendezvous death points at the missing peer.
+        const auto lowest_missing = [&] {
+            for (int r = 1; r < world_; ++r) {
+                if (hellos[static_cast<std::size_t>(r)].fd < 0) return r;
             }
-            set_recv_timeout(fd, remaining_s(deadline));
+            return -1;
+        };
+        for (int accepted = 0; accepted < world_ - 1; ++accepted) {
+            ScopedFd conn(accept_with_deadline(listen_fd_, deadline));
+            if (conn.fd < 0) {
+                throw CommError(CommErrorKind::RecvTimeout, rank_, lowest_missing(),
+                                -1, budget);
+            }
+            set_recv_timeout(conn.fd, remaining_s(deadline));
             Hello h;
-            switch (read_hello2(fd, world_, h)) {
+            switch (read_hello(conn.fd, world_, h)) {
                 case HelloRead::kOk:
                     break;
-                case HelloRead::kResume:
-                    ::close(fd);  // early re-dial; its backoff will retry
-                    continue;
                 case HelloRead::kTimeout:
-                    ::close(fd);
                     throw CommError(CommErrorKind::RecvTimeout, rank_,
-                                    lowest_missing(1), -1, budget);
+                                    lowest_missing(), -1, budget);
                 case HelloRead::kClosed:
                     // A peer connected and died before identifying itself.
-                    ::close(fd);
                     throw CommError(CommErrorKind::RankKilled, rank_,
-                                    lowest_missing(1), -1, 0.0);
+                                    lowest_missing(), -1, 0.0);
                 case HelloRead::kBad:
-                    ::close(fd);
                     errno = 0;
                     fail("malformed rendezvous hello");
             }
-            if (h.rank == 0 ||
-                peer_fds_[static_cast<std::size_t>(h.rank)].load() >= 0) {
-                ::close(fd);
+            const auto idx = static_cast<std::size_t>(h.rank);
+            if (h.rank == 0 || hellos[idx].fd >= 0) {
                 errno = 0;
                 fail("duplicate rendezvous hello from rank " +
                      std::to_string(h.rank));
             }
             sockaddr_in peer{};
             socklen_t len = sizeof(peer);
-            if (::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &len) < 0) {
-                ::close(fd);
+            if (::getpeername(conn.fd, reinterpret_cast<sockaddr*>(&peer), &len) < 0) {
                 fail("getpeername");
             }
-            peer_fds_[static_cast<std::size_t>(h.rank)] = fd;
-            peer_ip_[static_cast<std::size_t>(h.rank)] = peer.sin_addr.s_addr;
-            peer_port_[static_cast<std::size_t>(h.rank)] = h.port;
-            ++accepted;
+            peer_ip_[idx] = peer.sin_addr.s_addr;
+            peer_port_[idx] = h.port;
+            std::swap(hellos[idx].fd, conn.fd);
         }
-        // Phase 2: publish the address map so peers can mesh directly.
-        std::vector<unsigned char> map(static_cast<std::size_t>(world_) * kAddrBytes);
         for (int r = 0; r < world_; ++r) {
-            put_u32(map.data() + static_cast<std::size_t>(r) * kAddrBytes,
-                    peer_ip_[static_cast<std::size_t>(r)]);
-            put_u32(map.data() + static_cast<std::size_t>(r) * kAddrBytes + 4,
+            const std::size_t off = static_cast<std::size_t>(r) * kAddrBytes;
+            put_u32(map.data() + off, peer_ip_[static_cast<std::size_t>(r)]);
+            put_u32(map.data() + off + 4,
                     static_cast<std::uint32_t>(peer_port_[static_cast<std::size_t>(r)]));
         }
         for (int r = 1; r < world_; ++r) {
-            if (!write_full(peer_fds_[static_cast<std::size_t>(r)].load(),
-                            map.data(), map.size())) {
+            if (!write_full(hellos[static_cast<std::size_t>(r)].fd, map.data(),
+                            map.size())) {
                 // The peer introduced itself and died before the map: name it.
-                errno = 0;
                 throw CommError(CommErrorKind::RankKilled, rank_, r, -1, 0.0);
             }
         }
-    } else {
-        // Mesh listener first, so the advertised port is live before any
-        // peer learns it from the map. It stays open as the resume listener.
-        listen_fd_ = listen_on(0, world_);
-        const int my_port = bound_port(listen_fd_);
+        return;
+    }
 
-        const sockaddr_in rendezvous =
-            resolve_ipv4(config.rendezvous_host, config.rendezvous_port);
-        const int fd0 = connect_retry(rendezvous, deadline);
-        if (fd0 < 0) {
-            errno = 0;
+    // Listener first, so the advertised port is live before any peer
+    // learns it from the map.
+    listen_fd_ = listen_on(0, world_);
+    const int my_port = bound_port(listen_fd_);
+    const sockaddr_in rendezvous =
+        resolve_ipv4(config.rendezvous_host, config.rendezvous_port);
+    const ScopedFd fd0(connect_retry(rendezvous, deadline));
+    if (fd0.fd < 0) {
+        throw CommError(CommErrorKind::RecvTimeout, rank_, 0, -1, budget);
+    }
+    send_hello(fd0.fd, rank_, my_port);
+    set_recv_timeout(fd0.fd, remaining_s(deadline));
+    switch (read_full(fd0.fd, map.data(), map.size())) {
+        case IoResult::kOk:
+            break;
+        case IoResult::kTimeout:
             throw CommError(CommErrorKind::RecvTimeout, rank_, 0, -1, budget);
-        }
-        send_hello(fd0, rank_, my_port, /*peer=*/0, /*self=*/rank_);
-        set_recv_timeout(fd0, remaining_s(deadline));
-        std::vector<unsigned char> map(static_cast<std::size_t>(world_) * kAddrBytes);
-        switch (read_full(fd0, map.data(), map.size())) {
-            case IoResult::kOk:
-                break;
-            case IoResult::kTimeout:
-                ::close(fd0);
-                errno = 0;
-                throw CommError(CommErrorKind::RecvTimeout, rank_, 0, -1, budget);
-            case IoResult::kClosed:
-                // Rank 0 aborted its bootstrap (naming the true victim on
-                // its side); this survivor names the edge it lost.
-                ::close(fd0);
-                errno = 0;
-                throw CommError(CommErrorKind::RankKilled, rank_, 0, -1, 0.0);
-        }
-        peer_fds_[0] = fd0;
-        for (int r = 0; r < world_; ++r) {
-            peer_ip_[static_cast<std::size_t>(r)] =
-                get_u32(map.data() + static_cast<std::size_t>(r) * kAddrBytes);
-            peer_port_[static_cast<std::size_t>(r)] = static_cast<int>(
-                get_u32(map.data() + static_cast<std::size_t>(r) * kAddrBytes + 4));
-        }
-        // Rank 0's map slot is empty (it never dials in): its redial
-        // address is the rendezvous endpoint itself.
-        peer_ip_[0] = rendezvous.sin_addr.s_addr;
-        peer_port_[0] = config.rendezvous_port;
-        // Phase 3: complete the mesh — dial every lower peer, accept every
-        // higher one (a fixed orientation, so each pair meets exactly once;
-        // the reconnect dialer reuses the same orientation).
-        for (int r = 1; r < rank_; ++r) {
-            sockaddr_in addr{};
-            addr.sin_family = AF_INET;
-            addr.sin_addr.s_addr = peer_ip_[static_cast<std::size_t>(r)];
-            addr.sin_port = htons(static_cast<std::uint16_t>(
-                peer_port_[static_cast<std::size_t>(r)]));
-            const int fd = connect_retry(addr, deadline);
-            if (fd < 0) {
-                errno = 0;
-                throw CommError(CommErrorKind::RecvTimeout, rank_, r, -1, budget);
-            }
-            send_hello(fd, rank_, my_port, /*peer=*/r, /*self=*/rank_);
-            peer_fds_[static_cast<std::size_t>(r)] = fd;
-        }
-        int accepted = 0;
-        while (accepted < world_ - rank_ - 1) {
-            const int fd = accept_with_deadline(listen_fd_, deadline);
-            if (fd < 0) {
-                errno = 0;
-                throw CommError(CommErrorKind::RecvTimeout, rank_,
-                                lowest_missing(rank_ + 1), -1, budget);
-            }
-            set_recv_timeout(fd, remaining_s(deadline));
-            Hello h;
-            switch (read_hello2(fd, world_, h)) {
-                case HelloRead::kOk:
-                    break;
-                case HelloRead::kResume:
-                    ::close(fd);
-                    continue;
-                case HelloRead::kTimeout:
-                    ::close(fd);
-                    throw CommError(CommErrorKind::RecvTimeout, rank_,
-                                    lowest_missing(rank_ + 1), -1, budget);
-                case HelloRead::kClosed:
-                    ::close(fd);
-                    throw CommError(CommErrorKind::RankKilled, rank_,
-                                    lowest_missing(rank_ + 1), -1, 0.0);
-                case HelloRead::kBad:
-                    ::close(fd);
-                    errno = 0;
-                    fail("malformed mesh hello");
-            }
-            if (h.rank <= rank_ ||
-                peer_fds_[static_cast<std::size_t>(h.rank)].load() >= 0) {
-                ::close(fd);
-                errno = 0;
-                fail("unexpected mesh hello from rank " + std::to_string(h.rank));
-            }
-            peer_fds_[static_cast<std::size_t>(h.rank)] = fd;
-            ++accepted;
-        }
+        case IoResult::kClosed:
+            // Rank 0 aborted its rendezvous (naming the true victim on its
+            // side); this survivor names the edge it lost.
+            throw CommError(CommErrorKind::RankKilled, rank_, 0, -1, 0.0);
     }
-
     for (int r = 0; r < world_; ++r) {
-        const int fd = peer_fds_[static_cast<std::size_t>(r)].load();
-        if (fd < 0) continue;
-        set_nodelay(fd);
-        clear_recv_timeout(fd);  // the receiver thread's poll() paces reads
+        const std::size_t off = static_cast<std::size_t>(r) * kAddrBytes;
+        peer_ip_[static_cast<std::size_t>(r)] = get_u32(map.data() + off);
+        peer_port_[static_cast<std::size_t>(r)] =
+            static_cast<int>(get_u32(map.data() + off + 4));
     }
-    util::log_info("tcp rank " + std::to_string(rank_) + "/" +
-                   std::to_string(world_) + ": mesh up");
+    // Rank 0's map slot is empty (it never dials in): its address is the
+    // rendezvous endpoint itself.
+    peer_ip_[0] = rendezvous.sin_addr.s_addr;
+    peer_port_[0] = config.rendezvous_port;
+}
+
+void TcpTransport::await_mesh(Clock::time_point deadline, double budget) {
+    std::unique_lock<std::mutex> lock(links_mutex_);
+    for (;;) {
+        int missing = -1;  // lowest peer whose link is not up yet
+        for (int r = 0; r < world_; ++r) {
+            if (r == rank_) continue;
+            const int phase =
+                phase_[static_cast<std::size_t>(r)].load(std::memory_order_acquire);
+            if (phase == kPhaseDead) {
+                throw CommError(CommErrorKind::RankKilled, rank_, r, -1, 0.0);
+            }
+            if (phase != kPhaseUp && missing < 0) missing = r;
+        }
+        if (missing < 0) return;
+        if (Clock::now() >= deadline) {
+            throw CommError(CommErrorKind::RecvTimeout, rank_, missing, -1, budget);
+        }
+        links_cv_.wait_until(lock, deadline);
+    }
 }
 
 TcpTransport::~TcpTransport() { shutdown(); }
@@ -599,6 +534,7 @@ void TcpTransport::link_mark_down(int peer) {
 void TcpTransport::link_mark_dead_locked(int peer) {
     phase_[static_cast<std::size_t>(peer)].store(kPhaseDead,
                                                  std::memory_order_release);
+    links_cv_.notify_all();
     util::log_warn("tcp rank " + std::to_string(rank_) + ": peer " +
                    std::to_string(peer) +
                    " declared dead (reconnect budget exhausted)");
@@ -624,7 +560,7 @@ void TcpTransport::install_fd(int peer, int fd, std::uint64_t session) {
     }
     if (old >= 0) ::close(old);
     decoders_[static_cast<std::size_t>(peer)].reset();
-    bool up = false;
+    bool resumed = false;
     {
         std::lock_guard<std::mutex> lock(links_mutex_);
         auto& link = links_[static_cast<std::size_t>(peer)];
@@ -633,11 +569,15 @@ void TcpTransport::install_fd(int peer, int fd, std::uint64_t session) {
         if (link.st.phase == fsm::LinkPhase::kUp) {
             phase_[static_cast<std::size_t>(peer)].store(
                 kPhaseUp, std::memory_order_release);
-            reconnected_.push_back(peer);
-            up = true;
+            // A link's first session is not a reconnect: nothing was lost
+            // that the ARQ would have to replay.
+            resumed = link.ever_up;
+            link.ever_up = true;
+            if (resumed) reconnected_.push_back(peer);
         }
     }
-    if (up) {
+    links_cv_.notify_all();
+    if (resumed) {
         reconnects_.fetch_add(1, std::memory_order_relaxed);
         util::log_info("tcp rank " + std::to_string(rank_) + ": peer " +
                        std::to_string(peer) + " session " +
@@ -708,7 +648,7 @@ void TcpTransport::accept_resume() {
     }
     const int peer = static_cast<int>(get_u32(hello + 4));
     const std::uint64_t proposal = get_u64(hello + 8);
-    // Reconnects keep the bootstrap orientation: only a HIGHER rank dials.
+    // One orientation for every session: only a HIGHER rank dials.
     if (peer <= rank_ || peer >= world_) {
         ::close(fd);
         return;
@@ -740,9 +680,9 @@ void TcpTransport::accept_resume() {
 }
 
 void TcpTransport::dialer_loop() {
-    const auto patience = to_duration(reconnect_.give_up_after_s);
-    while (running_.load(std::memory_order_acquire)) {
-        ::usleep(5 * 1000);
+    const auto patience = to_duration(kReconnect.give_up_after_s);
+    // Scan before sleeping: the first pass opens every link at once.
+    for (; running_.load(std::memory_order_acquire); ::usleep(5 * 1000)) {
         const auto now = Clock::now();
         for (int p = 0; p < rank_; ++p) {
             std::uint64_t proposal = 0;
@@ -757,14 +697,14 @@ void TcpTransport::dialer_loop() {
                     continue;
                 }
                 if (now < link.next_dial) continue;
-                if (fsm::link_dial(link.st, reconnect_) ==
+                if (fsm::link_dial(link.st, kReconnect) ==
                     fsm::DialVerdict::kDead) {
                     link_mark_dead_locked(p);
                     continue;
                 }
                 proposal = fsm::link_propose(link.st);
                 link.next_dial =
-                    now + to_duration(fsm::link_backoff_s(link.st, reconnect_));
+                    now + to_duration(fsm::link_backoff_s(link.st, kReconnect));
             }
             const int fd = dial_resume(p, proposal);
             if (fd < 0) continue;
@@ -800,7 +740,7 @@ void TcpTransport::deliver(int dst, Message msg) {
         throw CommError(CommErrorKind::RankKilled, rank_, dst, msg.tag, 0.0);
     }
     std::vector<std::byte> frame;
-    tcp::encode_frame(msg, dst, frame, max_payload_);
+    tcp::encode_frame(msg, dst, frame);
 
     std::lock_guard<std::mutex> lock(send_mutexes_[d]);
     const int fd = peer_fds_[d].load();
@@ -810,16 +750,11 @@ void TcpTransport::deliver(int dst, Message msg) {
         // it the moment take_reconnected() reports the resume.
         return;
     }
-    if (faults_.enabled() && (faults_.only_peer < 0 || faults_.only_peer == dst) &&
+    if (faults_.enabled() &&
         (faults_.max_faults == 0 ||
          socket_faults_injected_.load(std::memory_order_relaxed) <
              faults_.max_faults)) {
-        auto& rng = fault_rng_[d];
         const std::uint64_t ord = ++fault_ord_[d];
-        if (faults_.stall_prob > 0.0 && rng.next_double() < faults_.stall_prob) {
-            socket_faults_injected_.fetch_add(1, std::memory_order_relaxed);
-            ::usleep(static_cast<useconds_t>(faults_.stall_s * 1e6));
-        }
         if (faults_.kill_every_n != 0 && ord % faults_.kill_every_n == 0) {
             socket_faults_injected_.fetch_add(1, std::memory_order_relaxed);
             (void)::shutdown(fd, SHUT_RDWR);
@@ -887,13 +822,15 @@ void TcpTransport::receiver_loop() {
     std::vector<std::byte> buf(64 * 1024);
     std::vector<pollfd> pfds;
     std::vector<int> pfd_rank;
-    const auto patience = to_duration(reconnect_.give_up_after_s);
+    std::vector<PendingInstall> installs;
+    const auto patience = to_duration(kReconnect.give_up_after_s);
     while (running_.load(std::memory_order_acquire)) {
         // 1. Install handshake-complete connections the dialer handed over.
-        std::vector<PendingInstall> installs;
+        // Copied out, not swapped, so installs_ keeps its reserved buffer.
         {
             std::lock_guard<std::mutex> lock(links_mutex_);
-            installs.swap(installs_);
+            installs.assign(installs_.begin(), installs_.end());
+            installs_.clear();
         }
         for (const auto& inst : installs) {
             install_fd(inst.peer, inst.fd, inst.session);

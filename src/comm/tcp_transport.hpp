@@ -4,16 +4,18 @@
 // ReliableTransport, RecordingTransport, telemetry) stacks over it
 // unchanged.
 //
-// Bootstrap (rendezvous): rank 0 listens on the rendezvous port; every
-// other rank connects there (with retry inside connect_timeout_s, so start
-// order does not matter), sends a Hello{rank, listen_port}, and receives
-// the address map (every rank's IP:port) back. The rendezvous connection
-// itself becomes the permanent rank0<->peer data link; the rest of the
-// mesh is completed peer-to-peer — rank j dials every rank i with
-// 0 < i < j at its advertised address, identifying itself with the same
-// Hello. A rank that dies mid-bootstrap surfaces on every survivor as a
-// typed CommError naming the missing peer (accept/connect deadline ->
-// RecvTimeout, a half-open link -> RankKilled), never a generic failure.
+// Bootstrap: the rendezvous is an address exchange only. Rank 0 listens
+// on the rendezvous port; every other rank connects there (with retry
+// inside connect_timeout_s, so start order does not matter), sends a
+// Hello{rank, listen_port}, reads the address map (every rank's IP:port)
+// back, and the rendezvous connection closes. Every link then opens
+// through the session handshake that also resumes a downed link: each
+// link starts never-connected (fsm::kNeverConnected), the higher rank of
+// the pair dials the lower one's listener with a RESUME proposing session
+// 1, and the constructor returns once every link is up. A rank that dies
+// mid-bootstrap surfaces on every survivor as a typed CommError naming the
+// missing peer (deadline -> RecvTimeout, a link the FSM declares dead or a
+// rendezvous peer that vanished -> RankKilled), never a generic failure.
 //
 // Data plane: one frame per Message (comm/tcp_frame.hpp), written
 // blocking under a per-peer mutex; a single background receiver thread
@@ -28,9 +30,9 @@
 // disconnect or a malformed frame downs the LINK, not the peer. Link
 // lifecycle is the pure FSM in comm/reconnect_fsm.hpp: the higher rank of
 // the pair re-dials the lower one's persistent listener (rank 0 keeps the
-// rendezvous listener, everyone else their mesh listener) with capped
-// exponential backoff, carrying a RESUME hello that proposes a strictly
-// advancing session id; the acceptor validates it (stale dials from
+// rendezvous listener, everyone else their own) with capped exponential
+// backoff, carrying a RESUME hello that proposes a strictly advancing
+// session id; the acceptor validates it (stale dials from
 // abandoned incarnations are rejected) and answers RESUME_OK. While a link
 // is kDown, deliver() to that peer silently drops the frame — the wire ARQ
 // above (ReliableTransport) buffers every payload and replays the gap the
@@ -40,18 +42,19 @@
 // surfaces CommError(RecvTimeout) through its deadline, and the membership
 // layer takes over. Typed errors, never a hang.
 //
-// Deterministic socket chaos: TcpConfig::socket_faults seeds a per-peer
-// injector inside deliver()'s write path — scheduled connection kills,
-// truncated frames (half a frame then a hard shutdown), stalled writes —
-// so reconnect-under-load is testable without real network flakiness.
+// Deterministic socket chaos: TcpConfig::socket_faults drives a per-peer
+// injector inside deliver()'s write path — connection kills and
+// truncated frames (half a frame then a hard shutdown) — so
+// reconnect-under-load is testable without real network flakiness.
 //
 // This transport addresses ONE rank per process: receive/begin_epoch/
-// pending_with_tag_at_least/take_reconnected are only valid for
-// local_rank() (the mailbox of any other rank lives in another process).
+// pending_with_tag_at_least/take_reconnected are only valid for the
+// configured rank (the mailbox of any other rank lives in another process).
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -64,16 +67,14 @@
 #include "comm/reconnect_fsm.hpp"
 #include "comm/tcp_frame.hpp"
 #include "comm/transport.hpp"
-#include "util/rng.hpp"
 
 namespace gtopk::comm {
 
 /// Deterministic socket-level fault plan: CONNECTION chaos (the layer below
 /// FaultInjectingTransport's message chaos). Applied per frame, inside the
-/// per-peer send lock, from a per-peer stream forked off `seed` — the fault
-/// schedule is a pure function of (seed, per-peer frame ordinals).
+/// per-peer send lock — the fault schedule is a pure function of the
+/// per-peer frame ordinals.
 struct SocketFaultPlan {
-    std::uint64_t seed = 1;
     /// Hard-kill the connection instead of writing every Nth frame to a
     /// peer (1-based ordinal divisible by N). 0 = off. The frame is lost;
     /// the link goes kDown and the reconnect FSM takes over.
@@ -81,11 +82,6 @@ struct SocketFaultPlan {
     /// Write only the first half of every Nth frame, then hard-kill the
     /// connection — the receiver sees a mid-frame disconnect. 0 = off.
     std::uint64_t truncate_every_n = 0;
-    /// Stall (sleep) for `stall_s` before writing, with this probability.
-    double stall_prob = 0.0;
-    double stall_s = 0.0;
-    /// Restrict the plan to one destination rank; -1 = all peers.
-    int only_peer = -1;
     /// Stop injecting after this many faults (whole transport, all peers).
     /// 0 = unlimited. Sustained periodic kills can outpace the ARQ replay
     /// forever (each connection incarnation delivers fewer frames than the
@@ -93,9 +89,7 @@ struct SocketFaultPlan {
     /// guarantees the run eventually drains.
     std::uint64_t max_faults = 0;
 
-    bool enabled() const {
-        return kill_every_n != 0 || truncate_every_n != 0 || stall_prob > 0.0;
-    }
+    bool enabled() const { return kill_every_n != 0 || truncate_every_n != 0; }
 };
 
 struct TcpConfig {
@@ -105,21 +99,20 @@ struct TcpConfig {
     std::string rendezvous_host = "127.0.0.1";
     int rendezvous_port = 0;
     /// Bound on the whole bootstrap: connect retries, hello exchange,
-    /// address-map reads all complete within this budget or construction
-    /// throws a CommError naming the missing peer.
+    /// address-map reads and every link's first session handshake complete
+    /// within this budget or construction throws a CommError naming the
+    /// missing peer.
     double connect_timeout_s = 30.0;
-    /// Per-frame payload ceiling enforced on both sides of every link.
-    std::uint64_t max_frame_payload = tcp::kMaxFramePayload;
-    /// Reconnect budget/backoff for downed links (comm/reconnect_fsm.hpp).
-    fsm::ReconnectPolicy reconnect;
-    /// Seeded connection-level chaos (kills, truncations, stalls).
+    /// Scheduled connection-level chaos (kills, truncations).
     SocketFaultPlan socket_faults;
 };
 
 class TcpTransport final : public Transport {
 public:
-    /// Rendezvous + mesh bootstrap; blocks until every peer link is up or
-    /// connect_timeout_s expires (CommError naming the missing peer).
+    /// Rendezvous, then the first session handshake on every link; blocks
+    /// until every link is up, or throws a CommError naming the missing
+    /// peer (RankKilled for a link the FSM declared dead, RecvTimeout when
+    /// connect_timeout_s expires first).
     explicit TcpTransport(const TcpConfig& config);
     ~TcpTransport() override;
 
@@ -132,7 +125,6 @@ public:
     static std::optional<TcpConfig> config_from_env();
 
     int world_size() const override { return world_; }
-    int local_rank() const { return rank_; }
 
     void deliver(int dst, Message msg) override;
     std::optional<Message> try_receive(int rank, int source, int tag) override;
@@ -148,15 +140,17 @@ public:
     /// (see DESIGN.md §15/§17).
     bool shared_memory_fabric() const override { return false; }
     /// Peers whose link re-established (session resume) since the last
-    /// call. The reliable layer drains this from its pump and immediately
+    /// call; a link's first session is not a resume and is never reported.
+    /// The reliable layer drains this from its pump and immediately
     /// replays the ARQ gap with each returned peer.
     std::vector<int> take_reconnected(int rank) override;
 
-    /// Successful session resumes (either side) since construction.
+    /// Successful session resumes (either side) since construction; 0
+    /// after a clean bootstrap.
     std::uint64_t reconnects() const {
         return reconnects_.load(std::memory_order_relaxed);
     }
-    /// Socket faults the seeded plan injected (kills + truncations + stalls).
+    /// Socket faults the plan injected (kills + truncations).
     std::uint64_t socket_faults_injected() const {
         return socket_faults_injected_.load(std::memory_order_relaxed);
     }
@@ -174,6 +168,8 @@ private:
         /// A dialed fd completed its handshake and waits in the install
         /// queue for the receiver thread; suppresses further dials.
         bool installing = false;
+        /// A session was installed before: the next install is a resume.
+        bool ever_up = false;
     };
 
     /// Handshake-complete connection handed from the dialer thread to the
@@ -185,7 +181,11 @@ private:
     };
 
     void require_local(int rank, const char* who) const;
-    void bootstrap(const TcpConfig& config);
+    /// Address exchange through rank 0: fills peer_ip_/peer_port_ and
+    /// opens listen_fd_. No rendezvous socket outlives it.
+    void rendezvous(const TcpConfig& config, Clock::time_point deadline);
+    /// Block until every link is kUp (typed CommError otherwise).
+    void await_mesh(Clock::time_point deadline, double budget);
     void receiver_loop();
     void dialer_loop();
     /// Socket failure on the link to `peer`: kUp -> kDown (shutdown() the
@@ -198,7 +198,8 @@ private:
     /// Receiver thread: close and forget the fd of a non-kUp link.
     void retire_fd(int peer);
     /// Receiver thread: install a fresh connection for `peer` (closing any
-    /// old fd), reset its decoder, record the reconnect event.
+    /// old fd), reset its decoder, record the reconnect event unless this
+    /// is the link's first session.
     void install_fd(int peer, int fd, std::uint64_t session);
     /// Receiver thread: accept + validate one RESUME on the listener.
     void accept_resume();
@@ -210,8 +211,6 @@ private:
 
     int rank_ = -1;
     int world_ = 0;
-    std::uint64_t max_payload_ = tcp::kMaxFramePayload;
-    fsm::ReconnectPolicy reconnect_;
     SocketFaultPlan faults_;
     Mailbox mailbox_;
 
@@ -225,18 +224,19 @@ private:
     std::unique_ptr<std::atomic<int>[]> phase_;
     std::vector<Link> links_;  // guarded by links_mutex_
     mutable std::mutex links_mutex_;
+    /// Notified when a link turns kUp or kDead; the constructor waits on it.
+    std::condition_variable links_cv_;
     std::vector<PendingInstall> installs_;  // guarded by links_mutex_
     std::vector<int> reconnected_;          // guarded by links_mutex_
 
-    /// Persistent listener for session resumes: rank 0 keeps the rendezvous
-    /// socket, every other rank its mesh listener.
+    /// Persistent listener for session handshakes: rank 0 keeps the
+    /// rendezvous socket, every other rank listens on an ephemeral port.
     int listen_fd_ = -1;
-    /// Redial addresses learned at bootstrap (IPv4 network order / port).
+    /// Dial addresses learned at the rendezvous (IPv4 network order / port).
     std::vector<std::uint32_t> peer_ip_;
     std::vector<int> peer_port_;
 
-    /// Per-peer seeded fault streams + frame ordinals (send-mutex guarded).
-    std::vector<util::Xoshiro256> fault_rng_;
+    /// Per-peer frame ordinals for the fault plan (send-mutex guarded).
     std::vector<std::uint64_t> fault_ord_;
 
     int wake_pipe_[2] = {-1, -1};  // self-pipe: shutdown()/events -> poll()

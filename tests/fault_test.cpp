@@ -177,6 +177,25 @@ TEST(FaultTest, ShutdownIsIdempotent) {
     EXPECT_THROW(transport.try_receive(0, 1, kTagTestData), comm::MailboxClosed);
 }
 
+TEST(FaultTest, RuleShadowedByAnEarlierRuleIsRejected) {
+    // First match wins: a narrower rule after a catch-all never fires, so
+    // the plan is refused; the reverse order lets both rules fire.
+    FaultRule catch_all;
+    catch_all.drop_prob = 0.1;
+    FaultRule narrow;
+    narrow.src = 0;
+    narrow.tag = kTagTestData;
+    narrow.corrupt_prob = 0.1;
+
+    FaultPlan shadowed;
+    shadowed.add(catch_all).add(narrow);
+    EXPECT_THROW(FaultInjectingTransport(2, shadowed), std::invalid_argument);
+
+    FaultPlan ordered;
+    ordered.add(narrow).add(catch_all);
+    EXPECT_NO_THROW(FaultInjectingTransport(2, ordered));
+}
+
 TEST(FaultTest, ManyConcurrentClustersDoNotInterfere) {
     // Cluster instances are fully isolated: run several concurrently and
     // verify each one's allreduce result.

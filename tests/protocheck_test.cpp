@@ -270,8 +270,9 @@ TEST(ProtocheckSweepTest, ReconnectFullAdversaryIsCleanWithLiveness) {
     // Connection losses, dropped RESUME/RESUME_OK frames, delayed backlog
     // dials and patience expiries on either side: every schedule keeps the
     // session monotonic and agreed, and converges (fair liveness) to one
-    // resumed link or a dead one.
-    for (int losses = 1; losses <= 2; ++losses) {
+    // resumed link or a dead one. losses = 0 is the first connection of a
+    // never-connected link on its own.
+    for (int losses = 0; losses <= 2; ++losses) {
         pc::ReconnectModelConfig cfg;
         cfg.max_losses = losses;
         const auto r = pc::explore(pc::ReconnectModel(cfg));
@@ -577,6 +578,27 @@ TEST(ReconnectFsmTest, BackoffDoublesAndClamps) {
     EXPECT_DOUBLE_EQ(fsm::link_backoff_s(st, policy), 0.1);
     st.attempts = 10;
     EXPECT_DOUBLE_EQ(fsm::link_backoff_s(st, policy), 0.4);
+}
+
+TEST(ReconnectFsmTest, NeverConnectedOpensOnProposalOne) {
+    // Every TcpTransport link starts here and opens through the resume
+    // handshake: the dialer's first proposal is 1, which the acceptor takes;
+    // 0 does not advance the never-connected session and is stale.
+    fsm::LinkState dialer = fsm::kNeverConnected;
+    fsm::LinkState acceptor = fsm::kNeverConnected;
+    EXPECT_EQ(dialer.phase, fsm::LinkPhase::kDown);
+    EXPECT_FALSE(fsm::link_down(dialer));  // nothing to lose yet
+    EXPECT_EQ(fsm::link_dial(dialer, fsm::ReconnectPolicy{}),
+              fsm::DialVerdict::kDial);
+    EXPECT_EQ(fsm::link_propose(dialer), 1u);
+    EXPECT_EQ(fsm::link_resume(acceptor, 0), fsm::ResumeVerdict::kRejectStale);
+    EXPECT_EQ(acceptor.phase, fsm::LinkPhase::kDown);
+    EXPECT_EQ(fsm::link_resume(acceptor, 1), fsm::ResumeVerdict::kAccept);
+    EXPECT_EQ(acceptor.phase, fsm::LinkPhase::kUp);
+    fsm::link_established(dialer, 1);
+    EXPECT_EQ(dialer.phase, fsm::LinkPhase::kUp);
+    EXPECT_EQ(dialer.session, 1u);
+    EXPECT_EQ(dialer.attempts, 0u);
 }
 
 TEST(ReconnectFsmTest, PassiveExpiryOnlyFromDown) {

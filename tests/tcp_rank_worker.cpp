@@ -11,7 +11,7 @@
 //                   [--flight-out bundle.json]
 //                   [--drop-prob F] [--corrupt-prob F] [--fault-seed N]
 //                   [--socket-kill-every N] [--socket-truncate-every N]
-//                   [--socket-fault-seed N] [--socket-max-faults N]
+//                   [--socket-max-faults N]
 //
 // When --rank/--world/--port are absent the worker bootstraps from the
 // GTOPK_RANK / GTOPK_WORLD_SIZE / GTOPK_RENDEZVOUS environment instead —
@@ -28,7 +28,7 @@
 // `kill -9` looks like to the peers. --drop-prob/--corrupt-prob inject seeded loss and
 // corruption on the ARQ envelope tag (under the reliable layer, so the wire
 // ARQ must recover them bit-exactly). --socket-kill-every/--socket-
-// truncate-every arm TcpTransport's SOCKET fault injector: seeded
+// truncate-every arm TcpTransport's SOCKET fault injector: scheduled
 // connection kills and truncated frames that exercise the reconnect /
 // session-resume path. --elastic hangs a MembershipService off the stack so
 // a dead peer yields a wire regroup instead of an abort. --record-out
@@ -139,7 +139,6 @@ int main(int argc, char** argv) {
     unsigned long fault_seed = 1;
     unsigned long socket_kill_every = 0;
     unsigned long socket_truncate_every = 0;
-    unsigned long socket_fault_seed = 1;
     unsigned long socket_max_faults = 0;
 
     for (int i = 1; i < argc; ++i) {
@@ -186,9 +185,6 @@ int main(int argc, char** argv) {
             socket_truncate_every = std::strtoul(
                 argv[i = require_arg(argc, i, "--socket-truncate-every")], nullptr,
                 10);
-        } else if (arg == "--socket-fault-seed") {
-            socket_fault_seed = std::strtoul(
-                argv[i = require_arg(argc, i, "--socket-fault-seed")], nullptr, 10);
         } else if (arg == "--socket-max-faults") {
             socket_max_faults = std::strtoul(
                 argv[i = require_arg(argc, i, "--socket-max-faults")], nullptr, 10);
@@ -242,7 +238,6 @@ int main(int argc, char** argv) {
         tcfg.rendezvous_port = port;
         tcfg.connect_timeout_s = 30.0;
         if (socket_kill_every > 0 || socket_truncate_every > 0) {
-            tcfg.socket_faults.seed = socket_fault_seed;
             tcfg.socket_faults.kill_every_n = socket_kill_every;
             tcfg.socket_faults.truncate_every_n = socket_truncate_every;
             tcfg.socket_faults.max_faults = socket_max_faults;

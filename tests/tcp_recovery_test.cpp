@@ -5,7 +5,7 @@
 //     every process (launched through gtopkrun, the production path) is
 //     fully masked by the wire ARQ: final params bit-identical to the
 //     fault-free in-process baseline;
-//   * seeded SOCKET chaos — hard connection kills and mid-frame
+//   * scheduled SOCKET chaos — hard connection kills and mid-frame
 //     truncations — forces real reconnect/session-resume cycles under
 //     load, and the run is STILL bit-identical (the resumed link replays
 //     the lost frames from the ARQ buffer);
@@ -163,7 +163,7 @@ TEST(TcpRecovery, TenPercentDropAndCorruptionOverGtopkrunIsBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Socket chaos: seeded connection kills + mid-frame truncations force the
+// Socket chaos: scheduled connection kills + mid-frame truncations force the
 // reconnect/session-resume path under load; the resumed link must replay
 // lost frames from the ARQ buffer with zero trajectory impact.
 
@@ -189,8 +189,7 @@ TEST(TcpRecovery, SeededSocketKillsReconnectAndStayBitIdentical) {
              // frames than the growing backlog); 5 faults per rank is a
              // transient storm the link must fully absorb.
              "--reliable", "--socket-kill-every", "25",
-             "--socket-truncate-every", "37", "--socket-max-faults", "5",
-             "--socket-fault-seed", std::to_string(5 + r)}));
+             "--socket-truncate-every", "37", "--socket-max-faults", "5"}));
     }
     std::uint64_t reconnects = 0;
     std::uint64_t socket_faults = 0;

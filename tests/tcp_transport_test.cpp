@@ -14,12 +14,16 @@
 //     never a hang — the 120s ctest TIMEOUT is the backstop that turns a
 //     hang into a failure;
 //   * the standard decorators (ReliableTransport, FaultInjecting,
-//     Recording) stack over TcpTransport unchanged.
+//     Recording) stack over TcpTransport unchanged;
+//   * every link opens through the session handshake, and that first
+//     session is not counted or reported as a reconnect.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <barrier>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -27,6 +31,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/conformance.hpp"
@@ -413,6 +418,80 @@ TEST(TcpDecorators, ReliableEnvelopeOverTcpIsBitExact) {
             << "rank " << r;
     }
     std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Bootstrap: a world of TcpTransports on threads of one process (as the
+// benchmark harness builds it). The constructor returns once the session
+// handshake has opened every link; no link has been resumed yet, and one
+// frame crosses each link in both directions.
+
+TEST(TcpBootstrap, HandshakeOpensEveryLinkWithoutCountingAReconnect) {
+    const int world = 4;
+    const int port = tcptest::probe_free_port();
+    ASSERT_GT(port, 0);
+    std::vector<std::uint64_t> reconnects(world, 99);
+    std::vector<std::size_t> reported(world, 99);
+    std::vector<std::vector<int>> got(world);  // sources heard, per rank
+    std::vector<std::string> errors(world);
+    std::barrier done(world);
+    std::vector<std::thread> threads;
+    for (int r = 0; r < world; ++r) {
+        threads.emplace_back([&, r] {
+            const auto ri = static_cast<std::size_t>(r);
+            try {
+                comm::TcpConfig cfg;
+                cfg.rank = r;
+                cfg.world_size = world;
+                cfg.rendezvous_port = port;
+                cfg.connect_timeout_s = 20.0;
+                comm::TcpTransport t(cfg);
+                reconnects[ri] = t.reconnects();
+                reported[ri] = t.take_reconnected(r).size();
+                for (int peer = 0; peer < world; ++peer) {
+                    if (peer == r) continue;
+                    comm::Message m;
+                    m.source = r;
+                    m.tag = comm::kTagTestData;
+                    m.payload = {static_cast<std::byte>(r)};
+                    t.deliver(peer, std::move(m));
+                }
+                const auto deadline =
+                    std::chrono::steady_clock::now() + std::chrono::seconds(20);
+                for (int peer = 0; peer < world; ++peer) {
+                    if (peer == r) continue;
+                    std::optional<comm::Message> m;
+                    while (!(m = t.try_receive(r, peer, comm::kTagTestData)) &&
+                           std::chrono::steady_clock::now() < deadline) {
+                        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                    }
+                    if (m && m->payload == std::vector<std::byte>{
+                                               static_cast<std::byte>(peer)}) {
+                        got[ri].push_back(peer);
+                    }
+                }
+                // Every rank has heard from every peer before any link closes.
+                done.arrive_and_wait();
+                t.shutdown();
+                return;
+            } catch (const std::exception& e) {
+                errors[ri] = e.what();
+            }
+            done.arrive_and_drop();
+        });
+    }
+    for (std::thread& t : threads) t.join();
+    for (int r = 0; r < world; ++r) {
+        const auto ri = static_cast<std::size_t>(r);
+        ASSERT_EQ(errors[ri], "") << "rank " << r;
+        EXPECT_EQ(reconnects[ri], 0u) << "rank " << r;
+        EXPECT_EQ(reported[ri], 0u) << "rank " << r;
+        std::vector<int> want;
+        for (int peer = 0; peer < world; ++peer) {
+            if (peer != r) want.push_back(peer);
+        }
+        EXPECT_EQ(got[ri], want) << "rank " << r;
+    }
 }
 
 // ---------------------------------------------------------------------------

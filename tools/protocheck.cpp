@@ -357,7 +357,9 @@ int main(int argc, char** argv) {
     }
 
     if (run_reconnect) {
-        for (int losses = 1; losses <= std::max(1, o.losses); ++losses) {
+        // losses = 0 is the first connection alone: every link starts
+        // never-connected and opens through the same handshake.
+        for (int losses = 0; losses <= o.losses; ++losses) {
             pc::ReconnectModelConfig cfg;
             cfg.max_losses = losses;
             cfg.max_attempts = static_cast<std::uint64_t>(o.attempts);
