@@ -177,32 +177,58 @@ void ReliableTransport::release_parked(int rank, EdgeRx& r, std::uint64_t n) {
 }
 
 void ReliableTransport::process_incoming(int rank) {
-    // Wire mode: cumulative acks owed per source after the envelope drain.
+    // Wire mode: cumulative acks owed per source after the intake drain.
     // Coalesced (latest value wins) so a burst costs one ack frame per edge.
     std::map<int, std::uint64_t> owed_acks;
+    // One pass over the inner fabric in arrival order: every try_receive
+    // miss may read the sockets, so the intake takes data, acks and pulls
+    // together rather than one pass per tag.
     for (;;) {
-        auto env = inner_->try_receive(rank, kAnySource, kTagReliableData);
-        if (!env) break;
-        if (env->payload.size() < kHeaderBytes ||
-            get_u64(env->payload.data()) != kMagic) {
+        auto in = inner_->try_receive(rank, kAnySource, kAnyTag);
+        if (!in) break;
+        if (in->tag == kTagReliableAck || in->tag == kTagReliablePull) {
+            const std::optional<std::uint64_t> value = decode_control(in->payload);
+            if (!value) {
+                count_event(corrupt_dropped_, m_corrupt_dropped_);
+                continue;
+            }
+            if (in->tag == kTagReliableAck) {
+                // Sender half of the wire ack plane: fold a remote
+                // cumulative ack into this rank's tx edge and GC the acked
+                // buffer prefix.
+                EdgeTx& e = tx(rank, in->source);
+                std::lock_guard<std::mutex> lock(e.mutex);
+                const std::uint64_t gc = fsm::arq_tx_ack(e.state, *value);
+                for (std::uint64_t i = 0; i < gc; ++i) e.buffer.pop_front();
+            } else {
+                // Gap-recovery pull: the remote receiver names its next
+                // expected seq; everything still buffered from there on
+                // retransmits.
+                answer_pull(rank, in->source, *value, in->epoch);
+            }
+            continue;
+        }
+        Message& env = *in;
+        if (env.tag != kTagReliableData || env.payload.size() < kHeaderBytes ||
+            get_u64(env.payload.data()) != kMagic) {
             count_event(corrupt_dropped_, m_corrupt_dropped_);
             continue;
         }
-        const std::uint64_t seq = get_u64(env->payload.data() + 8);
+        const std::uint64_t seq = get_u64(env.payload.data() + 8);
         const std::int64_t orig_tag =
-            static_cast<std::int64_t>(get_u64(env->payload.data() + 16));
+            static_cast<std::int64_t>(get_u64(env.payload.data() + 16));
         const std::int64_t orig_epoch =
-            static_cast<std::int64_t>(get_u64(env->payload.data() + 24));
-        const std::uint64_t checksum = get_u64(env->payload.data() + 32);
+            static_cast<std::int64_t>(get_u64(env.payload.data() + 24));
+        const std::uint64_t checksum = get_u64(env.payload.data() + 32);
 
         Message orig;
-        orig.source = env->source;
+        orig.source = env.source;
         orig.tag = static_cast<int>(orig_tag);
         orig.epoch = static_cast<int>(orig_epoch);
-        orig.arrival_time_s = env->arrival_time_s;
-        orig.payload.assign(env->payload.begin() +
+        orig.arrival_time_s = env.arrival_time_s;
+        orig.payload.assign(env.payload.begin() +
                                 static_cast<std::ptrdiff_t>(kHeaderBytes),
-                            env->payload.end());
+                            env.payload.end());
         const bool checksum_ok =
             envelope_checksum(seq, orig_tag, orig_epoch, orig.payload) == checksum;
 
@@ -237,35 +263,6 @@ void ReliableTransport::process_incoming(int rank) {
                 backoff_[static_cast<std::size_t>(rank)].armed = false;  // progress
                 break;
         }
-    }
-    if (!wire_) return;
-
-    // Sender half of the wire ack plane: fold remote cumulative acks into
-    // this rank's tx edges and GC the acked buffer prefix.
-    for (;;) {
-        auto ack = inner_->try_receive(rank, kAnySource, kTagReliableAck);
-        if (!ack) break;
-        const std::optional<std::uint64_t> value = decode_control(ack->payload);
-        if (!value) {
-            count_event(corrupt_dropped_, m_corrupt_dropped_);
-            continue;
-        }
-        EdgeTx& e = tx(rank, ack->source);
-        std::lock_guard<std::mutex> lock(e.mutex);
-        const std::uint64_t gc = fsm::arq_tx_ack(e.state, *value);
-        for (std::uint64_t i = 0; i < gc; ++i) e.buffer.pop_front();
-    }
-    // Gap-recovery pulls: the remote receiver names its next expected seq;
-    // everything still buffered from there on retransmits.
-    for (;;) {
-        auto pull = inner_->try_receive(rank, kAnySource, kTagReliablePull);
-        if (!pull) break;
-        const std::optional<std::uint64_t> value = decode_control(pull->payload);
-        if (!value) {
-            count_event(corrupt_dropped_, m_corrupt_dropped_);
-            continue;
-        }
-        answer_pull(rank, pull->source, *value, pull->epoch);
     }
     for (const auto& [src, cum] : owed_acks) {
         send_control(rank, src, kTagReliableAck, cum);

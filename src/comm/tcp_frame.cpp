@@ -1,5 +1,6 @@
 #include "comm/tcp_frame.hpp"
 
+#include <array>
 #include <cmath>
 #include <cstring>
 
@@ -11,27 +12,29 @@ namespace {
 // depend on the host's integer layout, and byte-wise assembly keeps the
 // decoder free of unaligned loads (UBSan-clean on any input).
 
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
+std::byte* put_u32(std::byte* out, std::uint32_t v) {
     for (int i = 0; i < 4; ++i) {
-        out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFFu));
+        *out++ = static_cast<std::byte>((v >> (8 * i)) & 0xFFu);
     }
+    return out;
 }
 
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
+std::byte* put_u64(std::byte* out, std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
-        out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFFu));
+        *out++ = static_cast<std::byte>((v >> (8 * i)) & 0xFFu);
     }
+    return out;
 }
 
-void put_i32(std::vector<std::byte>& out, std::int32_t v) {
-    put_u32(out, static_cast<std::uint32_t>(v));
+std::byte* put_i32(std::byte* out, std::int32_t v) {
+    return put_u32(out, static_cast<std::uint32_t>(v));
 }
 
-void put_f64(std::vector<std::byte>& out, double v) {
+std::byte* put_f64(std::byte* out, double v) {
     std::uint64_t bits = 0;
     static_assert(sizeof(bits) == sizeof(v));
     std::memcpy(&bits, &v, sizeof(bits));
-    put_u64(out, bits);
+    return put_u64(out, bits);
 }
 
 std::uint32_t get_u32(const std::byte* p) {
@@ -115,8 +118,9 @@ void validate_header(const Header& h, std::uint64_t max_payload) {
 
 }  // namespace
 
-void encode_frame(const Message& msg, int dst, std::vector<std::byte>& out,
-                  std::uint64_t max_payload) {
+void encode_header(const Message& msg, int dst,
+                   std::span<std::byte, kFrameHeaderBytes> out,
+                   std::uint64_t max_payload) {
     Header h;
     h.magic = kFrameMagic;
     h.version = kFrameVersion;
@@ -128,16 +132,24 @@ void encode_frame(const Message& msg, int dst, std::vector<std::byte>& out,
     h.payload_len = msg.payload.size();
     validate_header(h, max_payload);
 
+    std::byte* p = out.data();
+    p = put_u32(p, h.magic);
+    p = put_u32(p, h.version);
+    p = put_i32(p, h.src);
+    p = put_i32(p, h.dst);
+    p = put_i32(p, h.tag);
+    p = put_i32(p, h.epoch);
+    p = put_f64(p, h.arrival_time_s);
+    p = put_u64(p, h.payload_len);
+    put_u32(p, 0);  // reserved: keeps the header 4-byte-rounded at 44
+}
+
+void encode_frame(const Message& msg, int dst, std::vector<std::byte>& out,
+                  std::uint64_t max_payload) {
+    std::array<std::byte, kFrameHeaderBytes> header;
+    encode_header(msg, dst, header, max_payload);
     out.reserve(out.size() + kFrameHeaderBytes + msg.payload.size());
-    put_u32(out, h.magic);
-    put_u32(out, h.version);
-    put_i32(out, h.src);
-    put_i32(out, h.dst);
-    put_i32(out, h.tag);
-    put_i32(out, h.epoch);
-    put_f64(out, h.arrival_time_s);
-    put_u64(out, h.payload_len);
-    put_u32(out, 0);  // reserved: keeps the header 4-byte-rounded at 44
+    out.insert(out.end(), header.begin(), header.end());
     out.insert(out.end(), msg.payload.begin(), msg.payload.end());
 }
 

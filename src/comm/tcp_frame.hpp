@@ -1,12 +1,12 @@
 // Wire framing for TcpTransport: one length-prefixed frame per Message.
 //
-// The codec is deliberately socket-free — encode_frame produces bytes,
-// FrameDecoder consumes an arbitrary re-chunking of them — so the fuzz
-// suite can drive the exact code the receiver thread runs without opening
-// a connection. Every header field is validated eagerly, BEFORE the
-// payload is buffered: a hostile or corrupted peer can make the decoder
-// throw FrameError (the connection is then dropped), never allocate an
-// attacker-chosen amount of memory or read out of bounds.
+// The codec is deliberately socket-free — encode_header/encode_frame
+// produce bytes, FrameDecoder consumes an arbitrary re-chunking of them —
+// so the fuzz suite can drive the exact code the transport's readers run
+// without opening a connection. Every header field is validated eagerly,
+// BEFORE the payload is buffered: a hostile or corrupted peer can make the
+// decoder throw FrameError (the connection is then dropped), never
+// allocate an attacker-chosen amount of memory or read out of bounds.
 //
 // Layout (little-endian, 44-byte header):
 //   u32  magic            'GTPK' (0x4754504B)
@@ -52,9 +52,16 @@ struct FrameError : std::runtime_error {
     explicit FrameError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Serialize `msg` (headed to `dst`) and append the frame to `out`.
-/// Validates the same invariants the decoder enforces, so a frame this
-/// process emits is always decodable by a peer with the same limits.
+/// Write the header of `msg`'s frame (headed to `dst`) into `out`; the
+/// payload bytes follow it on the wire unchanged. Validates the same
+/// invariants the decoder enforces, so a frame this process emits is
+/// always decodable by a peer with the same limits.
+void encode_header(const Message& msg, int dst,
+                   std::span<std::byte, kFrameHeaderBytes> out,
+                   std::uint64_t max_payload = kMaxFramePayload);
+
+/// Serialize `msg` (headed to `dst`) and append the whole frame, header
+/// (encode_header) then payload, to `out`.
 void encode_frame(const Message& msg, int dst, std::vector<std::byte>& out,
                   std::uint64_t max_payload = kMaxFramePayload);
 

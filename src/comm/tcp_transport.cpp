@@ -7,8 +7,11 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -51,6 +54,24 @@ constexpr double kHandshakeTimeoutS = 1.0;
 
 // Dial budget and backoff of every link (comm/reconnect_fsm.hpp).
 constexpr fsm::ReconnectPolicy kReconnect{};
+
+// The receiver thread reads the data sockets only once the rank thread has
+// not drained them for this long: short enough that a rank computing, or
+// blocked in a multi-MB send to a peer that is sending to it, still has
+// its inbound bytes read; long enough that a rank polling for messages is
+// never woken through another thread.
+constexpr auto kReaderFallback = std::chrono::milliseconds(2);
+// Receiver poll tick while it reads the data sockets itself.
+constexpr int kReceiverTickMs = 100;
+// Bytes one recv may return (per-peer staging chunk).
+constexpr std::size_t kRecvChunk = 64 * 1024;
+// Up links gathered into one poll(..., 0) by the rank thread's drain.
+constexpr int kDrainBatch = 64;
+
+// A refused rendezvous connect (rank 0 has not bound its port yet) retries
+// after a delay that doubles from the first to the cap.
+constexpr auto kConnectRetryFirst = std::chrono::milliseconds(1);
+constexpr auto kConnectRetryCap = std::chrono::milliseconds(50);
 
 [[noreturn]] void fail(const std::string& what) {
     throw std::runtime_error("TcpTransport: " + what +
@@ -247,10 +268,11 @@ int bound_port(int fd) {
 }
 
 /// Connect with retry until `deadline`: peers race the listener's startup,
-/// so refused/unreachable attempts back off briefly and try again.
-/// Returns -1 on deadline expiry so the caller can raise a typed error
-/// naming the peer it could not reach.
+/// so refused/unreachable attempts back off (1 ms doubling to 50 ms, never
+/// past the deadline) and try again. Returns -1 on deadline expiry so the
+/// caller can raise a typed error naming the peer it could not reach.
 int connect_retry(const sockaddr_in& addr, Clock::time_point deadline) {
+    Clock::duration delay = kConnectRetryFirst;
     for (;;) {
         const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
         if (fd < 0) fail("socket");
@@ -259,8 +281,10 @@ int connect_retry(const sockaddr_in& addr, Clock::time_point deadline) {
             return fd;
         }
         ::close(fd);
-        if (remaining_s(deadline) <= 0.0) return -1;
-        ::usleep(50 * 1000);
+        const auto now = Clock::now();
+        if (now >= deadline) return -1;
+        std::this_thread::sleep_for(std::min(delay, deadline - now));
+        delay = std::min<Clock::duration>(delay * 2, kConnectRetryCap);
     }
 }
 
@@ -281,6 +305,36 @@ int accept_with_deadline(int listen_fd, Clock::time_point deadline) {
         }
         return fd;
     }
+}
+
+/// Write the first `limit` bytes of header ++ payload with sendmsg (a
+/// truncating fault writes a prefix), resuming a partial write at the right
+/// offset. False on a socket error.
+bool send_frame(int fd, std::span<const std::byte> header,
+                std::span<const std::byte> payload, std::size_t limit) {
+    const std::size_t header_end = std::min(limit, header.size());
+    const std::size_t payload_end = limit - header_end;
+    std::size_t done = 0;
+    while (done < limit) {
+        const std::size_t in_header = std::min(done, header_end);
+        const std::size_t in_payload = done - in_header;
+        iovec iov[2] = {
+            {const_cast<std::byte*>(header.data()) + in_header, header_end - in_header},
+            {const_cast<std::byte*>(payload.data()) + in_payload,
+             payload_end - in_payload},
+        };
+        msghdr mh{};
+        mh.msg_iov = iov;
+        mh.msg_iovlen = 2;
+        const ssize_t n = ::sendmsg(fd, &mh, MSG_NOSIGNAL);
+        if (n > 0) {
+            done += static_cast<std::size_t>(n);
+            continue;
+        }
+        if (n < 0 && errno == EINTR) continue;
+        return false;
+    }
+    return true;
 }
 
 constexpr int kPhaseUp = static_cast<int>(fsm::LinkPhase::kUp);
@@ -320,7 +374,10 @@ TcpTransport::TcpTransport(const TcpConfig& config)
     const auto n = static_cast<std::size_t>(world_);
     peer_fds_ = std::make_unique<std::atomic<int>[]>(n);
     for (std::size_t r = 0; r < n; ++r) peer_fds_[r] = -1;
-    decoders_.resize(n);
+    readers_ = std::make_unique<PeerReader[]>(n);
+    for (std::size_t r = 0; r < n; ++r) {
+        readers_[r].chunk = std::make_unique_for_overwrite<std::byte[]>(kRecvChunk);
+    }
     send_mutexes_ = std::make_unique<std::mutex[]>(n);
     phase_ = std::make_unique<std::atomic<int>[]>(n);
     links_.resize(n);
@@ -542,10 +599,11 @@ void TcpTransport::link_mark_dead_locked(int peer) {
 }
 
 void TcpTransport::retire_fd(int peer) {
-    std::lock_guard<std::mutex> lock(send_mutexes_[static_cast<std::size_t>(peer)]);
-    const int fd = peer_fds_[static_cast<std::size_t>(peer)].exchange(-1);
+    const auto idx = static_cast<std::size_t>(peer);
+    std::scoped_lock lock(send_mutexes_[idx], readers_[idx].mutex);
+    const int fd = peer_fds_[idx].exchange(-1);
     if (fd >= 0) ::close(fd);
-    decoders_[static_cast<std::size_t>(peer)].reset();
+    readers_[idx].decoder.reset();
 }
 
 void TcpTransport::install_fd(int peer, int fd, std::uint64_t session) {
@@ -554,12 +612,12 @@ void TcpTransport::install_fd(int peer, int fd, std::uint64_t session) {
     (void)::fcntl(fd, F_SETFL, 0);  // the dial path used O_NONBLOCK
     int old = -1;
     {
-        std::lock_guard<std::mutex> lock(
-            send_mutexes_[static_cast<std::size_t>(peer)]);
-        old = peer_fds_[static_cast<std::size_t>(peer)].exchange(fd);
+        const auto idx = static_cast<std::size_t>(peer);
+        std::scoped_lock lock(send_mutexes_[idx], readers_[idx].mutex);
+        old = peer_fds_[idx].exchange(fd);
+        readers_[idx].decoder.reset();
     }
     if (old >= 0) ::close(old);
-    decoders_[static_cast<std::size_t>(peer)].reset();
     bool resumed = false;
     {
         std::lock_guard<std::mutex> lock(links_mutex_);
@@ -739,8 +797,9 @@ void TcpTransport::deliver(int dst, Message msg) {
     if (phase_[d].load(std::memory_order_acquire) == kPhaseDead) {
         throw CommError(CommErrorKind::RankKilled, rank_, dst, msg.tag, 0.0);
     }
-    std::vector<std::byte> frame;
-    tcp::encode_frame(msg, dst, frame);
+    std::array<std::byte, tcp::kFrameHeaderBytes> header;
+    tcp::encode_header(msg, dst, header);
+    const std::size_t frame_bytes = header.size() + msg.payload.size();
 
     std::lock_guard<std::mutex> lock(send_mutexes_[d]);
     const int fd = peer_fds_[d].load();
@@ -763,34 +822,103 @@ void TcpTransport::deliver(int dst, Message msg) {
         }
         if (faults_.truncate_every_n != 0 && ord % faults_.truncate_every_n == 0) {
             socket_faults_injected_.fetch_add(1, std::memory_order_relaxed);
-            const std::size_t half = frame.size() / 2 > 0 ? frame.size() / 2 : 1;
-            (void)write_full(fd, frame.data(), half);
+            (void)send_frame(fd, header, msg.payload, frame_bytes / 2);
             (void)::shutdown(fd, SHUT_RDWR);
             link_mark_down(dst);
             return;
         }
     }
-    const std::byte* p = frame.data();
-    std::size_t left = frame.size();
-    while (left > 0) {
-        const ssize_t n = ::send(fd, p, left, MSG_NOSIGNAL);
-        if (n > 0) {
-            p += n;
-            left -= static_cast<std::size_t>(n);
-            continue;
-        }
-        if (n < 0 && errno == EINTR) continue;
+    if (!send_frame(fd, header, msg.payload, frame_bytes)) {
         // Broken pipe / reset: down the link and drop the frame. The
         // reconnect FSM decides whether the peer is gone for good; the ARQ
         // layer recovers the payload either way.
         link_mark_down(dst);
-        return;
     }
 }
 
 std::optional<Message> TcpTransport::try_receive(int rank, int source, int tag) {
     require_local(rank, "try_receive");
+    if (auto msg = mailbox_.try_pop(source, tag)) return msg;
+    if (!drain_sockets()) return std::nullopt;
     return mailbox_.try_pop(source, tag);
+}
+
+bool TcpTransport::drain_sockets() {
+    last_drain_.store(Clock::now().time_since_epoch().count(),
+                      std::memory_order_relaxed);
+    bool readable = false;
+    for (int base = 0; base < world_; base += kDrainBatch) {
+        std::array<pollfd, kDrainBatch> pfds;
+        std::array<int, kDrainBatch> peers;
+        nfds_t n = 0;
+        for (int r = base; r < std::min(world_, base + kDrainBatch); ++r) {
+            const auto idx = static_cast<std::size_t>(r);
+            const int fd = peer_fds_[idx].load();
+            if (fd < 0 || phase_[idx].load(std::memory_order_acquire) != kPhaseUp) {
+                continue;
+            }
+            pfds[n] = pollfd{fd, POLLIN, 0};
+            peers[n++] = r;
+        }
+        if (n == 0 || ::poll(pfds.data(), n, 0) <= 0) continue;
+        for (nfds_t i = 0; i < n; ++i) {
+            if (pfds[i].revents == 0) continue;
+            readable = true;
+            const auto idx = static_cast<std::size_t>(peers[i]);
+            // Never block: a busy reader is the receiver thread, already
+            // emptying this socket into the mailbox.
+            std::unique_lock<std::mutex> lock(readers_[idx].mutex, std::try_to_lock);
+            const int fd = peer_fds_[idx].load();
+            if (lock.owns_lock() && fd >= 0) read_peer_locked(peers[i], fd);
+        }
+    }
+    return readable;
+}
+
+void TcpTransport::read_peer_locked(int peer, int fd) {
+    PeerReader& reader = readers_[static_cast<std::size_t>(peer)];
+    for (;;) {
+        const ssize_t n = ::recv(fd, reader.chunk.get(), kRecvChunk, MSG_DONTWAIT);
+        if (n > 0) {
+            try {
+                reader.decoder.feed(std::span<const std::byte>(
+                    reader.chunk.get(), static_cast<std::size_t>(n)));
+                while (auto frame = reader.decoder.next()) {
+                    if (frame->dst != rank_ || frame->msg.source != peer) {
+                        // Misrouted or spoofed: the link is not
+                        // trustworthy; tear it down wholesale.
+                        link_mark_down(peer);
+                        return;
+                    }
+                    mailbox_.push(std::move(frame->msg));
+                }
+            } catch (const tcp::FrameError& e) {
+                util::log_warn("tcp rank " + std::to_string(rank_) +
+                               ": downing link to peer " + std::to_string(peer) +
+                               ": " + e.what());
+                link_mark_down(peer);
+                return;
+            }
+            // A short read emptied the socket; a full one may have left more.
+            if (static_cast<std::size_t>(n) < kRecvChunk) return;
+            continue;
+        }
+        if (n == 0) {
+            // EOF. Mid-frame is a crash; a frame boundary is a clean exit —
+            // either way the link is down and the reconnect FSM decides
+            // whether the peer comes back.
+            if (reader.decoder.mid_frame()) {
+                util::log_warn("tcp rank " + std::to_string(rank_) + ": peer " +
+                               std::to_string(peer) + " disconnected mid-frame");
+            }
+            link_mark_down(peer);
+            return;
+        }
+        if (errno == EINTR) continue;
+        // EAGAIN: drained (the other reader may have emptied it since poll).
+        if (errno != EAGAIN && errno != EWOULDBLOCK) link_mark_down(peer);
+        return;
+    }
 }
 
 void TcpTransport::begin_epoch(int rank, int epoch) {
@@ -819,7 +947,6 @@ std::vector<int> TcpTransport::take_reconnected(int rank) {
 }
 
 void TcpTransport::receiver_loop() {
-    std::vector<std::byte> buf(64 * 1024);
     std::vector<pollfd> pfds;
     std::vector<int> pfd_rank;
     std::vector<PendingInstall> installs;
@@ -857,7 +984,13 @@ void TcpTransport::receiver_loop() {
                 retire_fd(r);
             }
         }
-        // 4. Poll: wake pipe, resume listener, every up link.
+        // 4. Poll: wake pipe, resume listener and — only once the rank
+        // thread has left them undrained for kReaderFallback — every up
+        // link. Until then, sleep just past the moment the window ends.
+        const auto idle =
+            Clock::now() - Clock::time_point(Clock::duration(
+                               last_drain_.load(std::memory_order_relaxed)));
+        const bool fallback = idle >= kReaderFallback;
         pfds.clear();
         pfd_rank.clear();
         pfds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
@@ -866,7 +999,7 @@ void TcpTransport::receiver_loop() {
             pfds.push_back(pollfd{listen_fd_, POLLIN, 0});
             pfd_rank.push_back(-2);
         }
-        for (int r = 0; r < world_; ++r) {
+        for (int r = 0; r < world_ && fallback; ++r) {
             const auto idx = static_cast<std::size_t>(r);
             const int fd = peer_fds_[idx].load();
             if (fd < 0 ||
@@ -876,8 +1009,13 @@ void TcpTransport::receiver_loop() {
             pfds.push_back(pollfd{fd, POLLIN, 0});
             pfd_rank.push_back(r);
         }
-        const int rc =
-            ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), /*ms=*/100);
+        const int timeout_ms =
+            fallback ? kReceiverTickMs
+                     : static_cast<int>(
+                           std::chrono::ceil<std::chrono::milliseconds>(
+                               kReaderFallback - idle)
+                               .count());
+        const int rc = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), timeout_ms);
         if (rc < 0) {
             if (errno == EINTR) continue;
             break;
@@ -895,41 +1033,12 @@ void TcpTransport::receiver_loop() {
                 accept_resume();
                 continue;
             }
-            const int peer = pfd_rank[i];
-            const ssize_t n = ::recv(pfds[i].fd, buf.data(), buf.size(), 0);
-            if (n > 0) {
-                auto& decoder = decoders_[static_cast<std::size_t>(peer)];
-                try {
-                    decoder.feed(
-                        std::span<const std::byte>(buf.data(),
-                                                   static_cast<std::size_t>(n)));
-                    while (auto frame = decoder.next()) {
-                        if (frame->dst != rank_ || frame->msg.source != peer) {
-                            // Misrouted or spoofed: the link is not
-                            // trustworthy; tear it down wholesale.
-                            link_mark_down(peer);
-                            break;
-                        }
-                        mailbox_.push(std::move(frame->msg));
-                    }
-                } catch (const tcp::FrameError& e) {
-                    util::log_warn("tcp rank " + std::to_string(rank_) +
-                                   ": downing link to peer " +
-                                   std::to_string(peer) + ": " + e.what());
-                    link_mark_down(peer);
-                }
-            } else if (n == 0) {
-                // EOF. Mid-frame is a crash; a frame boundary is a clean
-                // exit — either way the link is down and the reconnect FSM
-                // decides whether the peer comes back.
-                if (decoders_[static_cast<std::size_t>(peer)].mid_frame()) {
-                    util::log_warn("tcp rank " + std::to_string(rank_) +
-                                   ": peer " + std::to_string(peer) +
-                                   " disconnected mid-frame");
-                }
-                link_mark_down(peer);
-            } else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-                link_mark_down(peer);
+            const auto idx = static_cast<std::size_t>(pfd_rank[i]);
+            std::lock_guard<std::mutex> lock(readers_[idx].mutex);
+            // Skip a socket swapped since the poll; the next pass sees the
+            // new one.
+            if (peer_fds_[idx].load() == pfds[i].fd) {
+                read_peer_locked(pfd_rank[i], pfds[i].fd);
             }
         }
     }
@@ -942,8 +1051,17 @@ void TcpTransport::shutdown() {
         if (receiver_.joinable()) receiver_.join();
         if (dialer_.joinable()) dialer_.join();
         for (int r = 0; r < world_; ++r) {
-            const int fd = peer_fds_[static_cast<std::size_t>(r)].exchange(-1);
-            if (fd >= 0) ::close(fd);
+            // Not the send mutex: a deliver blocked on a full socket holds
+            // it, and only shutting the socket down (close() does not)
+            // wakes that send.
+            const auto idx = static_cast<std::size_t>(r);
+            std::lock_guard<std::mutex> lock(readers_[idx].mutex);
+            const int fd = peer_fds_[idx].exchange(-1);
+            if (fd >= 0) {
+                (void)::shutdown(fd, SHUT_RDWR);
+                ::close(fd);
+            }
+            readers_[idx].decoder.reset();
         }
         for (const auto& inst : installs_) {
             if (inst.fd >= 0) ::close(inst.fd);

@@ -17,14 +17,22 @@
 // missing peer (deadline -> RecvTimeout, a link the FSM declares dead or a
 // rendezvous peer that vanished -> RankKilled), never a generic failure.
 //
-// Data plane: one frame per Message (comm/tcp_frame.hpp), written
-// blocking under a per-peer mutex; a single background receiver thread
-// poll()s every peer socket, feeds each connection's FrameDecoder, and
-// pushes decoded messages into the local rank's Mailbox — the identical
-// matching machinery the in-process transport uses, polled through
-// try_receive by the rank's handles — while socket-level timeouts
-// (SO_RCVTIMEO during bootstrap and handshakes, the poll() tick afterwards)
-// bound every blocking socket operation the background threads perform.
+// Data plane: one frame per Message (comm/tcp_frame.hpp), written blocking
+// under a per-peer send mutex as one sendmsg of a stack header and the
+// payload. The rank thread reads its own sockets: a try_receive that finds
+// no match in the local Mailbox makes one poll(..., 0) over the up links,
+// reads every readable one without blocking, decodes the frames straight
+// into the Mailbox and retries the match — so a frame costs no thread hop.
+// The background receiver thread owns connection management (installs,
+// retires, the session listener, patience expiry) and is the reader of
+// last resort: it polls the data sockets only while the rank thread has
+// not drained them for a short window (a rank computing, or blocked in a
+// multi-MB send to a peer that is sending to it), so inbound bytes and EOF
+// are always noticed. Both threads run the same read routine under a
+// per-peer read mutex, which the rank thread only ever try_locks.
+// Socket-level timeouts (SO_RCVTIMEO during bootstrap and handshakes, the
+// poll() tick afterwards) bound every blocking socket operation the
+// background threads perform.
 //
 // Failure model (self-healing): EOF, ECONNRESET/EPIPE, a mid-frame
 // disconnect or a malformed frame downs the LINK, not the peer. Link
@@ -195,12 +203,23 @@ private:
     /// Absorbing death of `peer`'s link (budget exhausted / patience
     /// expired). Caller holds links_mutex_.
     void link_mark_dead_locked(int peer);
-    /// Receiver thread: close and forget the fd of a non-kUp link.
+    /// Receiver thread: close and forget the fd of a non-kUp link and
+    /// reset its decoder.
     void retire_fd(int peer);
     /// Receiver thread: install a fresh connection for `peer` (closing any
     /// old fd), reset its decoder, record the reconnect event unless this
     /// is the link's first session.
     void install_fd(int peer, int fd, std::uint64_t session);
+    /// Read whatever `peer`'s socket `fd` holds without blocking: feed the
+    /// peer's decoder, push every complete frame into the mailbox, and
+    /// down the link on EOF, a socket error or a malformed frame. Caller
+    /// holds the peer's reader mutex; the rank thread and the receiver
+    /// thread both read through here.
+    void read_peer_locked(int peer, int fd);
+    /// Rank thread, on a mailbox miss: one poll(..., 0) over the up links,
+    /// then read every readable one whose reader mutex is free. Stamps
+    /// last_drain_. True if any socket polled readable.
+    bool drain_sockets();
     /// Receiver thread: accept + validate one RESUME on the listener.
     void accept_resume();
     /// Dialer thread: one bounded connect + RESUME/RESUME_OK exchange.
@@ -214,11 +233,23 @@ private:
     SocketFaultPlan faults_;
     Mailbox mailbox_;
 
-    /// Peer sockets. Writes (install/retire) happen on the receiver thread
-    /// under the peer's send mutex; atomic so the dialer/pollfd scans and
-    /// deliver() read without it.
+    /// Inbound state of one peer's connection. Whichever thread holds
+    /// `mutex` reads the socket and owns `decoder` and `chunk`; the rank
+    /// thread only try_locks it, and install/retire/shutdown lock it before
+    /// they swap or close the fd or reset the decoder.
+    struct PeerReader {
+        std::mutex mutex;
+        tcp::FrameDecoder decoder;
+        /// recv staging (kRecvChunk bytes, left uninitialised: only the
+        /// pages a read reaches become resident).
+        std::unique_ptr<std::byte[]> chunk;
+    };
+
+    /// Peer sockets. Writes (install/retire) take the peer's send mutex
+    /// and reader mutex; atomic so the poll scans and deliver() read
+    /// without them.
     std::unique_ptr<std::atomic<int>[]> peer_fds_;
-    std::vector<tcp::FrameDecoder> decoders_;     // receiver thread only
+    std::unique_ptr<PeerReader[]> readers_;
     std::unique_ptr<std::mutex[]> send_mutexes_;  // per-peer write lock
     /// Lock-free mirror of links_[r].st.phase (stored as int).
     std::unique_ptr<std::atomic<int>[]> phase_;
@@ -239,6 +270,10 @@ private:
     /// Per-peer frame ordinals for the fault plan (send-mutex guarded).
     std::vector<std::uint64_t> fault_ord_;
 
+    /// Steady-clock time (time_since_epoch ticks) of the rank thread's
+    /// last drain_sockets(); the receiver reads the data sockets only when
+    /// it is older than the fallback window. 0: never drained.
+    std::atomic<Clock::rep> last_drain_{0};
     int wake_pipe_[2] = {-1, -1};  // self-pipe: shutdown()/events -> poll()
     std::thread receiver_;
     std::thread dialer_;

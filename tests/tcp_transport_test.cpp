@@ -16,19 +16,27 @@
 //   * the standard decorators (ReliableTransport, FaultInjecting,
 //     Recording) stack over TcpTransport unchanged;
 //   * every link opens through the session handshake, and that first
-//     session is not counted or reported as a reconnect.
+//     session is not counted or reported as a reconnect;
+//   * a rank that is not polling still has its sockets read, so a bulk
+//     send to it — or a bulk exchange in both directions — completes.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <array>
+#include <atomic>
 #include <barrier>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
+#include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -491,6 +499,143 @@ TEST(TcpBootstrap, HandshakeOpensEveryLinkWithoutCountingAReconnect) {
             if (peer != r) want.push_back(peer);
         }
         EXPECT_EQ(got[ri], want) << "rank " << r;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Data plane: a rank thread reads its own sockets when it polls for a
+// message, and the receiver thread reads them only when the rank thread has
+// not for a short window. A rank that is not polling — computing, or
+// blocked in a bulk send — must still have its inbound bytes read, or a
+// bulk sender blocks on a full socket forever.
+
+constexpr std::size_t kBulkBytes = 16u << 20;  // far above loopback buffers
+
+std::vector<std::byte> bulk_payload(int sender) {
+    std::vector<std::byte> p(kBulkBytes);
+    for (std::size_t i = 0; i < p.size(); ++i) {
+        p[i] = static_cast<std::byte>(i * 31u + static_cast<std::size_t>(sender));
+    }
+    return p;
+}
+
+/// Runs `body(rank, transport)` on one thread per rank of a P = 2 world of
+/// TcpTransports (built as in TcpBootstrap) and returns each rank's error,
+/// "" when it finished cleanly. If the ranks are not done within `budget`,
+/// every transport is shut down: a deliver stuck on a full socket then
+/// fails instead of hanging the test, which reports the timeout.
+std::vector<std::string> run_pair(
+    const std::function<void(int, comm::TcpTransport&)>& body,
+    std::chrono::seconds budget) {
+    constexpr int kWorld = 2;
+    const int port = tcptest::probe_free_port();
+    std::array<std::optional<comm::TcpTransport>, kWorld> transports;
+    std::array<std::atomic<bool>, kWorld> built{};
+    std::vector<std::string> errors(kWorld);
+    std::mutex mu;
+    std::condition_variable cv;
+    int finished = 0;
+    std::vector<std::thread> threads;
+    for (int r = 0; r < kWorld; ++r) {
+        threads.emplace_back([&, r] {
+            const auto ri = static_cast<std::size_t>(r);
+            try {
+                comm::TcpConfig cfg;
+                cfg.rank = r;
+                cfg.world_size = kWorld;
+                cfg.rendezvous_port = port;
+                cfg.connect_timeout_s = 20.0;
+                transports[ri].emplace(cfg);
+                built[ri].store(true);
+                body(r, *transports[ri]);
+            } catch (const std::exception& e) {
+                errors[ri] = e.what();
+            }
+            std::lock_guard<std::mutex> lock(mu);
+            ++finished;
+            cv.notify_all();
+        });
+    }
+    bool timed_out = false;
+    {
+        std::unique_lock<std::mutex> lock(mu);
+        timed_out = !cv.wait_for(lock, budget, [&] { return finished == kWorld; });
+    }
+    if (timed_out) {
+        for (int r = 0; r < kWorld; ++r) {
+            const auto ri = static_cast<std::size_t>(r);
+            if (built[ri].load()) transports[ri]->shutdown();
+        }
+    }
+    for (std::thread& t : threads) t.join();
+    if (timed_out) errors.push_back("ranks still running after the budget");
+    return errors;
+}
+
+/// Poll rank `r`'s transport for `peer`'s test frame for up to 20 s.
+std::optional<comm::Message> await_frame(comm::TcpTransport& t, int r, int peer) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (std::chrono::steady_clock::now() < deadline) {
+        if (auto m = t.try_receive(r, peer, comm::kTagTestData)) return m;
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    return std::nullopt;
+}
+
+TEST(TcpDataPlane, PeerThatNeverPollsStillDrainsBulkSends) {
+    std::atomic<bool> delivered{false};
+    std::optional<comm::Message> got;
+    const auto errors = run_pair(
+        [&](int r, comm::TcpTransport& t) {
+            if (r == 1) {
+                comm::Message m;
+                m.source = 1;
+                m.tag = comm::kTagTestData;
+                m.payload = bulk_payload(1);
+                t.deliver(0, std::move(m));
+                delivered.store(true);
+                return;
+            }
+            // Rank 0 does not poll until the bulk deliver has returned.
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(20);
+            while (!delivered.load() && std::chrono::steady_clock::now() < deadline) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            }
+            if (!delivered.load()) throw std::runtime_error("deliver never returned");
+            got = await_frame(t, 0, 1);
+        },
+        std::chrono::seconds(40));
+    for (const std::string& e : errors) EXPECT_EQ(e, "");
+    EXPECT_TRUE(delivered.load());
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->source, 1);
+    EXPECT_TRUE(got->payload == bulk_payload(1));
+}
+
+TEST(TcpDataPlane, SimultaneousBulkExchangeDoesNotDeadlock) {
+    std::barrier both_polled(2);
+    std::array<std::optional<comm::Message>, 2> got;
+    const auto errors = run_pair(
+        [&](int r, comm::TcpTransport& t) {
+            const int peer = 1 - r;
+            // A miss reads the sockets on this thread, so the receiver thread
+            // leaves them alone: both ranks start inside the window.
+            EXPECT_FALSE(t.try_receive(r, peer, comm::kTagTestData).has_value());
+            both_polled.arrive_and_wait();
+            comm::Message m;
+            m.source = r;
+            m.tag = comm::kTagTestData;
+            m.payload = bulk_payload(r);
+            t.deliver(peer, std::move(m));
+            got[static_cast<std::size_t>(r)] = await_frame(t, r, peer);
+        },
+        std::chrono::seconds(40));
+    for (const std::string& e : errors) EXPECT_EQ(e, "");
+    for (int r = 0; r < 2; ++r) {
+        const auto& m = got[static_cast<std::size_t>(r)];
+        ASSERT_TRUE(m.has_value()) << "rank " << r;
+        EXPECT_TRUE(m->payload == bulk_payload(1 - r)) << "rank " << r;
     }
 }
 
