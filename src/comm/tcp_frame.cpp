@@ -6,12 +6,6 @@
 
 namespace gtopk::comm::tcp {
 
-namespace {
-
-// Explicit little-endian scalar (de)serialization: the wire format must not
-// depend on the host's integer layout, and byte-wise assembly keeps the
-// decoder free of unaligned loads (UBSan-clean on any input).
-
 std::byte* put_u32(std::byte* out, std::uint32_t v) {
     for (int i = 0; i < 4; ++i) {
         *out++ = static_cast<std::byte>((v >> (8 * i)) & 0xFFu);
@@ -24,17 +18,6 @@ std::byte* put_u64(std::byte* out, std::uint64_t v) {
         *out++ = static_cast<std::byte>((v >> (8 * i)) & 0xFFu);
     }
     return out;
-}
-
-std::byte* put_i32(std::byte* out, std::int32_t v) {
-    return put_u32(out, static_cast<std::uint32_t>(v));
-}
-
-std::byte* put_f64(std::byte* out, double v) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    return put_u64(out, bits);
 }
 
 std::uint32_t get_u32(const std::byte* p) {
@@ -53,6 +36,19 @@ std::uint64_t get_u64(const std::byte* p) {
              << (8 * i);
     }
     return v;
+}
+
+namespace {
+
+std::byte* put_i32(std::byte* out, std::int32_t v) {
+    return put_u32(out, static_cast<std::uint32_t>(v));
+}
+
+std::byte* put_f64(std::byte* out, double v) {
+    std::uint64_t bits = 0;
+    static_assert(sizeof(bits) == sizeof(v));
+    std::memcpy(&bits, &v, sizeof(bits));
+    return put_u64(out, bits);
 }
 
 std::int32_t get_i32(const std::byte* p) {

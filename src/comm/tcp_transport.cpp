@@ -14,10 +14,13 @@
 #include <array>
 #include <cerrno>
 #include <chrono>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "comm/comm_error.hpp"
@@ -44,13 +47,12 @@ constexpr std::size_t kResumeBytes = 16;
 // Address-map entry per rank: {IPv4 (network order), port}, 8 bytes.
 constexpr std::size_t kAddrBytes = 8;
 
-// Bound on one dial's connect() wait; the FSM's backoff schedule
-// paces attempts, this only keeps a single attempt from monopolizing the
-// dialer thread.
-constexpr int kDialConnectMs = 300;
-// Handshake reads (RESUME / RESUME_OK) are tiny and sent immediately after
-// connect; anything slower than this is a broken peer.
+// A handshake (connect, then one 16-byte RESUME and RESUME_OK) that takes
+// longer than this is a broken peer, or no peer at all: its socket closes.
 constexpr double kHandshakeTimeoutS = 1.0;
+// Handshakes in flight beyond one per peer: room for stray connections to
+// the listener. A connection past the bound is closed at once.
+constexpr std::size_t kSpareHandshakes = 8;
 
 // Dial budget and backoff of every link (comm/reconnect_fsm.hpp).
 constexpr fsm::ReconnectPolicy kReconnect{};
@@ -79,25 +81,10 @@ constexpr auto kConnectRetryCap = std::chrono::milliseconds(50);
                                     : std::string()));
 }
 
-void put_u32(unsigned char* p, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
-}
-
-std::uint32_t get_u32(const unsigned char* p) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-void put_u64(unsigned char* p, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
-}
-
-std::uint64_t get_u64(const unsigned char* p) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
+using tcp::get_u32;
+using tcp::get_u64;
+using tcp::put_u32;
+using tcp::put_u64;
 
 double remaining_s(Clock::time_point deadline) {
     return std::chrono::duration<double>(deadline - Clock::now()).count();
@@ -118,11 +105,6 @@ void set_recv_timeout(int fd, double seconds) {
     (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 }
 
-void clear_recv_timeout(int fd) {
-    timeval tv{};  // zero = wait forever
-    (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-}
-
 void set_nodelay(int fd) {
     int one = 1;
     (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -130,11 +112,10 @@ void set_nodelay(int fd) {
 
 enum class IoResult { kOk, kTimeout, kClosed };
 
-/// Exact-length read that reports instead of throwing, so call sites can
-/// raise a TYPED error naming the peer (the rendezvous contract) or treat
-/// the failure as a link event (the session handshake).
+/// Exact-length rendezvous read that reports instead of throwing, so call
+/// sites can raise a TYPED error naming the peer.
 IoResult read_full(int fd, void* buf, std::size_t len) {
-    auto* p = static_cast<unsigned char*>(buf);
+    auto* p = static_cast<std::byte*>(buf);
     while (len > 0) {
         const ssize_t n = ::recv(fd, p, len, 0);
         if (n > 0) {
@@ -152,7 +133,7 @@ IoResult read_full(int fd, void* buf, std::size_t len) {
 }
 
 bool write_full(int fd, const void* buf, std::size_t len) {
-    const auto* p = static_cast<const unsigned char*>(buf);
+    const auto* p = static_cast<const std::byte*>(buf);
     while (len > 0) {
         const ssize_t n = ::send(fd, p, len, MSG_NOSIGNAL);
         if (n > 0) {
@@ -167,10 +148,9 @@ bool write_full(int fd, const void* buf, std::size_t len) {
 }
 
 void send_hello(int fd, int rank, int port) {
-    unsigned char hello[kHelloBytes];
-    put_u32(hello + 0, kHelloMagic);
-    put_u32(hello + 4, static_cast<std::uint32_t>(rank));
-    put_u32(hello + 8, static_cast<std::uint32_t>(port));
+    std::byte hello[kHelloBytes];
+    put_u32(put_u32(put_u32(hello, kHelloMagic), static_cast<std::uint32_t>(rank)),
+            static_cast<std::uint32_t>(port));
     if (!write_full(fd, hello, sizeof(hello))) {
         // Rank 0 accepted our connect but vanished before reading the
         // hello: it died mid-rendezvous.
@@ -194,12 +174,12 @@ enum class HelloRead {
 /// peers dial only once they hold the address map, which rank 0 sends
 /// after the last hello.
 HelloRead read_hello(int fd, int world, Hello& out) {
-    unsigned char head[4];
+    std::byte head[4];
     IoResult r = read_full(fd, head, sizeof(head));
     if (r == IoResult::kTimeout) return HelloRead::kTimeout;
     if (r == IoResult::kClosed) return HelloRead::kClosed;
     if (get_u32(head) != kHelloMagic) return HelloRead::kBad;
-    unsigned char rest[kHelloBytes - 4];
+    std::byte rest[kHelloBytes - 4];
     r = read_full(fd, rest, sizeof(rest));
     if (r == IoResult::kTimeout) return HelloRead::kTimeout;
     if (r == IoResult::kClosed) return HelloRead::kClosed;
@@ -337,6 +317,35 @@ bool send_frame(int fd, std::span<const std::byte> header,
     return true;
 }
 
+/// One RESUME or RESUME_OK: {magic, sender rank, session}.
+std::array<std::byte, kResumeBytes> encode_resume(std::uint32_t magic, int rank,
+                                                  std::uint64_t session) {
+    std::array<std::byte, kResumeBytes> out;
+    put_u64(put_u32(put_u32(out.data(), magic), static_cast<std::uint32_t>(rank)),
+            session);
+    return out;
+}
+
+/// Write a whole handshake message to a fresh non-blocking socket, whose
+/// empty send buffer takes it in one call. False on any shortfall.
+bool send_now(int fd, std::span<const std::byte> bytes) {
+    return ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL | MSG_DONTWAIT) ==
+           static_cast<ssize_t>(bytes.size());
+}
+
+/// The whole of `text` as a decimal int; anything else (empty, a junk
+/// suffix, out of range) throws naming the environment variable.
+int parse_env_int(const char* var, std::string_view text) {
+    int v = 0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc{} || ptr != end) {
+        throw std::invalid_argument(std::string(var) + " must be a decimal integer, got '" +
+                                    std::string(text) + "'");
+    }
+    return v;
+}
+
 constexpr int kPhaseUp = static_cast<int>(fsm::LinkPhase::kUp);
 constexpr int kPhaseDown = static_cast<int>(fsm::LinkPhase::kDown);
 constexpr int kPhaseDead = static_cast<int>(fsm::LinkPhase::kDead);
@@ -349,8 +358,8 @@ std::optional<TcpConfig> TcpTransport::config_from_env() {
     const char* rendezvous = std::getenv("GTOPK_RENDEZVOUS");
     if (!rank || !world || !rendezvous) return std::nullopt;
     TcpConfig cfg;
-    cfg.rank = std::atoi(rank);
-    cfg.world_size = std::atoi(world);
+    cfg.rank = parse_env_int("GTOPK_RANK", rank);
+    cfg.world_size = parse_env_int("GTOPK_WORLD_SIZE", world);
     const std::string rv = rendezvous;
     const std::size_t colon = rv.rfind(':');
     if (colon == std::string::npos) {
@@ -358,7 +367,8 @@ std::optional<TcpConfig> TcpTransport::config_from_env() {
             "GTOPK_RENDEZVOUS must be host:port, got '" + rv + "'");
     }
     cfg.rendezvous_host = rv.substr(0, colon);
-    cfg.rendezvous_port = std::atoi(rv.c_str() + colon + 1);
+    cfg.rendezvous_port =
+        parse_env_int("GTOPK_RENDEZVOUS", std::string_view(rv).substr(colon + 1));
     return cfg;
 }
 
@@ -384,11 +394,6 @@ TcpTransport::TcpTransport(const TcpConfig& config)
     peer_ip_.assign(n, 0);
     peer_port_.assign(n, 0);
     fault_ord_.assign(n, 0);
-    // At most one install per peer is ever pending (Link::installing), so
-    // the dialer thread's push never allocates: a thread's first malloc
-    // gives it a glibc arena of its own, which raised layerwise_tcp's peak
-    // RSS by several MB when every dialer allocated at bootstrap.
-    installs_.reserve(n);
 
     if (::pipe(wake_pipe_) < 0) fail("pipe");
     // Non-blocking read end: the receiver drains wakeup bytes without ever
@@ -398,8 +403,11 @@ TcpTransport::TcpTransport(const TcpConfig& config)
     const auto deadline = Clock::now() + to_duration(config.connect_timeout_s);
     try {
         rendezvous(config, deadline);
+        // The receiver takes one accept per readiness and must never block
+        // in it (a connection reset before the accept leaves none).
+        if (listen_fd_ >= 0) (void)::fcntl(listen_fd_, F_SETFL, O_NONBLOCK);
         // Every link opens through the session handshake that resumes a
-        // downed one: the dialer thread proposes session 1 at once.
+        // downed one: the receiver dials session 1 at once.
         const auto now = Clock::now();
         for (std::size_t r = 0; r < n; ++r) {
             links_[r] = Link{fsm::kNeverConnected, now, now};
@@ -407,7 +415,6 @@ TcpTransport::TcpTransport(const TcpConfig& config)
         }
         running_.store(true, std::memory_order_release);
         receiver_ = std::thread([this] { receiver_loop(); });
-        if (rank_ > 0) dialer_ = std::thread([this] { dialer_loop(); });
         await_mesh(deadline, config.connect_timeout_s);
     } catch (...) {
         shutdown();
@@ -420,7 +427,7 @@ TcpTransport::TcpTransport(const TcpConfig& config)
 void TcpTransport::rendezvous(const TcpConfig& config, Clock::time_point deadline) {
     if (world_ == 1) return;  // a single-rank world has no wire
     const double budget = config.connect_timeout_s;
-    std::vector<unsigned char> map(static_cast<std::size_t>(world_) * kAddrBytes);
+    std::vector<std::byte> map(static_cast<std::size_t>(world_) * kAddrBytes);
 
     if (rank_ == 0) {
         // The rendezvous listener stays open for the process's lifetime:
@@ -608,8 +615,8 @@ void TcpTransport::retire_fd(int peer) {
 
 void TcpTransport::install_fd(int peer, int fd, std::uint64_t session) {
     set_nodelay(fd);
-    clear_recv_timeout(fd);
-    (void)::fcntl(fd, F_SETFL, 0);  // the dial path used O_NONBLOCK
+    // Handshakes run non-blocking; deliver() relies on a blocking sendmsg.
+    (void)::fcntl(fd, F_SETFL, 0);
     int old = -1;
     {
         const auto idx = static_cast<std::size_t>(peer);
@@ -622,7 +629,6 @@ void TcpTransport::install_fd(int peer, int fd, std::uint64_t session) {
     {
         std::lock_guard<std::mutex> lock(links_mutex_);
         auto& link = links_[static_cast<std::size_t>(peer)];
-        link.installing = false;
         fsm::link_established(link.st, session);
         if (link.st.phase == fsm::LinkPhase::kUp) {
             phase_[static_cast<std::size_t>(peer)].store(
@@ -645,79 +651,84 @@ void TcpTransport::install_fd(int peer, int fd, std::uint64_t session) {
     // kDead; the retire scan closes the freshly installed fd.
 }
 
-int TcpTransport::dial_resume(int peer, std::uint64_t proposal) {
+std::optional<TcpTransport::Handshake> TcpTransport::start_dial(
+    int peer, std::uint64_t proposal, Clock::time_point now) const {
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = peer_ip_[static_cast<std::size_t>(peer)];
     addr.sin_port =
         htons(static_cast<std::uint16_t>(peer_port_[static_cast<std::size_t>(peer)]));
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return -1;
-    (void)::fcntl(fd, F_SETFL, O_NONBLOCK);
-    int rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
-    if (rc != 0 && errno != EINPROGRESS) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+    if (fd < 0) return std::nullopt;
+    // A connect that completes at once (0) is reported by the first poll
+    // like one still in progress.
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 &&
+        errno != EINPROGRESS) {
         ::close(fd);
-        return -1;
+        return std::nullopt;
     }
-    if (rc != 0) {
-        pollfd pfd{fd, POLLOUT, 0};
-        rc = ::poll(&pfd, 1, kDialConnectMs);
-        if (rc <= 0) {
-            ::close(fd);
-            return -1;
-        }
-        int err = 0;
-        socklen_t len = sizeof(err);
-        if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) < 0 || err != 0) {
-            ::close(fd);
-            return -1;
-        }
-    }
-    (void)::fcntl(fd, F_SETFL, 0);
-    unsigned char resume[kResumeBytes];
-    put_u32(resume + 0, kResumeMagic);
-    put_u32(resume + 4, static_cast<std::uint32_t>(rank_));
-    put_u64(resume + 8, proposal);
-    if (!write_full(fd, resume, sizeof(resume))) {
-        ::close(fd);
-        return -1;
-    }
-    set_recv_timeout(fd, kHandshakeTimeoutS);
-    unsigned char ok[kResumeBytes];
-    if (read_full(fd, ok, sizeof(ok)) != IoResult::kOk ||
-        get_u32(ok + 0) != kResumeAckMagic ||
-        get_u32(ok + 4) != static_cast<std::uint32_t>(peer) ||
-        get_u64(ok + 8) != proposal) {
-        ::close(fd);
-        return -1;
-    }
-    return fd;
+    Handshake h;
+    h.fd = fd;
+    h.peer = peer;
+    h.proposal = proposal;
+    h.dialed = true;
+    h.deadline = now + to_duration(kHandshakeTimeoutS);
+    return h;
 }
 
-void TcpTransport::accept_resume() {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) return;
-    set_recv_timeout(fd, kHandshakeTimeoutS);
-    unsigned char hello[kResumeBytes];
-    if (read_full(fd, hello, sizeof(hello)) != IoResult::kOk ||
-        get_u32(hello + 0) != kResumeMagic) {
-        ::close(fd);
+void TcpTransport::step_handshake(Handshake& h) {
+    const auto close_record = [&h] {
+        ::close(h.fd);
+        h.fd = -1;
+    };
+    if (h.dialed && !h.sent) {
+        // The connect finished, one way or the other.
+        int err = 0;
+        socklen_t len = sizeof(err);
+        if (::getsockopt(h.fd, SOL_SOCKET, SO_ERROR, &err, &len) < 0 || err != 0 ||
+            !send_now(h.fd, encode_resume(kResumeMagic, rank_, h.proposal))) {
+            close_record();
+            return;
+        }
+        h.sent = true;
         return;
     }
-    const int peer = static_cast<int>(get_u32(hello + 4));
-    const std::uint64_t proposal = get_u64(hello + 8);
+    // Never past the 16 bytes: data frames may follow a RESUME_OK at once.
+    static_assert(std::tuple_size_v<decltype(h.in)> == kResumeBytes);
+    const ssize_t n =
+        ::recv(h.fd, h.in.data() + h.got, h.in.size() - h.got, MSG_DONTWAIT);
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) return;
+    if (n <= 0) {
+        close_record();
+        return;
+    }
+    h.got += static_cast<std::size_t>(n);
+    if (h.got < h.in.size()) return;
+    const std::uint32_t magic = get_u32(h.in.data());
+    const int sender = static_cast<int>(get_u32(h.in.data() + 4));
+    const std::uint64_t session = get_u64(h.in.data() + 8);
+    if (h.dialed) {
+        if (magic != kResumeAckMagic || sender != h.peer || session != h.proposal) {
+            close_record();
+            return;
+        }
+        // A link that died meanwhile stays dead: the retire scan closes it.
+        install_fd(h.peer, h.fd, session);
+        h.fd = -1;
+        return;
+    }
     // One orientation for every session: only a HIGHER rank dials.
-    if (peer <= rank_ || peer >= world_) {
-        ::close(fd);
+    if (magic != kResumeMagic || sender <= rank_ || sender >= world_) {
+        close_record();
         return;
     }
     {
         std::lock_guard<std::mutex> lock(links_mutex_);
-        if (fsm::link_resume(links_[static_cast<std::size_t>(peer)].st,
-                             proposal) != fsm::ResumeVerdict::kAccept) {
+        if (fsm::link_resume(links_[static_cast<std::size_t>(sender)].st, session) !=
+            fsm::ResumeVerdict::kAccept) {
             // Stale dial from an abandoned incarnation, or a dead link
             // nothing may resurrect: refuse by closing.
-            ::close(fd);
+            close_record();
             return;
         }
     }
@@ -725,64 +736,13 @@ void TcpTransport::accept_resume() {
     // a rank thread's deliver (the ARQ replaying its backlog) may write data
     // frames to it, and the dialer reads whatever comes first as the ack.
     // Until the install nothing else knows this fd, so no lock is needed.
-    unsigned char ok[kResumeBytes];
-    put_u32(ok + 0, kResumeAckMagic);
-    put_u32(ok + 4, static_cast<std::uint32_t>(rank_));
-    put_u64(ok + 8, proposal);
-    if (!write_full(fd, ok, sizeof(ok))) {
-        ::close(fd);
-        link_mark_down(peer);
+    if (!send_now(h.fd, encode_resume(kResumeAckMagic, rank_, session))) {
+        close_record();
+        link_mark_down(sender);
         return;
     }
-    install_fd(peer, fd, proposal);
-}
-
-void TcpTransport::dialer_loop() {
-    const auto patience = to_duration(kReconnect.give_up_after_s);
-    // Scan before sleeping: the first pass opens every link at once.
-    for (; running_.load(std::memory_order_acquire); ::usleep(5 * 1000)) {
-        const auto now = Clock::now();
-        for (int p = 0; p < rank_; ++p) {
-            std::uint64_t proposal = 0;
-            {
-                std::lock_guard<std::mutex> lock(links_mutex_);
-                auto& link = links_[static_cast<std::size_t>(p)];
-                if (link.st.phase != fsm::LinkPhase::kDown || link.installing) {
-                    continue;
-                }
-                if (now - link.down_since > patience) {
-                    if (fsm::link_expire(link.st)) link_mark_dead_locked(p);
-                    continue;
-                }
-                if (now < link.next_dial) continue;
-                if (fsm::link_dial(link.st, kReconnect) ==
-                    fsm::DialVerdict::kDead) {
-                    link_mark_dead_locked(p);
-                    continue;
-                }
-                proposal = fsm::link_propose(link.st);
-                link.next_dial =
-                    now + to_duration(fsm::link_backoff_s(link.st, kReconnect));
-            }
-            const int fd = dial_resume(p, proposal);
-            if (fd < 0) continue;
-            bool keep = false;
-            {
-                std::lock_guard<std::mutex> lock(links_mutex_);
-                auto& link = links_[static_cast<std::size_t>(p)];
-                if (link.st.phase != fsm::LinkPhase::kDead) {
-                    link.installing = true;
-                    installs_.push_back({p, fd, proposal});
-                    keep = true;
-                }
-            }
-            if (keep) {
-                wake_receiver();
-            } else {
-                ::close(fd);
-            }
-        }
-    }
+    install_fd(sender, h.fd, session);
+    h.fd = -1;
 }
 
 void TcpTransport::deliver(int dst, Message msg) {
@@ -947,35 +907,54 @@ std::vector<int> TcpTransport::take_reconnected(int rank) {
 }
 
 void TcpTransport::receiver_loop() {
-    std::vector<pollfd> pfds;
-    std::vector<int> pfd_rank;
-    std::vector<PendingInstall> installs;
     const auto patience = to_duration(kReconnect.give_up_after_s);
+    const std::size_t max_handshakes = static_cast<std::size_t>(world_) + kSpareHandshakes;
+    // Reserved up front, so the loop never grows them: the handshakes in
+    // flight, and the poll set with the peer of each data-socket entry.
+    std::vector<Handshake> handshakes;
+    std::vector<pollfd> pfds;
+    std::vector<int> pfd_peer;
+    handshakes.reserve(max_handshakes);
+    pfds.reserve(2 + max_handshakes + static_cast<std::size_t>(world_));
+    pfd_peer.reserve(static_cast<std::size_t>(world_));
+    const auto dialing = [&handshakes](int peer) {
+        return std::any_of(handshakes.begin(), handshakes.end(),
+                           [peer](const Handshake& h) { return h.dialed && h.peer == peer; });
+    };
     while (running_.load(std::memory_order_acquire)) {
-        // 1. Install handshake-complete connections the dialer handed over.
-        // Copied out, not swapped, so installs_ keeps its reserved buffer.
+        const auto now = Clock::now();
+        // 1. Link scan: a link down past the patience window dies, whichever
+        // side of it this rank is; the dialing (higher) side opens each due
+        // dial. The next dial still to come bounds the poll.
+        auto wake_at = now + std::chrono::milliseconds(kReceiverTickMs);
         {
             std::lock_guard<std::mutex> lock(links_mutex_);
-            installs.assign(installs_.begin(), installs_.end());
-            installs_.clear();
-        }
-        for (const auto& inst : installs) {
-            install_fd(inst.peer, inst.fd, inst.session);
-        }
-        // 2. Passive patience expiry: a downed link only the PEER can
-        // re-dial (it is the higher rank) dies after the patience window.
-        {
-            std::lock_guard<std::mutex> lock(links_mutex_);
-            const auto now = Clock::now();
-            for (int r = rank_ + 1; r < world_; ++r) {
-                auto& link = links_[static_cast<std::size_t>(r)];
-                if (link.st.phase == fsm::LinkPhase::kDown &&
-                    now - link.down_since > patience) {
-                    if (fsm::link_expire(link.st)) link_mark_dead_locked(r);
+            for (int p = 0; p < world_; ++p) {
+                auto& link = links_[static_cast<std::size_t>(p)];
+                if (p == rank_ || link.st.phase != fsm::LinkPhase::kDown) continue;
+                if (now - link.down_since > patience) {
+                    if (fsm::link_expire(link.st)) link_mark_dead_locked(p);
+                    continue;
+                }
+                // A full table frees a record on a poll event or deadline.
+                if (p > rank_ || dialing(p) || handshakes.size() == max_handshakes) {
+                    continue;
+                }
+                if (now < link.next_dial) {
+                    wake_at = std::min(wake_at, link.next_dial);
+                    continue;
+                }
+                if (fsm::link_dial(link.st, kReconnect) == fsm::DialVerdict::kDead) {
+                    link_mark_dead_locked(p);
+                    continue;
+                }
+                link.next_dial = now + to_duration(fsm::link_backoff_s(link.st, kReconnect));
+                if (auto h = start_dial(p, fsm::link_propose(link.st), now)) {
+                    handshakes.push_back(*h);
                 }
             }
         }
-        // 3. Retire the fd of any link no longer up.
+        // 2. Retire the fd of any link no longer up.
         for (int r = 0; r < world_; ++r) {
             const auto idx = static_cast<std::size_t>(r);
             if (r != rank_ &&
@@ -984,21 +963,31 @@ void TcpTransport::receiver_loop() {
                 retire_fd(r);
             }
         }
-        // 4. Poll: wake pipe, resume listener and — only once the rank
+        // 3. Poll: wake pipe, listener, every handshake (a dial waits to be
+        // writable until its connect is done) and — only once the rank
         // thread has left them undrained for kReaderFallback — every up
         // link. Until then, sleep just past the moment the window ends.
+        // An expired handshake closes here.
         const auto idle =
-            Clock::now() - Clock::time_point(Clock::duration(
-                               last_drain_.load(std::memory_order_relaxed)));
+            now - Clock::time_point(Clock::duration(
+                      last_drain_.load(std::memory_order_relaxed)));
         const bool fallback = idle >= kReaderFallback;
+        if (!fallback) wake_at = std::min(wake_at, now + (kReaderFallback - idle));
         pfds.clear();
-        pfd_rank.clear();
+        pfd_peer.clear();
         pfds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
-        pfd_rank.push_back(-1);
-        if (listen_fd_ >= 0) {
-            pfds.push_back(pollfd{listen_fd_, POLLIN, 0});
-            pfd_rank.push_back(-2);
+        pfds.push_back(pollfd{listen_fd_, POLLIN, 0});  // -1: ignored by poll
+        std::erase_if(handshakes, [now](const Handshake& h) {
+            if (now < h.deadline) return false;
+            ::close(h.fd);
+            return true;
+        });
+        for (const Handshake& h : handshakes) {
+            wake_at = std::min(wake_at, h.deadline);
+            pfds.push_back(
+                pollfd{h.fd, static_cast<short>(h.dialed && !h.sent ? POLLOUT : POLLIN), 0});
         }
+        const std::size_t data_at = pfds.size();
         for (int r = 0; r < world_ && fallback; ++r) {
             const auto idx = static_cast<std::size_t>(r);
             const int fd = peer_fds_[idx].load();
@@ -1007,14 +996,10 @@ void TcpTransport::receiver_loop() {
                 continue;
             }
             pfds.push_back(pollfd{fd, POLLIN, 0});
-            pfd_rank.push_back(r);
+            pfd_peer.push_back(r);
         }
-        const int timeout_ms =
-            fallback ? kReceiverTickMs
-                     : static_cast<int>(
-                           std::chrono::ceil<std::chrono::milliseconds>(
-                               kReaderFallback - idle)
-                               .count());
+        const int timeout_ms = static_cast<int>(std::max<std::int64_t>(
+            0, std::chrono::ceil<std::chrono::milliseconds>(wake_at - now).count()));
         const int rc = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), timeout_ms);
         if (rc < 0) {
             if (errno == EINTR) continue;
@@ -1025,23 +1010,35 @@ void TcpTransport::receiver_loop() {
             char drain[16];
             while (::read(wake_pipe_[0], drain, sizeof(drain)) > 0) {
             }
-            continue;  // re-check running_ and re-scan link state
         }
-        for (std::size_t i = 1; i < pfds.size(); ++i) {
-            if (pfds[i].revents == 0) continue;
-            if (pfd_rank[i] == -2) {
-                accept_resume();
-                continue;
+        // 4. Advance the handshakes, then take one new connection (beyond
+        // the bound it closes at once), then read the data sockets.
+        for (std::size_t i = 0; i < data_at - 2; ++i) {
+            if (pfds[2 + i].revents != 0) step_handshake(handshakes[i]);
+        }
+        std::erase_if(handshakes, [](const Handshake& h) { return h.fd < 0; });
+        if (pfds[1].revents != 0) {
+            const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
+            if (fd >= 0 && handshakes.size() == max_handshakes) {
+                ::close(fd);
+            } else if (fd >= 0) {
+                Handshake h;
+                h.fd = fd;
+                h.deadline = Clock::now() + to_duration(kHandshakeTimeoutS);
+                handshakes.push_back(h);
             }
-            const auto idx = static_cast<std::size_t>(pfd_rank[i]);
+        }
+        for (std::size_t i = data_at; i < pfds.size(); ++i) {
+            if (pfds[i].revents == 0) continue;
+            const int peer = pfd_peer[i - data_at];
+            const auto idx = static_cast<std::size_t>(peer);
             std::lock_guard<std::mutex> lock(readers_[idx].mutex);
             // Skip a socket swapped since the poll; the next pass sees the
             // new one.
-            if (peer_fds_[idx].load() == pfds[i].fd) {
-                read_peer_locked(pfd_rank[i], pfds[i].fd);
-            }
+            if (peer_fds_[idx].load() == pfds[i].fd) read_peer_locked(peer, pfds[i].fd);
         }
     }
+    for (const Handshake& h : handshakes) ::close(h.fd);
 }
 
 void TcpTransport::shutdown() {
@@ -1049,7 +1046,6 @@ void TcpTransport::shutdown() {
         running_.store(false, std::memory_order_release);
         wake_receiver();
         if (receiver_.joinable()) receiver_.join();
-        if (dialer_.joinable()) dialer_.join();
         for (int r = 0; r < world_; ++r) {
             // Not the send mutex: a deliver blocked on a full socket holds
             // it, and only shutting the socket down (close() does not)
@@ -1063,10 +1059,6 @@ void TcpTransport::shutdown() {
             }
             readers_[idx].decoder.reset();
         }
-        for (const auto& inst : installs_) {
-            if (inst.fd >= 0) ::close(inst.fd);
-        }
-        installs_.clear();
         if (listen_fd_ >= 0) {
             ::close(listen_fd_);
             listen_fd_ = -1;

@@ -23,16 +23,18 @@
 // no match in the local Mailbox makes one poll(..., 0) over the up links,
 // reads every readable one without blocking, decodes the frames straight
 // into the Mailbox and retries the match — so a frame costs no thread hop.
-// The background receiver thread owns connection management (installs,
-// retires, the session listener, patience expiry) and is the reader of
-// last resort: it polls the data sockets only while the rank thread has
-// not drained them for a short window (a rank computing, or blocked in a
-// multi-MB send to a peer that is sending to it), so inbound bytes and EOF
-// are always noticed. Both threads run the same read routine under a
-// per-peer read mutex, which the rank thread only ever try_locks.
-// Socket-level timeouts (SO_RCVTIMEO during bootstrap and handshakes, the
-// poll() tick afterwards) bound every blocking socket operation the
-// background threads perform.
+// One background thread, the receiver, owns connection management: it
+// runs every session handshake, dial and accept alike, as a non-blocking
+// socket in its own poll loop (each bounded by a deadline), installs and
+// retires links, expires patience, and is the reader of last resort: it
+// polls the data sockets only while the rank thread has not drained them
+// for a short window (a rank computing, or blocked in a multi-MB send to a
+// peer that is sending to it), so inbound bytes and EOF are always
+// noticed. No socket read or connect of that thread ever blocks, so a
+// silent connection to the listener cannot stall it. Both threads run the
+// same read routine under a per-peer read mutex, which the rank thread
+// only ever try_locks. SO_RCVTIMEO bounds the bootstrap's blocking
+// rendezvous reads.
 //
 // Failure model (self-healing): EOF, ECONNRESET/EPIPE, a mid-frame
 // disconnect or a malformed frame downs the LINK, not the peer. Link
@@ -60,6 +62,7 @@
 // configured rank (the mailbox of any other rank lives in another process).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -173,19 +176,22 @@ private:
         fsm::LinkState st;
         Clock::time_point down_since{};
         Clock::time_point next_dial{};
-        /// A dialed fd completed its handshake and waits in the install
-        /// queue for the receiver thread; suppresses further dials.
-        bool installing = false;
         /// A session was installed before: the next install is a resume.
         bool ever_up = false;
     };
 
-    /// Handshake-complete connection handed from the dialer thread to the
-    /// receiver thread (which owns all fd installs and closes).
-    struct PendingInstall {
-        int peer = -1;
+    /// One socket in the session handshake, owned by the receiver thread.
+    /// A dial waits for its non-blocking connect, writes its RESUME and
+    /// reads the RESUME_OK; an accept reads the RESUME and answers it.
+    struct Handshake {
         int fd = -1;
-        std::uint64_t session = 0;
+        int peer = -1;  // the dialed peer; an accept learns it from the RESUME
+        std::uint64_t proposal = 0;
+        bool dialed = false;
+        bool sent = false;  // dial: connected and RESUME written
+        std::array<std::byte, 16> in{};
+        std::size_t got = 0;  // bytes of `in` read so far
+        Clock::time_point deadline{};
     };
 
     void require_local(int rank, const char* who) const;
@@ -195,7 +201,6 @@ private:
     /// Block until every link is kUp (typed CommError otherwise).
     void await_mesh(Clock::time_point deadline, double budget);
     void receiver_loop();
-    void dialer_loop();
     /// Socket failure on the link to `peer`: kUp -> kDown (shutdown() the
     /// fd so both the receiver and any blocked writer notice; the receiver
     /// retires it). Safe from any thread.
@@ -220,11 +225,14 @@ private:
     /// then read every readable one whose reader mutex is free. Stamps
     /// last_drain_. True if any socket polled readable.
     bool drain_sockets();
-    /// Receiver thread: accept + validate one RESUME on the listener.
-    void accept_resume();
-    /// Dialer thread: one bounded connect + RESUME/RESUME_OK exchange.
-    /// Returns the connected fd, or -1.
-    int dial_resume(int peer, std::uint64_t proposal);
+    /// Receiver thread: open a non-blocking dial to `peer` proposing
+    /// `proposal`; its handshake record, or nullopt if the connect failed.
+    std::optional<Handshake> start_dial(int peer, std::uint64_t proposal,
+                                        Clock::time_point now) const;
+    /// Receiver thread: advance handshake `h` on a poll event. On success
+    /// the socket is installed; on failure it is closed. Either way the
+    /// record ends with fd -1.
+    void step_handshake(Handshake& h);
     /// Kick the receiver's poll() awake.
     void wake_receiver();
 
@@ -257,8 +265,7 @@ private:
     mutable std::mutex links_mutex_;
     /// Notified when a link turns kUp or kDead; the constructor waits on it.
     std::condition_variable links_cv_;
-    std::vector<PendingInstall> installs_;  // guarded by links_mutex_
-    std::vector<int> reconnected_;          // guarded by links_mutex_
+    std::vector<int> reconnected_;  // guarded by links_mutex_
 
     /// Persistent listener for session handshakes: rank 0 keeps the
     /// rendezvous socket, every other rank listens on an ephemeral port.
@@ -276,7 +283,6 @@ private:
     std::atomic<Clock::rep> last_drain_{0};
     int wake_pipe_[2] = {-1, -1};  // self-pipe: shutdown()/events -> poll()
     std::thread receiver_;
-    std::thread dialer_;
     std::atomic<bool> running_{false};
     std::once_flag shutdown_once_;
     std::atomic<std::uint64_t> reconnects_{0};

@@ -18,9 +18,16 @@
 //   * every link opens through the session handshake, and that first
 //     session is not counted or reported as a reconnect;
 //   * a rank that is not polling still has its sockets read, so a bulk
-//     send to it — or a bulk exchange in both directions — completes.
+//     send to it — or a bulk exchange in both directions — completes,
+//     even while connections that never speak sit on its listener;
+//   * the listener refuses junk, wrong-orientation and stale RESUMEs
+//     without disturbing the link.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -520,15 +527,15 @@ std::vector<std::byte> bulk_payload(int sender) {
 }
 
 /// Runs `body(rank, transport)` on one thread per rank of a P = 2 world of
-/// TcpTransports (built as in TcpBootstrap) and returns each rank's error,
-/// "" when it finished cleanly. If the ranks are not done within `budget`,
-/// every transport is shut down: a deliver stuck on a full socket then
-/// fails instead of hanging the test, which reports the timeout.
+/// TcpTransports (built as in TcpBootstrap, rendezvous on `port`, which
+/// stays rank 0's listener) and returns each rank's error, "" when it
+/// finished cleanly. If the ranks are not done within `budget`, every
+/// transport is shut down: a deliver stuck on a full socket then fails
+/// instead of hanging the test, which reports the timeout.
 std::vector<std::string> run_pair(
     const std::function<void(int, comm::TcpTransport&)>& body,
-    std::chrono::seconds budget) {
+    std::chrono::seconds budget, int port = tcptest::probe_free_port()) {
     constexpr int kWorld = 2;
-    const int port = tcptest::probe_free_port();
     std::array<std::optional<comm::TcpTransport>, kWorld> transports;
     std::array<std::atomic<bool>, kWorld> built{};
     std::vector<std::string> errors(kWorld);
@@ -640,6 +647,169 @@ TEST(TcpDataPlane, SimultaneousBulkExchangeDoesNotDeadlock) {
 }
 
 // ---------------------------------------------------------------------------
+// Session listener: every handshake runs non-blocking on the receiver
+// thread, which is also the fallback reader, so a connection that never
+// speaks cannot stall the reads, and a RESUME the acceptor must refuse
+// only closes its own connection.
+
+/// A raw loopback connection to `port`, or -1.
+int connect_raw(int port) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    if (fd >= 0 &&
+        ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/// Wait up to 20 s for another rank's thread to raise `flag`.
+bool await_flag(const std::atomic<bool>& flag) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return flag.load();
+}
+
+/// True if the peer closes `fd` before `deadline` without sending a byte.
+bool closed_silently(int fd, std::chrono::steady_clock::time_point deadline) {
+    for (;;) {
+        const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+            deadline - std::chrono::steady_clock::now());
+        if (left.count() <= 0) return false;
+        pollfd pfd{fd, POLLIN, 0};
+        if (::poll(&pfd, 1, static_cast<int>(left.count())) <= 0) continue;
+        std::byte b{};
+        return ::recv(fd, &b, 1, 0) == 0;
+    }
+}
+
+TEST(TcpBootstrap, SilentListenerConnectionsDoNotStallTheReader) {
+    const int port = tcptest::probe_free_port();
+    // The acceptor's handshake deadline (1 s) plus slack for a loaded host.
+    constexpr auto kCloseBudget = std::chrono::seconds(3);
+    std::atomic<bool> delivered{false};
+    std::atomic<bool> checked{false};
+    double baseline_ms = -1.0;
+    double deliver_ms = -1.0;
+    std::vector<bool> closed;
+    std::array<std::optional<comm::Message>, 2> got;
+    const auto errors = run_pair(
+        [&](int r, comm::TcpTransport& t) {
+            if (r == 0) {
+                // Rank 0 does not poll until the bulk deliver has returned,
+                // and stays up until rank 1 has watched the silent sockets.
+                if (!await_flag(delivered)) throw std::runtime_error("deliver never returned");
+                for (auto& m : got) m = await_frame(t, 0, 1);
+                if (!await_flag(checked)) throw std::runtime_error("silent sockets unchecked");
+                return;
+            }
+            const auto timed_deliver = [&t] {
+                comm::Message m;
+                m.source = 1;
+                m.tag = comm::kTagTestData;
+                m.payload = bulk_payload(1);
+                const auto start = std::chrono::steady_clock::now();
+                t.deliver(0, std::move(m));
+                return std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - start)
+                    .count();
+            };
+            // The same deliver without silent connections: what the host
+            // (or a sanitizer) makes 16 MiB cost here.
+            baseline_ms = timed_deliver();
+            std::array<int, 3> silent{};
+            for (int& fd : silent) fd = connect_raw(port);
+            const auto opened = std::chrono::steady_clock::now();
+            deliver_ms = timed_deliver();
+            delivered.store(true);
+            for (const int fd : silent) {
+                closed.push_back(fd >= 0 && closed_silently(fd, opened + kCloseBudget));
+                if (fd >= 0) ::close(fd);
+            }
+            checked.store(true);
+        },
+        std::chrono::seconds(40), port);
+    for (const std::string& e : errors) EXPECT_EQ(e, "");
+    EXPECT_GE(baseline_ms, 0.0);
+    EXPECT_LT(deliver_ms, baseline_ms + 500.0)
+        << "three silent connections stalled the reader (" << baseline_ms
+        << " ms without them)";
+    for (const auto& m : got) {
+        ASSERT_TRUE(m.has_value());
+        EXPECT_TRUE(m->payload == bulk_payload(1));
+    }
+    EXPECT_EQ(closed, std::vector<bool>(3, true))
+        << "rank 0 must close each silent connection at its handshake deadline";
+}
+
+TEST(TcpBootstrap, ListenerRefusesBadResumes) {
+    const int port = tcptest::probe_free_port();
+    constexpr std::uint32_t kResumeMagic = 0x4754524Du;  // "GTRM"
+    const auto resume = [](std::uint32_t magic, int rank, std::uint64_t session) {
+        std::array<std::byte, 16> out{};
+        comm::tcp::put_u64(
+            comm::tcp::put_u32(comm::tcp::put_u32(out.data(), magic),
+                               static_cast<std::uint32_t>(rank)),
+            session);
+        return out;
+    };
+    std::array<std::byte, 16> junk{};
+    junk.fill(std::byte{0xA5});
+    const std::array<std::array<std::byte, 16>, 3> bad = {
+        junk,
+        resume(kResumeMagic, 0, 2),  // rank 0 "dialing" itself: wrong orientation
+        resume(kResumeMagic, 1, 1),  // rank 1's current session: stale
+    };
+    std::atomic<bool> refused_checked{false};
+    std::vector<bool> refused;
+    std::array<std::uint64_t, 2> reconnects{99, 99};
+    std::array<std::optional<comm::Message>, 2> got;
+    const auto errors = run_pair(
+        [&](int r, comm::TcpTransport& t) {
+            const int peer = 1 - r;
+            if (r == 1) {
+                for (const auto& hello : bad) {
+                    const int fd = connect_raw(port);
+                    const bool sent =
+                        fd >= 0 && ::send(fd, hello.data(), hello.size(), MSG_NOSIGNAL) ==
+                                       static_cast<ssize_t>(hello.size());
+                    refused.push_back(
+                        sent && closed_silently(fd, std::chrono::steady_clock::now() +
+                                                        std::chrono::seconds(3)));
+                    if (fd >= 0) ::close(fd);
+                }
+                refused_checked.store(true);
+            } else if (!await_flag(refused_checked)) {
+                throw std::runtime_error("bad RESUMEs never sent");
+            }
+            comm::Message m;
+            m.source = r;
+            m.tag = comm::kTagTestData;
+            m.payload = {static_cast<std::byte>(r)};
+            t.deliver(peer, std::move(m));
+            got[static_cast<std::size_t>(r)] = await_frame(t, r, peer);
+            reconnects[static_cast<std::size_t>(r)] = t.reconnects();
+        },
+        std::chrono::seconds(40), port);
+    for (const std::string& e : errors) EXPECT_EQ(e, "");
+    EXPECT_EQ(refused, std::vector<bool>(3, true))
+        << "each bad RESUME must be closed without a RESUME_OK";
+    for (int r = 0; r < 2; ++r) {
+        const auto ri = static_cast<std::size_t>(r);
+        ASSERT_TRUE(got[ri].has_value()) << "rank " << r;
+        EXPECT_EQ(got[ri]->payload, std::vector<std::byte>{static_cast<std::byte>(1 - r)})
+            << "rank " << r;
+        EXPECT_EQ(reconnects[ri], 0u) << "rank " << r;
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Env bootstrap contract (what gtopkrun exports).
 
 TEST(TcpConfigFromEnv, ParsesAndValidatesRendezvous) {
@@ -655,6 +825,28 @@ TEST(TcpConfigFromEnv, ParsesAndValidatesRendezvous) {
 
     ::setenv("GTOPK_RENDEZVOUS", "no-port-here", 1);
     EXPECT_THROW(comm::TcpTransport::config_from_env(), std::invalid_argument);
+
+    // Every value is a whole decimal; the error names the variable.
+    const auto rejects = [](const char* var, const char* value) {
+        ::setenv("GTOPK_RANK", "3", 1);
+        ::setenv("GTOPK_WORLD_SIZE", "8", 1);
+        ::setenv("GTOPK_RENDEZVOUS", "10.0.0.1:29400", 1);
+        ::setenv(var, value, 1);
+        try {
+            (void)comm::TcpTransport::config_from_env();
+        } catch (const std::invalid_argument& e) {
+            return std::string(e.what()).find(var) != std::string::npos;
+        }
+        return false;
+    };
+    EXPECT_TRUE(rejects("GTOPK_RANK", "abc"));
+    EXPECT_TRUE(rejects("GTOPK_RANK", "3x"));
+    EXPECT_TRUE(rejects("GTOPK_RANK", ""));
+    EXPECT_TRUE(rejects("GTOPK_RANK", " 3"));
+    EXPECT_TRUE(rejects("GTOPK_WORLD_SIZE", "8.0"));
+    EXPECT_TRUE(rejects("GTOPK_WORLD_SIZE", "99999999999"));
+    EXPECT_TRUE(rejects("GTOPK_RENDEZVOUS", "host:29400x"));
+    EXPECT_TRUE(rejects("GTOPK_RENDEZVOUS", "host:"));
 
     ::unsetenv("GTOPK_RANK");
     ::unsetenv("GTOPK_WORLD_SIZE");
