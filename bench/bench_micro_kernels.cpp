@@ -13,8 +13,8 @@
 #include "comm/fault_transport.hpp"
 #include "core/aggregators.hpp"
 #include "nn/conv2d.hpp"
-#include "nn/layer.hpp"
 #include "nn/linear.hpp"
+#include "nn/model.hpp"
 #include "sparse/selection_policy.hpp"
 #include "sparse/topk_merge.hpp"
 #include "sparse/topk_select.hpp"
@@ -206,7 +206,8 @@ nn::Tensor random_tensor(std::vector<std::int64_t> shape, std::uint64_t seed) {
 // 16x16 images, as in resnet_gtopk's MiniResNet (3->16 stem, 16->16 blocks).
 void BM_Conv2dForward(benchmark::State& state) {
     util::Xoshiro256 rng(1);
-    nn::Conv2d layer(state.range(0), state.range(1), 3, 1, 1, rng);
+    nn::Conv2d layer(state.range(0), state.range(1), 3, 1, 1);
+    const nn::ParamArena layer_params = nn::bind_params(layer, rng);
     const nn::Tensor x = random_tensor({state.range(2), state.range(0), 16, 16}, 2);
     for (auto _ : state) {
         nn::Tensor y = layer.forward(x, true);
@@ -218,7 +219,8 @@ BENCHMARK(BM_Conv2dForward)->Args({3, 16, 4})->Args({16, 16, 4})->Unit(benchmark
 
 void BM_Conv2dBackward(benchmark::State& state) {
     util::Xoshiro256 rng(1);
-    nn::Conv2d layer(state.range(0), state.range(1), 3, 1, 1, rng);
+    nn::Conv2d layer(state.range(0), state.range(1), 3, 1, 1);
+    const nn::ParamArena layer_params = nn::bind_params(layer, rng);
     const nn::Tensor x = random_tensor({state.range(2), state.range(0), 16, 16}, 2);
     const nn::Tensor dy = random_tensor({state.range(2), state.range(1), 16, 16}, 3);
     layer.forward(x, true);
@@ -234,7 +236,8 @@ BENCHMARK(BM_Conv2dBackward)->Args({3, 16, 4})->Args({16, 16, 4})->Unit(benchmar
 // 4, resnet_gtopk's 1024->10 head, layerwise_tcp's 64->64 at batch 2.
 void BM_LinearForward(benchmark::State& state) {
     util::Xoshiro256 rng(1);
-    nn::Linear layer(state.range(0), state.range(1), rng);
+    nn::Linear layer(state.range(0), state.range(1));
+    const nn::ParamArena layer_params = nn::bind_params(layer, rng);
     const nn::Tensor x = random_tensor({state.range(2), state.range(0)}, 2);
     for (auto _ : state) {
         nn::Tensor y = layer.forward(x, true);
@@ -252,7 +255,8 @@ BENCHMARK(BM_LinearForward)
 
 void BM_LinearBackward(benchmark::State& state) {
     util::Xoshiro256 rng(1);
-    nn::Linear layer(state.range(0), state.range(1), rng);
+    nn::Linear layer(state.range(0), state.range(1));
+    const nn::ParamArena layer_params = nn::bind_params(layer, rng);
     const nn::Tensor x = random_tensor({state.range(2), state.range(0)}, 2);
     const nn::Tensor dy = random_tensor({state.range(2), state.range(1)}, 3);
     layer.forward(x, true);
@@ -270,29 +274,20 @@ BENCHMARK(BM_LinearBackward)
     ->Args({64, 64, 2})
     ->Unit(benchmark::kMicrosecond);
 
-// mlp_wide_gtopk's six parameter tensors (MLP 768->2048->512->10, weight
-// then bias per layer): m = 2 629 130, and k = 2629 at rho = 0.001.
+// mlp_wide_gtopk's parameter and gradient arenas (MLP 768->2048->512->10):
+// m = 2 629 130, and k = 2629 at rho = 0.001.
 struct MlpWideParams {
-    std::vector<std::vector<float>> values, grads;
-    std::vector<nn::ParamView> views;
-    std::size_t m = 0;
+    static constexpr std::size_t m =
+        768 * 2048 + 2048 + 2048 * 512 + 512 + 512 * 10 + 10;
+    std::vector<float> values, grads;
 
-    explicit MlpWideParams(std::uint64_t seed) {
-        const std::size_t sizes[] = {768 * 2048, 2048, 2048 * 512, 512, 512 * 10, 10};
-        values.reserve(6);
-        grads.reserve(6);
-        for (std::size_t t = 0; t < 6; ++t) {
-            values.push_back(random_dense(sizes[t], seed + t));
-            grads.push_back(random_dense(sizes[t], seed + 16 + t));
-            m += sizes[t];
-        }
-        for (std::size_t t = 0; t < 6; ++t) views.push_back({&values[t], &grads[t], ""});
-    }
+    explicit MlpWideParams(std::uint64_t seed)
+        : values(random_dense(m, seed)), grads(random_dense(m, seed + 16)) {}
 };
 
 void BM_AccumulateCountSelect(benchmark::State& state) {
-    // One gTop-k step's residual passes: residual += every tensor's
-    // gradient while counting the histogram, then the exact top-k of the
+    // One gTop-k step's residual passes: residual += the gradient arena
+    // while counting the histogram, then the exact top-k of the
     // residual and the zeroing of the selected entries (Alg. 4 lines 4-8).
     // Every iteration starts from the same carried-over residual, restored
     // untimed: adding one fixed gradient step after step would pile the
@@ -308,11 +303,7 @@ void BM_AccumulateCountSelect(benchmark::State& state) {
         std::copy(carried.begin(), carried.end(), residual.begin());
         state.ResumeTiming();
         sparse::begin_count(ws, p.m);
-        std::size_t off = 0;
-        for (const auto& g : p.grads) {
-            sparse::accumulate_counted(residual, off, g, ws);
-            off += g.size();
-        }
+        sparse::accumulate_counted(residual, 0, p.grads, ws);
         sparse::topk_select_counted(residual, k, ws, out);
         sparse::zero_selected(residual, out);
         benchmark::DoNotOptimize(out.indices.data());
@@ -325,7 +316,7 @@ BENCHMARK(BM_AccumulateCountSelect)->Unit(benchmark::kMillisecond);
 
 void BM_MomentumAxpy(benchmark::State& state) {
     // The momentum-SGD update v = mom*v + u; w += -lr*v over mlp_wide's
-    // tensors. Arg 0: normal velocities fed by a nonzero update (they
+    // values arena. Arg 0: normal velocities fed by a nonzero update (they
     // settle near 10u). Arg 1: every velocity subnormal and a zero update,
     // as in a long run's rarely selected coordinates; 0.9*v rounds back
     // to a subnormal, so the arm stays subnormal for every iteration.
@@ -344,7 +335,7 @@ void BM_MomentumAxpy(benchmark::State& state) {
     const float momentum = 0.9f;
     const float lr = 6e-5f;
     for (auto _ : state) {
-        nn::momentum_axpy_values(p.views, momentum, velocity, update, -lr);
+        nn::momentum_axpy_values(p.values, momentum, velocity, update, -lr);
         benchmark::DoNotOptimize(velocity.data());
         benchmark::ClobberMemory();
     }

@@ -40,7 +40,7 @@ Cluster::RunResult Cluster::run_timed_on(Transport& transport, NetworkModel mode
             util::set_thread_rank(r);  // "[I 12:03:04.512 r03]" log prefixes
             Communicator comm(transport, r, model);
             comm.set_tracer(tracer);
-            comm.set_recv_timeout_s(recv_timeout_s);
+            comm.set_recv_deadline(DeadlineClock::Host, recv_timeout_s);
             try {
                 fn(comm);
             } catch (const MailboxClosed&) {
@@ -89,7 +89,7 @@ Cluster::LocalRunResult Cluster::run_local(Transport& transport, int rank,
     util::set_thread_rank(rank);
     Communicator comm(transport, rank, model);
     comm.set_tracer(tracer);
-    comm.set_recv_timeout_s(recv_timeout_s);
+    comm.set_recv_deadline(DeadlineClock::Host, recv_timeout_s);
 
     LocalRunResult result;
     try {

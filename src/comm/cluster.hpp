@@ -29,7 +29,7 @@ public:
     /// every rank's Communicator and the transport record spans/metrics
     /// into it; nullptr (the default) keeps tracing entirely off.
     /// `recv_timeout_s` > 0 arms every rank's Communicator receive deadline
-    /// (host seconds; see Communicator::set_recv_timeout_s) so a missing
+    /// (host seconds; see Communicator::set_recv_deadline) so a missing
     /// message fails as CommError instead of hanging — the default 0 keeps
     /// the historical wait-forever behavior.
     static std::vector<CommStats> run(int world_size, NetworkModel model,

@@ -102,31 +102,25 @@ public:
     CommStats& stats() { return stats_; }
     const CommStats& stats() const { return stats_; }
 
-    /// Receive deadline in HOST seconds applied to every handle's wait() on
-    /// this rank; <= 0 (the default) waits forever. On expiry the wait
+    /// Receive deadline applied to every handle's wait() on this rank;
+    /// timeout_s <= 0 (the default) waits forever. On expiry the wait
     /// throws CommError(RecvTimeout) naming this rank, the awaited peer and
     /// the tag, so a dropped message (fault injection, dead peer) surfaces
-    /// as a typed failure instead of an indefinite hang. Host time is the
-    /// right clock: a rank starved of a message cannot advance virtual time
-    /// at all (see comm_error.hpp).
-    void set_recv_timeout_s(double timeout_s) {
-        recv_timeout_s_ = timeout_s;
-        deadline_clock_ = DeadlineClock::Host;
-    }
-    double recv_timeout_s() const { return recv_timeout_s_; }
-
-    /// Generalized receive deadline: `DeadlineClock::Host` is exactly
-    /// set_recv_timeout_s; `DeadlineClock::Virtual` times a receive out
-    /// when no match arrives by (the handle's last event + timeout_s) of
-    /// MODELED time — a matching message with a later modeled arrival is
-    /// consumed and discarded, so the timeout outcome depends only on the
-    /// network model, never on host-machine speed. In virtual mode,
+    /// as a typed failure instead of an indefinite hang.
+    /// `DeadlineClock::Host` counts HOST seconds: a rank starved of a
+    /// message cannot advance virtual time at all (see comm_error.hpp).
+    /// `DeadlineClock::Virtual` times a receive out when no match arrives
+    /// by (the handle's last event + timeout_s) of MODELED time — a
+    /// matching message with a later modeled arrival is consumed and
+    /// discarded, so the timeout outcome depends only on the network
+    /// model, never on host-machine speed. In virtual mode,
     /// set_recv_host_grace_s bounds the wall-clock wait for the only
     /// nondeterministic case (the message never arrives at all).
     void set_recv_deadline(DeadlineClock clock, double timeout_s) {
         deadline_clock_ = clock;
         recv_timeout_s_ = timeout_s;
     }
+    double recv_timeout_s() const { return recv_timeout_s_; }
     DeadlineClock recv_deadline_clock() const { return deadline_clock_; }
 
     /// Host-seconds bound on a virtual-deadline receive whose match never

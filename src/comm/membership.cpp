@@ -6,6 +6,7 @@
 
 #include "comm/comm_error.hpp"
 #include "comm/tags.hpp"
+#include "comm/wire_codec.hpp"
 
 namespace gtopk::comm {
 
@@ -31,22 +32,6 @@ Message control_frame(int source, int tag, int epoch) {
     m.epoch = epoch;
     m.arrival_time_s = 0.0;
     return m;
-}
-
-template <typename T>
-void put_le(std::vector<std::byte>& out, T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-        out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-    }
-}
-
-template <typename T>
-T get_le(const std::vector<std::byte>& p, std::size_t at) {
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-        v |= static_cast<T>(std::to_integer<unsigned char>(p[at + i])) << (8 * i);
-    }
-    return v;
 }
 
 }  // namespace
@@ -92,12 +77,12 @@ std::optional<MembershipView> MembershipService::take_view(int rank) {
         if (!vm) return std::nullopt;
         if (vm->payload.size() < 16) continue;  // malformed: drop
         MembershipView view;
-        view.epoch = static_cast<int>(get_le<std::uint64_t>(vm->payload, 0));
-        const auto count = get_le<std::uint64_t>(vm->payload, 8);
+        const std::byte* p = vm->payload.data();
+        view.epoch = static_cast<int>(get_u64(p));
+        const std::uint64_t count = get_u64(p + 8);
         if (vm->payload.size() != 16 + 4 * count) continue;
         for (std::uint64_t i = 0; i < count; ++i) {
-            view.members.push_back(
-                static_cast<int>(get_le<std::uint32_t>(vm->payload, 16 + 4 * i)));
+            view.members.push_back(static_cast<int>(get_u32(p + 16 + 4 * i)));
         }
         std::lock_guard<std::mutex> lock(mutex_);
         // Adopt the leader's agreement verbatim: same epoch, same members.
@@ -124,7 +109,7 @@ MembershipView MembershipService::lead(int rank) {
             const auto jm = transport_.try_receive(rank, kAnySource, kTagMembershipJoin);
             if (!jm) break;
             if (jm->payload.size() != 8) continue;  // malformed: drop
-            const auto proposal = get_le<std::uint64_t>(jm->payload, 0);
+            const std::uint64_t proposal = get_u64(jm->payload.data());
             std::lock_guard<std::mutex> lock(mutex_);
             if (proposal != static_cast<std::uint64_t>(st.epoch)) {
                 continue;  // straggling resend from an already-closed round
@@ -164,9 +149,11 @@ MembershipView MembershipService::lead(int rank) {
         for (int m : recipients) {
             if (m == rank) continue;
             Message vm = control_frame(rank, kTagMembershipView, view->epoch);
-            put_le(vm.payload, static_cast<std::uint64_t>(view->epoch));
-            put_le(vm.payload, static_cast<std::uint64_t>(view->members.size()));
-            for (int r : view->members) put_le(vm.payload, static_cast<std::uint32_t>(r));
+            vm.payload.resize(16 + 4 * view->members.size());
+            std::byte* p = vm.payload.data();
+            p = put_u64(p, static_cast<std::uint64_t>(view->epoch));
+            p = put_u64(p, view->members.size());
+            for (int r : view->members) p = put_u32(p, static_cast<std::uint32_t>(r));
             try {
                 transport_.deliver(m, std::move(vm));
             } catch (const CommError&) {
@@ -201,7 +188,8 @@ MembershipView MembershipService::follow(int rank) {
         if (now >= next_join) {
             next_join = now + host_dur(0.1);
             Message jm = control_frame(rank, kTagMembershipJoin, my_epoch);
-            put_le(jm.payload, static_cast<std::uint64_t>(my_epoch));
+            jm.payload.resize(8);
+            put_u64(jm.payload.data(), static_cast<std::uint64_t>(my_epoch));
             try {
                 transport_.deliver(leader, std::move(jm));
             } catch (const CommError&) {

@@ -6,6 +6,7 @@
 
 #include "comm/comm_error.hpp"
 #include "comm/tags.hpp"
+#include "comm/wire_codec.hpp"
 #include "obs/trace.hpp"
 
 namespace gtopk::comm {
@@ -55,13 +56,6 @@ std::uint64_t envelope_checksum(std::uint64_t seq, std::int64_t orig_tag,
     std::memcpy(key + 8, &orig_tag, 8);
     std::memcpy(key + 16, &orig_epoch, 8);
     return fnv1a(payload.data(), payload.size(), fnv1a(key, sizeof key));
-}
-
-void put_u64(std::byte* at, std::uint64_t v) { std::memcpy(at, &v, 8); }
-std::uint64_t get_u64(const std::byte* at) {
-    std::uint64_t v = 0;
-    std::memcpy(&v, at, 8);
-    return v;
 }
 
 std::optional<std::uint64_t> decode_control(const std::vector<std::byte>& p) {

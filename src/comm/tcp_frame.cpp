@@ -4,39 +4,9 @@
 #include <cmath>
 #include <cstring>
 
+#include "comm/wire_codec.hpp"
+
 namespace gtopk::comm::tcp {
-
-std::byte* put_u32(std::byte* out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-        *out++ = static_cast<std::byte>((v >> (8 * i)) & 0xFFu);
-    }
-    return out;
-}
-
-std::byte* put_u64(std::byte* out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-        *out++ = static_cast<std::byte>((v >> (8 * i)) & 0xFFu);
-    }
-    return out;
-}
-
-std::uint32_t get_u32(const std::byte* p) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-        v |= static_cast<std::uint32_t>(std::to_integer<std::uint8_t>(p[i]))
-             << (8 * i);
-    }
-    return v;
-}
-
-std::uint64_t get_u64(const std::byte* p) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-        v |= static_cast<std::uint64_t>(std::to_integer<std::uint8_t>(p[i]))
-             << (8 * i);
-    }
-    return v;
-}
 
 namespace {
 

@@ -46,15 +46,6 @@ inline constexpr std::uint64_t kMaxFramePayload = 1ull << 30;
 /// instead of indexing a per-rank table out of range.
 inline constexpr int kMaxFrameRank = 1 << 20;
 
-/// Little-endian scalar codec of every byte TcpTransport puts on the wire
-/// (frame headers, the rendezvous hello and address map, the session
-/// handshake). Byte-wise, so no host layout or unaligned load leaks in;
-/// each put returns the byte after the value it wrote.
-std::byte* put_u32(std::byte* out, std::uint32_t v);
-std::byte* put_u64(std::byte* out, std::uint64_t v);
-std::uint32_t get_u32(const std::byte* p);
-std::uint64_t get_u64(const std::byte* p);
-
 /// Thrown on any malformed frame: bad magic, unknown version, out-of-range
 /// rank/tag/epoch, non-finite arrival stamp, oversized length prefix.
 struct FrameError : std::runtime_error {

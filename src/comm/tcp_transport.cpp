@@ -24,6 +24,7 @@
 #include <utility>
 
 #include "comm/comm_error.hpp"
+#include "comm/wire_codec.hpp"
 #include "util/log.hpp"
 
 namespace gtopk::comm {
@@ -80,11 +81,6 @@ constexpr auto kConnectRetryCap = std::chrono::milliseconds(50);
                              (errno ? std::string(": ") + std::strerror(errno)
                                     : std::string()));
 }
-
-using tcp::get_u32;
-using tcp::get_u64;
-using tcp::put_u32;
-using tcp::put_u64;
 
 double remaining_s(Clock::time_point deadline) {
     return std::chrono::duration<double>(deadline - Clock::now()).count();

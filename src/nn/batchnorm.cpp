@@ -1,5 +1,6 @@
 #include "nn/batchnorm.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -9,12 +10,10 @@ BatchNorm2d::BatchNorm2d(std::int64_t channels, float eps, float momentum)
     : channels_(channels),
       eps_(eps),
       momentum_(momentum),
-      gamma_(static_cast<std::size_t>(channels), 1.0f),
-      beta_(static_cast<std::size_t>(channels), 0.0f),
-      dgamma_(gamma_.size(), 0.0f),
-      dbeta_(beta_.size(), 0.0f),
-      running_mean_(gamma_.size(), 0.0f),
-      running_var_(gamma_.size(), 1.0f) {
+      gamma_(static_cast<std::size_t>(channels), "bn.gamma"),
+      beta_(gamma_.size, "bn.beta"),
+      running_mean_(gamma_.size, 0.0f),
+      running_var_(gamma_.size, 1.0f) {
     if (channels <= 0) throw std::invalid_argument("BatchNorm2d: channels must be > 0");
 }
 
@@ -60,8 +59,8 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool training) {
             var = running_var_[static_cast<std::size_t>(c)];
         }
         const float inv_std = 1.0f / std::sqrt(var + eps_);
-        const float g = gamma_[static_cast<std::size_t>(c)];
-        const float bshift = beta_[static_cast<std::size_t>(c)];
+        const float g = gamma_.value[static_cast<std::size_t>(c)];
+        const float bshift = beta_.value[static_cast<std::size_t>(c)];
         if (training) {
             cached_mean_[static_cast<std::size_t>(c)] = mean;
             cached_inv_std_[static_cast<std::size_t>(c)] = inv_std;
@@ -98,10 +97,10 @@ Tensor BatchNorm2d::backward(const Tensor& dy) {
                 }
             }
         }
-        dbeta_[static_cast<std::size_t>(c)] += static_cast<float>(sum_dy);
-        dgamma_[static_cast<std::size_t>(c)] += static_cast<float>(sum_dy_xhat);
+        beta_.grad[static_cast<std::size_t>(c)] += static_cast<float>(sum_dy);
+        gamma_.grad[static_cast<std::size_t>(c)] += static_cast<float>(sum_dy_xhat);
 
-        const float gamma = gamma_[static_cast<std::size_t>(c)];
+        const float gamma = gamma_.value[static_cast<std::size_t>(c)];
         const float inv_std = cached_inv_std_[static_cast<std::size_t>(c)];
         const float mean_dy = static_cast<float>(sum_dy) / count;
         const float mean_dy_xhat = static_cast<float>(sum_dy_xhat) / count;
@@ -120,9 +119,14 @@ Tensor BatchNorm2d::backward(const Tensor& dy) {
     return dx;
 }
 
-void BatchNorm2d::collect_params(std::vector<ParamView>& out) {
-    out.push_back({&gamma_, &dgamma_, "bn.gamma"});
-    out.push_back({&beta_, &dbeta_, "bn.beta"});
+void BatchNorm2d::collect_params(std::vector<Param*>& out) {
+    out.push_back(&gamma_);
+    out.push_back(&beta_);
+}
+
+void BatchNorm2d::init_params(util::Xoshiro256& rng) {
+    (void)rng;
+    std::ranges::fill(gamma_.value, 1.0f);
 }
 
 }  // namespace gtopk::nn

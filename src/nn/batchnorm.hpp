@@ -21,7 +21,8 @@ public:
 
     Tensor forward(const Tensor& x, bool training) override;
     Tensor backward(const Tensor& dy) override;
-    void collect_params(std::vector<ParamView>& out) override;
+    void collect_params(std::vector<Param*>& out) override;
+    void init_params(util::Xoshiro256& rng) override;
     std::string name() const override { return "BatchNorm2d"; }
 
     std::span<const float> running_mean() const { return running_mean_; }
@@ -31,8 +32,7 @@ private:
     std::int64_t channels_;
     float eps_;
     float momentum_;
-    std::vector<float> gamma_, beta_;
-    std::vector<float> dgamma_, dbeta_;
+    Param gamma_, beta_;
     std::vector<float> running_mean_, running_var_;
     // Training-time caches for backward.
     Tensor cached_xhat_;

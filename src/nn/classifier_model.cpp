@@ -1,15 +1,21 @@
 #include "nn/classifier_model.hpp"
 
+#include <algorithm>
+
 #include "nn/loss.hpp"
 
 namespace gtopk::nn {
 
-ClassifierModel::ClassifierModel(std::unique_ptr<Sequential> net) : net_(std::move(net)) {
-    net_->collect_params(params_);
+ClassifierModel::ClassifierModel(std::unique_ptr<Sequential> net, util::Xoshiro256& rng)
+    : net_(std::move(net)) {
+    std::vector<Param*> params;
+    net_->collect_params(params);
+    adopt(params);
+    net_->init_params(rng);
 }
 
 double ClassifierModel::train_step_gradients(const Batch& batch) {
-    zero_grads(params_);
+    std::ranges::fill(grads(), 0.0f);
     Tensor logits = net_->forward(batch.x, /*training=*/true);
     LossResult lr = softmax_cross_entropy(logits, batch.targets);
     net_->backward(lr.dlogits);

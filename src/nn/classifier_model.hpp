@@ -10,7 +10,9 @@ namespace gtopk::nn {
 
 class ClassifierModel final : public TrainableModel {
 public:
-    explicit ClassifierModel(std::unique_ptr<Sequential> net);
+    /// Binds `net`'s parameters to the model's arena, then draws their
+    /// initial values from `rng` in layer order.
+    ClassifierModel(std::unique_ptr<Sequential> net, util::Xoshiro256& rng);
 
     double train_step_gradients(const Batch& batch) override;
     double eval_loss(const Batch& batch) override;

@@ -91,18 +91,15 @@ struct DwTap {
 }  // namespace
 
 Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels, std::int64_t kernel,
-               std::int64_t stride, std::int64_t padding, util::Xoshiro256& rng)
+               std::int64_t stride, std::int64_t padding)
     : in_c_(in_channels),
       out_c_(out_channels),
       kernel_(kernel),
       stride_(stride),
       padding_(padding),
-      w_(static_cast<std::size_t>(out_channels * in_channels * kernel * kernel)),
-      b_(static_cast<std::size_t>(out_channels), 0.0f),
-      dw_(w_.size(), 0.0f),
-      db_(b_.size(), 0.0f) {
-    kaiming_normal(w_, static_cast<std::size_t>(in_channels * kernel * kernel), rng);
-}
+      w_(static_cast<std::size_t>(out_channels * in_channels * kernel * kernel),
+         "conv.w"),
+      b_(static_cast<std::size_t>(out_channels), "conv.b") {}
 
 Tensor Conv2d::forward(const Tensor& x, bool training) {
     if (x.rank() != 4 || x.dim(1) != in_c_) {
@@ -118,10 +115,10 @@ Tensor Conv2d::forward(const Tensor& x, bool training) {
     for (std::int64_t b = 0; b < n; ++b) {
         for (std::int64_t oc = 0; oc < out_c_; ++oc) {
             float* yp = y.raw() + (b * out_c_ + oc) * oh * ow;
-            std::fill(yp, yp + oh * ow, b_[static_cast<std::size_t>(oc)]);
+            std::fill(yp, yp + oh * ow, b_.value[static_cast<std::size_t>(oc)]);
             for (std::int64_t ic = 0; ic < in_c_; ++ic) {
                 const float* xp = x.raw() + (b * in_c_ + ic) * h * w;
-                const float* wp = w_.data() + (oc * in_c_ + ic) * k * k;
+                const float* wp = w_.value.data() + (oc * in_c_ + ic) * k * k;
                 for (std::int64_t ki = 0; ki < k; ++ki) {
                     const TapRange ri = rows[static_cast<std::size_t>(ki)];
                     for (std::int64_t kj = 0; kj < k; ++kj) {
@@ -171,7 +168,7 @@ Tensor Conv2d::backward(const Tensor& dy) {
         float* dxb = dx.raw() + b * in_c_ * h * w;
         for (std::int64_t oc = 0; oc < out_c_; ++oc) {
             const float* gp = gb + oc * plane;
-            float& dbo = db_[static_cast<std::size_t>(oc)];
+            float& dbo = b_.grad[static_cast<std::size_t>(oc)];
             for (std::int64_t t = 0; t < plane; ++t) {
                 dbo += gp[t];
                 gt[static_cast<std::size_t>(t * ocp + oc)] = gp[t];
@@ -183,7 +180,7 @@ Tensor Conv2d::backward(const Tensor& dy) {
             const float* gp = gb + oc * plane;
             for (std::int64_t ic = 0; ic < in_c_; ++ic) {
                 float* dxp = dxb + ic * h * w;
-                const float* wp = w_.data() + (oc * in_c_ + ic) * k * k;
+                const float* wp = w_.value.data() + (oc * in_c_ + ic) * k * k;
                 for (std::int64_t ki = k - 1; ki >= 0; --ki) {
                     const TapRange ri = rows[static_cast<std::size_t>(ki)];
                     for (std::int64_t kj = k - 1; kj >= 0; --kj) {
@@ -209,7 +206,7 @@ Tensor Conv2d::backward(const Tensor& dy) {
             const float* xp = xb + ic * h * w;
             for (std::int64_t ki = 0; ki < k; ++ki) {
                 for (std::int64_t kj = 0; kj < k; ++kj) {
-                    const DwTap tap{dw_.data() + (ic * k + ki) * k + kj,
+                    const DwTap tap{w_.grad.data() + (ic * k + ki) * k + kj,
                                     in_c_ * k * k,
                                     out_c_,
                                     gt.data(),
@@ -236,9 +233,13 @@ Tensor Conv2d::backward(const Tensor& dy) {
     return dx;
 }
 
-void Conv2d::collect_params(std::vector<ParamView>& out) {
-    out.push_back({&w_, &dw_, "conv.w"});
-    out.push_back({&b_, &db_, "conv.b"});
+void Conv2d::collect_params(std::vector<Param*>& out) {
+    out.push_back(&w_);
+    out.push_back(&b_);
+}
+
+void Conv2d::init_params(util::Xoshiro256& rng) {
+    kaiming_normal(w_.value, static_cast<std::size_t>(in_c_ * kernel_ * kernel_), rng);
 }
 
 }  // namespace gtopk::nn

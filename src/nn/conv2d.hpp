@@ -11,18 +11,18 @@
 #pragma once
 
 #include "nn/layer.hpp"
-#include "util/rng.hpp"
 
 namespace gtopk::nn {
 
 class Conv2d final : public Layer {
 public:
     Conv2d(std::int64_t in_channels, std::int64_t out_channels, std::int64_t kernel,
-           std::int64_t stride, std::int64_t padding, util::Xoshiro256& rng);
+           std::int64_t stride, std::int64_t padding);
 
     Tensor forward(const Tensor& x, bool training) override;
     Tensor backward(const Tensor& dy) override;
-    void collect_params(std::vector<ParamView>& out) override;
+    void collect_params(std::vector<Param*>& out) override;
+    void init_params(util::Xoshiro256& rng) override;
     std::string name() const override { return "Conv2d"; }
 
     std::int64_t out_dim(std::int64_t in_dim) const {
@@ -31,10 +31,8 @@ public:
 
 private:
     std::int64_t in_c_, out_c_, kernel_, stride_, padding_;
-    std::vector<float> w_;   // [out_c, in_c, k, k]
-    std::vector<float> b_;   // [out_c]
-    std::vector<float> dw_;
-    std::vector<float> db_;
+    Param w_;  // [out_c, in_c, k, k]
+    Param b_;  // [out_c]
     Tensor cached_x_;
 };
 

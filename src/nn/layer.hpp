@@ -2,7 +2,13 @@
 //
 // Contract: forward(x, training) caches whatever backward needs;
 // backward(dy) ACCUMULATES into the layer's parameter gradients and returns
-// dx. Callers zero gradients between iterations via zero_grads().
+// dx. Callers zero gradients between iterations (TrainableModel does, over
+// its whole gradient arena, in every train step).
+//
+// A layer names and sizes its parameter tensors as Params but owns no
+// floats: a ParamArena, a TrainableModel's or a standalone layer's from
+// bind_params, holds the values and gradients of every tensor back to
+// back, and init_params draws the initial values once they are bound.
 #pragma once
 
 #include <memory>
@@ -11,14 +17,36 @@
 #include <vector>
 
 #include "nn/tensor.hpp"
+#include "util/rng.hpp"
 
 namespace gtopk::nn {
 
-/// Borrowed view of one parameter tensor and its gradient, both flattened.
+/// One parameter tensor and its gradient: equal-length views into flat
+/// storage.
 struct ParamView {
-    std::vector<float>* value = nullptr;
-    std::vector<float>* grad = nullptr;
+    std::span<float> value;
+    std::span<float> grad;
     std::string name;
+};
+
+/// A layer's parameter tensor: its size and name, and once a ParamArena
+/// binds it, views of its slices there (empty views before).
+struct Param : ParamView {
+    Param(std::size_t size, std::string name);
+
+    std::size_t size;
+};
+
+/// Zeroed values and gradients for a list of Params, one flat buffer each,
+/// which the Params view back to back in list order. Moving an arena keeps
+/// the views valid.
+class ParamArena {
+public:
+    ParamArena() = default;
+    explicit ParamArena(const std::vector<Param*>& params);
+
+private:
+    std::unique_ptr<float[]> values_, grads_;
 };
 
 class Layer {
@@ -28,38 +56,20 @@ public:
     virtual Tensor forward(const Tensor& x, bool training) = 0;
     virtual Tensor backward(const Tensor& dy) = 0;
 
-    /// Append borrowed views of this layer's parameters (default: none).
-    virtual void collect_params(std::vector<ParamView>& out) { (void)out; }
+    /// Append this layer's parameters in their fixed order (default: none).
+    virtual void collect_params(std::vector<Param*>& out) { (void)out; }
+
+    /// Draw the initial values of the bound parameters, in collect_params
+    /// order (default: none).
+    virtual void init_params(util::Xoshiro256& rng) { (void)rng; }
 
     virtual std::string name() const = 0;
 };
 
 using LayerPtr = std::unique_ptr<Layer>;
 
-/// Total element count across a parameter list.
-std::size_t param_count(const std::vector<ParamView>& params);
-
-/// Zero every gradient buffer in the list.
-void zero_grads(const std::vector<ParamView>& params);
-
-/// Copy all parameters into / out of one flat vector (rank order = list
-/// order). This flat space is the "m-element gradient" the paper
-/// sparsifies.
-std::vector<float> flatten_values(const std::vector<ParamView>& params);
-std::vector<float> flatten_grads(const std::vector<ParamView>& params);
-void set_values(const std::vector<ParamView>& params, std::span<const float> flat);
-/// params += delta (flat).
-void apply_delta(const std::vector<ParamView>& params, std::span<const float> delta);
-/// dst += grads (flat), straight from the gradient buffers.
-void accumulate_grads(const std::vector<ParamView>& params, std::span<float> dst);
-/// params += a * x (flat).
-void axpy_values(const std::vector<ParamView>& params, float a,
-                 std::span<const float> x);
-/// Momentum SGD in one pass (flat): v = mom * v + u, a v below FLT_MIN in
-/// magnitude snapped to +0, then params += a * v, element by element — each
-/// element gets the bits of a velocity loop with that snap followed by
-/// axpy_values(params, a, v).
-void momentum_axpy_values(const std::vector<ParamView>& params, float mom,
-                          std::span<float> v, std::span<const float> u, float a);
+/// Bind `layer`'s parameters to a new arena and initialize them: a layer
+/// used on its own, outside a model.
+ParamArena bind_params(Layer& layer, util::Xoshiro256& rng);
 
 }  // namespace gtopk::nn

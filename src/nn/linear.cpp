@@ -55,16 +55,11 @@ struct RowBlock {
 
 }  // namespace
 
-Linear::Linear(std::int64_t in_features, std::int64_t out_features,
-               util::Xoshiro256& rng)
+Linear::Linear(std::int64_t in_features, std::int64_t out_features)
     : in_(in_features),
       out_(out_features),
-      w_(static_cast<std::size_t>(in_features * out_features)),
-      b_(static_cast<std::size_t>(out_features), 0.0f),
-      dw_(w_.size(), 0.0f),
-      db_(b_.size(), 0.0f) {
-    kaiming_normal(w_, static_cast<std::size_t>(in_features), rng);
-}
+      w_(static_cast<std::size_t>(in_features * out_features), "linear.w"),
+      b_(static_cast<std::size_t>(out_features), "linear.b") {}
 
 Tensor Linear::forward(const Tensor& x, bool training) {
     if (x.rank() != 2 || x.dim(1) != in_) {
@@ -91,14 +86,14 @@ Tensor Linear::forward(const Tensor& x, bool training) {
         std::int64_t o = 0;
         // Four weight rows at a time: four independent chains per lane.
         for (; o + 4 <= out_; o += 4) {
-            const float* w0 = w_.data() + o * in_;
+            const float* w0 = w_.value.data() + o * in_;
             const float* w1 = w0 + in_;
             const float* w2 = w1 + in_;
             const float* w3 = w2 + in_;
-            f32x4 a0 = vec4::splat(b_[static_cast<std::size_t>(o)]);
-            f32x4 a1 = vec4::splat(b_[static_cast<std::size_t>(o + 1)]);
-            f32x4 a2 = vec4::splat(b_[static_cast<std::size_t>(o + 2)]);
-            f32x4 a3 = vec4::splat(b_[static_cast<std::size_t>(o + 3)]);
+            f32x4 a0 = vec4::splat(b_.value[static_cast<std::size_t>(o)]);
+            f32x4 a1 = vec4::splat(b_.value[static_cast<std::size_t>(o + 1)]);
+            f32x4 a2 = vec4::splat(b_.value[static_cast<std::size_t>(o + 2)]);
+            f32x4 a3 = vec4::splat(b_.value[static_cast<std::size_t>(o + 3)]);
             for (std::int64_t k = 0; k < in_; ++k) {
                 const f32x4 xk = vec4::load(xt.data() + k * 4);
                 a0 = a0 + xk * vec4::splat(w0[k]);
@@ -112,8 +107,8 @@ Tensor Linear::forward(const Tensor& x, bool training) {
             emit(o + 3, a3);
         }
         for (; o < out_; ++o) {
-            const float* wo = w_.data() + o * in_;
-            f32x4 acc = vec4::splat(b_[static_cast<std::size_t>(o)]);
+            const float* wo = w_.value.data() + o * in_;
+            f32x4 acc = vec4::splat(b_.value[static_cast<std::size_t>(o)]);
             for (std::int64_t k = 0; k < in_; ++k) {
                 acc = acc + vec4::load(xt.data() + k * 4) * vec4::splat(wo[k]);
             }
@@ -134,9 +129,9 @@ Tensor Linear::backward(const Tensor& dy) {
     // samples. dw[o, k] and db[o] sum over samples ascending; dx[n, k] sums
     // over o ascending.
     for (std::int64_t o = 0; o < out_; ++o) {
-        const float* wo = w_.data() + o * in_;
-        float* dwo = dw_.data() + o * in_;
-        float& dbo = db_[static_cast<std::size_t>(o)];
+        const float* wo = w_.value.data() + o * in_;
+        float* dwo = w_.grad.data() + o * in_;
+        float& dbo = b_.grad[static_cast<std::size_t>(o)];
         for (std::int64_t n0 = 0; n0 < n; n0 += 4) {
             const RowBlock r{cached_x_.raw() + n0 * in_, dy.raw() + n0 * out_ + o,
                              dx.raw() + n0 * in_, in_, out_};
@@ -151,9 +146,13 @@ Tensor Linear::backward(const Tensor& dy) {
     return dx;
 }
 
-void Linear::collect_params(std::vector<ParamView>& out) {
-    out.push_back({&w_, &dw_, "linear.w"});
-    out.push_back({&b_, &db_, "linear.b"});
+void Linear::collect_params(std::vector<Param*>& out) {
+    out.push_back(&w_);
+    out.push_back(&b_);
+}
+
+void Linear::init_params(util::Xoshiro256& rng) {
+    kaiming_normal(w_.value, static_cast<std::size_t>(in_), rng);
 }
 
 }  // namespace gtopk::nn

@@ -8,17 +8,17 @@
 #pragma once
 
 #include "nn/layer.hpp"
-#include "util/rng.hpp"
 
 namespace gtopk::nn {
 
 class Linear final : public Layer {
 public:
-    Linear(std::int64_t in_features, std::int64_t out_features, util::Xoshiro256& rng);
+    Linear(std::int64_t in_features, std::int64_t out_features);
 
     Tensor forward(const Tensor& x, bool training) override;
     Tensor backward(const Tensor& dy) override;
-    void collect_params(std::vector<ParamView>& out) override;
+    void collect_params(std::vector<Param*>& out) override;
+    void init_params(util::Xoshiro256& rng) override;
     std::string name() const override { return "Linear"; }
 
     std::int64_t in_features() const { return in_; }
@@ -27,10 +27,8 @@ public:
 private:
     std::int64_t in_;
     std::int64_t out_;
-    std::vector<float> w_;   // [out, in]
-    std::vector<float> b_;   // [out]
-    std::vector<float> dw_;
-    std::vector<float> db_;
+    Param w_;  // [out, in]
+    Param b_;  // [out]
     Tensor cached_x_;
 };
 

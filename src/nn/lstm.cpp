@@ -18,44 +18,36 @@ LstmLm::LstmLm(std::int64_t vocab, std::int64_t embed_dim, std::int64_t hidden_d
     : vocab_(vocab),
       embed_(embed_dim),
       hidden_(hidden_dim),
-      emb_(static_cast<std::size_t>(vocab * embed_dim)),
-      d_emb_(emb_.size(), 0.0f),
-      w_out_(static_cast<std::size_t>(vocab * hidden_dim)),
-      b_out_(static_cast<std::size_t>(vocab), 0.0f),
-      d_w_out_(w_out_.size(), 0.0f),
-      d_b_out_(b_out_.size(), 0.0f) {
+      emb_(static_cast<std::size_t>(vocab * embed_dim), "lstm.embedding"),
+      w_out_(static_cast<std::size_t>(vocab * hidden_dim), "lstm.w_out"),
+      b_out_(static_cast<std::size_t>(vocab), "lstm.b_out") {
     if (num_layers < 1) throw std::invalid_argument("LstmLm: need >= 1 layer");
-    const float scale = 1.0f / std::sqrt(static_cast<float>(hidden_dim));
-    uniform_init(emb_, 0.1f, rng);
-
-    layers_.resize(static_cast<std::size_t>(num_layers));
+    std::vector<Param*> params{&emb_};
+    layers_.reserve(static_cast<std::size_t>(num_layers));
     for (int l = 0; l < num_layers; ++l) {
-        LayerParams& layer = layers_[static_cast<std::size_t>(l)];
-        layer.input_dim = l == 0 ? embed_dim : hidden_dim;
-        layer.w_ih.resize(static_cast<std::size_t>(4 * hidden_dim * layer.input_dim));
-        layer.w_hh.resize(static_cast<std::size_t>(4 * hidden_dim * hidden_dim));
-        layer.b.assign(static_cast<std::size_t>(4 * hidden_dim), 0.0f);
-        uniform_init(layer.w_ih, scale, rng);
-        uniform_init(layer.w_hh, scale, rng);
+        const std::int64_t in = l == 0 ? embed_dim : hidden_dim;
+        const std::string prefix = "lstm.l" + std::to_string(l);
+        const auto gates = static_cast<std::size_t>(4 * hidden_dim);
+        LayerParams& layer = layers_.emplace_back(
+            in, Param(gates * static_cast<std::size_t>(in), prefix + ".w_ih"),
+            Param(gates * static_cast<std::size_t>(hidden_dim), prefix + ".w_hh"),
+            Param(gates, prefix + ".b"));
+        params.insert(params.end(), {&layer.w_ih, &layer.w_hh, &layer.b});
+    }
+    params.insert(params.end(), {&w_out_, &b_out_});
+    adopt(params);
+
+    const float scale = 1.0f / std::sqrt(static_cast<float>(hidden_dim));
+    uniform_init(emb_.value, 0.1f, rng);
+    for (LayerParams& layer : layers_) {
+        uniform_init(layer.w_ih.value, scale, rng);
+        uniform_init(layer.w_hh.value, scale, rng);
         // Forget-gate bias of 1: standard trick so gradients flow early on.
         for (std::int64_t j = 0; j < hidden_; ++j) {
-            layer.b[static_cast<std::size_t>(hidden_ + j)] = 1.0f;
+            layer.b.value[static_cast<std::size_t>(hidden_ + j)] = 1.0f;
         }
-        layer.d_w_ih.assign(layer.w_ih.size(), 0.0f);
-        layer.d_w_hh.assign(layer.w_hh.size(), 0.0f);
-        layer.d_b.assign(layer.b.size(), 0.0f);
     }
-    uniform_init(w_out_, scale, rng);
-
-    params_.push_back({&emb_, &d_emb_, "lstm.embedding"});
-    for (std::size_t l = 0; l < layers_.size(); ++l) {
-        const std::string prefix = "lstm.l" + std::to_string(l);
-        params_.push_back({&layers_[l].w_ih, &layers_[l].d_w_ih, prefix + ".w_ih"});
-        params_.push_back({&layers_[l].w_hh, &layers_[l].d_w_hh, prefix + ".w_hh"});
-        params_.push_back({&layers_[l].b, &layers_[l].d_b, prefix + ".b"});
-    }
-    params_.push_back({&w_out_, &d_w_out_, "lstm.w_out"});
-    params_.push_back({&b_out_, &d_b_out_, "lstm.b_out"});
+    uniform_init(w_out_.value, scale, rng);
 }
 
 Tensor LstmLm::forward_sequence(const Batch& batch,
@@ -89,8 +81,8 @@ Tensor LstmLm::forward_sequence(const Batch& batch,
             if (token < 0 || token >= vocab_) {
                 throw std::invalid_argument("LstmLm: token id out of range");
             }
-            std::copy_n(emb_.data() + static_cast<std::size_t>(token) * embed_, embed_,
-                        layer_input.data() + b * embed_);
+            std::copy_n(emb_.value.data() + static_cast<std::size_t>(token) * embed_,
+                        embed_, layer_input.data() + b * embed_);
         }
 
         for (std::size_t l = 0; l < num_layers; ++l) {
@@ -122,9 +114,9 @@ Tensor LstmLm::forward_sequence(const Batch& batch,
                     float pre[4];
                     for (int gate = 0; gate < 4; ++gate) {
                         const std::int64_t row = gate * H + j;
-                        const float* wi = layer.w_ih.data() + row * in_dim;
-                        const float* wh = layer.w_hh.data() + row * H;
-                        float acc = layer.b[static_cast<std::size_t>(row)];
+                        const float* wi = layer.w_ih.value.data() + row * in_dim;
+                        const float* wh = layer.w_hh.value.data() + row * H;
+                        float acc = layer.b.value[static_cast<std::size_t>(row)];
                         for (std::int64_t e = 0; e < in_dim; ++e) acc += wi[e] * x_in[e];
                         for (std::int64_t kk = 0; kk < H; ++kk) acc += wh[kk] * h_prev[kk];
                         pre[gate] = acc;
@@ -160,8 +152,8 @@ Tensor LstmLm::forward_sequence(const Batch& batch,
             const float* hb = top_h.data() + b * H;
             float* out_row = logits.raw() + (b * t_len + t) * vocab_;
             for (std::int64_t v = 0; v < vocab_; ++v) {
-                const float* wo = w_out_.data() + v * H;
-                float acc = b_out_[static_cast<std::size_t>(v)];
+                const float* wo = w_out_.value.data() + v * H;
+                float acc = b_out_.value[static_cast<std::size_t>(v)];
                 for (std::int64_t j = 0; j < H; ++j) acc += wo[j] * hb[j];
                 out_row[v] = acc;
             }
@@ -171,7 +163,7 @@ Tensor LstmLm::forward_sequence(const Batch& batch,
 }
 
 double LstmLm::train_step_gradients(const Batch& batch) {
-    zero_grads(params_);
+    std::ranges::fill(grads(), 0.0f);
     const std::int64_t n = batch.x.dim(0), t_len = batch.x.dim(1);
     const std::int64_t H = hidden_;
     const std::size_t num_layers = layers_.size();
@@ -200,9 +192,9 @@ double LstmLm::train_step_gradients(const Batch& batch) {
             for (std::int64_t v = 0; v < vocab_; ++v) {
                 const float g = dlog[v];
                 if (g == 0.0f) continue;
-                d_b_out_[static_cast<std::size_t>(v)] += g;
-                float* dwo = d_w_out_.data() + v * H;
-                const float* wo = w_out_.data() + v * H;
+                b_out_.grad[static_cast<std::size_t>(v)] += g;
+                float* dwo = w_out_.grad.data() + v * H;
+                const float* wo = w_out_.value.data() + v * H;
                 for (std::int64_t j = 0; j < H; ++j) {
                     dwo[j] += g * h_cur[j];
                     dh_b[j] += g * wo[j];
@@ -246,15 +238,15 @@ double LstmLm::train_step_gradients(const Batch& batch) {
                         const float dp = dpre[gate];
                         if (dp == 0.0f) continue;
                         const std::int64_t row = gate * H + j;
-                        layer.d_b[static_cast<std::size_t>(row)] += dp;
-                        float* dwi = layer.d_w_ih.data() + row * in_dim;
-                        const float* wi = layer.w_ih.data() + row * in_dim;
+                        layer.b.grad[static_cast<std::size_t>(row)] += dp;
+                        float* dwi = layer.w_ih.grad.data() + row * in_dim;
+                        const float* wi = layer.w_ih.value.data() + row * in_dim;
                         for (std::int64_t e = 0; e < in_dim; ++e) {
                             dwi[e] += dp * x_in[e];
                             dx[static_cast<std::size_t>(e)] += dp * wi[e];
                         }
-                        float* dwh = layer.d_w_hh.data() + row * H;
-                        const float* wh = layer.w_hh.data() + row * H;
+                        float* dwh = layer.w_hh.grad.data() + row * H;
+                        const float* wh = layer.w_hh.value.data() + row * H;
                         for (std::int64_t kk = 0; kk < H; ++kk) {
                             if (h_prev) dwh[kk] += dp * h_prev[kk];
                             dh_prev[static_cast<std::size_t>(kk)] += dp * wh[kk];
@@ -265,7 +257,7 @@ double LstmLm::train_step_gradients(const Batch& batch) {
                 if (l == 0) {
                     const auto token = static_cast<std::int32_t>(batch.x.at2(b, t));
                     float* demb_row =
-                        d_emb_.data() + static_cast<std::size_t>(token) * embed_;
+                        emb_.grad.data() + static_cast<std::size_t>(token) * embed_;
                     for (std::int64_t e = 0; e < embed_; ++e) {
                         demb_row[e] += dx[static_cast<std::size_t>(e)];
                     }

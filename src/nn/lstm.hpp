@@ -28,14 +28,13 @@ public:
     int num_layers() const { return static_cast<int>(layers_.size()); }
 
 private:
-    /// One LSTM layer's parameters and gradients (gate order i, f, g, o
-    /// stacked along the first axis).
+    /// One LSTM layer's parameters (gate order i, f, g, o stacked along
+    /// the first axis).
     struct LayerParams {
         std::int64_t input_dim = 0;
-        std::vector<float> w_ih;  // [4H, input_dim]
-        std::vector<float> w_hh;  // [4H, H]
-        std::vector<float> b;     // [4H]
-        std::vector<float> d_w_ih, d_w_hh, d_b;
+        Param w_ih;  // [4H, input_dim]
+        Param w_hh;  // [4H, H]
+        Param b;     // [4H]
     };
 
     /// Per-(layer, timestep) caches for BPTT.
@@ -49,12 +48,10 @@ private:
                             std::vector<std::vector<StepCache>>* caches);
 
     std::int64_t vocab_, embed_, hidden_;
-    std::vector<float> emb_;      // [V, E]
-    std::vector<float> d_emb_;
+    Param emb_;  // [V, E]
     std::vector<LayerParams> layers_;
-    std::vector<float> w_out_;    // [V, H]
-    std::vector<float> b_out_;    // [V]
-    std::vector<float> d_w_out_, d_b_out_;
+    Param w_out_;  // [V, H]
+    Param b_out_;  // [V]
 };
 
 }  // namespace gtopk::nn

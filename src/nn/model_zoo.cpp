@@ -18,12 +18,12 @@ std::unique_ptr<TrainableModel> make_mlp(const MlpConfig& config, std::uint64_t 
     auto net = std::make_unique<Sequential>();
     std::int64_t in = config.input_dim;
     for (std::int64_t h : config.hidden_dims) {
-        net->emplace<Linear>(in, h, rng);
+        net->emplace<Linear>(in, h);
         net->emplace<ReLU>();
         in = h;
     }
-    net->emplace<Linear>(in, config.classes, rng);
-    return std::make_unique<ClassifierModel>(std::move(net));
+    net->emplace<Linear>(in, config.classes);
+    return std::make_unique<ClassifierModel>(std::move(net), rng);
 }
 
 std::unique_ptr<TrainableModel> make_mini_vgg(const MiniVggConfig& config,
@@ -31,22 +31,22 @@ std::unique_ptr<TrainableModel> make_mini_vgg(const MiniVggConfig& config,
     util::Xoshiro256 rng(seed);
     auto net = std::make_unique<Sequential>();
     const std::int64_t c = config.conv_channels;
-    net->emplace<Conv2d>(config.in_channels, c, 3, 1, 1, rng);
+    net->emplace<Conv2d>(config.in_channels, c, 3, 1, 1);
     net->emplace<ReLU>();
     net->emplace<MaxPool2d>(2);
-    net->emplace<Conv2d>(c, 2 * c, 3, 1, 1, rng);
+    net->emplace<Conv2d>(c, 2 * c, 3, 1, 1);
     net->emplace<ReLU>();
     net->emplace<MaxPool2d>(2);
     net->emplace<Flatten>();
     const std::int64_t spatial = config.image_size / 4;
-    net->emplace<Linear>(2 * c * spatial * spatial, config.fc_dim, rng);
+    net->emplace<Linear>(2 * c * spatial * spatial, config.fc_dim);
     net->emplace<ReLU>();
     if (config.dropout > 0.0f) net->emplace<Dropout>(config.dropout, seed ^ 0xD0u);
-    net->emplace<Linear>(config.fc_dim, config.fc_dim / 2, rng);
+    net->emplace<Linear>(config.fc_dim, config.fc_dim / 2);
     net->emplace<ReLU>();
     if (config.dropout > 0.0f) net->emplace<Dropout>(config.dropout, seed ^ 0xD1u);
-    net->emplace<Linear>(config.fc_dim / 2, config.classes, rng);
-    return std::make_unique<ClassifierModel>(std::move(net));
+    net->emplace<Linear>(config.fc_dim / 2, config.classes);
+    return std::make_unique<ClassifierModel>(std::move(net), rng);
 }
 
 std::unique_ptr<TrainableModel> make_mini_resnet(const MiniResNetConfig& config,
@@ -54,15 +54,15 @@ std::unique_ptr<TrainableModel> make_mini_resnet(const MiniResNetConfig& config,
     util::Xoshiro256 rng(seed);
     auto net = std::make_unique<Sequential>();
     const std::int64_t c = config.channels;
-    net->emplace<Conv2d>(config.in_channels, c, 3, 1, 1, rng);
+    net->emplace<Conv2d>(config.in_channels, c, 3, 1, 1);
     if (config.batch_norm) net->emplace<BatchNorm2d>(c);
     net->emplace<ReLU>();
     for (int b = 0; b < config.blocks; ++b) {
         auto body = std::make_unique<Sequential>();
-        body->emplace<Conv2d>(c, c, 3, 1, 1, rng);
+        body->emplace<Conv2d>(c, c, 3, 1, 1);
         if (config.batch_norm) body->emplace<BatchNorm2d>(c);
         body->emplace<ReLU>();
-        body->emplace<Conv2d>(c, c, 3, 1, 1, rng);
+        body->emplace<Conv2d>(c, c, 3, 1, 1);
         if (config.batch_norm) body->emplace<BatchNorm2d>(c);
         net->emplace<ResidualBlock>(std::move(body));
         net->emplace<ReLU>();
@@ -70,8 +70,8 @@ std::unique_ptr<TrainableModel> make_mini_resnet(const MiniResNetConfig& config,
     net->emplace<MaxPool2d>(2);
     net->emplace<Flatten>();
     const std::int64_t spatial = config.image_size / 2;
-    net->emplace<Linear>(c * spatial * spatial, config.classes, rng);
-    return std::make_unique<ClassifierModel>(std::move(net));
+    net->emplace<Linear>(c * spatial * spatial, config.classes);
+    return std::make_unique<ClassifierModel>(std::move(net), rng);
 }
 
 std::unique_ptr<TrainableModel> make_lstm_lm(const LstmConfig& config,

@@ -23,8 +23,12 @@ Tensor ResidualBlock::backward(const Tensor& dy) {
     return dx;
 }
 
-void ResidualBlock::collect_params(std::vector<ParamView>& out) {
+void ResidualBlock::collect_params(std::vector<Param*>& out) {
     body_->collect_params(out);
+}
+
+void ResidualBlock::init_params(util::Xoshiro256& rng) {
+    body_->init_params(rng);
 }
 
 }  // namespace gtopk::nn

@@ -16,8 +16,12 @@ Tensor Sequential::backward(const Tensor& dy) {
     return g;
 }
 
-void Sequential::collect_params(std::vector<ParamView>& out) {
+void Sequential::collect_params(std::vector<Param*>& out) {
     for (auto& layer : layers_) layer->collect_params(out);
+}
+
+void Sequential::init_params(util::Xoshiro256& rng) {
+    for (auto& layer : layers_) layer->init_params(rng);
 }
 
 }  // namespace gtopk::nn

@@ -22,7 +22,8 @@ public:
 
     Tensor forward(const Tensor& x, bool training) override;
     Tensor backward(const Tensor& dy) override;
-    void collect_params(std::vector<ParamView>& out) override;
+    void collect_params(std::vector<Param*>& out) override;
+    void init_params(util::Xoshiro256& rng) override;
     std::string name() const override { return "Sequential"; }
 
 private:

@@ -199,20 +199,14 @@ train::TrainResult train_parameter_server(int workers, comm::NetworkModel net,
                 nn::Batch batch = batches(step, wid);
                 const double loss = model->train_step_gradients(batch);
                 epoch_loss += loss;
-                // Dense pushes the raw gradient; gTop-k accumulates it into
-                // the residual in place (Alg. 4 line 4) and selects from it.
-                std::vector<float> dense_grad;
-                if (dense_agg) {
-                    dense_grad = model->flat_grads();
-                } else {
-                    // Counting the top-k histogram on the way, like the
-                    // trainer's whole-model bucket.
+                // Dense pushes the raw gradient straight from the model's
+                // arena; gTop-k accumulates it into the residual in place
+                // (Alg. 4 line 4), counting the top-k histogram on the way
+                // like the trainer's whole-model bucket, and selects from it.
+                const std::span<const float> grads = model->grads();
+                if (!dense_agg) {
                     sparse::begin_count(select_ws, m);
-                    std::size_t off = 0;
-                    for (const nn::ParamView& p : model->params()) {
-                        sparse::accumulate_counted(residual, off, *p.grad, select_ws);
-                        off += p.grad->size();
-                    }
+                    sparse::accumulate_counted(residual, 0, grads, select_ws);
                 }
                 const double t1 = now_host_s();
 
@@ -227,9 +221,7 @@ train::TrainResult train_parameter_server(int workers, comm::NetworkModel net,
                 const double v0 = comm.clock().now_s();
                 if (dense_agg) {
                     detail::run(comm, iter_sched,
-                        [&dense_grad](const CommOp&) {
-                            return std::as_bytes(std::span<const float>(dense_grad));
-                        },
+                        [grads](const CommOp&) { return std::as_bytes(grads); },
                         [&update, workers](const CommOp&,
                                            std::span<const std::byte> bytes) {
                             detail::check_size(std::span<float>(update), bytes,

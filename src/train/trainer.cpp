@@ -176,7 +176,7 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
         // has no bucket.
         std::vector<std::size_t> seg_offsets{0};
         for (const auto& p : model->params()) {
-            seg_offsets.push_back(seg_offsets.back() + p.value->size());
+            seg_offsets.push_back(seg_offsets.back() + p.value.size());
         }
         const bool layerwise = config.algorithm == Algorithm::LayerwiseGtopkSsgd;
         std::vector<GradBucket> buckets;
@@ -322,26 +322,20 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                 nn::Batch batch = train_batches(step, comm.rank());
                 const double loss = model->train_step_gradients(batch);
                 step_loss[static_cast<std::size_t>(step)] = loss;
+                const std::span<float> grads = model->grads();
                 // DGC-style local gradient clipping (scale to the L2 ball),
-                // in place on the model's gradient buffers.
+                // in place in the model's gradient arena.
                 if (config.gradient_clip_norm > 0.0f) {
                     double norm_sq = 0.0;
-                    for (const nn::ParamView& p : model->params()) {
-                        for (float g : *p.grad) norm_sq += static_cast<double>(g) * g;
-                    }
+                    for (float g : grads) norm_sq += static_cast<double>(g) * g;
                     const double norm = std::sqrt(norm_sq);
                     if (norm > config.gradient_clip_norm) {
                         const float scale =
                             config.gradient_clip_norm / static_cast<float>(norm);
-                        for (const nn::ParamView& p : model->params()) {
-                            for (float& g : *p.grad) g *= scale;
-                        }
+                        for (float& g : grads) g *= scale;
                     }
                 }
-                std::vector<float> dense_grad;  // DenseSsgd only
-                if (config.algorithm == Algorithm::DenseSsgd) {
-                    dense_grad = model->flat_grads();
-                } else if (local_momentum) {
+                if (local_momentum) {
                     // DGC momentum correction: momentum is folded into the
                     // LOCAL stream before residual accumulation.
                     for (float& v : velocity) v *= config.momentum;
@@ -351,22 +345,14 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                 // 4), counting line 5's histogram on the way; selection
                 // then reads G straight from `residual`. Threshold
                 // policies ignore the count.
+                const std::span<const float> src =
+                    local_momentum ? std::span<const float>(velocity) : grads;
                 for (std::size_t b = 0; b < buckets.size(); ++b) {
                     const GradBucket& bk = buckets[b];
                     const std::span<float> g(residual.data() + bk.begin, bk.size());
                     sparse::begin_count(select_ws[b], g.size());
-                    if (local_momentum) {
-                        const std::span<const float> v(velocity.data() + bk.begin,
-                                                       g.size());
-                        sparse::accumulate_counted(g, 0, v, select_ws[b]);
-                    } else {
-                        for (int s = bk.first_segment; s <= bk.last_segment; ++s) {
-                            const auto seg = static_cast<std::size_t>(s);
-                            sparse::accumulate_counted(g, seg_offsets[seg] - bk.begin,
-                                                       *model->params()[seg].grad,
-                                                       select_ws[b]);
-                        }
-                    }
+                    sparse::accumulate_counted(g, 0, src.subspan(bk.begin, bk.size()),
+                                               select_ws[b]);
                 }
                 compute_span.finish();
                 const double t1 = now_host_s();
@@ -462,7 +448,7 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                 std::vector<float> dense_update;  // DenseSsgd / TopkSsgd
                 switch (config.algorithm) {
                     case Algorithm::DenseSsgd:
-                        dense_update = core::dense_allreduce(comm, dense_grad);
+                        dense_update = core::dense_allreduce(comm, grads);
                         for (float& u : dense_update) u *= inv;
                         break;
                     case Algorithm::TopkSsgd:

@@ -33,6 +33,8 @@ Tensor random_input(std::int64_t n, std::int64_t c, std::int64_t hw,
 
 TEST(BatchNorm, TrainingOutputIsNormalizedPerChannel) {
     BatchNorm2d bn(3);
+    Xoshiro256 rng(1);
+    const ParamArena bn_params = bind_params(bn, rng);
     const Tensor x = random_input(4, 3, 6, 1, /*shift=*/5.0f, /*scale=*/3.0f);
     const Tensor y = bn.forward(x, /*training=*/true);
     for (std::int64_t c = 0; c < 3; ++c) {
@@ -57,11 +59,13 @@ TEST(BatchNorm, TrainingOutputIsNormalizedPerChannel) {
 
 TEST(BatchNorm, GammaBetaScaleAndShift) {
     BatchNorm2d bn(1);
-    std::vector<ParamView> params;
+    Xoshiro256 rng(1);
+    const ParamArena bn_params = bind_params(bn, rng);
+    std::vector<Param*> params;
     bn.collect_params(params);
     ASSERT_EQ(params.size(), 2u);
-    (*params[0].value)[0] = 2.0f;   // gamma
-    (*params[1].value)[0] = -1.0f;  // beta
+    params[0]->value[0] = 2.0f;   // gamma
+    params[1]->value[0] = -1.0f;  // beta
     const Tensor x = random_input(2, 1, 4, 2);
     const Tensor y = bn.forward(x, true);
     double mean = 0.0;
@@ -72,6 +76,8 @@ TEST(BatchNorm, GammaBetaScaleAndShift) {
 
 TEST(BatchNorm, EvalUsesRunningStatistics) {
     BatchNorm2d bn(2);
+    Xoshiro256 rng(1);
+    const ParamArena bn_params = bind_params(bn, rng);
     // Feed several training batches with mean 10 so running stats learn it.
     for (int step = 0; step < 60; ++step) {
         (void)bn.forward(random_input(4, 2, 4, 100 + step, 10.0f, 2.0f), true);
@@ -88,6 +94,8 @@ TEST(BatchNorm, EvalUsesRunningStatistics) {
 
 TEST(BatchNorm, EvalDoesNotTouchRunningStats) {
     BatchNorm2d bn(1);
+    Xoshiro256 rng(1);
+    const ParamArena bn_params = bind_params(bn, rng);
     (void)bn.forward(random_input(2, 1, 4, 5), true);
     const float before = bn.running_mean()[0];
     (void)bn.forward(random_input(2, 1, 4, 6, 50.0f), false);
@@ -108,8 +116,8 @@ TEST(BatchNorm, GradientMatchesFiniteDifferences) {
     auto net = std::make_unique<Sequential>();
     net->emplace<BatchNorm2d>(2);
     net->emplace<Flatten>();
-    net->emplace<Linear>(2 * 4 * 4, 3, rng);
-    ClassifierModel model(std::move(net));
+    net->emplace<Linear>(2 * 4 * 4, 3);
+    ClassifierModel model(std::move(net), rng);
 
     Batch batch;
     batch.x = random_input(3, 2, 4, 21, 1.0f, 2.0f);

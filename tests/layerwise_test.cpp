@@ -158,7 +158,7 @@ TEST(LayerwiseTrainer, SelectSpanCountsEveryBucket) {
     const auto model = nn::make_mlp(h.mlp, config.model_seed);
     for (const nn::ParamView& p : model->params()) {
         expected += std::max<std::int64_t>(
-            1, std::llround(config.density * static_cast<double>(p.value->size())));
+            1, std::llround(config.density * static_cast<double>(p.value.size())));
     }
     ASSERT_GT(model->params().size(), 1u);
     int seen = 0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 
 #include "data/sequence_data.hpp"
 #include "nn/model_zoo.hpp"
@@ -36,9 +37,7 @@ TEST(LstmLm, SgdReducesLossOnMarkovData) {
     const float initial = model->eval_loss(make_batch(ds, 16, 5000));
     for (int step = 0; step < 120; ++step) {
         (void)model->train_step_gradients(make_batch(ds, 8, step * 8));
-        auto grads = model->flat_grads();
-        for (auto& g : grads) g *= -0.5f;
-        model->add_flat_delta(grads);
+        model->axpy_params(-0.5f, model->grads());
     }
     const float trained = model->eval_loss(make_batch(ds, 16, 5000));
     EXPECT_LT(trained, initial - 0.2f)
@@ -55,9 +54,7 @@ TEST(LstmLm, DeterministicTraining) {
         auto model = make_lstm_lm(cfg, 9);
         for (int step = 0; step < 10; ++step) {
             (void)model->train_step_gradients(make_batch(ds, 4, step * 4));
-            auto g = model->flat_grads();
-            for (auto& x : g) x *= -0.1f;
-            model->add_flat_delta(g);
+            model->axpy_params(-0.1f, model->grads());
         }
         return model->flat_params();
     };
@@ -93,13 +90,11 @@ TEST(LstmLm, TwoLayerModelTrainsAndHasMoreParams) {
     std::vector<float> velocity(m2->num_params(), 0.0f);
     for (int step = 0; step < 350; ++step) {
         (void)m2->train_step_gradients(make_batch(ds, 6, step * 6));
-        const auto g = m2->flat_grads();
-        std::vector<float> delta(g.size());
+        const std::span<const float> g = m2->grads();
         for (std::size_t i = 0; i < g.size(); ++i) {
             velocity[i] = 0.6f * velocity[i] + g[i];
-            delta[i] = -0.5f * velocity[i];
         }
-        m2->add_flat_delta(delta);
+        m2->axpy_params(-0.5f, velocity);
     }
     EXPECT_LT(m2->eval_loss(make_batch(ds, 16, 5000)), initial - 0.15f);
 }
@@ -117,9 +112,7 @@ TEST(LstmLm, AccuracyBeatsChanceAfterTraining) {
     data::SequenceDataset ds({.vocab = 10, .seq_len = 8, .peakedness = 12.0}, 6);
     for (int step = 0; step < 150; ++step) {
         (void)model->train_step_gradients(make_batch(ds, 8, step * 8));
-        auto g = model->flat_grads();
-        for (auto& x : g) x *= -0.5f;
-        model->add_flat_delta(g);
+        model->axpy_params(-0.5f, model->grads());
     }
     const double acc = model->eval_accuracy(make_batch(ds, 32, 6000));
     EXPECT_GT(acc, 0.2);  // chance is 0.1

@@ -120,12 +120,12 @@ void gradcheck(TrainableModel& model, const Batch& batch,
 TEST(GradCheckSmooth, TanhMlpNoSkipping) {
     Xoshiro256 rng(101);
     auto net = std::make_unique<Sequential>();
-    net->emplace<Linear>(12, 10, rng);
+    net->emplace<Linear>(12, 10);
     net->emplace<Tanh>();
-    net->emplace<Linear>(10, 8, rng);
+    net->emplace<Linear>(10, 8);
     net->emplace<Sigmoid>();
-    net->emplace<Linear>(8, 4, rng);
-    ClassifierModel model(std::move(net));
+    net->emplace<Linear>(8, 4);
+    ClassifierModel model(std::move(net), rng);
     GradcheckOptions opt;
     opt.skip_kinks = false;
     opt.samples = 60;
@@ -135,15 +135,15 @@ TEST(GradCheckSmooth, TanhMlpNoSkipping) {
 TEST(GradCheckSmooth, TanhConvResidualNoSkipping) {
     Xoshiro256 rng(103);
     auto body = std::make_unique<Sequential>();
-    body->emplace<Conv2d>(3, 3, 3, 1, 1, rng);
+    body->emplace<Conv2d>(3, 3, 3, 1, 1);
     body->emplace<Tanh>();
     auto net = std::make_unique<Sequential>();
-    net->emplace<Conv2d>(2, 3, 3, 1, 1, rng);
+    net->emplace<Conv2d>(2, 3, 3, 1, 1);
     net->emplace<Tanh>();
     net->emplace<ResidualBlock>(std::move(body));
     net->emplace<Flatten>();
-    net->emplace<Linear>(3 * 6 * 6, 4, rng);
-    ClassifierModel model(std::move(net));
+    net->emplace<Linear>(3 * 6 * 6, 4);
+    ClassifierModel model(std::move(net), rng);
     GradcheckOptions opt;
     opt.skip_kinks = false;
     opt.samples = 50;

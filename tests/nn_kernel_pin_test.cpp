@@ -73,10 +73,10 @@ struct BitHash {
 /// parameter gradients.
 std::uint64_t run_layer(nn::Layer& layer, const std::vector<std::int64_t>& in_shape,
                         const std::vector<std::int64_t>& out_shape, std::uint64_t seed) {
-    std::vector<nn::ParamView> params;
+    std::vector<nn::Param*> params;
     layer.collect_params(params);
     for (std::size_t p = 0; p < params.size(); ++p) {
-        fill_awkward(*params[p].value, seed * 31 + p);
+        fill_awkward(params[p]->value, seed * 31 + p);
     }
     BitHash hash;
     for (std::uint64_t pass = 0; pass < 2; ++pass) {
@@ -89,7 +89,7 @@ std::uint64_t run_layer(nn::Layer& layer, const std::vector<std::int64_t>& in_sh
         hash.mix(y.data());
         hash.mix(dx.data());
     }
-    for (const nn::ParamView& p : params) hash.mix(*p.grad);
+    for (const nn::Param* p : params) hash.mix(p->grad);
     return hash.h;
 }
 
@@ -179,12 +179,14 @@ TEST_P(PinnedKernel, OutputsAndGradientsMatchRecordedHash) {
     util::Xoshiro256 rng(17);
     std::uint64_t h = 0;
     if (kc.conv) {
-        nn::Conv2d layer(kc.a, kc.b, kc.c, kc.d, kc.e, rng);
+        nn::Conv2d layer(kc.a, kc.b, kc.c, kc.d, kc.e);
+        const nn::ParamArena layer_params = nn::bind_params(layer, rng);
         h = run_layer(layer, {kc.f, kc.a, kc.g, kc.h},
                       {kc.f, kc.b, layer.out_dim(kc.g), layer.out_dim(kc.h)},
                       static_cast<std::uint64_t>(kc.a * 1000 + kc.c * 10 + kc.d));
     } else {
-        nn::Linear layer(kc.a, kc.b, rng);
+        nn::Linear layer(kc.a, kc.b);
+        const nn::ParamArena layer_params = nn::bind_params(layer, rng);
         h = run_layer(layer, {kc.c, kc.a}, {kc.c, kc.b},
                       static_cast<std::uint64_t>(kc.a * 7 + kc.b * 3 + kc.c));
     }

@@ -59,15 +59,22 @@ TEST(TensorTest, IndexedAccess) {
     EXPECT_EQ(u[7], 3.0f);
 }
 
+/// Overwrite a parameter's values.
+void assign_values(Param* p, std::initializer_list<float> v) {
+    ASSERT_EQ(p->value.size(), v.size());
+    std::ranges::copy(v, p->value.begin());
+}
+
 TEST(LinearTest, ComputesAffineMap) {
     Xoshiro256 rng(1);
-    Linear lin(2, 3, rng);
-    std::vector<ParamView> params;
+    Linear lin(2, 3);
+    const ParamArena lin_params = bind_params(lin, rng);
+    std::vector<Param*> params;
     lin.collect_params(params);
     ASSERT_EQ(params.size(), 2u);
     // Overwrite with known weights: W = [[1,2],[3,4],[5,6]], b = [.1,.2,.3]
-    *params[0].value = {1, 2, 3, 4, 5, 6};
-    *params[1].value = {0.1f, 0.2f, 0.3f};
+    assign_values(params[0], {1, 2, 3, 4, 5, 6});
+    assign_values(params[1], {0.1f, 0.2f, 0.3f});
     Tensor x({1, 2}, {10, 20});
     Tensor y = lin.forward(x, false);
     EXPECT_FLOAT_EQ(y.at2(0, 0), 50.1f);
@@ -77,14 +84,16 @@ TEST(LinearTest, ComputesAffineMap) {
 
 TEST(LinearTest, RejectsWrongInputShape) {
     Xoshiro256 rng(1);
-    Linear lin(4, 2, rng);
+    Linear lin(4, 2);
+    const ParamArena lin_params = bind_params(lin, rng);
     Tensor bad({1, 3});
     EXPECT_THROW(lin.forward(bad, false), std::invalid_argument);
 }
 
 TEST(LinearTest, BackwardRejectsMissingOrMismatchedForward) {
     Xoshiro256 rng(1);
-    Linear lin(4, 3, rng);
+    Linear lin(4, 3);
+    const ParamArena lin_params = bind_params(lin, rng);
     EXPECT_THROW(lin.backward(Tensor({2, 3})), std::invalid_argument);  // no forward yet
     lin.forward(Tensor({2, 4}), true);
     EXPECT_THROW(lin.backward(Tensor({3, 3})), std::invalid_argument);  // batch 3 vs 2
@@ -143,12 +152,13 @@ TEST(FlattenTest, CollapsesTrailingDims) {
 
 TEST(Conv2dTest, IdentityKernelPreservesInput) {
     Xoshiro256 rng(2);
-    Conv2d conv(1, 1, 3, 1, 1, rng);
-    std::vector<ParamView> params;
+    Conv2d conv(1, 1, 3, 1, 1);
+    const ParamArena conv_params = bind_params(conv, rng);
+    std::vector<Param*> params;
     conv.collect_params(params);
     // 3x3 kernel with 1 at center: identity under padding=1.
-    *params[0].value = {0, 0, 0, 0, 1, 0, 0, 0, 0};
-    *params[1].value = {0};
+    assign_values(params[0], {0, 0, 0, 0, 1, 0, 0, 0, 0});
+    assign_values(params[1], {0});
     Tensor x({1, 1, 4, 4});
     for (std::int64_t i = 0; i < 16; ++i) x[static_cast<std::size_t>(i)] = static_cast<float>(i);
     Tensor y = conv.forward(x, false);
@@ -158,11 +168,12 @@ TEST(Conv2dTest, IdentityKernelPreservesInput) {
 
 TEST(Conv2dTest, KnownSmallConvolution) {
     Xoshiro256 rng(2);
-    Conv2d conv(1, 1, 2, 1, 0, rng);
-    std::vector<ParamView> params;
+    Conv2d conv(1, 1, 2, 1, 0);
+    const ParamArena conv_params = bind_params(conv, rng);
+    std::vector<Param*> params;
     conv.collect_params(params);
-    *params[0].value = {1, 2, 3, 4};
-    *params[1].value = {0.5f};
+    assign_values(params[0], {1, 2, 3, 4});
+    assign_values(params[1], {0.5f});
     Tensor x({1, 1, 2, 2}, {1, 2, 3, 4});
     Tensor y = conv.forward(x, false);
     EXPECT_EQ(y.shape(), (std::vector<std::int64_t>{1, 1, 1, 1}));
@@ -171,7 +182,8 @@ TEST(Conv2dTest, KnownSmallConvolution) {
 
 TEST(Conv2dTest, StrideShrinksOutput) {
     Xoshiro256 rng(2);
-    Conv2d conv(3, 5, 3, 2, 1, rng);
+    Conv2d conv(3, 5, 3, 2, 1);
+    const ParamArena conv_params = bind_params(conv, rng);
     Tensor x({2, 3, 8, 8});
     Tensor y = conv.forward(x, false);
     EXPECT_EQ(y.shape(), (std::vector<std::int64_t>{2, 5, 4, 4}));
@@ -179,7 +191,8 @@ TEST(Conv2dTest, StrideShrinksOutput) {
 
 TEST(Conv2dTest, BackwardRejectsMissingOrMismatchedForward) {
     Xoshiro256 rng(2);
-    Conv2d conv(2, 3, 3, 1, 1, rng);
+    Conv2d conv(2, 3, 3, 1, 1);
+    const ParamArena conv_params = bind_params(conv, rng);
     EXPECT_THROW(conv.backward(Tensor({2, 3, 4, 4})), std::invalid_argument);  // no forward
     conv.forward(Tensor({2, 2, 4, 4}), true);
     // A smaller dy would be read past its end, a larger one ignored.
@@ -352,8 +365,115 @@ TEST(ModelInterface, FlatRoundTrip) {
     model->set_flat_params(w);
     EXPECT_EQ(model->flat_params(), w);
     std::vector<float> delta(w.size(), 0.5f);
-    model->add_flat_delta(delta);
+    model->axpy_params(1.0f, delta);
     EXPECT_FLOAT_EQ(model->flat_params()[0], w[0] + 0.5f);
+    EXPECT_THROW(model->set_flat_params(std::span(w).first(3)), std::invalid_argument);
+}
+
+/// Every parameter tensor is a slice of the values arena and the same
+/// slice of the gradient arena, back to back in params() order.
+void expect_params_tile_the_arenas(const TrainableModel& model) {
+    const std::span<float> values = model.values();
+    const std::span<float> grads = model.grads();
+    ASSERT_EQ(values.size(), model.num_params());
+    ASSERT_EQ(grads.size(), model.num_params());
+    ASSERT_GT(model.params().size(), 1u);
+    // The two arenas are disjoint.
+    EXPECT_TRUE(values.data() + values.size() <= grads.data() ||
+                grads.data() + grads.size() <= values.data());
+    std::size_t off = 0;
+    for (const ParamView& p : model.params()) {
+        EXPECT_EQ(p.value.data(), values.data() + off) << p.name;
+        EXPECT_EQ(p.grad.data(), grads.data() + off) << p.name;
+        EXPECT_EQ(p.grad.size(), p.value.size()) << p.name;
+        EXPECT_FALSE(p.value.empty()) << p.name;
+        off += p.value.size();
+    }
+    EXPECT_EQ(off, model.num_params());
+}
+
+TEST(ModelArena, ParamsTileBothArenasInOrderForEveryZooModel) {
+    expect_params_tile_the_arenas(*make_mlp({}, 1));
+    expect_params_tile_the_arenas(*make_mini_vgg({}, 1));
+    MiniResNetConfig resnet;
+    resnet.batch_norm = true;
+    expect_params_tile_the_arenas(*make_mini_resnet(resnet, 1));
+    expect_params_tile_the_arenas(*make_lstm_lm({.num_layers = 2}, 1));
+}
+
+TEST(ModelArena, TrainStepWritesTheGradientArenaThroughTheLayers) {
+    MiniResNetConfig cfg;
+    cfg.batch_norm = true;
+    auto model = make_mini_resnet(cfg, 2);
+    Batch batch;
+    batch.x = Tensor({2, cfg.in_channels, cfg.image_size, cfg.image_size});
+    for (std::int64_t i = 0; i < batch.x.numel(); ++i) {
+        batch.x[static_cast<std::size_t>(i)] = static_cast<float>(i % 13) * 0.1f - 0.6f;
+    }
+    batch.targets = {1, 3};
+    std::ranges::fill(model->grads(), 7.0f);  // train_step_gradients zeroes first
+    model->train_step_gradients(batch);
+    // The whole arena was zeroed, and the layers' backward passes, the
+    // BatchNorms' included, accumulated into their own slices of it.
+    EXPECT_TRUE(std::ranges::none_of(model->grads(), [](float g) { return g == 7.0f; }));
+    int checked = 0;
+    for (const ParamView& p : model->params()) {
+        if (p.name != "bn.gamma" && p.name != "linear.w") continue;
+        ++checked;
+        EXPECT_TRUE(std::ranges::any_of(p.grad, [](float g) { return g != 0.0f; }))
+            << p.name;
+    }
+    EXPECT_EQ(checked, 6);  // five BatchNorms and the head
+}
+
+/// A forwarding model built the way a decorator is: default-constructed
+/// base, then a copy of the wrapped model's params().
+class ForwardingModel final : public TrainableModel {
+public:
+    explicit ForwardingModel(std::unique_ptr<TrainableModel> inner)
+        : inner_(std::move(inner)) {
+        params_ = inner_->params();
+    }
+    double train_step_gradients(const Batch& batch) override {
+        return inner_->train_step_gradients(batch);
+    }
+    double eval_loss(const Batch& batch) override { return inner_->eval_loss(batch); }
+    double eval_accuracy(const Batch& batch) override {
+        return inner_->eval_accuracy(batch);
+    }
+    const TrainableModel& inner() const { return *inner_; }
+
+private:
+    std::unique_ptr<TrainableModel> inner_;
+};
+
+TEST(ModelArena, FlatWritesThroughAForwardingModelReachTheWrappedModel) {
+    ForwardingModel outer(make_mlp({8, {4}, 3}, 3));
+    const TrainableModel& inner = outer.inner();
+    EXPECT_EQ(outer.values().data(), inner.values().data());
+    EXPECT_EQ(outer.grads().data(), inner.grads().data());
+    ASSERT_EQ(outer.num_params(), inner.num_params());
+
+    std::vector<float> w = outer.flat_params();
+    for (float& x : w) x = -x + 0.25f;
+    outer.set_flat_params(w);
+    EXPECT_EQ(inner.flat_params(), w);
+
+    const std::vector<float> x(w.size(), 2.0f);
+    outer.axpy_params(0.5f, x);
+    std::vector<float> v(w.size(), 1.0f);
+    outer.momentum_axpy_params(0.5f, v, x, -1.0f);
+    for (std::size_t i = 0; i < w.size(); ++i) w[i] = (w[i] + 0.5f * 2.0f) - 2.5f;
+    EXPECT_EQ(inner.flat_params(), w);
+
+    Batch batch;
+    batch.x = Tensor({2, 8});
+    batch.x.fill(0.1f);
+    batch.targets = {0, 2};
+    outer.train_step_gradients(batch);
+    std::vector<float> sum(w.size(), 0.0f);
+    outer.accumulate_grads_into(sum);
+    EXPECT_EQ(sum, inner.flat_grads());
 }
 
 TEST(ModelInterface, TrainStepFillsGradients) {
@@ -370,13 +490,8 @@ TEST(ModelInterface, TrainStepFillsGradients) {
     EXPECT_GT(norm, 0.0);
 }
 
-// Parameter tensors of every length mod 4 (the vector lanes' scalar tails),
-// owned here and viewed like a model's.
-struct FlatParams {
-    std::vector<std::vector<float>> values, grads;
-    std::vector<ParamView> views;
-    std::size_t m = 0;
-};
+// Flat spans of every length mod 4 (the vector lanes' scalar tails).
+constexpr std::size_t kAwkwardLengths[] = {8, 9, 10, 11, 1, 2, 3, 4, 37};
 
 /// Normal values mixed with +-0.0f and subnormals.
 float awkward_value(std::size_t i, std::uint64_t salt, Xoshiro256& rng) {
@@ -389,22 +504,6 @@ float awkward_value(std::size_t i, std::uint64_t salt, Xoshiro256& rng) {
         case 3: return sign * std::numeric_limits<float>::min() * 0.75f;
         default: return static_cast<float>(rng.next_gaussian());
     }
-}
-
-FlatParams awkward_params(std::uint64_t seed) {
-    FlatParams p;
-    Xoshiro256 rng(seed);
-    for (const std::size_t n : {8u, 9u, 10u, 11u, 1u, 2u, 3u, 4u, 37u}) {
-        std::vector<float> v(n);
-        for (std::size_t i = 0; i < n; ++i) v[i] = awkward_value(i, seed, rng);
-        p.values.push_back(v);
-        p.grads.emplace_back(n, 0.0f);
-        p.m += n;
-    }
-    for (std::size_t t = 0; t < p.values.size(); ++t) {
-        p.views.push_back({&p.values[t], &p.grads[t], "t"});
-    }
-    return p;
 }
 
 std::vector<float> awkward_flat(std::size_t m, std::uint64_t salt) {
@@ -420,32 +519,30 @@ bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
 }
 
 TEST(FlatUpdate, MomentumAxpyMatchesTheScalarLoopsBitForBit) {
-    for (const float mom : {0.9f, 0.0f, 1.0f}) {
-        for (const float a : {-0.05f, -6e-5f, 0.0f}) {
-            FlatParams got = awkward_params(1);
-            FlatParams want = awkward_params(1);
-            std::vector<float> v_got = awkward_flat(got.m, 2);  // subnormal velocities
-            std::vector<float> v_want = v_got;
-            std::vector<float> u = awkward_flat(got.m, 3);
-            for (std::size_t i = 0; i < u.size(); i += 3) u[i] = 0.0f;  // zero updates
-            // The two loops the fused pass replaces, with its snap of
-            // velocities below FLT_MIN to +0.
-            for (std::size_t i = 0; i < want.m; ++i) {
-                v_want[i] = mom * v_want[i] + u[i];
-                if (std::fabs(v_want[i]) < std::numeric_limits<float>::min()) {
-                    v_want[i] = 0.0f;
+    for (const std::size_t n : kAwkwardLengths) {
+        for (const float mom : {0.9f, 0.0f, 1.0f}) {
+            for (const float a : {-0.05f, -6e-5f, 0.0f}) {
+                std::vector<float> w_got = awkward_flat(n, 1);
+                std::vector<float> w_want = w_got;
+                std::vector<float> v_got = awkward_flat(n, 2);  // subnormal velocities
+                std::vector<float> v_want = v_got;
+                std::vector<float> u = awkward_flat(n, 3);
+                // Zero updates.
+                for (std::size_t i = 0; i < u.size(); i += 3) u[i] = 0.0f;
+                // The two loops the fused pass replaces, with its snap of
+                // velocities below FLT_MIN to +0.
+                for (std::size_t i = 0; i < n; ++i) {
+                    v_want[i] = mom * v_want[i] + u[i];
+                    if (std::fabs(v_want[i]) < std::numeric_limits<float>::min()) {
+                        v_want[i] = 0.0f;
+                    }
                 }
-            }
-            std::size_t off = 0;
-            for (auto& w : want.values) {
-                for (std::size_t i = 0; i < w.size(); ++i) w[i] += a * v_want[off + i];
-                off += w.size();
-            }
-            momentum_axpy_values(got.views, mom, v_got, u, a);
-            EXPECT_TRUE(same_bits(v_got, v_want)) << "mom=" << mom << " a=" << a;
-            for (std::size_t t = 0; t < got.values.size(); ++t) {
-                EXPECT_TRUE(same_bits(got.values[t], want.values[t]))
-                    << "tensor " << t << " mom=" << mom << " a=" << a;
+                for (std::size_t i = 0; i < n; ++i) w_want[i] += a * v_want[i];
+                momentum_axpy_values(w_got, mom, v_got, u, a);
+                EXPECT_TRUE(same_bits(v_got, v_want))
+                    << "n=" << n << " mom=" << mom << " a=" << a;
+                EXPECT_TRUE(same_bits(w_got, w_want))
+                    << "n=" << n << " mom=" << mom << " a=" << a;
             }
         }
     }
@@ -456,21 +553,12 @@ TEST(FlatUpdate, MomentumAxpySnapsSubnormalVelocitiesToPositiveZero) {
     const float fmin = std::numeric_limits<float>::min();
     const float mom = 0.9f;
     const float a = -0.05f;
-    // Lengths 6 and 11: four-lane bodies with tails of 2 and 3 elements.
-    FlatParams p;
-    for (const std::size_t n : {6u, 11u}) {
-        p.values.emplace_back(n);
-        p.grads.emplace_back(n, 0.0f);
-        p.m += n;
-    }
-    for (std::size_t t = 0; t < p.values.size(); ++t) {
-        p.views.push_back({&p.values[t], &p.grads[t], "t"});
-    }
+    const std::size_t m = 17;
     Xoshiro256 rng(7);
-    std::vector<float> v(p.m), u(p.m, 0.0f);
-    std::vector<float> w_flat(p.m);
-    for (std::size_t i = 0; i < p.m; ++i) {
-        w_flat[i] = static_cast<float>(rng.next_gaussian());
+    std::vector<float> v(m), u(m, 0.0f);
+    std::vector<float> w(m);
+    for (std::size_t i = 0; i < m; ++i) {
+        w[i] = static_cast<float>(rng.next_gaussian());
         switch (i % 7) {
             case 0: v[i] = 4.0f * tiny; break;  // stuck: 0.9 * 4 tiny rounds back
             case 1: v[i] = -fmin; break;        // decays into the subnormals
@@ -480,51 +568,45 @@ TEST(FlatUpdate, MomentumAxpySnapsSubnormalVelocitiesToPositiveZero) {
             // Normal velocities whose step a*v is subnormal: kept, and the
             // step moves a w below 2^-100.
             case 5: v[i] = 1e-37f; break;
-            default: v[i] = -1e-37f; w_flat[i] = 1e-36f; break;
+            default: v[i] = -1e-37f; w[i] = 1e-36f; break;
         }
     }
-    std::vector<std::vector<float>> w0;
-    std::size_t off = 0;
-    for (auto& w : p.values) {
-        std::copy_n(w_flat.begin() + static_cast<std::ptrdiff_t>(off), w.size(), w.begin());
-        off += w.size();
-        w0.push_back(w);
-    }
+    const std::vector<float> w0 = w;
     const std::vector<float> v0 = v;
-    momentum_axpy_values(p.views, mom, v, u, a);
+    // Two passes of lengths 6 and 11: four-lane bodies with tails of 2 and
+    // 3 elements.
+    for (const auto& [off, n] : {std::pair<std::size_t, std::size_t>{0, 6}, {6, 11}}) {
+        momentum_axpy_values(std::span(w).subspan(off, n), mom,
+                             std::span(v).subspan(off, n),
+                             std::span<const float>(u).subspan(off, n), a);
+    }
 
     std::size_t snapped = 0;
-    off = 0;
-    for (std::size_t t = 0; t < p.values.size(); ++t) {
-        const std::size_t n = p.values[t].size();
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::size_t f = off + i;
-            const float raw = mom * v0[f] + u[f];
-            const bool snap = std::fabs(raw) < fmin;
-            const float want_v = snap ? 0.0f : raw;
-            const float want_w = w0[t][i] + a * want_v;
-            if (snap) {
-                ++snapped;
-                EXPECT_EQ(std::bit_cast<std::uint32_t>(v[f]), 0u) << "lane " << f;
-            } else {
-                EXPECT_EQ(std::bit_cast<std::uint32_t>(v[f]),
-                          std::bit_cast<std::uint32_t>(raw))
-                    << "lane " << f;
-            }
-            EXPECT_EQ(std::bit_cast<std::uint32_t>(p.values[t][i]),
-                      std::bit_cast<std::uint32_t>(want_w))
+    for (std::size_t f = 0; f < m; ++f) {
+        const float raw = mom * v0[f] + u[f];
+        const bool snap = std::fabs(raw) < fmin;
+        const float want_v = snap ? 0.0f : raw;
+        const float want_w = w0[f] + a * want_v;
+        if (snap) {
+            ++snapped;
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(v[f]), 0u) << "lane " << f;
+        } else {
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(v[f]),
+                      std::bit_cast<std::uint32_t>(raw))
                 << "lane " << f;
-            if (f % 7 == 5) {
-                EXPECT_EQ(p.values[t][i], w0[t][i]) << "lane " << f;
-            }
-            if (f % 7 == 6) {
-                EXPECT_NE(p.values[t][i], w0[t][i]) << "lane " << f;
-            }
         }
-        off += n;
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(w[f]),
+                  std::bit_cast<std::uint32_t>(want_w))
+            << "lane " << f;
+        if (f % 7 == 5) {
+            EXPECT_EQ(w[f], w0[f]) << "lane " << f;
+        }
+        if (f % 7 == 6) {
+            EXPECT_NE(w[f], w0[f]) << "lane " << f;
+        }
     }
     // Cases 0, 1 and 3 snap, in the four-lane bodies and in the tails
-    // (flat 4 and 5 end the first tensor, 14 to 16 the second).
+    // (flat 4 and 5 end the first pass, 14 to 16 the second).
     EXPECT_EQ(snapped, 8u);
     EXPECT_EQ(std::bit_cast<std::uint32_t>(v[14]), 0u);
     EXPECT_EQ(std::bit_cast<std::uint32_t>(v[15]), 0u);
@@ -532,18 +614,14 @@ TEST(FlatUpdate, MomentumAxpySnapsSubnormalVelocitiesToPositiveZero) {
 }
 
 TEST(FlatUpdate, AxpyMatchesTheScalarLoopBitForBit) {
-    for (const float a : {-0.05f, 1.0f, -0.0f}) {
-        FlatParams got = awkward_params(4);
-        FlatParams want = awkward_params(4);
-        const std::vector<float> x = awkward_flat(got.m, 5);
-        std::size_t off = 0;
-        for (auto& w : want.values) {
-            for (std::size_t i = 0; i < w.size(); ++i) w[i] += a * x[off + i];
-            off += w.size();
-        }
-        axpy_values(got.views, a, x);
-        for (std::size_t t = 0; t < got.values.size(); ++t) {
-            EXPECT_TRUE(same_bits(got.values[t], want.values[t])) << "tensor " << t;
+    for (const std::size_t n : kAwkwardLengths) {
+        for (const float a : {-0.05f, 1.0f, -0.0f}) {
+            std::vector<float> got = awkward_flat(n, 4);
+            std::vector<float> want = got;
+            const std::vector<float> x = awkward_flat(n, 5);
+            for (std::size_t i = 0; i < n; ++i) want[i] += a * x[i];
+            axpy_values(got, a, x);
+            EXPECT_TRUE(same_bits(got, want)) << "n=" << n << " a=" << a;
         }
     }
 }

@@ -151,7 +151,7 @@ TEST(OverlapConformance, OverlappedRunDiffsCleanInTagStreamMode) {
     const auto probe = nn::make_mlp(h.mlp, cfg.model_seed);
     std::vector<std::size_t> seg_offsets{0};
     for (const auto& p : probe->params()) {
-        seg_offsets.push_back(seg_offsets.back() + p.value->size());
+        seg_offsets.push_back(seg_offsets.back() + p.value.size());
     }
     const auto buckets = train::fuse_buckets(seg_offsets, cfg.bucket_bytes);
     ASSERT_GE(buckets.size(), 2u) << "need >= 2 concurrent handles in flight";

@@ -225,9 +225,11 @@ TEST(ExplorerTest, TruncatesAtStateCap) {
 }
 
 // ---------------------------------------------------------------------------
-// Exhaustive clean sweeps — the gating property. These are the same
-// configurations the protocheck ctest invocations run; keeping them in the
-// gtest binary too means sanitizer jobs exercise the full search.
+// Exhaustive clean sweeps — the gating property. The membership sweeps and
+// the seeded quorum break run once, as the protocheck ctest cases in
+// tools/CMakeLists.txt: those fail on a violation, a truncated search, a
+// seeded break that surfaces as the wrong violation, or a replay that does
+// not reproduce.
 
 TEST(ProtocheckSweepTest, ArqFullAdversaryIsClean) {
     pc::ArqModelConfig cfg;
@@ -244,25 +246,6 @@ TEST(ProtocheckSweepTest, ArqWithEpochBumpIsClean) {
     cfg.allow_kill = true;
     cfg.max_epoch_bumps = 1;
     const auto r = pc::explore(pc::ArqModel(cfg));
-    EXPECT_TRUE(r.clean()) << r.violation.value_or("truncated");
-}
-
-TEST(ProtocheckSweepTest, MembershipWorlds2To4OneDeathIsClean) {
-    for (int world = 2; world <= 4; ++world) {
-        pc::MembershipModelConfig cfg;
-        cfg.world = world;
-        cfg.max_kills = 1;
-        const auto r = pc::explore(pc::MembershipModel(cfg));
-        EXPECT_TRUE(r.clean())
-            << "world " << world << ": " << r.violation.value_or("truncated");
-    }
-}
-
-TEST(ProtocheckSweepTest, MembershipWorld4TwoDeathsIsClean) {
-    pc::MembershipModelConfig cfg;
-    cfg.world = 4;
-    cfg.max_kills = 2;
-    const auto r = pc::explore(pc::MembershipModel(cfg));
     EXPECT_TRUE(r.clean()) << r.violation.value_or("truncated");
 }
 
@@ -323,23 +306,6 @@ TEST(SeededBreakTest, AcceptDuplicatesDeliversOutOfOrderForReal) {
         non_increasing |= real.delivered[i] <= real.delivered[i - 1];
     }
     EXPECT_TRUE(non_increasing);
-}
-
-TEST(SeededBreakTest, QuorumBypassFinalizesMinorityViewForReal) {
-    BreakGuard guard;
-    fsm::set_membership_break(fsm::MembershipBreak::kQuorumBypass);
-    pc::MembershipModelConfig cfg;
-    cfg.world = 3;
-    cfg.max_kills = 1;
-    const auto r = pc::explore(pc::MembershipModel(cfg));
-    ASSERT_TRUE(r.violation.has_value());
-    EXPECT_EQ(*r.violation, "quorum-violation");
-
-    std::vector<pc::MembershipModel::Action> trace;
-    for (const auto& step : r.trace) trace.push_back(step.action);
-    // The real MembershipService runs the same bypassed quorum check: it
-    // finalizes the same minority view the model predicted.
-    EXPECT_EQ(pc::membership_conformance_diff(cfg, trace), std::nullopt);
 }
 
 TEST(SeededBreakTest, AcceptStaleResurrectsAbandonedSession) {

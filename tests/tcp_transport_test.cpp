@@ -55,6 +55,7 @@
 #include "comm/tags.hpp"
 #include "comm/tcp_frame.hpp"
 #include "comm/tcp_transport.hpp"
+#include "comm/wire_codec.hpp"
 #include "sparse/wire.hpp"
 #include "tcp_parity_common.hpp"
 
@@ -753,10 +754,9 @@ TEST(TcpBootstrap, ListenerRefusesBadResumes) {
     constexpr std::uint32_t kResumeMagic = 0x4754524Du;  // "GTRM"
     const auto resume = [](std::uint32_t magic, int rank, std::uint64_t session) {
         std::array<std::byte, 16> out{};
-        comm::tcp::put_u64(
-            comm::tcp::put_u32(comm::tcp::put_u32(out.data(), magic),
-                               static_cast<std::uint32_t>(rank)),
-            session);
+        comm::put_u64(comm::put_u32(comm::put_u32(out.data(), magic),
+                                    static_cast<std::uint32_t>(rank)),
+                      session);
         return out;
     };
     std::array<std::byte, 16> junk{};

@@ -25,8 +25,10 @@
 //   * without --seed-break: every requested sweep finished exhaustively
 //     with zero violations (and --replay/--replay-sample agreed);
 //   * with --seed-break: the sweep DID find a counterexample for the
-//     seeded bug, and (with --replay) the trace reproduced the failure
-//     through the real transport/service.
+//     seeded bug, every violation found is the one that bug must surface
+//     as, and (with --replay) the trace reproduced the failure through the
+//     real transport/service.
+// Exit code 3: a sweep hit --max-states before finishing.
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
@@ -243,14 +245,20 @@ void write_report(const std::string& path,
 int main(int argc, char** argv) {
     const Options o = parse_args(argc, argv);
 
+    // The violation each seeded break must surface as.
+    std::string expected_violation;
     if (o.seed_break == "quorum") {
         fsm::set_membership_break(fsm::MembershipBreak::kQuorumBypass);
+        expected_violation = "quorum-violation";
     } else if (o.seed_break == "gc-unacked") {
         fsm::set_arq_break(fsm::ArqBreak::kGcDropsUnacked);
+        expected_violation = "gc-dropped-unacked";
     } else if (o.seed_break == "accept-dup") {
         fsm::set_arq_break(fsm::ArqBreak::kAcceptDuplicates);
+        expected_violation = "out-of-order-delivery";
     } else if (o.seed_break == "accept-stale") {
         fsm::set_reconnect_break(fsm::ReconnectBreak::kAcceptStale);
+        expected_violation = "stale-session-accepted";
     }
     const bool expect_violation = o.seed_break != "none";
 
@@ -392,6 +400,13 @@ int main(int argc, char** argv) {
         if (!found_violation) {
             std::cerr << "protocheck: seeded break produced NO counterexample\n";
             return 1;
+        }
+        for (const SweepResult& r : results) {
+            if (!r.violation.empty() && r.violation != expected_violation) {
+                std::cerr << "protocheck: seeded break produced '" << r.violation
+                          << "', expected '" << expected_violation << "'\n";
+                return 1;
+            }
         }
         if (o.replay && !replay_ok) {
             std::cerr << "protocheck: counterexample did not reproduce\n";
