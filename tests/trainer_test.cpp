@@ -3,6 +3,13 @@
 // holds, and warmup schedules are honored.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <ostream>
+#include <string>
+
 #include "data/sampler.hpp"
 #include "data/synthetic_images.hpp"
 #include "nn/model_zoo.hpp"
@@ -198,6 +205,109 @@ TEST(Trainer, SingleWorkerDegeneratesToSgd) {
     const auto result = run(1, config, h);
     EXPECT_LT(result.epochs.back().train_loss, result.epochs.front().train_loss);
 }
+
+/// Forwards every call to the wrapped model and overrides nothing else, as
+/// a timing decorator does: the trainer drives it through the base class's
+/// defaults.
+class ForwardingModel final : public nn::TrainableModel {
+public:
+    explicit ForwardingModel(std::unique_ptr<nn::TrainableModel> inner)
+        : inner_(std::move(inner)) {
+        params_ = inner_->params();
+    }
+    double train_step_gradients(const nn::Batch& batch) override {
+        return inner_->train_step_gradients(batch);
+    }
+    double eval_loss(const nn::Batch& batch) override { return inner_->eval_loss(batch); }
+    double eval_accuracy(const nn::Batch& batch) override {
+        return inner_->eval_accuracy(batch);
+    }
+
+private:
+    std::unique_ptr<nn::TrainableModel> inner_;
+};
+
+/// FNV-1a over the raw bytes of the final parameters and of every epoch's
+/// train loss.
+std::uint64_t run_hash(const TrainResult& r) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](const void* data, std::size_t n) {
+        const auto* p = static_cast<const unsigned char*>(data);
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= p[i];
+            h *= 0x100000001b3ull;
+        }
+    };
+    mix(r.final_params.data(), r.final_params.size() * sizeof(float));
+    for (const train::EpochMetrics& e : r.epochs) mix(&e.train_loss, sizeof(double));
+    return h;
+}
+
+struct UpdatePinCase {
+    const char* name;
+    TrainConfig config;
+    std::uint64_t hash;
+};
+
+void PrintTo(const UpdatePinCase& pc, std::ostream* os) { *os << pc.name; }
+
+std::vector<UpdatePinCase> update_pin_cases() {
+    TrainConfig base;
+    base.epochs = 2;
+    base.iters_per_epoch = 5;
+    base.density = 0.02;
+    base.algorithm = Algorithm::GtopkSsgd;
+    std::vector<UpdatePinCase> cases;
+    cases.push_back({"Gtopk", base, 0xd8ec4719121bf43dull});
+    TrainConfig layerwise = base;
+    layerwise.algorithm = Algorithm::LayerwiseGtopkSsgd;
+    layerwise.overlap = true;
+    layerwise.bucket_bytes = 512;
+    cases.push_back({"LayerwiseOverlap", layerwise, 0xca002eed17898f95ull});
+    TrainConfig local = base;
+    local.momentum_mode = TrainConfig::MomentumMode::LocalCorrection;
+    cases.push_back({"LocalCorrection", local, 0x95c3e22703815d33ull});
+    return cases;
+}
+
+class SparseUpdatePin : public ::testing::TestWithParam<UpdatePinCase> {};
+
+// The hashes were recorded while the update still scattered the global
+// top-k into a dense m-float mean update and the trainer accumulated the
+// whole gradient arena into the residual after backward. The MLP's rows
+// (192, 37 and 19 inputs) end off the 4-lane and 64-entry grids. A model
+// that folds its gradients during backward and a forwarding decorator that
+// takes the unfolded default must both reproduce them bit for bit.
+TEST_P(SparseUpdatePin, FoldedAndUnfoldedRunsMatchTheDenseUpdateHash) {
+#if !defined(__x86_64__)
+    GTEST_SKIP() << "hashes were recorded for x86-64 float arithmetic";
+#endif
+    const UpdatePinCase& pc = GetParam();
+    Harness h(4);
+    h.mlp.hidden_dims = {37, 19};
+    const train::ModelFactory bare = h.factory();
+    const train::ModelFactory forwarded = [&bare](std::uint64_t seed) {
+        return std::make_unique<ForwardingModel>(bare(seed));
+    };
+    for (const auto& [label, factory] :
+         {std::pair{"bare", bare}, std::pair{"forwarded", forwarded}}) {
+        const TrainResult r =
+            train::train_distributed(4, NetworkModel::free(), pc.config, factory,
+                                     h.train_batches(), h.eval_batch());
+        const std::uint64_t hash = run_hash(r);
+        if (const char* env = std::getenv("GTOPK_PRINT_TRAJECTORY_HASHES");
+            env && std::strcmp(env, "1") == 0) {
+            std::printf("%s/%s 0x%016llxull\n", pc.name, label,
+                        static_cast<unsigned long long>(hash));
+        }
+        EXPECT_EQ(hash, pc.hash) << pc.name << " " << label;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(All, SparseUpdatePin, ::testing::ValuesIn(update_pin_cases()),
+                         [](const ::testing::TestParamInfo<UpdatePinCase>& info) {
+                             return std::string(info.param.name);
+                         });
 
 TEST(Trainer, AlgorithmNamesAreStable) {
     EXPECT_STREQ(train::algorithm_name(Algorithm::DenseSsgd), "Dense S-SGD");
