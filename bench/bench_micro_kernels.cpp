@@ -2,8 +2,8 @@
 // strategies, the ⊤ merge, wire (de)serialization, host-side costs of
 // the aggregation algorithms on a small cluster, the Conv2d / Linear
 // layers at the perfbench workloads' shapes, and the trainer's per-step
-// O(m) passes (residual accumulate + top-k select, momentum update) on
-// mlp_wide_gtopk's parameter tensors.
+// O(m) passes (residual accumulate + top-k select, backward folded into the
+// residual, momentum update) on mlp_wide_gtopk's parameter tensors.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -15,6 +15,7 @@
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "nn/model.hpp"
+#include "nn/sequential.hpp"
 #include "sparse/selection_policy.hpp"
 #include "sparse/topk_merge.hpp"
 #include "sparse/topk_select.hpp"
@@ -314,34 +315,156 @@ void BM_AccumulateCountSelect(benchmark::State& state) {
 }
 BENCHMARK(BM_AccumulateCountSelect)->Unit(benchmark::kMillisecond);
 
+/// Adds each folded range into a residual the size of the gradient arena,
+/// counting it for the top-k: the trainer's sink for one whole-model bucket.
+class CountedResidualSink final : public nn::GradSink {
+public:
+    CountedResidualSink(std::span<float> residual, sparse::TopkWorkspace& ws)
+        : residual_(residual), ws_(ws) {}
+    void fold(std::size_t at, std::span<const float> g) override {
+        sparse::accumulate_counted(residual_, at, g, ws_);
+    }
+
+private:
+    std::span<float> residual_;
+    sparse::TopkWorkspace& ws_;
+};
+
+/// store-and-fold: a dW row built in its arena slice, then folded from
+/// there. Emulated over the shipped kernel by copying each finished row
+/// into the arena (zero-filled beforehand) and folding the arena slice.
+class StoreThenFoldSink final : public nn::GradSink {
+public:
+    StoreThenFoldSink(std::span<float> arena, CountedResidualSink& inner)
+        : arena_(arena), inner_(inner) {}
+    void fold(std::size_t at, std::span<const float> g) override {
+        const std::span<float> slot = arena_.subspan(at, g.size());
+        std::copy(g.begin(), g.end(), slot.begin());
+        inner_.fold(at, slot);
+    }
+
+private:
+    std::span<float> arena_;
+    CountedResidualSink& inner_;
+};
+
+void BM_BackwardFold(benchmark::State& state) {
+    // mlp_wide_gtopk's three Linear layers (768->2048->512->10, batch 4),
+    // backward plus the residual accumulate of their gradient (Alg. 4
+    // line 4, counted for the top-k). Arg 0: the unfolded order — zero
+    // the gradient arena, backward into it, then one accumulate_counted
+    // over it. Arg 1: the shipped fold — each dW row is built in a
+    // scratch row and folded straight into the residual, never touching
+    // the arena. Arg 2: store-and-fold (not shipped) — the zero fill and
+    // the arena stores come back, each row folded from the arena. Every
+    // thread is one rank with its own layers and residual, as in
+    // perfbench's 4-rank process.
+    util::Xoshiro256 rng(1);
+    nn::Sequential net;
+    net.emplace<nn::Linear>(768, 2048).emplace<nn::Linear>(2048, 512).emplace<nn::Linear>(512, 10);
+    const nn::ParamArena arena = nn::bind_params(net, rng);
+    std::vector<nn::Param*> params;
+    net.collect_params(params);
+    const std::span<float> grads(params.front()->grad.data(), MlpWideParams::m);
+    net.forward(random_tensor({4, 768}, 2), true);
+    const nn::Tensor dy = random_tensor({4, 10}, 3);
+    std::vector<float> residual = random_dense(MlpWideParams::m, 4);
+    sparse::TopkWorkspace ws;
+    CountedResidualSink sink(residual, ws);
+    StoreThenFoldSink store_sink(grads, sink);
+    const int arm = static_cast<int>(state.range(0));
+    for (auto _ : state) {
+        sparse::begin_count(ws, residual.size());
+        if (arm == 1) {
+            benchmark::DoNotOptimize(net.backward_fold(dy, {grads, sink}).raw());
+        } else if (arm == 2) {
+            std::fill(grads.begin(), grads.end(), 0.0f);
+            benchmark::DoNotOptimize(net.backward_fold(dy, {grads, store_sink}).raw());
+        } else {
+            std::fill(grads.begin(), grads.end(), 0.0f);
+            benchmark::DoNotOptimize(net.backward(dy).raw());
+            sparse::accumulate_counted(residual, 0, grads, ws);
+        }
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(MlpWideParams::m));
+}
+BENCHMARK(BM_BackwardFold)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Threads(1)
+    ->Threads(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 void BM_MomentumAxpy(benchmark::State& state) {
     // The momentum-SGD update v = mom*v + u; w += -lr*v over mlp_wide's
     // values arena. Arg 0: normal velocities fed by a nonzero update (they
     // settle near 10u). Arg 1: every velocity subnormal and a zero update,
-    // as in a long run's rarely selected coordinates; 0.9*v rounds back
-    // to a subnormal, so the arm stays subnormal for every iteration.
+    // as in a long run's rarely selected coordinates; the first pass snaps
+    // them to +0, and from then on every chunk of +0 velocities and zero
+    // update is read and skipped. Arg 2: the gTop-k update as the trainer
+    // applies it, k = 2629 sorted (index, value) entries with +0 between
+    // them, over velocities that are +0 but for 5% of the coordinates, in
+    // about 20% of the 16-float chunks (a traced mlp_wide_gtopk episode
+    // ends with 95% of its velocities +0 and 72% of its chunks all +0).
+    // Arg 3: the same update scattered into a dense m-float vector first,
+    // as the trainer did before it applied the list (the scatter and the
+    // re-zero are O(k) and included). Arms 2 and 3 use mom = 1, so the
+    // velocities' support neither decays nor grows past the update's over
+    // the iterations.
     MlpWideParams p(9);
-    const bool subnormal = state.range(0) != 0;
-    std::vector<float> velocity(p.m), update(p.m, 0.0f);
-    if (subnormal) {
+    const int arm = static_cast<int>(state.range(0));
+    std::vector<float> velocity(p.m, 0.0f), update(p.m, 0.0f);
+    std::vector<std::int32_t> idx;
+    std::vector<float> val;
+    if (arm == 1) {
         const float tiny = std::numeric_limits<float>::denorm_min();
         for (std::size_t i = 0; i < p.m; ++i) {
             velocity[i] = static_cast<float>(i % 1000 + 1) * ((i & 1) ? -tiny : tiny);
         }
-    } else {
+    } else if (arm == 0) {
         velocity = random_dense(p.m, 31);
         update = random_dense(p.m, 32);
+    } else {
+        const std::size_t k = 2629;
+        const std::vector<float> draws = random_dense(p.m, 33);
+        util::Xoshiro256 rng(34);
+        for (std::size_t c = 0; c + 16 <= p.m; c += 16) {
+            if (rng.next_below(5) != 0) continue;
+            for (std::size_t i = c; i < c + 16; ++i) {
+                if (rng.next_below(4) == 0) velocity[i] = draws[i];
+            }
+        }
+        for (std::size_t j = 0; j < k; ++j) {
+            // One entry in each stretch of m / k: sorted and distinct.
+            idx.push_back(static_cast<std::int32_t>(j * (p.m / k) + rng.next_below(p.m / k)));
+            val.push_back(draws[j]);
+        }
     }
-    const float momentum = 0.9f;
+    const float momentum = arm >= 2 ? 1.0f : 0.9f;
     const float lr = 6e-5f;
     for (auto _ : state) {
-        nn::momentum_axpy_values(p.values, momentum, velocity, update, -lr);
+        if (arm == 2) {
+            nn::momentum_axpy_values(p.values, momentum, velocity, nn::SparseUpdate{idx, val},
+                                     -lr);
+        } else {
+            for (std::size_t j = 0; arm == 3 && j < idx.size(); ++j) {
+                update[static_cast<std::size_t>(idx[j])] = val[j];
+            }
+            nn::momentum_axpy_values(p.values, momentum, velocity, update, -lr);
+            for (std::size_t j = 0; arm == 3 && j < idx.size(); ++j) {
+                update[static_cast<std::size_t>(idx[j])] = 0.0f;
+            }
+        }
         benchmark::DoNotOptimize(velocity.data());
         benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(p.m));
 }
-BENCHMARK(BM_MomentumAxpy)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MomentumAxpy)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Threads(1)->Threads(4)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -64,7 +64,8 @@ constexpr fsm::ReconnectPolicy kReconnect{};
 // its inbound bytes read; long enough that a rank polling for messages is
 // never woken through another thread.
 constexpr auto kReaderFallback = std::chrono::milliseconds(2);
-// Receiver poll tick while it reads the data sockets itself.
+// Receiver poll tick while it reads the data sockets itself, and the
+// longest it sleeps while the rank thread keeps draining them.
 constexpr int kReceiverTickMs = 100;
 // Bytes one recv may return (per-peer staging chunk).
 constexpr std::size_t kRecvChunk = 64 * 1024;
@@ -917,8 +918,14 @@ void TcpTransport::receiver_loop() {
         return std::any_of(handshakes.begin(), handshakes.end(),
                            [peer](const Handshake& h) { return h.dialed && h.peer == peer; });
     };
+    // How long past the rank thread's last drain the next check comes. It
+    // doubles after every wake that finds the window fresh, up to the tick,
+    // and falls back to the window once a window expires: a rank that
+    // keeps polling costs about ten wakes a second, not one per window.
+    Clock::duration drain_wait = kReaderFallback;
     while (running_.load(std::memory_order_acquire)) {
         const auto now = Clock::now();
+        receiver_wakeups_.fetch_add(1, std::memory_order_relaxed);
         // 1. Link scan: a link down past the patience window dies, whichever
         // side of it this rank is; the dialing (higher) side opens each due
         // dial. The next dial still to come bounds the poll.
@@ -962,13 +969,19 @@ void TcpTransport::receiver_loop() {
         // 3. Poll: wake pipe, listener, every handshake (a dial waits to be
         // writable until its connect is done) and — only once the rank
         // thread has left them undrained for kReaderFallback — every up
-        // link. Until then, sleep just past the moment the window ends.
+        // link. Until then, sleep until drain_wait past the last drain.
         // An expired handshake closes here.
         const auto idle =
             now - Clock::time_point(Clock::duration(
                       last_drain_.load(std::memory_order_relaxed)));
         const bool fallback = idle >= kReaderFallback;
-        if (!fallback) wake_at = std::min(wake_at, now + (kReaderFallback - idle));
+        if (fallback) {
+            drain_wait = kReaderFallback;
+        } else {
+            drain_wait = std::min<Clock::duration>(
+                2 * drain_wait, std::chrono::milliseconds(kReceiverTickMs));
+            wake_at = std::min(wake_at, now + (drain_wait - idle));
+        }
         pfds.clear();
         pfd_peer.clear();
         pfds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});

@@ -161,6 +161,11 @@ public:
     std::uint64_t reconnects() const {
         return reconnects_.load(std::memory_order_relaxed);
     }
+    /// Passes of the receiver thread's poll loop since construction; each
+    /// one scans every link.
+    std::uint64_t receiver_wakeups() const {
+        return receiver_wakeups_.load(std::memory_order_relaxed);
+    }
     /// Socket faults the plan injected (kills + truncations).
     std::uint64_t socket_faults_injected() const {
         return socket_faults_injected_.load(std::memory_order_relaxed);
@@ -286,6 +291,7 @@ private:
     std::atomic<bool> running_{false};
     std::once_flag shutdown_once_;
     std::atomic<std::uint64_t> reconnects_{0};
+    std::atomic<std::uint64_t> receiver_wakeups_{0};
     std::atomic<std::uint64_t> socket_faults_injected_{0};
 };
 

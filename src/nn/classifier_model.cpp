@@ -22,6 +22,13 @@ double ClassifierModel::train_step_gradients(const Batch& batch) {
     return lr.loss;
 }
 
+double ClassifierModel::train_step_fold(const Batch& batch, GradSink& sink) {
+    Tensor logits = net_->forward(batch.x, /*training=*/true);
+    LossResult lr = softmax_cross_entropy(logits, batch.targets);
+    net_->backward_fold(lr.dlogits, {grads(), sink});
+    return lr.loss;
+}
+
 double ClassifierModel::eval_loss(const Batch& batch) {
     Tensor logits = net_->forward(batch.x, /*training=*/false);
     return softmax_cross_entropy(logits, batch.targets).loss;

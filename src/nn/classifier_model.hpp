@@ -15,6 +15,9 @@ public:
     ClassifierModel(std::unique_ptr<Sequential> net, util::Xoshiro256& rng);
 
     double train_step_gradients(const Batch& batch) override;
+    /// Folds each layer's gradients as its backward finishes them; no
+    /// model-wide zero fill (each layer zeroes what it accumulates into).
+    double train_step_fold(const Batch& batch, GradSink& sink) override;
     double eval_loss(const Batch& batch) override;
     double eval_accuracy(const Batch& batch) override;
 

@@ -1,5 +1,7 @@
 #include "nn/layer.hpp"
 
+#include <algorithm>
+
 namespace gtopk::nn {
 
 Param::Param(std::size_t size, std::string name) : size(size) {
@@ -17,6 +19,15 @@ ParamArena::ParamArena(const std::vector<Param*>& params) {
         p->grad = {grads_.get() + off, p->size};
         off += p->size;
     }
+}
+
+Tensor Layer::backward_fold(const Tensor& dy, const GradFold& fold) {
+    std::vector<Param*> params;
+    collect_params(params);
+    for (Param* p : params) std::ranges::fill(p->grad, 0.0f);
+    Tensor dx = backward(dy);
+    for (const Param* p : params) fold(p->grad, p->grad);
+    return dx;
 }
 
 ParamArena bind_params(Layer& layer, util::Xoshiro256& rng) {

@@ -118,31 +118,50 @@ Tensor Linear::forward(const Tensor& x, bool training) {
     return y;
 }
 
-Tensor Linear::backward(const Tensor& dy) {
+Tensor Linear::backward(const Tensor& dy) { return backward_rows(dy, nullptr); }
+
+Tensor Linear::backward_fold(const Tensor& dy, const GradFold& fold) {
+    return backward_rows(dy, &fold);
+}
+
+Tensor Linear::backward_rows(const Tensor& dy, const GradFold* fold) {
     if (dy.rank() != 2 || dy.dim(1) != out_ || cached_x_.rank() != 2 ||
         cached_x_.dim(0) != dy.dim(0)) {
         throw std::invalid_argument("Linear::backward: shape mismatch");
     }
     const std::int64_t n = dy.dim(0);
     Tensor dx({n, in_});
+    if (fold) {
+        fold_row_.resize(static_cast<std::size_t>(in_));
+        fold_db_.assign(static_cast<std::size_t>(out_), 0.0f);
+    }
     // o outer: each weight row and its gradient row are read once for all
     // samples. dw[o, k] and db[o] sum over samples ascending; dx[n, k] sums
     // over o ascending.
     for (std::int64_t o = 0; o < out_; ++o) {
         const float* wo = w_.value.data() + o * in_;
-        float* dwo = w_.grad.data() + o * in_;
-        float& dbo = b_.grad[static_cast<std::size_t>(o)];
+        const std::span<float> dw_row = w_.grad.subspan(static_cast<std::size_t>(o * in_),
+                                                        static_cast<std::size_t>(in_));
+        float* dwo = dw_row.data();
+        float* dbo = b_.grad.data() + o;
+        if (fold) {
+            std::ranges::fill(fold_row_, 0.0f);
+            dwo = fold_row_.data();
+            dbo = fold_db_.data() + o;
+        }
         for (std::int64_t n0 = 0; n0 < n; n0 += 4) {
             const RowBlock r{cached_x_.raw() + n0 * in_, dy.raw() + n0 * out_ + o,
                              dx.raw() + n0 * in_, in_, out_};
             switch (std::min<std::int64_t>(4, n - n0)) {
-                case 4: r.backward<4>(wo, dwo, dbo); break;
-                case 3: r.backward<3>(wo, dwo, dbo); break;
-                case 2: r.backward<2>(wo, dwo, dbo); break;
-                default: r.backward<1>(wo, dwo, dbo); break;
+                case 4: r.backward<4>(wo, dwo, *dbo); break;
+                case 3: r.backward<3>(wo, dwo, *dbo); break;
+                case 2: r.backward<2>(wo, dwo, *dbo); break;
+                default: r.backward<1>(wo, dwo, *dbo); break;
             }
         }
+        if (fold) (*fold)(dw_row, fold_row_);
     }
+    if (fold) (*fold)(b_.grad, fold_db_);
     return dx;
 }
 

@@ -16,6 +16,14 @@ Tensor Sequential::backward(const Tensor& dy) {
     return g;
 }
 
+Tensor Sequential::backward_fold(const Tensor& dy, const GradFold& fold) {
+    Tensor g = dy;
+    for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
+        g = (*it)->backward_fold(g, fold);
+    }
+    return g;
+}
+
 void Sequential::collect_params(std::vector<Param*>& out) {
     for (auto& layer : layers_) layer->collect_params(out);
 }

@@ -22,6 +22,7 @@ public:
 
     Tensor forward(const Tensor& x, bool training) override;
     Tensor backward(const Tensor& dy) override;
+    Tensor backward_fold(const Tensor& dy, const GradFold& fold) override;
     void collect_params(std::vector<Param*>& out) override;
     void init_params(util::Xoshiro256& rng) override;
     std::string name() const override { return "Sequential"; }

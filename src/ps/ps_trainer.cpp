@@ -13,6 +13,7 @@
 #include "sparse/topk_merge.hpp"
 #include "sparse/topk_select.hpp"
 #include "sparse/wire.hpp"
+#include "train/bucketer.hpp"
 
 namespace gtopk::ps {
 
@@ -83,6 +84,7 @@ train::TrainResult train_parameter_server(int workers, comm::NetworkModel net,
         // Reused hot-path scratch (see DESIGN.md §9): selection workspace on
         // workers, merge scratch + wire buffer on the server.
         sparse::TopkWorkspace select_ws;
+        const train::GradBucket whole{.begin = 0, .end = m};
         sparse::MergeScratch merge_scratch;
         std::vector<std::byte> wire;
 
@@ -197,16 +199,18 @@ train::TrainResult train_parameter_server(int workers, comm::NetworkModel net,
                 // ---- worker ----
                 const double t0 = now_host_s();
                 nn::Batch batch = batches(step, wid);
-                const double loss = model->train_step_gradients(batch);
-                epoch_loss += loss;
                 // Dense pushes the raw gradient straight from the model's
-                // arena; gTop-k accumulates it into the residual in place
-                // (Alg. 4 line 4), counting the top-k histogram on the way
-                // like the trainer's whole-model bucket, and selects from it.
+                // arena; gTop-k folds it into the residual while backward
+                // produces it (Alg. 4 line 4), counting the top-k histogram
+                // on the way like the trainer's whole-model bucket, and
+                // selects from it.
                 const std::span<const float> grads = model->grads();
-                if (!dense_agg) {
-                    sparse::begin_count(select_ws, m);
-                    sparse::accumulate_counted(residual, 0, grads, select_ws);
+                if (dense_agg) {
+                    epoch_loss += model->train_step_gradients(batch);
+                } else {
+                    train::ResidualFold fold(residual, {&whole, 1}, {&select_ws, 1});
+                    fold.begin();
+                    epoch_loss += model->train_step_fold(batch, fold);
                 }
                 const double t1 = now_host_s();
 

@@ -107,8 +107,12 @@ struct TopkWorkspace {
 ///   ...                                         // each entry once
 ///   topk_select_counted(dense, k, ws, out);     // cut, consume the count
 ///
-/// begin_count clears the histogram bins the last count used and sizes the
-/// block maxima for an m-entry vector.
+/// The segments may come in any order and any lengths: a folded train step
+/// counts a bucket row by row as backward finishes each row, tensors last
+/// to first (train::ResidualFold), and gets the bits, block maxima and
+/// selection of one accumulate over the whole span. begin_count clears the
+/// histogram bins the last count used and sizes the block maxima for an
+/// m-entry vector.
 void begin_count(TopkWorkspace& ws, std::size_t size);
 
 /// dense[at + i] += src[i] for every i, four lanes at a time, counting each

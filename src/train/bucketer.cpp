@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace gtopk::train {
 
@@ -58,6 +59,30 @@ std::vector<double> bucket_ready_fractions(std::span<const GradBucket> buckets,
                    static_cast<double>(total_elems);
     }
     return ready;
+}
+
+void ResidualFold::begin() {
+    for (std::size_t b = 0; b < buckets_.size(); ++b) {
+        sparse::begin_count(ws_[b], buckets_[b].size());
+    }
+}
+
+void ResidualFold::fold(std::size_t at, std::span<const float> g) {
+    auto b = static_cast<std::size_t>(
+        std::ranges::upper_bound(buckets_, at, {}, &GradBucket::end) - buckets_.begin());
+    while (!g.empty()) {
+        if (b == buckets_.size()) {
+            throw std::out_of_range("ResidualFold: gradient element " + std::to_string(at) +
+                                    " lies past the last bucket");
+        }
+        const GradBucket& bk = buckets_[b];
+        const std::size_t n = std::min(g.size(), bk.end - at);
+        sparse::accumulate_counted(residual_.subspan(bk.begin, bk.size()), at - bk.begin,
+                                   g.first(n), ws_[b]);
+        at += n;
+        g = g.subspan(n);
+        ++b;
+    }
 }
 
 }  // namespace gtopk::train

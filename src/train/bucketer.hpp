@@ -21,6 +21,9 @@
 #include <span>
 #include <vector>
 
+#include "nn/layer.hpp"
+#include "sparse/topk_select.hpp"
+
 namespace gtopk::train {
 
 /// One fused communication bucket: a contiguous flat-parameter range
@@ -55,5 +58,30 @@ std::vector<GradBucket> fuse_buckets(std::span<const std::size_t> seg_offsets,
 /// (total_elems - b.begin) / total_elems.
 std::vector<double> bucket_ready_fractions(std::span<const GradBucket> buckets,
                                            std::size_t total_elems);
+
+/// The GradSink that adds a model's gradient into the error-feedback
+/// residual (Alg. 4 line 4), counting line 5's top-k histogram of each
+/// bucket on the way: gradient-arena element i lands in residual[i] and in
+/// the count of the bucket holding i. The residual and the workspaces are
+/// the caller's, indexed like `buckets`, which must tile [0, m) in
+/// ascending order.
+class ResidualFold final : public nn::GradSink {
+public:
+    ResidualFold(std::span<float> residual, std::span<const GradBucket> buckets,
+                 std::span<sparse::TopkWorkspace> ws)
+        : residual_(residual), buckets_(buckets), ws_(ws) {}
+
+    /// Start every bucket's count; a step calls it before its first fold.
+    void begin();
+
+    /// residual[at + i] += g[i], one accumulate_counted per bucket the
+    /// range touches. Throws std::out_of_range past the last bucket.
+    void fold(std::size_t at, std::span<const float> g) override;
+
+private:
+    std::span<float> residual_;
+    std::span<const GradBucket> buckets_;
+    std::span<sparse::TopkWorkspace> ws_;
+};
 
 }  // namespace gtopk::train

@@ -151,16 +151,18 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
         // first iteration, and so does each bucket's selection workspace
         // (below), which its residual accumulate counts into.
         core::GtopkWorkspace agg_ws;
-        // The gTop-k family's dense mean update, reused across steps: the
-        // global selection is scattered into it (recording the support) and
-        // the support is re-zeroed before the next scatter, so a step pays
-        // O(k) here instead of an O(m) allocation and fill. Even a step cut
-        // short by a CommError leaves its support recorded for the re-zero.
+        // The gTop-k family's mean update: the buckets' global selections
+        // in ascending index order, values scaled by 1/P, +0 elsewhere. Its
+        // buffers are reused across steps.
         const bool sparse_global =
             config.algorithm != Algorithm::DenseSsgd &&
             config.algorithm != Algorithm::TopkSsgd;
-        std::vector<float> mean_update(sparse_global ? m : 0, 0.0f);
-        std::vector<std::size_t> mean_support;
+        SparseGradient mean_update;
+        // The gradient lands in the residual while backward produces it,
+        // unless clipping or local momentum must see all of it first.
+        const bool fold_in_backward = sparse_global &&
+                                      config.gradient_clip_norm <= 0.0f &&
+                                      !local_momentum;
         // check_invariants only: the accumulated gradient before selection.
         std::vector<float> accumulated;
         util::Xoshiro256 sample_rng =
@@ -320,40 +322,42 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                 // survivor world re-partitions the data stream among
                 // comm.size() workers with no gaps.
                 nn::Batch batch = train_batches(step, comm.rank());
-                const double loss = model->train_step_gradients(batch);
-                step_loss[static_cast<std::size_t>(step)] = loss;
+                // Each bucket's residual accumulate (Alg. 4 line 4) counts
+                // line 5's histogram on the way; selection then reads G
+                // straight from `residual`. Threshold policies ignore the
+                // count.
+                ResidualFold fold(residual, buckets, select_ws);
+                fold.begin();
                 const std::span<float> grads = model->grads();
-                // DGC-style local gradient clipping (scale to the L2 ball),
-                // in place in the model's gradient arena.
-                if (config.gradient_clip_norm > 0.0f) {
-                    double norm_sq = 0.0;
-                    for (float g : grads) norm_sq += static_cast<double>(g) * g;
-                    const double norm = std::sqrt(norm_sq);
-                    if (norm > config.gradient_clip_norm) {
-                        const float scale =
-                            config.gradient_clip_norm / static_cast<float>(norm);
-                        for (float& g : grads) g *= scale;
+                double loss = 0.0;
+                if (fold_in_backward) {
+                    loss = model->train_step_fold(batch, fold);
+                } else {
+                    loss = model->train_step_gradients(batch);
+                    // DGC-style local gradient clipping (scale to the L2
+                    // ball), in place in the model's gradient arena.
+                    if (config.gradient_clip_norm > 0.0f) {
+                        double norm_sq = 0.0;
+                        for (float g : grads) norm_sq += static_cast<double>(g) * g;
+                        const double norm = std::sqrt(norm_sq);
+                        if (norm > config.gradient_clip_norm) {
+                            const float scale =
+                                config.gradient_clip_norm / static_cast<float>(norm);
+                            for (float& g : grads) g *= scale;
+                        }
+                    }
+                    if (local_momentum) {
+                        // DGC momentum correction: momentum is folded into
+                        // the LOCAL stream before residual accumulation.
+                        for (float& v : velocity) v *= config.momentum;
+                        model->accumulate_grads_into(velocity);
+                    }
+                    if (!buckets.empty()) {
+                        fold.fold(0, local_momentum ? std::span<const float>(velocity)
+                                                    : grads);
                     }
                 }
-                if (local_momentum) {
-                    // DGC momentum correction: momentum is folded into the
-                    // LOCAL stream before residual accumulation.
-                    for (float& v : velocity) v *= config.momentum;
-                    model->accumulate_grads_into(velocity);
-                }
-                // Accumulate each bucket's residual in place (Alg. 4 line
-                // 4), counting line 5's histogram on the way; selection
-                // then reads G straight from `residual`. Threshold
-                // policies ignore the count.
-                const std::span<const float> src =
-                    local_momentum ? std::span<const float>(velocity) : grads;
-                for (std::size_t b = 0; b < buckets.size(); ++b) {
-                    const GradBucket& bk = buckets[b];
-                    const std::span<float> g(residual.data() + bk.begin, bk.size());
-                    sparse::begin_count(select_ws[b], g.size());
-                    sparse::accumulate_counted(g, 0, src.subspan(bk.begin, bk.size()),
-                                               select_ws[b]);
-                }
+                step_loss[static_cast<std::size_t>(step)] = loss;
                 compute_span.finish();
                 const double t1 = now_host_s();
 
@@ -420,8 +424,8 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                 agg_span.attrs().round = static_cast<int>(step);
                 agg_span.attrs().nnz = nnz;
                 const float inv = 1.0f / static_cast<float>(comm.size());
-                for (const std::size_t i : mean_support) mean_update[i] = 0.0f;
-                mean_support.clear();
+                mean_update.indices.clear();
+                mean_update.values.clear();
                 // Threshold policies have no well-defined k; their bucket
                 // then aggregates untruncated (a pure sparse sum-allreduce)
                 // and the thresholding alone provides the sparsity.
@@ -429,7 +433,8 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                     return exact ? k_of(b.size()) : b.size();
                 };
                 // Alg. 4 line 10 (the Fig. 1 variant skips it), then the
-                // bucket's share of the mean update.
+                // bucket's share of the mean update. Buckets finish in
+                // ascending order, so the update's indices ascend.
                 const auto finish_bucket = [&](std::size_t b,
                                                const SparseGradient& global) {
                     const std::size_t off = buckets[b].begin;
@@ -439,10 +444,9 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                             locals[b], global.indices);
                     }
                     for (std::size_t j = 0; j < global.nnz(); ++j) {
-                        const std::size_t i =
-                            off + static_cast<std::size_t>(global.indices[j]);
-                        mean_update[i] = global.values[j] * inv;
-                        mean_support.push_back(i);
+                        mean_update.indices.push_back(
+                            static_cast<std::int32_t>(off) + global.indices[j]);
+                        mean_update.values.push_back(global.values[j] * inv);
                     }
                 };
                 std::vector<float> dense_update;  // DenseSsgd / TopkSsgd
@@ -520,12 +524,17 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                 obs::ScopedSpan update_span(config.tracer, comm.clock(), rank,
                                             "update", "train");
                 update_span.attrs().round = static_cast<int>(step);
-                const std::span<const float> update =
-                    sparse_global ? std::span<const float>(mean_update) : dense_update;
-                if (local_momentum) {
-                    model->axpy_params(-lr, update);
+                const auto apply = [&](const auto& update) {
+                    if (local_momentum) {
+                        model->axpy_params(-lr, update);
+                    } else {
+                        model->momentum_axpy_params(config.momentum, velocity, update, -lr);
+                    }
+                };
+                if (sparse_global) {
+                    apply(nn::SparseUpdate{mean_update.indices, mean_update.values});
                 } else {
-                    model->momentum_axpy_params(config.momentum, velocity, update, -lr);
+                    apply(std::span<const float>(dense_update));
                 }
                 update_span.finish();
                 const double u1 = now_host_s();

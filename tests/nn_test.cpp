@@ -626,6 +626,110 @@ TEST(FlatUpdate, AxpyMatchesTheScalarLoopBitForBit) {
     }
 }
 
+/// The dense update a sparse one describes: +0 except at its entries.
+std::vector<float> densify(std::size_t n, const std::vector<std::int32_t>& idx,
+                           const std::vector<float>& val) {
+    std::vector<float> u(n, 0.0f);
+    for (std::size_t j = 0; j < idx.size(); ++j) u[static_cast<std::size_t>(idx[j])] = val[j];
+    return u;
+}
+
+TEST(FlatUpdate, SparseUpdateMatchesTheDenseMeanUpdateBitForBit) {
+    // The trainer's gTop-k update: the global selection's entries, scaled,
+    // with +0 between them, once scattered into a dense mean update.
+    for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 8u, 9u, 11u, 37u, 200u}) {
+        for (const std::size_t stride : {1u, 2u, 3u, 7u, 1000u}) {
+            std::vector<std::int32_t> idx;
+            std::vector<float> val;
+            const std::vector<float> pool = awkward_flat(n, 11);
+            for (std::size_t i = stride / 2 % n; i < n; i += stride) {
+                idx.push_back(static_cast<std::int32_t>(i));
+                val.push_back(pool[i]);  // signed zeros and subnormals too
+            }
+            if (stride == 1000) idx.clear(), val.clear();  // an empty selection
+            const std::vector<float> u = densify(n, idx, val);
+            const SparseUpdate su{idx, val};
+            for (const float mom : {0.9f, 0.0f}) {
+                for (const float a : {-0.05f, -6e-5f, -0.0f}) {
+                    std::vector<float> w_dense = awkward_flat(n, 12);  // -0 weights too
+                    std::vector<float> v_dense = awkward_flat(n, 13);
+                    std::vector<float> w_sparse = w_dense, v_sparse = v_dense;
+                    momentum_axpy_values(w_dense, mom, v_dense, u, a);
+                    momentum_axpy_values(w_sparse, mom, v_sparse, su, a);
+                    EXPECT_TRUE(same_bits(v_sparse, v_dense))
+                        << "n=" << n << " stride=" << stride << " mom=" << mom;
+                    EXPECT_TRUE(same_bits(w_sparse, w_dense))
+                        << "n=" << n << " stride=" << stride << " a=" << a;
+
+                    // LocalCorrection's plain step: O(nnz), same bits.
+                    std::vector<float> x_dense = awkward_flat(n, 14);
+                    std::vector<float> x_sparse = x_dense;
+                    axpy_values(x_dense, a, u);
+                    axpy_values(x_sparse, a, su);
+                    EXPECT_TRUE(same_bits(x_sparse, x_dense))
+                        << "n=" << n << " stride=" << stride << " a=" << a;
+                }
+            }
+        }
+    }
+}
+
+TEST(FlatUpdate, SkippedZeroVelocitiesKeepTheBitsOfTheScalarLoops) {
+    // A long pass with a sparse update reads chunks of +0 velocities
+    // without writing them, and only where the step would rewrite the
+    // same bits: finite mom, finite a with its sign bit set.
+    const std::size_t n = (std::size_t{1} << 20) + 203;  // past the skip threshold, odd tail
+    const float tiny = std::numeric_limits<float>::denorm_min();
+    std::vector<float> v0(n, 0.0f);
+    for (std::size_t i = 37; i < n; i += 4099) v0[i] = -0.0f;  // -0 must become +0
+    for (std::size_t i = 70; i < n; i += 8191) v0[i] = tiny;   // snaps to +0
+    for (std::size_t i = 101; i < n; i += 5003) v0[i] = 0.5f;
+    v0[n - 2] = -0.0f;
+    std::vector<float> w0 = awkward_flat(n, 21);
+    for (std::size_t i = 0; i < n; i += 5) w0[i] = -0.0f;  // -0 weights everywhere
+    std::vector<std::int32_t> idx;
+    std::vector<float> val;
+    for (std::size_t i = 130; i < n; i += 7919) {
+        idx.push_back(static_cast<std::int32_t>(i));
+        val.push_back(i % 3 == 0 ? -0.0f : 0.25f);
+    }
+    idx.push_back(static_cast<std::int32_t>(n - 1));
+    val.push_back(tiny);
+    const std::vector<float> u = densify(n, idx, val);
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (const float mom : {0.9f, -0.5f, inf, nan}) {
+        for (const float a : {-0.05f, -0.0f, 0.5f, 0.0f, -inf}) {
+            std::vector<float> w_want = w0, v_want = v0;
+            for (std::size_t i = 0; i < n; ++i) {
+                const float vi = mom * v_want[i] + u[i];
+                v_want[i] = std::fabs(vi) < std::numeric_limits<float>::min() ? 0.0f : vi;
+                w_want[i] += a * v_want[i];
+            }
+            std::vector<float> w_list = w0, v_list = v0;
+            momentum_axpy_values(w_list, mom, v_list, SparseUpdate{idx, val}, a);
+            EXPECT_TRUE(same_bits(v_list, v_want)) << "mom=" << mom << " a=" << a;
+            EXPECT_TRUE(same_bits(w_list, w_want)) << "mom=" << mom << " a=" << a;
+        }
+    }
+}
+
+TEST(FlatUpdate, SparseUpdateRejectsUnsortedOrOutOfRangeEntries) {
+    std::vector<float> w(10, 1.0f), v(10, 0.0f);
+    const std::vector<float> val = {1.0f, 2.0f};
+    for (const std::vector<std::int32_t>& idx :
+         {std::vector<std::int32_t>{3, 3}, {4, 2}, {1, 10}, {-1, 2}}) {
+        EXPECT_THROW(momentum_axpy_values(w, 0.9f, v, SparseUpdate{idx, val}, -1.0f),
+                     std::invalid_argument);
+    }
+    const std::vector<std::int32_t> one = {1};
+    EXPECT_THROW(momentum_axpy_values(w, 0.9f, v, SparseUpdate{one, val}, -1.0f),
+                 std::invalid_argument);
+    EXPECT_THROW(axpy_values(w, -1.0f, SparseUpdate{one, val}), std::invalid_argument);
+    const std::vector<std::int32_t> past = {0, 10};
+    EXPECT_THROW(axpy_values(w, -1.0f, SparseUpdate{past, val}), std::invalid_argument);
+}
+
 TEST(FlatUpdate, ModelMomentumAxpyUpdatesParamsAndVelocity) {
     auto model = make_mlp({8, {4}, 3}, 3);
     const std::vector<float> w0 = model->flat_params();

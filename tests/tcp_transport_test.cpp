@@ -690,6 +690,49 @@ bool closed_silently(int fd, std::chrono::steady_clock::time_point deadline) {
     }
 }
 
+TEST(TcpDataPlane, ReceiverSleepsWhileTheRankThreadDrains) {
+    // A rank that keeps polling reads its own sockets; the receiver thread
+    // backs off instead of waking at the end of every 2 ms window (about
+    // 250 passes in the 500 ms below). Once the rank stops polling, the
+    // receiver still reads a bulk send for it.
+    std::array<std::uint64_t, 2> wakeups{};
+    std::atomic<bool> drained{false};
+    std::atomic<bool> delivered{false};
+    std::optional<comm::Message> got;
+    const auto errors = run_pair(
+        [&](int r, comm::TcpTransport& t) {
+            const auto w0 = t.receiver_wakeups();
+            const auto until = std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+            while (std::chrono::steady_clock::now() < until) {
+                if (t.try_receive(r, 1 - r, comm::kTagTestData)) {
+                    throw std::runtime_error("unexpected frame");
+                }
+                std::this_thread::sleep_for(std::chrono::microseconds(100));
+            }
+            wakeups[static_cast<std::size_t>(r)] = t.receiver_wakeups() - w0;
+            if (r == 0) {
+                drained.store(true);
+                if (!await_flag(delivered)) throw std::runtime_error("deliver never returned");
+                got = await_frame(t, 0, 1);
+                return;
+            }
+            if (!await_flag(drained)) throw std::runtime_error("rank 0 never drained");
+            comm::Message m;
+            m.source = 1;
+            m.tag = comm::kTagTestData;
+            m.payload = bulk_payload(1);
+            t.deliver(0, std::move(m));
+            delivered.store(true);
+        },
+        std::chrono::seconds(40));
+    for (const std::string& e : errors) EXPECT_EQ(e, "");
+    for (int r = 0; r < 2; ++r) {
+        EXPECT_LT(wakeups[static_cast<std::size_t>(r)], 100u) << "rank " << r;
+    }
+    ASSERT_TRUE(got.has_value());
+    EXPECT_TRUE(got->payload == bulk_payload(1));
+}
+
 TEST(TcpBootstrap, SilentListenerConnectionsDoNotStallTheReader) {
     const int port = tcptest::probe_free_port();
     // The acceptor's handshake deadline (1 s) plus slack for a loaded host.

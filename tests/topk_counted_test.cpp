@@ -95,6 +95,62 @@ TEST(TopkCounted, UnalignedSegmentsAccumulateScalarBitsAndSelectExactly) {
     }
 }
 
+TEST(TopkCounted, BackwardFoldOrderCountsEachBucketLikeOneWholeSpan) {
+    // A folded train step counts each bucket the way backward hands its
+    // gradient over: tensors last to first, each weight's rows ascending
+    // and then its bias, every row off the 64-entry block grid. The three
+    // buckets each count into their own workspace.
+    struct Shape {
+        std::size_t rows, cols;
+    };
+    const std::vector<std::vector<Shape>> buckets = {
+        {{5, 37}, {1, 5}},
+        {{3, 130}, {1, 3}, {7, 19}, {1, 7}},
+        {{2, 65}, {1, 2}, {1, 1}},
+    };
+    sparse::TopkWorkspace whole_ws, fold_ws;
+    SparseGradient whole_out, fold_out;
+    for (std::size_t b = 0; b < buckets.size(); ++b) {
+        std::size_t m = 0;
+        std::vector<std::size_t> offsets;
+        for (const Shape& t : buckets[b]) {
+            offsets.push_back(m);
+            m += t.rows * t.cols;
+        }
+        const std::vector<float> grad = awkward_dense(m, 50 + b);
+        std::vector<float> whole = awkward_dense(m, 60 + b);
+        std::vector<float> folded = whole;
+
+        sparse::begin_count(whole_ws, m);
+        sparse::accumulate_counted(whole, 0, grad, whole_ws);
+        sparse::begin_count(fold_ws, m);
+        for (std::size_t t = buckets[b].size(); t-- > 0;) {
+            const Shape s = buckets[b][t];
+            for (std::size_t r = 0; r < s.rows; ++r) {
+                const std::size_t at = offsets[t] + r * s.cols;
+                sparse::accumulate_counted(folded, at, std::span(grad).subspan(at, s.cols),
+                                           fold_ws);
+            }
+        }
+
+        ASSERT_TRUE(same_bits(folded, whole)) << "bucket " << b;
+        EXPECT_EQ(fold_ws.block_max, whole_ws.block_max) << "bucket " << b;
+        EXPECT_EQ(fold_ws.max_key, whole_ws.max_key) << "bucket " << b;
+        EXPECT_EQ(fold_ws.counted, whole_ws.counted) << "bucket " << b;
+        for (std::size_t bin = 0; bin < sparse::kHistogramBins; ++bin) {
+            const std::uint32_t* f = fold_ws.lanes.data() + 4 * bin;
+            const std::uint32_t* w = whole_ws.lanes.data() + 4 * bin;
+            ASSERT_EQ(f[0] + f[1] + f[2] + f[3], w[0] + w[1] + w[2] + w[3])
+                << "bucket " << b << " bin " << bin;
+        }
+        const std::size_t k = 1 + m / 10;
+        sparse::topk_select_counted(whole, k, whole_ws, whole_out);
+        sparse::topk_select_counted(folded, k, fold_ws, fold_out);
+        EXPECT_EQ(fold_out, whole_out) << "bucket " << b;
+        EXPECT_EQ(fold_out, sparse::topk_select(whole, k)) << "bucket " << b;
+    }
+}
+
 TEST(TopkCounted, MatchesOneShotReferenceOnLargeVectors) {
     sparse::TopkWorkspace ws;
     SparseGradient out;
