@@ -23,9 +23,10 @@ using i32x4 = std::int32_t __attribute__((vector_size(16)));
 /// Elements per chunk a zero run may skip: one 64-byte line of floats.
 constexpr std::size_t kSkipChunk = 16;
 /// Passes shorter than this never skip: they run from cache, bound by
-/// arithmetic, and the check would cost more than the work it saves
-/// (layerwise_tcp's m = 66 k reads its update 25% slower with it, while
-/// mlp_wide_gtopk's m = 2.6 M saves 0.2-0.5 ms of a 2 ms pass).
+/// arithmetic, and the check costs more than the work it saves. On a
+/// shared 4-vCPU VM, perfbench's traced update read 25-30% slower with
+/// the check on layerwise_tcp (m = 66 k, velocities nearly all nonzero)
+/// and 0.2-0.6 ms faster of 2.1-2.4 ms on mlp_wide_gtopk (m = 2.6 M).
 constexpr std::size_t kSkipMinSize = std::size_t{1} << 20;
 
 /// The one momentum-SGD step, v = mom * v + u and then w += a * v, run by
