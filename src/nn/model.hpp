@@ -36,9 +36,7 @@ void axpy_values(std::span<float> w, float a, std::span<const float> x);
 /// Momentum SGD in one pass: v = mom * v + u, a v below FLT_MIN in
 /// magnitude snapped to +0, then w += a * v, element by element — each
 /// element gets the bits of a velocity loop with that snap followed by
-/// axpy_values(w, a, v). A run of elements whose v is +0 and whose u is
-/// zero is left untouched when that gives the same bits (finite mom,
-/// finite a with its sign bit set): the pass reads it and moves on.
+/// axpy_values(w, a, v).
 void momentum_axpy_values(std::span<float> w, float mom, std::span<float> v,
                           std::span<const float> u, float a);
 
@@ -51,7 +49,10 @@ struct SparseUpdate {
 };
 
 /// momentum_axpy_values with the dense update that `u` describes: every
-/// element gets the same bits, the gaps between u's entries adding +0.
+/// element gets the same bits, the gaps between u's entries adding +0. On
+/// a pass of at least 2^20 elements, a chunk of +0 velocities between
+/// entries is only read when rewriting it would give the same bits
+/// (finite mom, finite a with its sign bit set).
 void momentum_axpy_values(std::span<float> w, float mom, std::span<float> v,
                           SparseUpdate u, float a);
 
